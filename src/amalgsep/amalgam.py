@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .errors import (
@@ -68,6 +69,12 @@ class AmalgamPresentation:
         t = self.transversal(side)[x]
         G = self.factor(side)
         return G.table[x][G.inverse[t]], t
+
+    @cached_property
+    def quotient_cache(self) -> dict:
+        """Quotient amalgams the engine built from this presentation, keyed
+        by pair description. It lives and dies with the presentation."""
+        return {}
 
 
 def _coset_transversal(G: FiniteGroup, S: Subgroup) -> tuple[int, ...]:

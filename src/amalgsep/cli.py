@@ -14,6 +14,7 @@ incompatible, not isolated, failed case assertion), 2 input error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,16 +38,21 @@ EXIT_BOUND = 3
 DEFAULT_REPORT = "amalgsep_report.json"
 
 
-def _schema(name: str) -> dict:
-    text = resources.files("amalgsep.schemas").joinpath(f"{name}.schema.json").read_text()
-    return json.loads(text)
+@functools.cache
+def _validator(kind: str):
+    """The validator for one schema kind; the schema is read and checked once."""
+    text = resources.files("amalgsep.schemas").joinpath(f"{kind}.schema.json").read_text()
+    schema = json.loads(text)
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
 
 
 def validate_document(doc: dict, kind: str) -> None:
-    try:
-        jsonschema.validate(doc, _schema(kind))
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"{kind} document rejected: {exc.message}") from None
+    # best_match is the error jsonschema.validate would raise.
+    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
+    if error is not None:
+        raise InputError(f"{kind} document rejected: {error.message}")
 
 
 @dataclass

@@ -119,17 +119,16 @@ def _element_words(G: FiniteGroup, gens: tuple[int, ...]) -> list[tuple[int, ...
     return [words[x] for x in sorted(words)]
 
 
-_FACTOR_HOM_CACHE: dict = {}
-
-
 def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
-    """All homomorphisms G -> T as full mapping tuples, canonical order."""
-    key = (id(G), id(T))
-    cached = _FACTOR_HOM_CACHE.get(key)
-    if cached is not None and cached[0] is G and cached[1] is T:
-        return cached[2]
+    """All homomorphisms G -> T as full mapping tuples, canonical order.
+
+    Cached in ``G.hom_cache``, so the list lives as long as G does.
+    """
+    hit = G.hom_cache.get(id(T))
+    if hit is not None:
+        return hit[1]
     out = _factor_homs_uncached(G, T)
-    _FACTOR_HOM_CACHE[key] = (G, T, out)
+    G.hom_cache[id(T)] = (T, out)
     return out
 
 
@@ -435,17 +434,14 @@ class WorkingQuotient:
     pair_desc: str
 
 
-_TRIVIAL_QUOTIENT_CACHE: dict = {}
-
-
 def _trivial_pair_quotient(pres: AmalgamPresentation) -> WorkingQuotient:
-    cached = _TRIVIAL_QUOTIENT_CACHE.get(id(pres))
-    if cached is not None and cached[0] is pres:
-        return cached[1]
-    pair = CompatiblePair("plain", None, trivial_subgroup(pres.A),
-                          trivial_subgroup(pres.B))
-    wq = WorkingQuotient(build_quotient_amalgam(pres, pair), "(1,1)")
-    _TRIVIAL_QUOTIENT_CACHE[id(pres)] = (pres, wq)
+    """The quotient by the trivial pair, cached on the presentation."""
+    wq = pres.quotient_cache.get("(1,1)")
+    if wq is None:
+        pair = CompatiblePair("plain", None, trivial_subgroup(pres.A),
+                              trivial_subgroup(pres.B))
+        wq = WorkingQuotient(build_quotient_amalgam(pres, pair), "(1,1)")
+        pres.quotient_cache["(1,1)"] = wq
     return wq
 
 

@@ -7,6 +7,14 @@ amalgam factors; tables up to a few hundred elements are still fine as
 homomorphism targets. Associativity is checked exhaustively up to order 64
 and by 10,000 seeded random triples above that (such groups carry
 ``associativity_verified=False`` and are flagged in reports).
+
+A group computes some derived data lazily and caches it on itself: a
+greedy generating set (``generators``, used by ``is_normal``), the
+normal-subgroup lattice (behind ``enumerate_normal_subgroups``) and the
+homomorphisms the engine found from it to each target (``hom_cache``).
+The caches sit in the instance ``__dict__``, outside the dataclass
+fields, so equality and hashing ignore them; they live and die with the
+group, and no module-level table keeps a group alive.
 """
 
 from __future__ import annotations
@@ -14,6 +22,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 from typing import Iterable, Optional, Sequence
 
@@ -131,6 +140,30 @@ class FiniteGroup:
 
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
+
+    @cached_property
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, chosen greedily in index order: each generator
+        lies outside the subgroup the earlier ones generate, so every one
+        at least doubles it and there are at most log2(order) of them."""
+        gens: list[int] = []
+        span: frozenset[int] = frozenset({0})
+        for x in self.elements():
+            if x not in span:
+                gens.append(x)
+                span = _grow(self, span, gens)
+        return tuple(gens)
+
+    @cached_property
+    def _normal_lattice(self) -> tuple[Subgroup, ...]:
+        return _compute_normal_lattice(self)
+
+    @cached_property
+    def hom_cache(self) -> dict[int, tuple[FiniteGroup, list[tuple[int, ...]]]]:
+        """All homomorphisms from this group to a target, as the engine's
+        scan found them: ``id(target) -> (target, mappings)``. Each entry
+        holds its target, so that id cannot be reused while the entry lives."""
+        return {}
 
 
 def default_names(order: int) -> tuple[str, ...]:
@@ -281,33 +314,50 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     for g in gens:
         if not (0 <= g < G.order):
             raise InputError(f"generator index {g} out of range")
-    members = {0}
-    frontier = [0]
-    closed_gens = gens + [G.inverse[g] for g in gens]
+    return Subgroup(G, _grow(G, frozenset({0}), gens))
+
+
+def _grow(G: FiniteGroup, seed: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
+    """Close ``seed`` under right multiplication by ``gens``.
+
+    In a finite group every inverse is a positive power, so this is the
+    product set seed * <gens>. For a subgroup ``seed`` that lies in <gens>
+    or is normal, that product is the subgroup <seed, gens>.
+    """
+    members = set(seed)
+    frontier = list(members)
+    table = G.table
     while frontier:
-        x = frontier.pop()
-        for g in closed_gens:
-            y = G.table[x][g]
+        row = table[frontier.pop()]
+        for g in gens:
+            y = row[g]
             if y not in members:
                 members.add(y)
                 frontier.append(y)
-    return Subgroup(G, frozenset(members))
+    return frozenset(members)
 
 
 def trivial_subgroup(G: FiniteGroup) -> Subgroup:
     return Subgroup(G, frozenset({0}))
 
 
-def full_subgroup(G: FiniteGroup) -> Subgroup:
-    return Subgroup(G, frozenset(G.elements()))
-
-
 def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
+    """Whether g^-1 S g lies in S for every generator g of G.
+
+    That suffices: every element of G is a product of generators, and
+    conjugation by each factor maps S into S. The trivial subgroup returns
+    at once, so a group used only once need not pick generators.
+    """
     if S.parent is not G:
         raise InputError("subgroup belongs to a different group")
-    for g in G.elements():
-        for x in S.members:
-            if G.conjugate(x, g) not in S.members:
+    members = S.members
+    if len(members) == 1:
+        return True
+    table, inverse = G.table, G.inverse
+    for g in G.generators:
+        g_inv = table[inverse[g]]
+        for x in members:
+            if table[g_inv[x]][g] not in members:
                 return False
     return True
 
@@ -329,12 +379,21 @@ def conjugacy_classes(G: FiniteGroup) -> list[frozenset[int]]:
 def enumerate_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     """All normal subgroups, each exactly once, in canonical order.
 
-    Works up the join semilattice: starting from the trivial subgroup,
-    repeatedly close a known normal subgroup with one extra conjugacy
-    class. Every normal subgroup is a union of classes, so this BFS
-    reaches them all.
+    The lattice is computed once per group and cached on it; each call
+    returns a fresh list, so callers may mutate the result.
     """
-    classes = conjugacy_classes(G)
+    return list(G._normal_lattice)
+
+
+def _compute_normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
+    """Works up the join semilattice: starting from the trivial subgroup,
+    repeatedly join a known normal subgroup with one extra conjugacy
+    class. Every normal subgroup is a union of classes, so this search
+    reaches them all. A class generates a normal subgroup, so the join of
+    ``cur`` and ``cls`` is the product cur * <cls>: ``cur`` grown by
+    right multiplication with the members of ``cls`` alone.
+    """
+    classes = [tuple(cls) for cls in conjugacy_classes(G)]
     found: dict[frozenset[int], Subgroup] = {}
     start = frozenset({0})
     queue = [start]
@@ -342,27 +401,13 @@ def enumerate_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
     while queue:
         cur = queue.pop()
         for cls in classes:
-            if cls <= cur:
-                continue
-            new = _closure(G, cur | cls)
+            if cls[0] in cur:
+                continue  # a normal subgroup holds each class wholly or not at all
+            new = _grow(G, cur, cls)
             if new not in found:
                 found[new] = Subgroup(G, new)
                 queue.append(new)
-    return sorted(found.values(), key=lambda s: s.key())
-
-
-def _closure(G: FiniteGroup, seed: frozenset[int]) -> frozenset[int]:
-    members = set(seed) | {0}
-    frontier = list(members)
-    gens = list(seed) + [G.inverse[x] for x in seed]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            y = G.table[x][g]
-            if y not in members:
-                members.add(y)
-                frontier.append(y)
-    return frozenset(members)
+    return tuple(sorted(found.values(), key=lambda s: s.key()))
 
 
 @dataclass(frozen=True)

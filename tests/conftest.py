@@ -65,28 +65,49 @@ def z9_amalgam():
 # Oracles
 
 
-def all_subgroups_oracle(G: FiniteGroup) -> list[frozenset[int]]:
-    """Every subgroup, by closure growth from known subgroups plus one
-    element at a time."""
-    found = {frozenset({0})}
-    frontier = [frozenset({0})]
+def closure_oracle(G: FiniteGroup, gens) -> frozenset[int]:
+    """Least subgroup containing ``gens``: breadth-first products of the
+    generators and their inverses."""
+    steps = set(gens) | {G.inverse[g] for g in gens}
+    members, frontier = {0}, [0]
     while frontier:
-        S = frontier.pop()
+        x = frontier.pop()
+        for g in steps:
+            y = G.table[x][g]
+            if y not in members:
+                members.add(y)
+                frontier.append(y)
+    return frozenset(members)
+
+
+def all_subgroups_oracle(G: FiniteGroup) -> list[frozenset[int]]:
+    """Every subgroup in canonical order: the closures of single elements
+    and of pairs, then closure growth by one element at a time until no
+    new subgroup appears."""
+    found = {}
+    for x in G.elements():
+        for y in G.elements():
+            found.setdefault(closure_oracle(G, (x, y)), (x, y))
+    frontier = list(found.items())
+    while frontier:
+        S, gens = frontier.pop()
         for x in G.elements():
             if x in S:
                 continue
-            T = subgroup_generated(G, list(S | {x})).members
+            T = closure_oracle(G, gens + (x,))
             if T not in found:
-                found.add(T)
-                frontier.append(T)
+                found[T] = gens + (x,)
+                frontier.append((T, gens + (x,)))
     return sorted(found, key=lambda s: (len(s), sorted(s)))
 
 
-def normal_subgroups_oracle(G: FiniteGroup) -> list[frozenset[int]]:
-    def normal(ms):
-        return all(G.conjugate(x, g) in ms for x in ms for g in G.elements())
+def is_normal_oracle(G: FiniteGroup, members: frozenset[int]) -> bool:
+    """Normality by conjugation with every element of G."""
+    return all(G.conjugate(x, g) in members for x in members for g in G.elements())
 
-    return [ms for ms in all_subgroups_oracle(G) if normal(ms)]
+
+def normal_subgroups_oracle(G: FiniteGroup) -> list[frozenset[int]]:
+    return [ms for ms in all_subgroups_oracle(G) if is_normal_oracle(G, ms)]
 
 
 def chains_exist_oracle(G: FiniteGroup, R_members: frozenset[int], p: int) -> bool:

@@ -76,6 +76,14 @@ class TestAmalgamCommands:
         assert code == 0
         assert doc["ranks"] == [1, 1]
 
+    def test_free_without_schema_names_missing_property(self, workdir, capsys):
+        bad = workdir / "free_noschema.json"
+        bad.write_text(json.dumps({"kind": "free", "gens_a": ["a"], "gens_b": ["b"],
+                                   "h_words": ["a^2"], "k_words": ["b^2"]}))
+        code, _ = run(workdir, "amalgam", "build", str(bad))
+        assert code == 2
+        assert "'schema' is a required property" in capsys.readouterr().err
+
     def test_reduce(self, workdir):
         code, doc = run(workdir, "amalgam", "reduce", str(workdir / "g2.json"),
                         "A:a A:a")

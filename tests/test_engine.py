@@ -1,8 +1,10 @@
+import gc
 import itertools
+import weakref
 
 import pytest
 
-from amalgsep.amalgam import cyclic_member, normalize, power, serialize_element
+from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
 from amalgsep.catalog import catalog, cyclic_group, entry_is_p_group
 from amalgsep.compat import build_quotient_amalgam, enumerate_compatible_pairs
 from amalgsep.engine import (
@@ -16,9 +18,9 @@ from amalgsep.engine import (
     separate_from_cyclic,
 )
 from amalgsep.errors import InputError, UnknownCase
-from amalgsep.fingrp import is_p_power
+from amalgsep.fingrp import construct_group, is_p_power, subgroup_generated
 from amalgsep.freegrp import parse_word
-from conftest import elements_up_to_length
+from conftest import cyclic_table, elements_up_to_length
 
 
 def identity_quotient(pres):
@@ -120,6 +122,20 @@ class TestSeparateFinite:
         rep = separate_from_cyclic(g2, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
         assert rep.outcome == "separated"
         assert rep.reverified
+
+    def test_caches_die_with_the_presentation(self):
+        A = construct_group(cyclic_table(4))
+        B = construct_group(cyclic_table(4))
+        pres = build_amalgam(A, B, subgroup_generated(A, [2]),
+                             subgroup_generated(B, [2]), {0: 0, 2: 2})
+        rep = separate_from_cyclic(pres, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
+        assert rep.outcome == "separated"
+        quotient_a = pres.quotient_cache["(1,1)"].qa.presentation.A
+        assert quotient_a.hom_cache
+        alive = weakref.ref(pres), weakref.ref(quotient_a)
+        del pres, A, B, rep, quotient_a
+        gc.collect()
+        assert [ref() for ref in alive] == [None, None]
 
     def test_plain_separation_factor_element(self, g2):
         # h = a (length 1), g = ab: powers of g never have length 1.

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from amalgsep.catalog import catalog
 from amalgsep.errors import (
     NoIdentity,
     NotAssociative,
@@ -11,6 +12,7 @@ from amalgsep.errors import (
     PreconditionViolated,
 )
 from amalgsep.fingrp import (
+    Subgroup,
     construct_group,
     enumerate_normal_subgroups,
     find_p_chain,
@@ -26,8 +28,10 @@ from amalgsep.fingrp import (
     trivial_subgroup,
 )
 from conftest import (
+    all_subgroups_oracle,
     chains_exist_oracle,
     cyclic_table,
+    is_normal_oracle,
     normal_subgroups_oracle,
 )
 
@@ -120,6 +124,40 @@ class TestNormalSubgroups:
         G = dihedral_group(4)
         got = [S.members for S in enumerate_normal_subgroups(G)]
         assert got == normal_subgroups_oracle(G)
+
+    def test_mutated_result_does_not_leak(self):
+        G = construct_group(cyclic_table(12))
+        first = enumerate_normal_subgroups(G)
+        expected = list(first)
+        first.reverse()
+        first.pop()
+        first.append(trivial_subgroup(G))
+        assert enumerate_normal_subgroups(G) == expected
+
+
+CATALOG_32 = {e.name: e for e in catalog(32)}
+
+
+class TestLatticeOracle:
+    """The cached lattice, the class-by-class join and normality by
+    generators, each against brute force on every catalog group up to
+    order 32 and on the fixture groups."""
+
+    @pytest.mark.parametrize("name", [*CATALOG_32, "z4a", "z4b", "s3", "z9a", "z9b"])
+    def test_lattice_and_normality(self, name, request):
+        if name in CATALOG_32:
+            G = CATALOG_32[name].build()
+        elif name in ("z9a", "z9b"):
+            z9 = request.getfixturevalue("z9_amalgam")
+            G = z9.A if name == "z9a" else z9.B
+        else:
+            G = request.getfixturevalue(name)
+        got = [S.members for S in enumerate_normal_subgroups(G)]
+        assert got == normal_subgroups_oracle(G)
+        for ms in all_subgroups_oracle(G):
+            assert is_normal(G, Subgroup(G, ms)) == is_normal_oracle(G, ms)
+        assert subgroup_generated(G, G.generators).order == G.order
+        assert 2 ** len(G.generators) <= G.order
 
 
 class TestQuotient:
