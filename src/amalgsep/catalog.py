@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import gcd
-from typing import Callable, Optional
+from typing import Callable
 
 from .errors import InputError
 from .fingrp import FiniteGroup, is_p_power, trusted_group
@@ -174,11 +174,3 @@ def catalog(max_order: int, include_products: bool = True) -> list[CatalogEntry]
 
 def entry_is_p_group(entry: CatalogEntry, p: int) -> bool:
     return is_p_power(entry.order, p)
-
-
-def product_components(entry: CatalogEntry,
-                       base_by_key: Optional[dict] = None) -> Optional[tuple]:
-    """For a product entry, the pair of base-entry keys; None for base entries."""
-    if entry.family_rank != 4:
-        return None
-    return entry.params

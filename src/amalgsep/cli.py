@@ -387,8 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "free products of finite groups.",
         epilog="Default bounds: compatible-pair catalog order <= 48, witness "
                "target order <= 256. Exit codes: 0 success, 1 negative verdict, "
-               "2 input error, 3 bound exhausted. AMALGSEP_THREADS caps worker "
-               "threads.")
+               "2 input error, 3 bound exhausted.")
     parser.add_argument("--out", default=DEFAULT_REPORT,
                         help=f"JSON report path (default {DEFAULT_REPORT})")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -9,15 +9,14 @@ are always homomorphisms onto catalog finite groups, re-verified in the
 target group before being reported.
 
 Free factors are supported for presentations whose amalgamated subgroups
-are cyclic (one basis word per side); the procedure then works inside a
-length-preserving finite quotient amalgam and refines the quotient when
-an identification collapses.
+are cyclic (one basis word per side). Membership is decided exactly on
+the symbolic normal forms; a non-member is then separated inside a
+length-preserving finite quotient amalgam, refined when the quotient
+identifies h with a power of g.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -62,24 +61,6 @@ DEFAULT_TARGET_BOUND = 256
 DEFAULT_PAIR_BOUND = 48
 
 FreeLetter = tuple[str, FreeWord]
-
-
-def worker_count() -> int:
-    raw = os.environ.get("AMALGSEP_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else 1
-
-
-def parallel_map(fn, items: Sequence):
-    """Order-preserving map honoring the AMALGSEP_THREADS cap."""
-    workers = worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +249,10 @@ def _find_separating_hom(qa: QuotientAmalgam, hq: AmalgamElement,
                          gq: AmalgamElement, p: Optional[int],
                          max_order: int) -> Optional[GluedHom]:
     """First catalog homomorphism theta with theta(h) outside <theta(g)>,
-    scanning targets by ascending order (p-groups only in p-mode).
-
-    Targets are probed in chunks sized by the worker cap; results are
-    still consumed in canonical order, so the certificate is the same
-    whatever AMALGSEP_THREADS says.
-    """
-    entries = [e for e in catalog(max_order)
-               if p is None or entry_is_p_group(e, p)]
-    chunk = max(1, worker_count())
-    for start in range(0, len(entries), chunk):
-        batch = entries[start:start + chunk]
-        results = parallel_map(lambda e: _probe_entry(qa, hq, gq, e), batch)
-        for hom in results:
+    scanning targets by ascending order (p-groups only in p-mode)."""
+    for entry in catalog(max_order):
+        if p is None or entry_is_p_group(entry, p):
+            hom = _probe_entry(qa, hq, gq, entry)
             if hom is not None:
                 return hom
     return None
@@ -296,7 +268,6 @@ def _word_power_exponent(x: FreeWord, w: FreeWord) -> Optional[int]:
         return 0
     if not w:
         return None
-    bound = len(x) // max(1, len(w) - 0) + 2
     acc: FreeWord = ()
     for t in range(1, len(x) + 2):
         acc = word_mul(acc, w)
@@ -412,14 +383,65 @@ def free_cyclically_reduce(desc: FreeAmalgamDescription, form: FreeReducedForm
         conj.append(head)
         rotated = list(cur.chunks[1:]) + [head]
         nxt = free_reduced_form(desc, rotated)
-        assert nxt.length < cur.length
+        if nxt.length >= cur.length:
+            raise AssertionError("cyclic reduction made no progress")
         cur = nxt
     return cur, conj
 
 
-def _free_letters_inverse(desc: FreeAmalgamDescription,
-                          letters: Sequence[FreeLetter]) -> list[FreeLetter]:
+def _free_letters_inverse(letters: Sequence[FreeLetter]) -> list[FreeLetter]:
     return [(side, word_inv(w)) for side, w in reversed(letters)]
+
+
+def _free_query_forms(desc: FreeAmalgamDescription, h_letters, g_letters
+                      ) -> tuple[FreeReducedForm, FreeReducedForm]:
+    """(g_red, h_trans): g cyclically reduced symbolically, and h
+    transported by the same conjugator, so h in <g> iff h_trans in <g_red>
+    with the same exponent."""
+    g_form = free_reduced_form(desc, g_letters)
+    if g_form.is_identity():
+        raise InputError("g must be nontrivial")
+    h_form = free_reduced_form(desc, h_letters)
+    g_red, conj = free_cyclically_reduce(desc, g_form)
+    h_trans = free_reduced_form(
+        desc, _free_letters_inverse(conj) + list(h_form.letters(desc)) + list(conj))
+    return g_red, h_trans
+
+
+def _free_member_exponent(desc: FreeAmalgamDescription, g_red: FreeReducedForm,
+                          h_trans: FreeReducedForm) -> Optional[int]:
+    """The exponent k with h = g^k, or None when h lies outside <g>.
+
+    Exact, by the normal form theorem for amalgamated products (Lyndon and
+    Schupp, ch. IV.2): a reduced form is the identity iff it is empty with
+    core exponent 0. ``g_red`` is cyclically reduced. For n = l(g) >= 2 the
+    forms of g^k are concatenations, so l(g^k) = |k| n and only k = +-m/n
+    can work, m = l(h). For n <= 1, <g> lies in one free factor F_S (in A
+    when n = 0), which embeds in the amalgam: h is a member only if it lies
+    in F_S, and then iff its word is a power of g's word in F_S.
+    """
+    n, m = g_red.length, h_trans.length
+    g_letters = list(g_red.letters(desc))
+    if n >= 2:
+        if m % n:
+            return None
+        k = m // n
+        h_inv = _free_letters_inverse(h_trans.letters(desc))
+        for e in (k, -k) if k else (0,):
+            if free_reduced_form(desc, h_inv + _free_power_letters(g_letters, e)).is_identity():
+                return e
+        return None
+    (side, g_word), = g_letters
+    if m >= 2:
+        return None
+    if m == 1:
+        h_side, word = h_trans.chunks[0]
+        if h_side != side:
+            return None
+    else:
+        w_side = desc.h_words[0] if side == "A" else desc.k_words[0]
+        word = word_pow(w_side, h_trans.core_exponent)
+    return _word_power_exponent(word, g_word)
 
 
 # ---------------------------------------------------------------------------
@@ -492,9 +514,11 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
                     if not (is_p_power(u.index(), p) and is_p_power(v.index(), p)):
                         continue
                 qa = build_free_quotient_amalgam(desc, u, v)
-                if p is not None and not presentation_residually_p(qa.presentation, p):
-                    continue
+                # Both filters are pure, so testing the cheap one first
+                # keeps the first passing pair.
                 if accept is not None and not accept(qa):
+                    continue
+                if p is not None and not presentation_residually_p(qa.presentation, p):
                     continue
                 return (f"{entry.name}:{u.images}|{v.images}", qa)
     return None
@@ -615,7 +639,8 @@ def _certify(report: WitnessReport, qa: QuotientAmalgam, hq: AmalgamElement,
     report.hom_map_a = hom.map_a
     report.hom_map_b = hom.map_b
     report.reverified = ok
-    assert ok, "certificate failed re-verification"
+    if not ok:
+        raise AssertionError("certificate failed re-verification")
     return report
 
 
@@ -716,8 +741,8 @@ def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
     if (m * n_prime) % n != 0:
         # h cannot lie in the isolated closure: its n'-th power would land
         # in <g> with an impossible syllable length.
-        chk = am.cyclic_member(ht, f)
-        assert not chk.is_member
+        if am.cyclic_member(ht, f).is_member:
+            raise AssertionError("length argument contradicts the isolated closure")
         return _finish_scan(report, qa, hq, gq, p, max_order)
     k = m * n_prime // n
     hn = am.power(ht, n_prime)
@@ -774,18 +799,15 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
         mode, p,
         " ".join(f"{s}:{w}" for s, w in h_letters),
         " ".join(f"{s}:{w}" for s, w in g_letters))
-    g_form = free_reduced_form(desc, g_letters)
-    if g_form.is_identity():
-        raise InputError("g must be nontrivial")
-    h_form = free_reduced_form(desc, h_letters)
-
-    # Cyclically reduce g symbolically, transporting h by the conjugator.
-    g_red, conj = free_cyclically_reduce(desc, g_form)
-    conj_inv = _free_letters_inverse(desc, conj)
-    h_trans = free_reduced_form(
-        desc, conj_inv + list(h_form.letters(desc)) + list(conj))
+    g_red, h_trans = _free_query_forms(desc, h_letters, g_letters)
     n = g_red.length
     m = h_trans.length
+
+    exponent = _free_member_exponent(desc, g_red, h_trans)
+    if exponent is not None:
+        report.outcome = "member"
+        report.exponent = exponent
+        return report
 
     # Degenerate generator: a power of the amalgamated word.
     if n == 0:
@@ -799,25 +821,28 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
     report.pair_desc = wq.pair_desc
     gq = qa.project(g_red.letters(desc))
     hq = qa.project(h_trans.letters(desc))
-    assert am.syllable_length(gq) == n and am.syllable_length(hq) == m
-    assert am.is_cyclically_reduced(gq)
+    if am.syllable_length(gq) != n or am.syllable_length(hq) != m:
+        raise AssertionError("length-preserving pair changed a syllable length")
+    if not am.is_cyclically_reduced(gq):
+        raise AssertionError("projected generator is not cyclically reduced")
 
-    verdict = am.cyclic_member(hq, gq)
-    if verdict.is_member:
-        refined = _refine_free(desc, report, g_red, h_trans, verdict.exponent,
-                               p, pair_bound)
-        if refined is None:
-            report.outcome = "member"
-            report.exponent = verdict.exponent
-            report.notes.append(
-                f"membership verified at catalog bound {pair_bound}; deeper "
-                "pairs found no distinction")
+    if am.cyclic_member(hq, gq).is_member:
+        # h lies outside <g>, but this quotient identifies h with a power
+        # of g. For n >= 2 that power is g^(+-m/n) in every
+        # length-preserving quotient, so keeping h outside <g> is keeping
+        # it apart from those two.
+        found = _refining_scan(desc, g_red, h_trans, p, pair_bound,
+                               _keeps_apart(desc, g_red, h_trans))
+        if found is None:
+            report.outcome = "obstructed"
+            report.reason = "bound_exhausted"
+            report.bound = pair_bound
+            report.notes.append("h lies outside <g>, but every pair up to the "
+                                "bound maps h into the image of <g>")
             return report
-        qa = refined
+        report.pair_desc, qa = found
         gq = qa.project(g_red.letters(desc))
         hq = qa.project(h_trans.letters(desc))
-        verdict = am.cyclic_member(hq, gq)
-        assert not verdict.is_member
 
     if n == 1 or p is None:
         # Non-membership now holds in a length-preserving quotient; the
@@ -835,26 +860,20 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
             n_prime //= p
         if (m * n_prime) % n != 0:
             # h cannot lie in the isolated closure of <g>.
-            chk = am.cyclic_member(ht, f)
-            assert not chk.is_member
+            if am.cyclic_member(ht, f).is_member:
+                raise AssertionError("length argument contradicts the isolated closure")
             return _finish_scan(report, qa, hq, gq, p, max_order)
         k = m * n_prime // n
         hn = am.power(ht, n_prime)
         if hn != am.power(gr, k) and hn != am.power(gr, -k):
             return _finish_scan(report, qa, hq, gq, p, max_order)
-        h_letters_full = list(h_trans.letters(desc))
-        survivors = [
-            _free_power_letters(desc, h_letters_full, -n_prime)
-            + _free_power_letters(desc, list(g_red.letters(desc)), k),
-            _free_power_letters(desc, h_letters_full, -n_prime)
-            + _free_power_letters(desc, list(g_red.letters(desc)), -k),
-        ]
-        found = _free_pair_scan(
-            desc,
-            [w for s, w in g_red.chunks + h_trans.chunks if s == "A"],
-            [w for s, w in g_red.chunks + h_trans.chunks if s == "B"],
-            p, pair_bound,
-            accept=lambda q: all(not q.project(sv).is_identity() for sv in survivors))
+        h_pow = _free_power_letters(h_trans.letters(desc), -n_prime)
+        g_letters_full = list(g_red.letters(desc))
+        survivors = [h_pow + _free_power_letters(g_letters_full, k),
+                     h_pow + _free_power_letters(g_letters_full, -k)]
+        found = _refining_scan(
+            desc, g_red, h_trans, p, pair_bound,
+            lambda q: all(not q.project(sv).is_identity() for sv in survivors))
         if found is None:
             report.outcome = "obstructed"
             report.reason = "bound_exhausted"
@@ -871,34 +890,18 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
     return report
 
 
-def _free_power_letters(desc, letters, k: int) -> list[FreeLetter]:
+def _free_power_letters(letters, k: int) -> list[FreeLetter]:
     if k >= 0:
         return list(letters) * k
-    return _free_letters_inverse(desc, letters) * (-k)
+    return _free_letters_inverse(letters) * (-k)
 
 
 def _free_amalgam_power_case(desc, report, g_red, h_trans, mode, p,
                              max_order, pair_bound) -> WitnessReport:
-    """Generator is a power of the amalgamated word: membership is decided
-    by exponent divisibility; separation scans for a pair keeping the
-    quotient images apart."""
-    t = g_red.core_exponent
-    if h_trans.length == 0:
-        s = h_trans.core_exponent
-        if s % t == 0:
-            report.outcome = "member"
-            report.exponent = s // t
-            return report
-
-    def keeps_apart(q: QuotientAmalgam) -> bool:
-        return not am.cyclic_member(q.project(h_trans.letters(desc)),
-                                    q.project(g_red.letters(desc))).is_member
-
-    found = _free_pair_scan(
-        desc,
-        [w for s, w in h_trans.chunks if s == "A"],
-        [w for s, w in h_trans.chunks if s == "B"],
-        p, pair_bound, accept=keeps_apart)
+    """Generator is a power of the amalgamated word and h lies outside <g>:
+    scan for a pair keeping the quotient images apart."""
+    found = _refining_scan(desc, g_red, h_trans, p, pair_bound,
+                           _keeps_apart(desc, g_red, h_trans))
     if found is None:
         report.outcome = "obstructed"
         report.reason = "bound_exhausted"
@@ -910,26 +913,22 @@ def _free_amalgam_power_case(desc, report, g_red, h_trans, mode, p,
     return _finish_scan(report, qa, hq, gq, p, max_order)
 
 
-def _refine_free(desc, report, g_red, h_trans, k, p, pair_bound):
-    """Scan for a pair in which h stays distinct from g^k and g^-k."""
-    h_letters_full = list(h_trans.letters(desc))
-    g_letters_full = list(g_red.letters(desc))
-    survivors = [
-        _free_power_letters(desc, h_letters_full, -1)
-        + _free_power_letters(desc, g_letters_full, abs(k)),
-        _free_power_letters(desc, h_letters_full, -1)
-        + _free_power_letters(desc, g_letters_full, -abs(k)),
-    ]
-    found = _free_pair_scan(
+def _keeps_apart(desc, g_red, h_trans):
+    """Quotient filter: the image of h lies outside the image of <g>."""
+    h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+    return lambda q: not am.cyclic_member(q.project(h_letters),
+                                          q.project(g_letters)).is_member
+
+
+def _refining_scan(desc, g_red, h_trans, p, pair_bound, accept):
+    """First pair keeping the chunks of g and h at their lengths whose
+    quotient passes ``accept``."""
+    chunks = g_red.chunks + h_trans.chunks
+    return _free_pair_scan(
         desc,
-        [w for s, w in g_red.chunks + h_trans.chunks if s == "A"],
-        [w for s, w in g_red.chunks + h_trans.chunks if s == "B"],
-        p, pair_bound,
-        accept=lambda q: all(not q.project(sv).is_identity() for sv in survivors))
-    if found is None:
-        return None
-    report.pair_desc, qa = found
-    return qa
+        [w for s, w in chunks if s == "A"],
+        [w for s, w in chunks if s == "B"],
+        p, pair_bound, accept=accept)
 
 
 # ---------------------------------------------------------------------------

@@ -467,7 +467,7 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
     table = [[index[rep_of[G.table[reps[i]][reps[j]]]] for j in range(m)]
              for i in range(m)]
     names = tuple(G.names[r] + "N" if r != 0 else "e" for r in reps)
-    Q = construct_group(table, names)
+    Q = _derived_group(G, table, names)
     proj = Homomorphism(G, Q, tuple(index[rep_of[x]] for x in G.elements()))
     return Q, proj
 
@@ -559,7 +559,16 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup) -> tuple[FiniteGroup, tuple[i
     back = {x: i for i, x in enumerate(members)}
     table = [[back[G.table[a][b]] for b in members] for a in members]
     names = tuple(G.names[x] for x in members)
-    return construct_group(table, names), members
+    return _derived_group(G, table, names), members
+
+
+def _derived_group(G: FiniteGroup, table, names) -> FiniteGroup:
+    """A table derived from G by restriction to a subgroup or by passing
+    to a quotient. Both keep associativity, so a verified parent needs
+    only the cheap checks; an unverified one gets the full validation."""
+    if G.associativity_verified:
+        return trusted_group(table, names)
+    return construct_group(table, names)
 
 
 def separating_core(X: FiniteGroup, Y: Subgroup, F: Subgroup, g: int, p: int) -> Subgroup:

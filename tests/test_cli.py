@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import amalgsep
 from amalgsep.cli import main
 
 Z4A = {"schema": 1, "order": 4,
@@ -181,6 +185,32 @@ class TestWitness:
         assert code == 1
         assert doc["outcome"] == "obstructed"
         assert doc["reason"] == "not_isolated"
+
+
+    def test_free_member_is_exact(self, workdir):
+        code, doc = run(workdir, "witness", str(workdir / "free.json"),
+                        "A:a B:b A:a B:b A:a B:b A:a B:b", "A:a B:b")
+        assert code == 1
+        assert (doc["outcome"], doc["exponent"]) == ("member", 4)
+        assert "pair" not in doc and "notes" not in doc
+
+    def test_collapsed_free_nonmember_exits_3(self, workdir):
+        # h = g^2 b^32, and b^32 = a^32 is central and nontrivial: h lies
+        # outside <g>, but no pair up to the default bound 48 shows it.
+        code, doc = run(workdir, "witness", str(workdir / "free.json"),
+                        "A:a B:b A:a B:b^33", "A:a B:b", "--p", "2")
+        assert code == 3
+        assert doc["outcome"] == "obstructed"
+        assert (doc["reason"], doc["bound"]) == ("bound_exhausted", 48)
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
+    out = subprocess.run([sys.executable, "-m", "amalgsep", "--help"],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert out.returncode == 0
+    assert out.stdout.startswith("usage: amalgsep")
 
 
 class TestCase:

@@ -1,14 +1,23 @@
 import gc
 import itertools
+import os
+import subprocess
+import sys
 import weakref
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import amalgsep
 
 from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
 from amalgsep.catalog import catalog, cyclic_group, entry_is_p_group
 from amalgsep.compat import build_quotient_amalgam, enumerate_compatible_pairs
 from amalgsep.engine import (
     WitnessReport,
+    _free_member_exponent,
+    _free_query_forms,
     enumerate_quotient_homs,
     find_length_preserving_pair,
     free_cyclically_reduce,
@@ -210,6 +219,143 @@ class TestSeparateFree:
         b = ("B", parse_word("b", ["b"]))
         rep = separate_from_cyclic(desc, [a], [a, b])
         assert rep.outcome == "separated"
+
+    def test_factor_nonmember_collapsed_by_first_quotient(self):
+        # a^2 lies outside <a^3>, but the first pair (Z2) identifies it with
+        # the image of g^0. The refined pair must keep h outside all of <g>
+        # in its quotient, not just apart from that one power.
+        desc = power_congruence_description(2)
+        rep = separate_from_cyclic(desc, [("A", parse_word("a^2", ["a"]))],
+                                   [("A", parse_word("a^3", ["a"]))])
+        assert rep.outcome == "separated" and rep.reverified
+        assert rep.target_name == "Z3"
+
+
+def _letters(draw, p, sides, nonzero_mod_p):
+    """Alternating chunks x^e on the given sides, x the side's generator."""
+    out = []
+    for side in sides:
+        e = draw(st.integers(-5, 5).filter(
+            lambda e: e % p != 0 if nonzero_mod_p else e != 0))
+        out.append((side, ((0, 1 if e > 0 else -1),) * abs(e)))
+    return out
+
+
+@st.composite
+def free_query(draw, cyclically_reduced=False):
+    """(p, g, c) on power_congruence_description(p): a generator g and a
+    conjugator c. With ``cyclically_reduced`` g alternates with an even
+    number of chunks, none in the amalgam, so it has cyclic length >= 2."""
+    p = draw(st.sampled_from([2, 3]))
+    if cyclically_reduced:
+        n = draw(st.sampled_from([2, 4]))
+        g = _letters(draw, p, ["A", "B"] * (n // 2), True)
+    else:
+        start = draw(st.sampled_from("AB"))
+        n = draw(st.integers(1, 4))
+        g = _letters(draw, p, [start, "B" if start == "A" else "A"] * 2, False)[:n]
+    c = _letters(draw, p, draw(st.sampled_from(["", "A", "B", "AB", "BA", "ABA"])), False)
+    return p, g, c
+
+
+def _inverse(letters):
+    return [(side, tuple((i, -e) for i, e in reversed(w))) for side, w in reversed(letters)]
+
+
+def _exact_exponent(desc, h, g):
+    return _free_member_exponent(desc, *_free_query_forms(desc, h, g))
+
+
+class TestExactFreeMembership:
+    """The symbolic membership decision on <a, b ; a^p = b^p>."""
+
+    @given(free_query(), st.integers(-4, 4))
+    @settings(max_examples=150, deadline=None)
+    def test_conjugated_powers_are_members_with_their_exponent(self, query, k):
+        p, g, c = query
+        desc = power_congruence_description(p)
+        assume(not free_reduced_form(desc, g).is_identity())
+        cg = c + g + _inverse(c)
+        g_pow = g * k if k >= 0 else _inverse(g) * -k
+        # Small bounds: a member is decided before any catalog scan.
+        rep = separate_from_cyclic(desc, c + g_pow + _inverse(c), cg,
+                                   max_order=8, pair_bound=8)
+        assert (rep.outcome, rep.exponent) == ("member", k)
+        assert rep.to_json().keys() == {"schema", "query", "outcome", "exponent"}
+
+    @given(free_query(cyclically_reduced=True), st.integers(-3, 3),
+           st.integers(-3, 3).filter(bool))
+    @settings(max_examples=150, deadline=None)
+    def test_central_factor_is_never_a_member(self, query, k, j):
+        # a^(pj) is central and nontrivial; g has cyclic length >= 2, so
+        # g^k a^(pj) = g^m would force a^(pj) into <g> at length 0.
+        p, g, c = query
+        desc = power_congruence_description(p)
+        g_pow = g * k if k >= 0 else _inverse(g) * -k
+        central = [("A", ((0, 1 if j > 0 else -1),) * (p * abs(j)))]
+        h = c + g_pow + central + _inverse(c)
+        assert _exact_exponent(desc, h, c + g + _inverse(c)) is None
+
+    @given(free_query(), free_query())
+    @settings(max_examples=60, deadline=None)
+    def test_agrees_with_length_preserving_quotient(self, gq, hq):
+        # A homomorphism keeps membership: wherever the quotient says "not
+        # a member" the exact check must agree, and an exact member h = g^k
+        # maps to the k-th power there. For l(g) >= 2 the quotient keeps
+        # the exponent unique too.
+        p, g, c = gq
+        desc = power_congruence_description(p)
+        assume(not free_reduced_form(desc, g).is_identity())
+        h = hq[1] + hq[2]
+        g_red, h_trans = _free_query_forms(desc, h, c + g + _inverse(c))
+        assume(g_red.length >= 1)
+        wq = find_length_preserving_pair(
+            desc, [g_red.letters(desc), h_trans.letters(desc)])
+        image_h = wq.qa.project(h_trans.letters(desc))
+        image_g = wq.qa.project(g_red.letters(desc))
+        verdict = cyclic_member(image_h, image_g)
+        exact = _free_member_exponent(desc, g_red, h_trans)
+        if not verdict.is_member:
+            assert exact is None
+        if exact is not None:
+            assert power(image_g, exact) == image_h
+            if g_red.length >= 2:
+                assert verdict.exponent == exact
+
+    def test_false_member_is_bound_exhausted(self):
+        # h = g^2 b^32 with b^32 = a^32 central and nontrivial: no pair up
+        # to 48 tells h from g^2, and the engine says so.
+        desc = power_congruence_description(2)
+        a = ("A", parse_word("a", ["a"]))
+        b = ("B", parse_word("b", ["b"]))
+        rep = separate_from_cyclic(desc, [a, b, a, ("B", parse_word("b^33", ["b"]))],
+                                   [a, b], mode="p", p=2)
+        assert (rep.outcome, rep.reason, rep.bound) == ("obstructed", "bound_exhausted", 48)
+
+
+def test_reverification_failure_raises_under_optimize():
+    # A homomorphism that does not separate (h = g) is handed to the
+    # certificate check in a ``python -O`` process, where asserts are off.
+    code = """
+from amalgsep import engine
+from amalgsep.amalgam import build_amalgam
+from amalgsep.catalog import cyclic_group
+from amalgsep.fingrp import subgroup_generated
+A, B = cyclic_group(4), cyclic_group(4)
+pres = build_amalgam(A, B, subgroup_generated(A, [2]), subgroup_generated(B, [2]), {0: 0, 2: 2})
+qa = engine._trivial_pair_quotient(pres).qa
+x = qa.project([("A", 1), ("B", 1)])
+hom = next(engine._iter_quotient_homs(qa, cyclic_group(2), "Z2"))
+try:
+    engine._certify(engine._report_base("plain", None, "", ""), qa, x, x, hom)
+except AssertionError as exc:
+    print("raised", __debug__, exc)
+"""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "raised False certificate failed re-verification"
 
 
 class TestNoSeparatingHomExists:

@@ -1,7 +1,9 @@
+import dataclasses
 import itertools
 
 import pytest
 
+from amalgsep import fingrp
 from amalgsep.catalog import catalog
 from amalgsep.errors import (
     NoIdentity,
@@ -23,6 +25,7 @@ from amalgsep.fingrp import (
     product_set,
     quotient_with_projection,
     separating_core,
+    subgroup_as_group,
     subgroup_from_members,
     subgroup_generated,
     trivial_subgroup,
@@ -158,6 +161,60 @@ class TestLatticeOracle:
             assert is_normal(G, Subgroup(G, ms)) == is_normal_oracle(G, ms)
         assert subgroup_generated(G, G.generators).order == G.order
         assert 2 ** len(G.generators) <= G.order
+
+
+def _fields(G):
+    return (G.order, G.table, G.inverse, G.names, G.associativity_verified)
+
+
+@pytest.fixture
+def construct_calls(monkeypatch):
+    """Counts calls of ``fingrp.construct_group``, the fully validating path."""
+    calls = []
+    real = fingrp.construct_group
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fingrp, "construct_group", counting)
+    return calls
+
+
+class TestDerivedTables:
+    """Subgroup and quotient tables of a verified parent skip the cubic
+    associativity check. They must equal what full validation builds,
+    which an unverified copy of the same parent still goes through."""
+
+    @pytest.mark.parametrize("name", list(CATALOG_32))
+    def test_trusted_path_matches_validated_path(self, name, construct_calls):
+        G = CATALOG_32[name].build()
+        U = dataclasses.replace(G, associativity_verified=False)
+        subgroups = all_subgroups_oracle(G)
+        for ms in subgroups:
+            got, back = subgroup_as_group(G, Subgroup(G, ms))
+            want, back_u = subgroup_as_group(U, Subgroup(U, ms))
+            assert back == back_u and _fields(got) == _fields(want)
+        normals = enumerate_normal_subgroups(G)
+        for N in normals:
+            got, proj = quotient_with_projection(G, N)
+            want, proj_u = quotient_with_projection(U, Subgroup(U, N.members))
+            assert proj.mapping == proj_u.mapping and _fields(got) == _fields(want)
+        assert len(construct_calls) == len(subgroups) + len(normals)
+
+    def test_unverified_parent_is_validated(self, construct_calls):
+        entry = next(e for e in catalog(128) if e.order > 64)
+        T = entry.build()
+        P = construct_group(T.table, T.names)
+        assert not P.associativity_verified
+        N = next(N for N in enumerate_normal_subgroups(P) if 1 < N.order < P.order)
+        construct_calls.clear()
+        sub, _ = subgroup_as_group(P, N)
+        Q, _ = quotient_with_projection(P, N)
+        assert len(construct_calls) == 2
+        assert _fields(sub) == _fields(subgroup_as_group(T, Subgroup(T, N.members))[0])
+        assert _fields(Q) == _fields(quotient_with_projection(T, Subgroup(T, N.members))[0])
+        assert len(construct_calls) == 2
 
 
 class TestQuotient:
