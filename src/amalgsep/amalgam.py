@@ -241,7 +241,8 @@ def cyclically_reduce(x: AmalgamElement) -> tuple[AmalgamElement, AmalgamElement
     while len(y.syllables) >= 2 and y.syllables[0][0] == y.syllables[-1][0]:
         step = AmalgamElement(pres, y.core, (y.syllables[0],))
         y_next = multiply(multiply(invert(step), y), step)
-        assert syllable_length(y_next) < syllable_length(y)
+        if syllable_length(y_next) >= syllable_length(y):
+            raise AssertionError("cyclic reduction made no progress")
         y = y_next
         c = multiply(c, step)
     return y, c

@@ -8,7 +8,8 @@ human summary to stdout.
 
 Exit codes: 0 success, 1 negative verdict (member, obstructed,
 incompatible, not isolated, failed case assertion), 2 input error,
-3 search bound exhausted.
+3 search bound exhausted, 4 internal error (any other exception; the
+report then reads ``{"outcome": "internal_error", "error": ...}``).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import functools
 import json
 import os
 import sys
+import traceback
 from dataclasses import dataclass
 from importlib import resources
 
@@ -34,6 +36,7 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 DEFAULT_REPORT = "amalgsep_report.json"
 
@@ -387,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "free products of finite groups.",
         epilog="Default bounds: compatible-pair catalog order <= 48, witness "
                "target order <= 256. Exit codes: 0 success, 1 negative verdict, "
-               "2 input error, 3 bound exhausted.")
+               "2 input error, 3 bound exhausted, 4 internal error.")
     parser.add_argument("--out", default=DEFAULT_REPORT,
                         help=f"JSON report path (default {DEFAULT_REPORT})")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -471,6 +474,18 @@ def main(argv=None) -> int:
     except AmalgsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        # A crash is neither a verdict nor bad input: say so, in the report
+        # too, after the traceback that locates it.
+        error = f"{type(exc).__name__}: {exc}"
+        traceback.print_exc()
+        print(f"internal error: {error}", file=sys.stderr)
+        try:
+            write_report({"schema": 1, "command": args.command,
+                          "outcome": "internal_error", "error": error}, args.out)
+        except OSError:
+            pass
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

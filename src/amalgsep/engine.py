@@ -6,7 +6,18 @@ cyclic membership is decided, and the case split on syllable lengths
 selects either the length-divisibility argument, a factor-level family
 scan, or (in p-mode) the isolated-closure argument. Final certificates
 are always homomorphisms onto catalog finite groups, re-verified in the
-target group before being reported.
+target group before being reported: both factor maps respect every edge
+of the Cayley graph of their group's generators, agree on the amalgamated
+subgroup, and send h outside <g>.
+
+Homomorphisms from a factor G to a target T are found by extension along
+the Cayley graph of a least generating tuple of G: each candidate tuple
+of generator images is spread breadth-first by f(x*g_i) = f(x)*t_i and
+dropped at the first edge that disagrees, O(|G| r) work per candidate
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+The certificate scan glues factor homomorphisms over the amalgamated
+subgroup, but it tests each distinct restriction to the letters of h and
+g once: pairs that agree there give the same verdict.
 
 Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
@@ -17,7 +28,9 @@ identifies h with a power of g.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import amalgam as am
@@ -67,39 +80,6 @@ FreeLetter = tuple[str, FreeWord]
 # Homomorphism enumeration for quotient amalgams
 
 
-def _generating_tuple(G: FiniteGroup) -> tuple[int, ...]:
-    full = frozenset(G.elements())
-    candidates = sorted(G.elements())
-    for x in candidates:
-        if subgroup_generated(G, [x]).members == full:
-            return (x,)
-    import itertools
-    for size in range(2, 5):
-        for combo in itertools.combinations(candidates[1:], size):
-            if subgroup_generated(G, combo).members == full:
-                return combo
-    raise InputError("group needs more than 4 generators; out of supported range")
-
-
-def _element_words(G: FiniteGroup, gens: tuple[int, ...]) -> list[tuple[int, ...]]:
-    """BFS expression of every element as a product of the generators
-    and their inverses (encoded as signed generator slots)."""
-    step: list[tuple[int, int]] = []
-    for i, g in enumerate(gens):
-        step.append((g, i + 1))
-        step.append((G.inverse[g], -(i + 1)))
-    words: dict[int, tuple[int, ...]] = {0: ()}
-    queue = [0]
-    while queue:
-        x = queue.pop(0)
-        for g, slot in step:
-            y = G.table[x][g]
-            if y not in words:
-                words[y] = words[x] + (slot,)
-                queue.append(y)
-    return [words[x] for x in sorted(words)]
-
-
 def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     """All homomorphisms G -> T as full mapping tuples, canonical order.
 
@@ -114,7 +94,7 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def _factor_homs_uncached(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
-    gens = _generating_tuple(G)
+    gens = G.generating_tuple
     if len(gens) == 1:
         g0 = gens[0]
         n = G.element_order(g0)
@@ -133,35 +113,50 @@ def _factor_homs_uncached(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...
                 out.append(tuple(T.power(img, expo[x]) for x in G.elements()))
         return sorted(out)
 
-    import itertools
-    words = _element_words(G, gens)
-    orders = [G.element_order(g) for g in gens]
-    out = []
+    # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
+    # rejected at the first edge whose endpoint already has another value.
+    # Every element is a positive word in the generators, so a map that
+    # respects every edge is a homomorphism, and each homomorphism is the
+    # extension of its generator images.
     t_orders = [T.element_order(t) for t in T.elements()]
-    pools = [[t for t in T.elements() if orders[i] % t_orders[t] == 0]
-             for i in range(len(gens))]
+    pools = [[t for t in T.elements() if G.element_order(g) % t_orders[t] == 0]
+             for g in gens]
+    schedule = _cayley_schedule(G, gens)
+    columns = list(zip(*T.table))      # columns[t][a] = a*t
+    out = []
     for images in itertools.product(*pools):
-        inv_images = [T.inverse[v] for v in images]
-        mapping = []
-        for w in words:
-            acc = 0
-            for slot in w:
-                v = images[slot - 1] if slot > 0 else inv_images[-slot - 1]
-                acc = T.table[acc][v]
-            mapping.append(acc)
-        ok = True
-        for a in G.elements():
-            row = G.table[a]
-            ma = mapping[a]
-            for b in G.elements():
-                if mapping[row[b]] != T.table[ma][mapping[b]]:
-                    ok = False
-                    break
-            if not ok:
+        right = [columns[t] for t in images]
+        f = [0] * G.order
+        for x, i, y, new in schedule:
+            v = right[i][f[x]]
+            if new:
+                f[y] = v
+            elif f[y] != v:
                 break
-        if ok:
-            out.append(tuple(mapping))
+        else:
+            out.append(tuple(f))
     return sorted(out)
+
+
+def _cayley_schedule(G: FiniteGroup, gens: tuple[int, ...]
+                     ) -> list[tuple[int, int, int, bool]]:
+    """The edges (x, i, x*gens[i], new) of the Cayley graph of ``gens`` in
+    breadth-first order from the identity, where ``new`` marks the edge
+    that first reaches its endpoint. The order depends on G alone, and
+    every other edge ends at an element an earlier edge already reached."""
+    reached = [0]
+    seen = {0}
+    schedule = []
+    for x in reached:               # grows while it is walked
+        row = G.table[x]
+        for i, g in enumerate(gens):
+            y = row[g]
+            new = y not in seen
+            if new:
+                seen.add(y)
+                reached.append(y)
+            schedule.append((x, i, y, new))
+    return schedule
 
 
 @dataclass(frozen=True)
@@ -175,11 +170,7 @@ class GluedHom:
     map_b: tuple[int, ...]
 
     def apply(self, x: AmalgamElement) -> int:
-        T = self.target
-        acc = self.map_a[x.core]
-        for side, t in x.syllables:
-            acc = T.table[acc][self.map_a[t] if side == "A" else self.map_b[t]]
-        return acc
+        return _glued_image(self.target, self.map_a, self.map_b, x)
 
     def image_members(self) -> frozenset[int]:
         T = self.target
@@ -195,6 +186,15 @@ class GluedHom:
                     members.add(b)
                     frontier.append(b)
         return frozenset(members)
+
+
+def _glued_image(T: FiniteGroup, map_a: tuple[int, ...], map_b: tuple[int, ...],
+                 x: AmalgamElement) -> int:
+    table = T.table
+    acc = map_a[x.core]
+    for side, t in x.syllables:
+        acc = table[acc][map_a[t] if side == "A" else map_b[t]]
+    return acc
 
 
 def _iter_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup,
@@ -231,17 +231,53 @@ def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> bool:
 
 def _probe_entry(qa: QuotientAmalgam, hq: AmalgamElement, gq: AmalgamElement,
                  entry: CatalogEntry) -> Optional[GluedHom]:
+    """The first glued homomorphism onto the entry's group, in the order of
+    ``_iter_quotient_homs``, that sends h outside <g>; None if there is none.
+
+    Whether a pair (ma, mb) separates depends only on its H-key (``ma`` on
+    H, which picks the bucket of ``mb``s it is glued to), on ``ma`` restricted
+    to the A-letters of h and g (cores included), and on ``mb`` restricted
+    to their B-letters. So each bucket keeps only the first ``mb`` of each
+    B-signature, and an ``ma`` whose (H-key, A-signature) was probed before
+    is skipped. The first separating pair stays the same. Within a bucket,
+    the first separating ``mb`` is the earliest of its signature, so it is
+    kept. A skipped ``ma`` meets the same bucket with the same A-signature
+    as an earlier ``ma``, so it could only repeat that one's misses: a hit
+    would have ended the scan there.
+    """
     T = entry.build()
+    pres = qa.presentation
+    # The letters whose images decide the verdict; the identity keeps every
+    # getter below non-empty.
+    letters: dict[str, set[int]] = {"A": {0, hq.core, gq.core}, "B": {0}}
+    for x in (hq, gq):
+        for side, t in x.syllables:
+            letters[side].add(t)
+    h_members = sorted(pres.H.members)
+    h_key = itemgetter(*h_members)
+    k_key = itemgetter(*(pres.phi[h] for h in h_members))
+    a_probe = itemgetter(*h_members, *sorted(letters["A"]))  # H-key and A-signature
+    b_sig = itemgetter(*sorted(letters["B"]))
+    buckets: dict[object, dict[object, tuple[int, ...]]] = {}
+    for mb in _factor_homs(pres.B, T):
+        buckets.setdefault(k_key(mb), {}).setdefault(b_sig(mb), mb)
+    probed: set[object] = set()
     memo: dict[tuple[int, int], bool] = {}
-    for hom in _iter_quotient_homs(qa, T, entry.name):
-        th = hom.apply(hq)
-        tg = hom.apply(gq)
-        verdict = memo.get((th, tg))
-        if verdict is None:
-            verdict = _cyclic_member_in_table(T, th, tg)
-            memo[(th, tg)] = verdict
-        if not verdict:
-            return hom
+    for ma in _factor_homs(pres.A, T):
+        reps = buckets.get(h_key(ma))
+        probe = a_probe(ma)
+        if reps is None or probe in probed:
+            continue
+        probed.add(probe)
+        for mb in reps.values():
+            th = _glued_image(T, ma, mb, hq)
+            tg = _glued_image(T, ma, mb, gq)
+            verdict = memo.get((th, tg))
+            if verdict is None:
+                verdict = _cyclic_member_in_table(T, th, tg)
+                memo[(th, tg)] = verdict
+            if not verdict:
+                return GluedHom(T, entry.name, ma, mb)
     return None
 
 
@@ -468,7 +504,6 @@ def _trivial_pair_quotient(pres: AmalgamPresentation) -> WorkingQuotient:
 
 
 def _assignments(rank: int, T: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    import itertools
     return itertools.product(range(T.order), repeat=rank)
 
 
@@ -628,7 +663,19 @@ def _report_base(mode, p, h_text, g_text) -> WitnessReport:
 
 def _certify(report: WitnessReport, qa: QuotientAmalgam, hq: AmalgamElement,
              gq: AmalgamElement, hom: GluedHom) -> WitnessReport:
+    """Re-verify the certificate from scratch and fill it into the report.
+
+    The checks raise AssertionError explicitly, so they also run under
+    ``python -O``. The homomorphism test walks the generators fingrp
+    picks, not the tuple the enumeration extended along.
+    """
+    pres = qa.presentation
     T = hom.target
+    for side, G, mapping in (("A", pres.A, hom.map_a), ("B", pres.B, hom.map_b)):
+        if not _respects_generators(G, T, mapping):
+            raise AssertionError(f"certificate factor map {side} is not a homomorphism")
+    if any(hom.map_a[h] != hom.map_b[pres.phi[h]] for h in pres.H.members):
+        raise AssertionError("certificate factor maps disagree on the amalgamated subgroup")
     th, tg = hom.apply(hq), hom.apply(gq)
     ok = not _cyclic_member_in_table(T, th, tg)
     image = hom.image_members()
@@ -642,6 +689,17 @@ def _certify(report: WitnessReport, qa: QuotientAmalgam, hq: AmalgamElement,
     if not ok:
         raise AssertionError("certificate failed re-verification")
     return report
+
+
+def _respects_generators(G: FiniteGroup, T: FiniteGroup, mapping: Sequence[int]) -> bool:
+    """Whether f(0) = 0 and f(x*g) = f(x)*f(g) for every x in G and
+    generator g: then f is a homomorphism, because every element is a
+    positive word in the generators."""
+    if (len(mapping) != G.order or mapping[0] != 0
+            or not all(0 <= v < T.order for v in mapping)):
+        return False
+    return all(mapping[G.table[x][g]] == T.table[mapping[x]][mapping[g]]
+               for x in G.elements() for g in G.generators)
 
 
 def _finish_scan(report: WitnessReport, qa: QuotientAmalgam, hq, gq,

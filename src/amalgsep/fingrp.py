@@ -9,9 +9,11 @@ and by 10,000 seeded random triples above that (such groups carry
 ``associativity_verified=False`` and are flagged in reports).
 
 A group computes some derived data lazily and caches it on itself: a
-greedy generating set (``generators``, used by ``is_normal``), the
-normal-subgroup lattice (behind ``enumerate_normal_subgroups``) and the
-homomorphisms the engine found from it to each target (``hom_cache``).
+greedy generating set (``generators``, used by ``is_normal``), a
+generating tuple of least size (``generating_tuple``, used by the
+engine's homomorphism search), the normal-subgroup lattice (behind
+``enumerate_normal_subgroups``) and the homomorphisms the engine found
+from it to each target (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
 fields, so equality and hashing ignore them; they live and die with the
 group, and no module-level table keeps a group alive.
@@ -19,6 +21,7 @@ group, and no module-level table keeps a group alive.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from dataclasses import dataclass
@@ -153,6 +156,22 @@ class FiniteGroup:
                 gens.append(x)
                 span = _grow(self, span, gens)
         return tuple(gens)
+
+    @cached_property
+    def generating_tuple(self) -> tuple[int, ...]:
+        """A generating tuple of least size, the lexicographically first of
+        that size: one element when the group is cyclic, else the first
+        combination of non-identity elements that generates. The engine
+        enumerates homomorphisms by images of this tuple."""
+        full = frozenset(self.elements())
+        for x in self.elements():
+            if self.element_order(x) == self.order:
+                return (x,)
+        for size in range(2, 5):
+            for combo in itertools.combinations(range(1, self.order), size):
+                if _grow(self, frozenset({0}), combo) == full:
+                    return combo
+        raise InputError("group needs more than 4 generators; out of supported range")
 
     @cached_property
     def _normal_lattice(self) -> tuple[Subgroup, ...]:
@@ -481,13 +500,18 @@ class NormalChain:
     prime: int
 
     def validate(self) -> None:
-        assert self.links, "chain must contain at least one link"
-        assert self.links[-1].members == frozenset(self.group.elements())
+        """Raise AssertionError unless the chain is what it claims; the
+        checks are explicit raises, so they also run under ``python -O``."""
+        if not self.links:
+            raise AssertionError("chain must contain at least one link")
+        if self.links[-1].members != frozenset(self.group.elements()):
+            raise AssertionError("chain does not end at the whole group")
         for link in self.links:
-            assert is_normal(self.group, link)
+            if not is_normal(self.group, link):
+                raise AssertionError("chain link is not normal")
         for a, b in zip(self.links, self.links[1:]):
-            assert a.members < b.members
-            assert b.order == a.order * self.prime
+            if not (a.members < b.members and b.order == a.order * self.prime):
+                raise AssertionError(f"chain step is not an index-{self.prime} inclusion")
 
 
 def find_p_chain(G: FiniteGroup, R: Subgroup, p: int) -> Optional[NormalChain]:
@@ -630,10 +654,11 @@ def separating_core(X: FiniteGroup, Y: Subgroup, F: Subgroup, g: int, p: int) ->
         N_members &= conj
 
     N = subgroup_from_members(X, N_members)
-    # Contract check: these hold by construction; fail loudly if not.
-    assert is_normal(X, N)
-    assert is_p_power(X.order // N.order, p)
-    assert g not in product_set(X, F.members, N.members)
+    # Contract check: these hold by construction; fail loudly if not, also
+    # under ``python -O``.
+    if not (is_normal(X, N) and is_p_power(X.order // N.order, p)
+            and g not in product_set(X, F.members, N.members)):
+        raise AssertionError("separating core violates its contract")
     return N
 
 

@@ -150,3 +150,63 @@ def elements_up_to_length(pres, n):
     for k in range(n + 1):
         out.extend(elements_of_length(pres, k))
     return out
+
+
+def generating_set_oracle(G: FiniteGroup) -> tuple[int, ...]:
+    """Generators picked in index order, each outside the closure of the
+    ones before it."""
+    gens: tuple[int, ...] = ()
+    span = closure_oracle(G, gens)
+    for x in G.elements():
+        if x not in span:
+            gens += (x,)
+            span = closure_oracle(G, gens)
+    return gens
+
+
+def homs_oracle(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
+    """All homomorphisms G -> T as sorted mapping tuples, by brute force:
+    every tuple of images of ``generating_set_oracle(G)`` whose orders
+    divide the generators' orders is spread over G along words in the
+    generators, and the map is kept when it is multiplicative on all
+    |G|^2 pairs."""
+    gens = generating_set_oracle(G)
+    words = {0: ()}
+    frontier = [0]
+    while frontier:
+        x = frontier.pop(0)
+        for i, g in enumerate(gens):
+            y = G.table[x][g]
+            if y not in words:
+                words[y] = words[x] + (i,)
+                frontier.append(y)
+    pools = [[t for t in T.elements() if G.element_order(g) % T.element_order(t) == 0]
+             for g in gens]
+    out = []
+    for images in itertools.product(*pools):
+        mapping = []
+        for x in G.elements():
+            acc = 0
+            for i in words[x]:
+                acc = T.table[acc][images[i]]
+            mapping.append(acc)
+        if all(mapping[G.table[a][b]] == T.table[mapping[a]][mapping[b]]
+               for a in G.elements() for b in G.elements()):
+            out.append(tuple(mapping))
+    return sorted(out)
+
+
+def first_separating_hom_oracle(homs, h, g):
+    """The first of ``homs`` (glued homomorphisms, in their given order)
+    that sends h outside the cyclic subgroup of g's image, by listing that
+    subgroup as powers; None if there is none."""
+    for hom in homs:
+        T = hom.target
+        tg = hom.apply(g)
+        powers, x = {0}, tg
+        while x != 0:
+            powers.add(x)
+            x = T.table[x][tg]
+        if hom.apply(h) not in powers:
+            return hom
+    return None

@@ -204,6 +204,21 @@ class TestWitness:
         assert (doc["reason"], doc["bound"]) == ("bound_exhausted", 48)
 
 
+def test_internal_error_exits_4_with_a_report(workdir, monkeypatch, capsys):
+    # A crash is not a negative verdict (1): it gets its own code and report.
+    def crash(*args, **kwargs):
+        raise AssertionError("certificate failed re-verification")
+
+    monkeypatch.setattr(amalgsep.engine, "separate_from_cyclic", crash)
+    code, doc = run(workdir, "witness", str(workdir / "g2.json"), "A:a B:b3", "A:a B:b")
+    assert code == 4
+    assert doc == {"schema": 1, "command": "witness", "outcome": "internal_error",
+                   "error": "AssertionError: certificate failed re-verification"}
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback")
+    assert err.endswith("\ninternal error: AssertionError: certificate failed re-verification\n")
+
+
 def test_python_dash_m_runs_the_cli():
     src = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
     out = subprocess.run([sys.executable, "-m", "amalgsep", "--help"],

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import os
+import random
 import subprocess
 import sys
 import weakref
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import amalgsep
 
+from amalgsep import engine
 from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
 from amalgsep.catalog import catalog, cyclic_group, entry_is_p_group
 from amalgsep.compat import build_quotient_amalgam, enumerate_compatible_pairs
@@ -29,7 +31,12 @@ from amalgsep.engine import (
 from amalgsep.errors import InputError, UnknownCase
 from amalgsep.fingrp import construct_group, is_p_power, subgroup_generated
 from amalgsep.freegrp import parse_word
-from conftest import cyclic_table, elements_up_to_length
+from conftest import (
+    cyclic_table,
+    elements_up_to_length,
+    first_separating_hom_oracle,
+    homs_oracle,
+)
 
 
 def identity_quotient(pres):
@@ -71,6 +78,71 @@ class TestQuotientHoms:
                 for y in pres.A.elements():
                     assert hom.map_a[pres.A.table[x][y]] == \
                         T.table[hom.map_a[x]][hom.map_a[y]]
+
+
+def _catalog_group(name):
+    return next(e for e in catalog(32) if e.name == name).build()
+
+
+def _cyclic_amalgam(name_a, name_b, h_order):
+    """The amalgam of two catalog groups over a cyclic subgroup of the
+    given order, generated by the first element of that order on each side."""
+    A, B = _catalog_group(name_a), _catalog_group(name_b)
+    x = next(a for a in A.elements() if A.element_order(a) == h_order)
+    y = next(b for b in B.elements() if B.element_order(b) == h_order)
+    phi, hx, ky = {}, 0, 0
+    for _ in range(h_order):
+        phi[hx] = ky
+        hx, ky = A.table[hx][x], B.table[ky][y]
+    return build_amalgam(A, B, subgroup_generated(A, [x]), subgroup_generated(B, [y]), phi)
+
+
+def _random_word(pres, rng, length):
+    side = rng.choice("AB")
+    out = []
+    for _ in range(length):
+        factor, sub = (pres.A, pres.H) if side == "A" else (pres.B, pres.K)
+        out.append((side, rng.choice([x for x in factor.elements() if x not in sub.members])))
+        side = "B" if side == "A" else "A"
+    return out
+
+
+class TestHomOracles:
+    @pytest.mark.parametrize("source", [e.name for e in catalog(16)])
+    def test_factor_homs_match_brute_force(self, source):
+        # Sources up to order 12 against every target up to 32; the larger
+        # sources, whose brute force is slow, against targets up to 16.
+        S = _catalog_group(source)
+        for entry in catalog(32 if S.order <= 12 else 16):
+            T = entry.build()
+            assert engine._factor_homs_uncached(S, T) == homs_oracle(S, T), entry.name
+
+    @pytest.mark.parametrize("shape", [("Z4", "Z4", 2), ("D4", "Z8", 4),
+                                       ("Z3xZ3", "Z9", 3), ("Z4", "D3", 2)])
+    def test_probe_matches_a_naive_scan(self, shape):
+        pres = _cyclic_amalgam(*shape)
+        qa = identity_quotient(pres)
+        rng = random.Random(" ".join(map(str, shape)))
+        queries = []
+        for h_len, g_len in ((2, 2), (1, 2), (3, 1), (4, 4)):
+            queries.append((_random_word(pres, rng, h_len), _random_word(pres, rng, g_len)))
+        g = _random_word(pres, rng, 2)
+        queries.append((g + g, g))
+        x = max(pres.A.elements(), key=pres.A.element_order)
+        queries.append(([("A", x)], [("A", pres.A.table[x][x])]))
+        separated = 0
+        for h, g in queries:
+            hq, gq = qa.project(h), qa.project(g)
+            for entry in catalog(32):
+                hom = engine._probe_entry(qa, hq, gq, entry)
+                naive = first_separating_hom_oracle(
+                    enumerate_quotient_homs(qa, entry.build()), hq, gq)
+                if naive is None:
+                    assert hom is None, entry.name
+                else:
+                    assert (hom.map_a, hom.map_b) == (naive.map_a, naive.map_b), entry.name
+                    separated += 1
+        assert separated
 
 
 class TestLengthPreservingPair:
@@ -333,29 +405,65 @@ class TestExactFreeMembership:
         assert (rep.outcome, rep.reason, rep.bound) == ("obstructed", "bound_exhausted", 48)
 
 
-def test_reverification_failure_raises_under_optimize():
-    # A homomorphism that does not separate (h = g) is handed to the
-    # certificate check in a ``python -O`` process, where asserts are off.
-    code = """
+CERTIFY_SETUP = """
+import dataclasses
 from amalgsep import engine
 from amalgsep.amalgam import build_amalgam
-from amalgsep.catalog import cyclic_group
+from amalgsep.catalog import catalog, cyclic_group
 from amalgsep.fingrp import subgroup_generated
 A, B = cyclic_group(4), cyclic_group(4)
 pres = build_amalgam(A, B, subgroup_generated(A, [2]), subgroup_generated(B, [2]), {0: 0, 2: 2})
 qa = engine._trivial_pair_quotient(pres).qa
 x = qa.project([("A", 1), ("B", 1)])
-hom = next(engine._iter_quotient_homs(qa, cyclic_group(2), "Z2"))
-try:
-    engine._certify(engine._report_base("plain", None, "", ""), qa, x, x, hom)
-except AssertionError as exc:
-    print("raised", __debug__, exc)
+y = qa.project([("A", 1), ("B", 3)])
+T = cyclic_group(4)
+hom = engine._probe_entry(qa, y, x, next(e for e in catalog(4) if e.name == "Z4"))
+bad = list(hom.map_b)
+bad[1] = T.table[bad[1]][1]
+tampered = dataclasses.replace(hom, map_b=tuple(bad))
+
+
+def certify(h, g, hom):
+    return engine._certify(engine._report_base("plain", None, "", ""), qa, h, g, hom)
+"""
+
+
+def test_tampered_certificate_is_rejected():
+    scope = {}
+    exec(CERTIFY_SETUP, scope)
+    certify, x, y = scope["certify"], scope["x"], scope["y"]
+    assert certify(y, x, scope["hom"]).reverified
+    with pytest.raises(AssertionError, match="factor map B is not a homomorphism"):
+        certify(y, x, scope["tampered"])
+
+
+def test_reverification_needs_the_identity_fixed():
+    # The trivial group has no generators, so only f(0) = 0 is left to check.
+    one = construct_group([[0]])
+    assert engine._respects_generators(one, cyclic_group(2), (0,))
+    assert not engine._respects_generators(one, cyclic_group(2), (1,))
+
+
+def test_reverification_failure_raises_under_optimize():
+    # In a ``python -O`` process, where asserts are off, the certificate
+    # check still rejects a homomorphism that does not separate (h = g)
+    # and a factor map that is not a homomorphism.
+    code = CERTIFY_SETUP + """
+for args in ((x, x, next(engine._iter_quotient_homs(qa, cyclic_group(2), "Z2"))),
+             (y, x, tampered)):
+    try:
+        certify(*args)
+    except AssertionError as exc:
+        print("raised", __debug__, exc)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "raised False certificate failed re-verification"
+    assert out.stdout.splitlines() == [
+        "raised False certificate failed re-verification",
+        "raised False certificate factor map B is not a homomorphism",
+    ]
 
 
 class TestNoSeparatingHomExists:

@@ -1,5 +1,8 @@
 import dataclasses
 import itertools
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -278,6 +281,30 @@ class TestPChains:
                     assert (chain is not None) == chains_exist_oracle(G, R.members, p)
                     if chain is not None:
                         chain.validate()
+
+    def test_validate_rejects_a_step_of_index_p_squared(self, z4a):
+        chain = fingrp.NormalChain(z4a, (trivial_subgroup(z4a),
+                                         subgroup_generated(z4a, [1])), 2)
+        with pytest.raises(AssertionError, match="index-2"):
+            chain.validate()
+
+    def test_validate_rejects_under_optimize(self):
+        # The same chain in a ``python -O`` process, where asserts are off.
+        code = """
+from amalgsep import fingrp
+from amalgsep.catalog import cyclic_group
+G = cyclic_group(4)
+chain = fingrp.NormalChain(G, (fingrp.trivial_subgroup(G), fingrp.subgroup_generated(G, [1])), 2)
+try:
+    chain.validate()
+except AssertionError as exc:
+    print("raised", __debug__, exc)
+"""
+        src = os.path.dirname(os.path.dirname(os.path.abspath(fingrp.__file__)))
+        out = subprocess.run([sys.executable, "-O", "-c", code],
+                             env=dict(os.environ, PYTHONPATH=src),
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "raised False chain step is not an index-2 inclusion"
 
 
 class TestIsolation:
