@@ -5,12 +5,14 @@ split metacyclic Z_m x| Z_j with twist k (m <= 31, j a multiple of the
 order of k mod m), symmetric S_n (n <= 5), and direct products of two
 base members under an order cap. Enumeration order is (group order,
 family rank, parameters), which fixes the deterministic scan order used
-everywhere downstream.
+everywhere downstream. The list is built once, for the largest bound
+asked for so far, and shared as an immutable tuple.
 """
 
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Callable
@@ -121,7 +123,7 @@ def _mult_order(k: int, m: int) -> int:
     return o
 
 
-def _base_entries(max_order: int) -> list[CatalogEntry]:
+def _build_catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     entries: list[CatalogEntry] = []
     for n in range(2, CYCLIC_MAX + 1):
         if n <= max_order:
@@ -153,23 +155,31 @@ def _base_entries(max_order: int) -> list[CatalogEntry]:
             entries.append(CatalogEntry(f"S{n}", order, 3, (n,),
                                         (lambda n=n: symmetric_group(n))))
     entries.sort(key=lambda e: e.key())
-    return entries
-
-
-def catalog(max_order: int, include_products: bool = True) -> list[CatalogEntry]:
-    """Catalog entries of order <= max_order in canonical scan order."""
-    base = _base_entries(max_order)
-    entries = list(base)
-    if include_products:
-        for i, e1 in enumerate(base):
-            for e2 in base[i:]:
-                order = e1.order * e2.order
-                if order <= max_order:
-                    entries.append(CatalogEntry(
-                        f"{e1.name}x{e2.name}", order, 4, (e1.key(), e2.key()),
-                        (lambda a=e1, b=e2: direct_product(a.build(), b.build()))))
+    base = tuple(entries)
+    for i, e1 in enumerate(base):
+        for e2 in base[i:]:
+            order = e1.order * e2.order
+            if order <= max_order:
+                entries.append(CatalogEntry(
+                    f"{e1.name}x{e2.name}", order, 4, (e1.key(), e2.key()),
+                    (lambda a=e1, b=e2: direct_product(a.build(), b.build()))))
     entries.sort(key=lambda e: e.key())
-    return entries
+    return tuple(entries)
+
+
+# The catalog for the largest bound requested so far. Entries sort by order
+# first and the factors of a product never exceed its order, so the catalog
+# for a smaller bound is a prefix of it.
+_CATALOG: tuple[CatalogEntry, ...] = ()
+_CATALOG_BOUND = 0
+
+
+def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
+    """Catalog entries of order <= max_order in canonical scan order."""
+    global _CATALOG, _CATALOG_BOUND
+    if max_order > _CATALOG_BOUND:
+        _CATALOG, _CATALOG_BOUND = _build_catalog(max_order), max_order
+    return _CATALOG[:bisect_right(_CATALOG, max_order, key=lambda e: e.order)]
 
 
 def entry_is_p_group(entry: CatalogEntry, p: int) -> bool:

@@ -10,11 +10,14 @@ residual p-finiteness certificate for an amalgam of finite groups.
 
 Free factors are handled through GenImages kernels: a pair of assignments
 is compatible when the induced maps on the amalgamated subgroup's free
-basis have equal kernels.
+basis have equal kernels. The class scan keeps one assignment per kernel
+class and target, and computes each kernel key once per distinct tuple of
+restricted images; assignments that differ by an automorphism of the
+target have the same kernel, so pruning by automorphisms would find
+nothing more.
 """
 
 from __future__ import annotations
-
 
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -26,6 +29,7 @@ from .amalgam import (
     build_amalgam,
     normalize,
 )
+from .catalog import catalog, entry_is_p_group
 from .errors import (
     InputError,
     NotCompatible,
@@ -42,6 +46,7 @@ from .fingrp import (
     is_p_power,
     is_prime,
     product_set,
+    quotient_with_projection,
     subgroup_as_group,
     subgroup_generated,
     trivial_subgroup,
@@ -49,8 +54,14 @@ from .fingrp import (
 from .freegrp import (
     FreeWord,
     GenImages,
+    fold_subgroup,
+    format_word,
+    graph_member,
     kernels_equal,
+    primitive_root,
     restriction,
+    scan_gen_images,
+    word_pow,
 )
 
 
@@ -259,8 +270,6 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     Projecting a letter sequence and normalizing commutes with
     normalizing and then projecting.
     """
-    from .fingrp import quotient_with_projection
-
     R, S = pair.r_side, pair.s_side
     if not is_compatible(pres, R, S):
         raise NotCompatible("pair fails the compatibility equation")
@@ -365,32 +374,22 @@ def enumerate_free_compatible_classes(desc: FreeAmalgamDescription, bound: int,
     Assignments on each side are bucketed by a canonical fingerprint of
     their restriction kernel; classes present on both sides are exactly
     the compatible ones. In p-mode both kernels must have p-power index
-    and the induced quotient amalgam must carry a residual-p certificate.
-    Returns (key, name_a, u, name_b, v) tuples in canonical order.
+    and the induced quotient amalgam must carry a residual-p certificate;
+    the targets are then p-groups, so every index is a p-power. Each side
+    keeps the first assignment of each class, so the scan asks for one per
+    class and target. Returns (key, name_a, u, name_b, v) tuples in
+    canonical order.
     """
-    import itertools
-
-    from .catalog import catalog, entry_is_p_group
-    from .freegrp import kernel_key
-
     rec: dict[tuple, list] = {}
-
-    def scan(side_idx: int, rank: int, words) -> None:
+    for side_idx, rank, words in ((0, desc.rank_a, desc.h_words),
+                                  (1, desc.rank_b, desc.k_words)):
         for entry in catalog(bound):
             if p is not None and not entry_is_p_group(entry, p):
                 continue
-            T = entry.build()
-            for images in itertools.product(range(T.order), repeat=rank):
-                u = GenImages(rank, T, images)
-                if p is not None and not is_p_power(u.index(), p):
-                    continue
-                key = kernel_key(restriction(u, words))
+            for u, key in scan_gen_images(rank, entry.build(), words, distinct=True):
                 slot = rec.setdefault(key, [None, None])
                 if slot[side_idx] is None:
                     slot[side_idx] = (entry.name, u)
-
-    scan(0, desc.rank_a, desc.h_words)
-    scan(1, desc.rank_b, desc.k_words)
     out = []
     for key in sorted(rec, key=repr):
         slot = rec[key]
@@ -470,9 +469,6 @@ def free_family_separability(desc: FreeAmalgamDescription, side: str,
     upgrades it; a separable verdict likewise quantifies only over the
     candidate set and the family members found.
     """
-    from .freegrp import (fold_subgroup, format_word, graph_member,
-                          primitive_root, word_inv, word_pow)
-
     if side not in ("A", "B"):
         raise WrongSide(f"side must be 'A' or 'B', got {side!r}")
     rank = desc.rank_a if side == "A" else desc.rank_b

@@ -23,19 +23,25 @@ Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
 the symbolic normal forms; a non-member is then separated inside a
 length-preserving finite quotient amalgam, refined when the quotient
-identifies h with a power of g.
+identifies h with a power of g. The pair scan behind those quotients
+tests each pair of kernels once: the quotient amalgam and every filter
+depend on the two kernels alone, so a repeated pair could only repeat a
+rejection. This subsumes pruning by automorphisms of the target, which
+keep the kernel, and needs no automorphism group.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass, field
+from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
-from .catalog import CatalogEntry, catalog, entry_is_p_group
+from .catalog import CatalogEntry, catalog, cyclic_group, entry_is_p_group
 from .compat import (
     CompatiblePair,
     FreeAmalgamDescription,
@@ -43,6 +49,9 @@ from .compat import (
     build_free_quotient_amalgam,
     build_quotient_amalgam,
     enumerate_compatible_pairs,
+    enumerate_free_compatible_classes,
+    free_family_separability,
+    is_p_compatible,
     presentation_residually_p,
 )
 from .errors import (
@@ -52,8 +61,6 @@ from .errors import (
 )
 from .fingrp import (
     FiniteGroup,
-    Subgroup,
-    is_p_power,
     is_prime,
     product_set,
     subgroup_generated,
@@ -64,7 +71,7 @@ from .freegrp import (
     GenImages,
     kernel_key,
     reduce_word,
-    restriction,
+    scan_gen_images,
     word_inv,
     word_mul,
     word_pow,
@@ -94,32 +101,15 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
 
 
 def _factor_homs_uncached(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
-    gens = G.generating_tuple
-    if len(gens) == 1:
-        g0 = gens[0]
-        n = G.element_order(g0)
-        # g0^j enumerates G; a hom is any image of order dividing n.
-        expo = [0] * G.order
-        x, j = 0, 0
-        while True:
-            expo[x] = j
-            x = G.table[x][g0]
-            j += 1
-            if x == 0:
-                break
-        out = []
-        for img in T.elements():
-            if n % T.element_order(img) == 0:
-                out.append(tuple(T.power(img, expo[x]) for x in G.elements()))
-        return sorted(out)
-
     # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
     # rejected at the first edge whose endpoint already has another value.
     # Every element is a positive word in the generators, so a map that
     # respects every edge is a homomorphism, and each homomorphism is the
-    # extension of its generator images.
-    t_orders = [T.element_order(t) for t in T.elements()]
-    pools = [[t for t in T.elements() if G.element_order(g) % t_orders[t] == 0]
+    # extension of its generator images. For cyclic G this walks the
+    # powers of the one image.
+    gens = G.generating_tuple
+    g_orders, t_orders = G.element_orders, T.element_orders
+    pools = [[t for t in T.elements() if g_orders[g] % t_orders[t] == 0]
              for g in gens]
     schedule = _cayley_schedule(G, gens)
     columns = list(zip(*T.table))      # columns[t][a] = a*t
@@ -173,19 +163,7 @@ class GluedHom:
         return _glued_image(self.target, self.map_a, self.map_b, x)
 
     def image_members(self) -> frozenset[int]:
-        T = self.target
-        members = {0}
-        frontier = [0]
-        gens = sorted(set(self.map_a) | set(self.map_b))
-        gens += [T.inverse[g] for g in gens]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = T.table[a][g]
-                if b not in members:
-                    members.add(b)
-                    frontier.append(b)
-        return frozenset(members)
+        return subgroup_generated(self.target, set(self.map_a) | set(self.map_b)).members
 
 
 def _glued_image(T: FiniteGroup, map_a: tuple[int, ...], map_b: tuple[int, ...],
@@ -222,7 +200,7 @@ def enumerate_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup) -> list[Gl
 
 def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> bool:
     x = 0
-    for _ in range(T.element_order(tg)):
+    for _ in range(T.element_orders[tg]):
         if x == th:
             return True
         x = T.table[x][tg]
@@ -304,21 +282,14 @@ def _word_power_exponent(x: FreeWord, w: FreeWord) -> Optional[int]:
         return 0
     if not w:
         return None
-    acc: FreeWord = ()
-    for t in range(1, len(x) + 2):
-        acc = word_mul(acc, w)
-        if acc == x:
-            return t
-        if len(acc) > len(x) + 2 * len(w):
-            break
-    acc = ()
-    winv = word_inv(w)
-    for t in range(1, len(x) + 2):
-        acc = word_mul(acc, winv)
-        if acc == x:
-            return -t
-        if len(acc) > len(x) + 2 * len(w):
-            break
+    for base, sign in ((w, 1), (word_inv(w), -1)):
+        acc: FreeWord = ()
+        for t in range(1, len(x) + 2):
+            acc = word_mul(acc, base)
+            if acc == x:
+                return sign * t
+            if len(acc) > len(x) + 2 * len(w):
+                break
     return None
 
 
@@ -503,10 +474,6 @@ def _trivial_pair_quotient(pres: AmalgamPresentation) -> WorkingQuotient:
     return wq
 
 
-def _assignments(rank: int, T: FiniteGroup) -> Iterator[tuple[int, ...]]:
-    return itertools.product(range(T.order), repeat=rank)
-
-
 def _free_pair_scan(desc: FreeAmalgamDescription,
                     a_chunks: list[FreeWord], b_chunks: list[FreeWord],
                     p: Optional[int], bound: int,
@@ -514,40 +481,43 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     """First catalog pair (u, v) that is compatible, keeps every listed
     factor chunk outside the amalgamated image (length preservation),
     lands in p-groups with residually-p quotients in p-mode, and whose
-    quotient amalgam passes the optional ``accept`` predicate."""
-    _require_cyclic_amalgam(desc)
-    wh, wk = desc.h_words[0], desc.k_words[0]
+    quotient amalgam passes the optional ``accept`` predicate.
+
+    Each pair of kernels is tested once: (u, v) is skipped when an earlier
+    pair, on this entry or an earlier one, had the same kernel keys. The
+    quotient F_A/ker u *_H F_B/ker v with its projections depends on the
+    two kernels alone up to isomorphism, and every filter (length
+    preservation, ``accept``, ``presentation_residually_p``; in p-mode the
+    targets are p-groups, so every index is a p-power) is an isomorphism
+    invariant. So a repeated pair could only repeat a rejection, and the
+    first passing pair and its text are unchanged. Replacing u by a*u for
+    an automorphism a of the target keeps the kernel, so this subsumes
+    pruning by automorphisms.
+    """
+    tried: set[tuple] = set()
     for entry in catalog(bound):
         if p is not None and not entry_is_p_group(entry, p):
             continue
         T = entry.build()
-        good_u = []
-        for images in _assignments(desc.rank_a, T):
-            u = GenImages(desc.rank_a, T, images)
-            him = u.evaluate(wh)
-            hsub = subgroup_generated(T, [him]).members
-            if all(u.evaluate(c) not in hsub for c in a_chunks):
-                good_u.append(u)
+        good_u = list(scan_gen_images(desc.rank_a, T, desc.h_words, a_chunks))
         if not good_u:
             continue
-        good_v = []
-        for images in _assignments(desc.rank_b, T):
-            v = GenImages(desc.rank_b, T, images)
-            kim = v.evaluate(wk)
-            ksub = subgroup_generated(T, [kim]).members
-            if all(v.evaluate(c) not in ksub for c in b_chunks):
-                good_v.append(v)
-        if not good_v:
-            continue
         buckets: dict[tuple, list[GenImages]] = {}
-        for v in good_v:
-            buckets.setdefault(kernel_key(restriction(v, desc.k_words)), []).append(v)
-        for u in good_u:
-            key = kernel_key(restriction(u, desc.h_words))
-            for v in buckets.get(key, ()):
-                if p is not None:
-                    if not (is_p_power(u.index(), p) and is_p_power(v.index(), p)):
-                        continue
+        for v, key in scan_gen_images(desc.rank_b, T, desc.k_words, b_chunks):
+            buckets.setdefault(key, []).append(v)
+        v_kernels: dict[tuple[int, ...], tuple] = {}
+        for u, key in good_u:
+            vs = buckets.get(key)
+            if not vs:
+                continue
+            ku = kernel_key(u)
+            for v in vs:
+                kv = v_kernels.get(v.images)
+                if kv is None:
+                    kv = v_kernels[v.images] = kernel_key(v)
+                if (ku, kv) in tried:
+                    continue
+                tried.add((ku, kv))
                 qa = build_free_quotient_amalgam(desc, u, v)
                 # Both filters are pure, so testing the cheap one first
                 # keeps the first passing pair.
@@ -702,14 +672,19 @@ def _respects_generators(G: FiniteGroup, T: FiniteGroup, mapping: Sequence[int])
                for x in G.elements() for g in G.generators)
 
 
+def _exhausted(report: WitnessReport, bound: int, note: Optional[str] = None
+               ) -> WitnessReport:
+    report.outcome, report.reason, report.bound = "obstructed", "bound_exhausted", bound
+    if note:
+        report.notes.append(note)
+    return report
+
+
 def _finish_scan(report: WitnessReport, qa: QuotientAmalgam, hq, gq,
                  p: Optional[int], max_order: int) -> WitnessReport:
     hom = _find_separating_hom(qa, hq, gq, p, max_order)
     if hom is None:
-        report.outcome = "obstructed"
-        report.reason = "bound_exhausted"
-        report.bound = max_order
-        return report
+        return _exhausted(report, max_order)
     return _certify(report, qa, hq, gq, hom)
 
 
@@ -758,12 +733,8 @@ def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
         return report
 
     if p is not None and not presentation_residually_p(pres, p):
-        report.outcome = "obstructed"
-        report.reason = "bound_exhausted"
-        report.bound = max_order
-        report.notes.append("presentation is not residually p-finite; "
-                            "p-mode machinery does not apply")
-        return report
+        return _exhausted(report, max_order, "presentation is not residually "
+                          "p-finite; p-mode machinery does not apply")
 
     wq = _trivial_pair_quotient(pres)
     qa = wq.qa
@@ -793,9 +764,7 @@ def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
         return report
 
     f, j = am.isolated_closure(gr, p)
-    n_prime = n
-    while n_prime % p == 0:
-        n_prime //= p
+    n_prime = n // gcd(n, p ** n)      # the p'-part of n
     if (m * n_prime) % n != 0:
         # h cannot lie in the isolated closure: its n'-th power would land
         # in <g> with an impossible syllable length.
@@ -892,12 +861,8 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
         found = _refining_scan(desc, g_red, h_trans, p, pair_bound,
                                _keeps_apart(desc, g_red, h_trans))
         if found is None:
-            report.outcome = "obstructed"
-            report.reason = "bound_exhausted"
-            report.bound = pair_bound
-            report.notes.append("h lies outside <g>, but every pair up to the "
-                                "bound maps h into the image of <g>")
-            return report
+            return _exhausted(report, pair_bound, "h lies outside <g>, but every pair "
+                              "up to the bound maps h into the image of <g>")
         report.pair_desc, qa = found
         gq = qa.project(g_red.letters(desc))
         hq = qa.project(h_trans.letters(desc))
@@ -913,9 +878,7 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
         gr, c = am.cyclically_reduce(gq)
         ht = am.multiply(am.multiply(am.invert(c), hq), c)
         f, j = am.isolated_closure(gr, p)
-        n_prime = n
-        while n_prime % p == 0:
-            n_prime //= p
+        n_prime = n // gcd(n, p ** n)  # the p'-part of n
         if (m * n_prime) % n != 0:
             # h cannot lie in the isolated closure of <g>.
             if am.cyclic_member(ht, f).is_member:
@@ -933,19 +896,12 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
             desc, g_red, h_trans, p, pair_bound,
             lambda q: all(not q.project(sv).is_identity() for sv in survivors))
         if found is None:
-            report.outcome = "obstructed"
-            report.reason = "bound_exhausted"
-            report.bound = pair_bound
-            report.notes.append("no refining pair distinguishes the power collision")
-            return report
+            return _exhausted(report, pair_bound,
+                              "no refining pair distinguishes the power collision")
         report.pair_desc, qa = found
         gq = qa.project(g_red.letters(desc))
         hq = qa.project(h_trans.letters(desc))
-    report.outcome = "obstructed"
-    report.reason = "bound_exhausted"
-    report.bound = pair_bound
-    report.notes.append("refinement loop did not stabilize")
-    return report
+    return _exhausted(report, pair_bound, "refinement loop did not stabilize")
 
 
 def _free_power_letters(letters, k: int) -> list[FreeLetter]:
@@ -961,10 +917,7 @@ def _free_amalgam_power_case(desc, report, g_red, h_trans, mode, p,
     found = _refining_scan(desc, g_red, h_trans, p, pair_bound,
                            _keeps_apart(desc, g_red, h_trans))
     if found is None:
-        report.outcome = "obstructed"
-        report.reason = "bound_exhausted"
-        report.bound = pair_bound
-        return report
+        return _exhausted(report, pair_bound)
     report.pair_desc, qa = found
     gq = qa.project(g_red.letters(desc))
     hq = qa.project(h_trans.letters(desc))
@@ -1042,7 +995,6 @@ def _sec3_case(p: int, q: int, n: int) -> CaseStudyReport:
     modulus = p ** n
     x_n = next(x for x in range(1, modulus + 1) if (q * x) % modulus == 1 % modulus)
 
-    from .catalog import cyclic_group
     Zpn = cyclic_group(modulus)
     u = GenImages(1, Zpn, (1,))
     v = GenImages(1, Zpn, (1,))
@@ -1114,8 +1066,6 @@ def _thm21_case(bound: int) -> CaseStudyReport:
     amalgam: every a-image has odd order (hence lies in the subgroup its
     square generates), a metacyclic pair realizes a-image order 7, and the
     square generator is not separated by the family found."""
-    from .compat import enumerate_free_compatible_classes, free_family_separability
-
     desc = conjugation_doubling_description()
     word_a: FreeWord = ((0, 1),)
     word_a2: FreeWord = ((0, 1), (0, 1))
@@ -1174,16 +1124,10 @@ def _thm21_case(bound: int) -> CaseStudyReport:
 def _cyclic_remark_case(trials: int, seed: int = 20260810) -> CaseStudyReport:
     """Random finite p-group amalgams with cyclic amalgamated subgroups:
     every plain-compatible pair must carry a p-chain certificate."""
-    import random as _random
-
-    from .amalgam import build_amalgam
-    from .compat import is_compatible, is_p_compatible
-    from .fingrp import Subgroup, subgroup_generated
-
-    rng = _random.Random(seed)
+    rng = random.Random(seed)
     pool = {
-        2: [e for e in catalog(16, include_products=True) if entry_is_p_group(e, 2)],
-        3: [e for e in catalog(27, include_products=True) if entry_is_p_group(e, 3)],
+        2: [e for e in catalog(16) if entry_is_p_group(e, 2)],
+        3: [e for e in catalog(27) if entry_is_p_group(e, 3)],
     }
     passed = 0
     failures = []
@@ -1209,7 +1153,7 @@ def _cyclic_remark_case(trials: int, seed: int = 20260810) -> CaseStudyReport:
             phi[hx] = ky
             hx = A.table[hx][x]
             ky = B.table[ky][y]
-        pres = build_amalgam(A, B, H, K, phi)
+        pres = am.build_amalgam(A, B, H, K, phi)
         ok = True
         for pair in enumerate_compatible_pairs(pres, "plain"):
             checked_pairs += 1

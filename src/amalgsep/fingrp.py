@@ -158,6 +158,11 @@ class FiniteGroup:
         return tuple(gens)
 
     @cached_property
+    def element_orders(self) -> tuple[int, ...]:
+        """The order of every element, by index."""
+        return tuple(self.element_order(a) for a in self.elements())
+
+    @cached_property
     def generating_tuple(self) -> tuple[int, ...]:
         """A generating tuple of least size, the lexicographically first of
         that size: one element when the group is cyclic, else the first

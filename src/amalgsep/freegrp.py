@@ -3,18 +3,19 @@
 Finite-index normal subgroups of free factors are never materialized as
 element sets; they are carried around as ``GenImages`` (the images of the
 free generators in a finite target group, the subgroup being the kernel
-of the induced map). Membership in finitely generated subgroups is decided
-on a folded core graph.
+of the induced map). Every walk over the assignments of a target goes
+through ``scan_gen_images``. Membership in finitely generated subgroups
+is decided on a folded core graph.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import InputError, RankMismatch, SizeCap
-from .fingrp import FiniteGroup
+from .fingrp import FiniteGroup, subgroup_generated
 
 Letter = tuple[int, int]          # (generator index, sign +1/-1)
 FreeWord = tuple[Letter, ...]
@@ -102,9 +103,6 @@ class SubgroupGraph:
     edges: dict
     base: int = 0
 
-    def step(self, state: int, letter: Letter) -> Optional[int]:
-        return self.edges.get((state, letter[0], letter[1]))
-
 
 def fold_subgroup(gens: Iterable[FreeWord], rank: int) -> SubgroupGraph:
     """Stallings construction: wedge of generator loops, folded to a core graph."""
@@ -183,9 +181,9 @@ def fold_subgroup(gens: Iterable[FreeWord], rank: int) -> SubgroupGraph:
 
 def graph_member(graph: SubgroupGraph, w: FreeWord) -> bool:
     """True iff the word labels a loop at the base state."""
-    state = graph.base
-    for letter in reduce_word(w):
-        state = graph.step(state, letter)
+    state, edges = graph.base, graph.edges
+    for gen, sign in reduce_word(w):
+        state = edges.get((state, gen, sign))
         if state is None:
             return False
     return state == graph.base
@@ -240,21 +238,61 @@ class GenImages:
         return acc
 
     def image_members(self) -> frozenset[int]:
-        T = self.target
-        members = {0}
-        frontier = [0]
-        gens = [x for x in self.images] + [T.inverse[x] for x in self.images]
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = T.table[a][g]
-                if b not in members:
-                    members.add(b)
-                    frontier.append(b)
-        return frozenset(members)
+        return subgroup_generated(self.target, self.images).members
 
     def index(self) -> int:
         return len(self.image_members())
+
+
+def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = (),
+                    chunks: Sequence[FreeWord] = (), distinct: bool = False
+                    ) -> Iterator[tuple[GenImages, tuple]]:
+    """The assignments of ``target^rank`` in lexicographic order, each with
+    ``kernel_key(restriction(u, basis))``.
+
+    An assignment is skipped when some word of ``chunks`` maps into the
+    subgroup generated by the images of ``basis``, and with ``distinct``
+    when an earlier assignment was yielded with the same key. Words are
+    evaluated by table lookups, and a GenImages is built only for an
+    assignment that is yielded. The key and the basis-image subgroup are
+    computed once per distinct tuple of basis images, in a memo that lives
+    as long as the scan.
+    """
+    table, inverse = target.table, target.inverse
+
+    def program(w: FreeWord) -> list[int]:
+        # Indices into the images followed by their inverses.
+        return [gen if sign > 0 else rank + gen for gen, sign in w]
+
+    def value(prog: list[int], ext: tuple[int, ...]) -> int:
+        acc = 0
+        for i in prog:
+            acc = table[acc][ext[i]]
+        return acc
+
+    basis_progs = [program(w) for w in basis]
+    chunk_progs = [program(w) for w in chunks]
+    # basis images -> (key, serial number of the key, basis-image subgroup)
+    memo: dict[tuple[int, ...], tuple[tuple, int, frozenset[int]]] = {}
+    serials: dict[tuple, int] = {}
+    seen: set[int] = set()
+    for images in itertools.product(range(target.order), repeat=rank):
+        ext = images + tuple([inverse[x] for x in images])
+        restricted = tuple([value(prog, ext) for prog in basis_progs])
+        hit = memo.get(restricted)
+        if hit is None:
+            r = GenImages(len(basis), target, restricted)
+            key = kernel_key(r)
+            hit = memo[restricted] = (key, serials.setdefault(key, len(serials)),
+                                      r.image_members() if chunk_progs else frozenset())
+        key, serial, sub = hit
+        if chunk_progs and any(value(prog, ext) in sub for prog in chunk_progs):
+            continue
+        if distinct:
+            if serial in seen:
+                continue
+            seen.add(serial)
+        yield GenImages(rank, target, images), key
 
 
 def enumerate_gen_images(rank: int, target: FiniteGroup,
@@ -263,8 +301,7 @@ def enumerate_gen_images(rank: int, target: FiniteGroup,
     total = target.order ** rank
     if total > cap:
         raise SizeCap(f"{total} assignments exceed cap {cap}")
-    return [GenImages(rank, target, imgs)
-            for imgs in itertools.product(range(target.order), repeat=rank)]
+    return [u for u, _ in scan_gen_images(rank, target)]
 
 
 def kernels_equal(u: GenImages, v: GenImages) -> bool:
@@ -307,20 +344,19 @@ def kernel_key(u: GenImages) -> tuple:
     with its marked generator tuple. Two GenImages of the same rank have
     equal kernels iff their keys coincide."""
     T = u.target
-    gens = list(u.images)
-    step = gens + [T.inverse[g] for g in gens]
+    step = list(u.images) + [T.inverse[g] for g in u.images]
     label = {0: 0}
     order_seen = [0]
-    queue = [0]
-    while queue:
-        a = queue.pop(0)
-        for g in step:
-            b = T.table[a][g]
-            if b not in label:
-                label[b] = len(label)
-                order_seen.append(b)
-                queue.append(b)
     table = []
-    for a in order_seen:
-        table.append(tuple(label[T.table[a][g]] for g in step))
+    for a in order_seen:            # grows while it is walked
+        row = T.table[a]
+        out = []
+        for g in step:
+            b = row[g]
+            lb = label.get(b)
+            if lb is None:
+                lb = label[b] = len(order_seen)
+                order_seen.append(b)
+            out.append(lb)
+        table.append(tuple(out))
     return (u.rank, tuple(table))

@@ -13,12 +13,16 @@ import itertools
 import pytest
 
 from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam
+from amalgsep.catalog import _build_catalog
+from amalgsep.compat import build_free_quotient_amalgam, presentation_residually_p
 from amalgsep.fingrp import (
     FiniteGroup,
     Subgroup,
     construct_group,
+    is_p_power,
     subgroup_generated,
 )
+from amalgsep.freegrp import GenImages
 
 
 def cyclic_table(n):
@@ -209,4 +213,105 @@ def first_separating_hom_oracle(homs, h, g):
             x = T.table[x][tg]
         if hom.apply(h) not in powers:
             return hom
+    return None
+
+
+def evaluate_oracle(T: FiniteGroup, images, word) -> int:
+    """The image of a free word under the generator images, letter by letter."""
+    acc = 0
+    for gen, sign in word:
+        x = images[gen] if sign > 0 else T.inverse[images[gen]]
+        acc = T.table[acc][x]
+    return acc
+
+
+def kernel_key_oracle(T: FiniteGroup, images) -> tuple:
+    """The kernel fingerprint as first written: a breadth-first walk of the
+    image group from a FIFO queue, then the table relabelled by discovery
+    order."""
+    step = list(images) + [T.inverse[g] for g in images]
+    label = {0: 0}
+    order_seen = [0]
+    queue = [0]
+    while queue:
+        a = queue.pop(0)
+        for g in step:
+            b = T.table[a][g]
+            if b not in label:
+                label[b] = len(label)
+                order_seen.append(b)
+                queue.append(b)
+    table = tuple(tuple(label[T.table[a][g]] for g in step) for a in order_seen)
+    return (len(images), table)
+
+
+def _restricted_key(T, images, words):
+    return kernel_key_oracle(T, [evaluate_oracle(T, images, w) for w in words])
+
+
+def free_classes_oracle(desc, bound: int, p=None) -> list[tuple]:
+    """The free class scan with no memo or deduplication: one kernel key
+    per assignment of every catalog target, as (key, name_a, images_a,
+    name_b, images_b) in the order of ``enumerate_free_compatible_classes``."""
+    rec: dict[tuple, list] = {}
+    for side, rank, words in ((0, desc.rank_a, desc.h_words), (1, desc.rank_b, desc.k_words)):
+        for entry in _build_catalog(bound):
+            if p is not None and not is_p_power(entry.order, p):
+                continue
+            T = entry.build()
+            for images in itertools.product(T.elements(), repeat=rank):
+                if p is not None and not is_p_power(len(closure_oracle(T, images)), p):
+                    continue
+                slot = rec.setdefault(_restricted_key(T, images, words), [None, None])
+                if slot[side] is None:
+                    slot[side] = (entry.name, T, images)
+    out = []
+    for key in sorted(rec, key=repr):
+        a, b = rec[key]
+        if a is None or b is None:
+            continue
+        if p is not None:
+            qa = build_free_quotient_amalgam(desc, GenImages(desc.rank_a, a[1], a[2]),
+                                             GenImages(desc.rank_b, b[1], b[2]))
+            if not presentation_residually_p(qa.presentation, p):
+                continue
+        out.append((key, a[0], a[2], b[0], b[2]))
+    return out
+
+
+def free_pair_scan_oracle(desc, a_chunks, b_chunks, p, bound, accept=None):
+    """The length-preserving pair scan with no deduplication: every
+    compatible pair of every catalog target in scan order, each with its
+    own quotient amalgam. Returns the pair text and quotient of the first
+    pair that passes, or None."""
+    wh, wk = desc.h_words[0], desc.k_words[0]
+    for entry in _build_catalog(bound):
+        if p is not None and not is_p_power(entry.order, p):
+            continue
+        T = entry.build()
+
+        def good(rank, w, chunks):
+            out = []
+            for images in itertools.product(T.elements(), repeat=rank):
+                sub = closure_oracle(T, [evaluate_oracle(T, images, w)])
+                if all(evaluate_oracle(T, images, c) not in sub for c in chunks):
+                    out.append(images)
+            return out
+
+        good_v = good(desc.rank_b, wk, b_chunks)
+        buckets: dict[tuple, list] = {}
+        for v in good_v:
+            buckets.setdefault(_restricted_key(T, v, desc.k_words), []).append(v)
+        for u in good(desc.rank_a, wh, a_chunks):
+            for v in buckets.get(_restricted_key(T, u, desc.h_words), ()):
+                if p is not None and not (is_p_power(len(closure_oracle(T, u)), p)
+                                          and is_p_power(len(closure_oracle(T, v)), p)):
+                    continue
+                qa = build_free_quotient_amalgam(desc, GenImages(desc.rank_a, T, u),
+                                                 GenImages(desc.rank_b, T, v))
+                if accept is not None and not accept(qa):
+                    continue
+                if p is not None and not presentation_residually_p(qa.presentation, p):
+                    continue
+                return (f"{entry.name}:{u}|{v}", qa)
     return None

@@ -1,0 +1,62 @@
+"""Golden reports: recorded CLI commands must give the same bytes again.
+
+Each command in ``golden/commands.json`` runs as ``python -m amalgsep
+--out report.json <argv>`` in a fresh directory holding a copy of
+``golden/inputs``. Its report, stdout, stderr and exit code must equal the
+recorded ``golden/<name>.report``, ``.stdout``, ``.stderr`` and the
+manifest's ``exit_code``, byte for byte.
+
+``python tests/test_golden.py`` records every command again with the
+amalgsep found on ``PYTHONPATH``; do that only for an intended change of
+output, and say why in the change description.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import amalgsep
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+
+
+def run_command(argv: list[str], workdir: Path, src: str) -> dict[str, object]:
+    """Run one command in ``workdir``; its outputs as bytes and its exit code."""
+    shutil.copytree(GOLDEN / "inputs", workdir, dirs_exist_ok=True)
+    proc = subprocess.run([sys.executable, "-m", "amalgsep", "--out", "report.json", *argv],
+                          cwd=workdir, capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED="0"))
+    report = workdir / "report.json"
+    return {"report": report.read_bytes() if report.exists() else b"",
+            "stdout": proc.stdout, "stderr": proc.stderr, "exit_code": proc.returncode}
+
+
+@pytest.mark.parametrize("cmd", COMMANDS, ids=[c["name"] for c in COMMANDS])
+def test_golden_output(cmd, tmp_path):
+    got = run_command(cmd["argv"], tmp_path,
+                      str(Path(amalgsep.__file__).resolve().parent.parent))
+    assert got["exit_code"] == cmd["exit_code"]
+    for part in ("report", "stdout", "stderr"):
+        want = (GOLDEN / f"{cmd['name']}.{part}").read_bytes()
+        assert got[part] == want, f"{cmd['name']}: {part} differs from the golden copy"
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for cmd in COMMANDS:
+        with tempfile.TemporaryDirectory() as tmp:
+            got = run_command(cmd["argv"], Path(tmp), os.environ.get("PYTHONPATH", ""))
+        for part in ("report", "stdout", "stderr"):
+            (GOLDEN / f"{cmd['name']}.{part}").write_bytes(got[part])
+        cmd["exit_code"] = got["exit_code"]
+        print(f"{cmd['name']}: exit {got['exit_code']}")
+    (GOLDEN / "commands.json").write_text(json.dumps(COMMANDS, indent=2) + "\n")
