@@ -72,8 +72,9 @@ class AmalgamPresentation:
 
     @cached_property
     def quotient_cache(self) -> dict:
-        """Quotient amalgams the engine built from this presentation, keyed
-        by pair description. It lives and dies with the presentation."""
+        """Quotient amalgams the engine built, keyed by pair description, and
+        compat's p-chain families and p-pair verdicts, keyed by tuples. It
+        lives and dies with the presentation."""
         return {}
 
 

@@ -8,6 +8,13 @@ Compatible pairs induce an amalgam of the quotient factors together with
 a projection; the p-compatibility of the trivial pair is exactly the
 residual p-finiteness certificate for an amalgam of finite groups.
 
+Pairs are enumerated as a join: N(B) is bucketed by S n K, and each R
+meets only the S with S n K = phi(R n H). That is compatibility itself,
+and it loses no p-compatible pair: R n H is the least member of every
+chain family of R, and phi preserves inclusion, so matched families have
+matched least members. Each side's chain families and each pair's
+p-verdict are computed once and kept on the presentation.
+
 Free factors are handled through GenImages kernels: a pair of assignments
 is compatible when the induced maps on the amalgamated subgroup's free
 basis have equal kernels. The class scan keeps one assignment per kernel
@@ -117,17 +124,26 @@ def free_pair_compatible(desc: "FreeAmalgamDescription",
     return kernels_equal(ru, rv)
 
 
-def _chain_families(G: FiniteGroup, R: Subgroup, H: Subgroup, p: int):
+def _check_prime(p) -> None:
+    if not isinstance(p, int) or not is_prime(p):
+        raise InputError("p-mode needs a prime p" if p is None else f"{p} is not prime")
+
+
+def _chain_families(pres: AmalgamPresentation, side: str, N: Subgroup, p: int) -> dict:
     """All achievable intersection-set families {link n H} over chains
-    R = R0 < ... < Rm = G with index-p steps, links normal in G.
+    N = N0 < ... < Nm = G with index-p steps, links normal in G, where G
+    is the factor on ``side`` and H its amalgamated subgroup.
 
     Returns a dict family -> one witness chain (as a tuple of member
-    frozensets, ascending), deterministic.
+    frozensets, ascending) in canonical family order, computed once per
+    (side, N, p) and kept in the presentation's cache.
     """
-    if not is_p_power(G.order // R.order, p):
-        return {}
-    normals = [N.members for N in enumerate_normal_subgroups(G)
-               if R.members <= N.members]
+    key = ("chain-families", side, N.members, p)
+    if key in pres.quotient_cache:
+        return pres.quotient_cache[key]
+    G, H = (pres.A, pres.H) if side == "A" else (pres.B, pres.K)
+    normals = [M.members for M in enumerate_normal_subgroups(G)
+               if N.members <= M.members]
     top = frozenset(G.elements())
     families: dict[frozenset, tuple] = {}
     seen_states = set()
@@ -142,13 +158,38 @@ def _chain_families(G: FiniteGroup, R: Subgroup, H: Subgroup, p: int):
                 families[fam] = chain
             return
         want = len(cur) * p
-        for N in normals:
-            if len(N) == want and cur < N:
-                ascend(N, chain + (N,), fam | {frozenset(N & H.members)})
+        for M in normals:
+            if len(M) == want and cur < M:
+                ascend(M, chain + (M,), fam | {frozenset(M & H.members)})
 
-    start_fam = frozenset({frozenset(R.members & H.members)})
-    ascend(R.members, (R.members,), start_fam)
-    return families
+    if is_p_power(G.order // N.order, p):
+        ascend(N.members, (N.members,), frozenset({frozenset(N.members & H.members)}))
+    out = pres.quotient_cache[key] = dict(
+        sorted(families.items(), key=lambda kv: sorted(tuple(sorted(s)) for s in kv[0])))
+    return out
+
+
+def _p_pair(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
+            p: int) -> Optional[CompatiblePair]:
+    """is_p_compatible without its input checks, one verdict per
+    (R, S, p) kept in the presentation's cache."""
+    key = ("p-pair", R.members, S.members, p)
+    if key in pres.quotient_cache:
+        return pres.quotient_cache[key]
+    pair = None
+    fams_a = _chain_families(pres, "A", R, p)
+    fams_b = _chain_families(pres, "B", S, p) if fams_a else {}
+    for fam_a, chain_a in fams_a.items():
+        phi_fam = frozenset(frozenset(pres.phi[x] for x in s) for s in fam_a)
+        if phi_fam in fams_b:
+            matching = tuple(sorted((tuple(sorted(s)), tuple(sorted(pres.phi[x] for x in s)))
+                                    for s in fam_a))
+            chains = (NormalChain(F, tuple(Subgroup(F, ms) for ms in chain), p)
+                      for F, chain in ((pres.A, chain_a), (pres.B, fams_b[phi_fam])))
+            pair = CompatiblePair("p", p, R, S, PChainCertificate(*chains, matching))
+            break
+    pres.quotient_cache[key] = pair
+    return pair
 
 
 def is_p_compatible(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
@@ -157,54 +198,41 @@ def is_p_compatible(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
 
     Chains are enumerated independently on each side, deduplicated by
     their intersection-set families; the correspondence condition is then
-    a matching of subgroup-set families under phi over the cross product.
+    a matching of subgroup-set families under phi, in canonical order of
+    the A-side families. Families and verdicts are memoized on the
+    presentation; p and the pair are checked on every call. A p-compatible
+    pair is compatible: R n H is the least member of every chain family
+    of R, and phi preserves inclusion.
     """
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+    _check_prime(p)
     _check_normal_pair(pres, R, S)
-    fams_a = _chain_families(pres.A, R, pres.H, p)
-    if not fams_a:
-        return None
-    fams_b = _chain_families(pres.B, S, pres.K, p)
-    if not fams_b:
-        return None
-
-    def fam_key(fam):
-        return sorted(tuple(sorted(s)) for s in fam)
-
-    for fam_a in sorted(fams_a, key=fam_key):
-        phi_fam = frozenset(frozenset(pres.phi[x] for x in s) for s in fam_a)
-        if phi_fam in fams_b:
-            chain_a = fams_a[fam_a]
-            chain_b = fams_b[phi_fam]
-            matching = tuple(sorted(
-                (tuple(sorted(s)), tuple(sorted(pres.phi[x] for x in s)))
-                for s in fam_a))
-            cert = PChainCertificate(
-                chain_a=NormalChain(pres.A, tuple(Subgroup(pres.A, ms) for ms in chain_a), p),
-                chain_b=NormalChain(pres.B, tuple(Subgroup(pres.B, ms) for ms in chain_b), p),
-                matching=matching)
-            return CompatiblePair("p", p, R, S, cert)
-    return None
+    return _p_pair(pres, R, S, p)
 
 
 def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
                                p: Optional[int] = None) -> list[CompatiblePair]:
-    """All compatible pairs over products of normal subgroups, canonical order."""
+    """All compatible pairs over products of normal subgroups, canonical order.
+
+    A join, not an N(A) x N(B) scan: each R meets only the S with
+    S n K = phi(R n H), which is compatibility itself and holds for every
+    p-compatible pair, since R n H is the least member of each chain
+    family of R and phi preserves inclusion.
+    """
     if mode not in ("plain", "p"):
         raise InputError(f"unknown mode {mode!r}")
-    normals_a = enumerate_normal_subgroups(pres.A)
-    normals_b = enumerate_normal_subgroups(pres.B)
+    if mode == "p":
+        _check_prime(p)
+    buckets: dict[frozenset, list[Subgroup]] = {}
+    for S in enumerate_normal_subgroups(pres.B):
+        buckets.setdefault(S.members & pres.K.members, []).append(S)
     out = []
-    for R in normals_a:
-        for S in normals_b:
+    for R in enumerate_normal_subgroups(pres.A):
+        image = frozenset(pres.phi[x] for x in R.members & pres.H.members)
+        for S in buckets.get(image, ()):
             if mode == "plain":
-                if is_compatible(pres, R, S):
-                    out.append(CompatiblePair("plain", None, R, S))
-            else:
-                pair = is_p_compatible(pres, R, S, p)
-                if pair is not None:
-                    out.append(pair)
+                out.append(CompatiblePair("plain", None, R, S))
+            elif (pair := _p_pair(pres, R, S, p)) is not None:
+                out.append(pair)
     return out
 
 

@@ -19,6 +19,7 @@ from amalgsep.fingrp import (
     FiniteGroup,
     Subgroup,
     construct_group,
+    enumerate_normal_subgroups,
     is_p_power,
     subgroup_generated,
 )
@@ -125,6 +126,92 @@ def chains_exist_oracle(G: FiniteGroup, R_members: frozenset[int], p: int) -> bo
         return any(len(N) == want and cur < N and grow(N) for N in normals)
 
     return grow(R_members)
+
+
+def chain_families_oracle(G: FiniteGroup, R: Subgroup, H: Subgroup, p: int) -> dict:
+    """Every intersection-set family {link n H} over chains R < ... < G of
+    normal subgroups with index-p steps, each with its first witness
+    chain: the search ``compat`` ran for every pair before it memoized
+    families on the presentation."""
+    if not is_p_power(G.order // R.order, p):
+        return {}
+    normals = [N.members for N in enumerate_normal_subgroups(G)
+               if R.members <= N.members]
+    top = frozenset(G.elements())
+    families: dict[frozenset, tuple] = {}
+    seen_states = set()
+
+    def ascend(cur: frozenset, chain: tuple, fam: frozenset) -> None:
+        state = (cur, fam)
+        if state in seen_states:
+            return
+        seen_states.add(state)
+        if cur == top:
+            if fam not in families:
+                families[fam] = chain
+            return
+        want = len(cur) * p
+        for N in normals:
+            if len(N) == want and cur < N:
+                ascend(N, chain + (N,), fam | {frozenset(N & H.members)})
+
+    ascend(R.members, (R.members,), frozenset({frozenset(R.members & H.members)}))
+    return families
+
+
+def p_compatible_oracle(pres: AmalgamPresentation, R: Subgroup, S: Subgroup, p: int):
+    """(chain_a, chain_b, matching) as member tuples for a p-compatible
+    pair, else None: both sides' families built from scratch and matched
+    under phi in sorted order of the A-side family."""
+    fams_a = chain_families_oracle(pres.A, R, pres.H, p)
+    if not fams_a:
+        return None
+    fams_b = chain_families_oracle(pres.B, S, pres.K, p)
+    if not fams_b:
+        return None
+    for fam_a in sorted(fams_a, key=lambda fam: sorted(tuple(sorted(s)) for s in fam)):
+        phi_fam = frozenset(frozenset(pres.phi[x] for x in s) for s in fam_a)
+        if phi_fam in fams_b:
+            matching = tuple(sorted((tuple(sorted(s)), tuple(sorted(pres.phi[x] for x in s)))
+                                    for s in fam_a))
+            return (tuple(fams_a[fam_a]), tuple(fams_b[phi_fam]), matching)
+    return None
+
+
+def p_pairs_oracle(pres: AmalgamPresentation, mode: str, p=None) -> list[tuple]:
+    """The compatible ('plain') or p-compatible ('p') pairs as the
+    all-pairs scan over N(A) x N(B) finds them, each pair tested from
+    scratch: (R members, S members, certificate or None) in scan order."""
+    out = []
+    for R in enumerate_normal_subgroups(pres.A):
+        for S in enumerate_normal_subgroups(pres.B):
+            if mode == "plain":
+                image = {pres.phi[x] for x in R.members & pres.H.members}
+                if image == S.members & pres.K.members:
+                    out.append((R.members, S.members, None))
+            else:
+                cert = p_compatible_oracle(pres, R, S, p)
+                if cert is not None:
+                    out.append((R.members, S.members, cert))
+    return out
+
+
+def family_verdict_oracle(G: FiniteGroup, g: int, pairs: list[tuple]):
+    """(verdict, certifying element, {excluded x: first separating R})
+    for side A from ``p_pairs_oracle`` pairs: x is excluded by R when it
+    lies outside the product set <g>R."""
+    cyc = closure_oracle(G, [g])
+    members = list(dict.fromkeys(R for R, _, _ in pairs))
+    witnesses = {}
+    for x in G.elements():
+        if x in cyc:
+            continue
+        hit = next((R for R in members
+                    if x not in {G.table[c][r] for c in cyc for r in R}), None)
+        if hit is None:
+            return ("not_separated", x, None)
+        witnesses[x] = hit
+    return ("separable", None, witnesses)
 
 
 def nonidentity_reps(pres: AmalgamPresentation, side: str) -> list[int]:
