@@ -6,8 +6,9 @@ Each command in ``golden/commands.json`` runs as ``python -m amalgsep
 recorded ``golden/<name>.report``, ``.stdout``, ``.stderr`` and the
 manifest's ``exit_code``, byte for byte.
 
-``python tests/test_golden.py`` records every command again with the
-amalgsep found on ``PYTHONPATH``; do that only for an intended change of
+``python tests/test_golden.py [name ...]`` records the named commands (all
+of them when none is named) again with the amalgsep found on
+``PYTHONPATH``; do that only for a new command or an intended change of
 output, and say why in the change description.
 """
 
@@ -26,6 +27,7 @@ import amalgsep
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+SRC = str(Path(amalgsep.__file__).resolve().parent.parent)
 
 
 def run_command(argv: list[str], workdir: Path, src: str) -> dict[str, object]:
@@ -41,8 +43,7 @@ def run_command(argv: list[str], workdir: Path, src: str) -> dict[str, object]:
 
 @pytest.mark.parametrize("cmd", COMMANDS, ids=[c["name"] for c in COMMANDS])
 def test_golden_output(cmd, tmp_path):
-    got = run_command(cmd["argv"], tmp_path,
-                      str(Path(amalgsep.__file__).resolve().parent.parent))
+    got = run_command(cmd["argv"], tmp_path, SRC)
     assert got["exit_code"] == cmd["exit_code"]
     for part in ("report", "stdout", "stderr"):
         want = (GOLDEN / f"{cmd['name']}.{part}").read_bytes()
@@ -52,9 +53,12 @@ def test_golden_output(cmd, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
+    names = set(sys.argv[1:])
     for cmd in COMMANDS:
+        if names and cmd["name"] not in names:
+            continue
         with tempfile.TemporaryDirectory() as tmp:
-            got = run_command(cmd["argv"], Path(tmp), os.environ.get("PYTHONPATH", ""))
+            got = run_command(cmd["argv"], Path(tmp), SRC)
         for part in ("report", "stdout", "stderr"):
             (GOLDEN / f"{cmd['name']}.{part}").write_bytes(got[part])
         cmd["exit_code"] = got["exit_code"]
