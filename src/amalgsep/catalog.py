@@ -54,14 +54,12 @@ def metacyclic_group(m: int, k: int, j: int) -> FiniteGroup:
         raise InputError(f"twist {k} not invertible mod {m}")
     if pow(k, j, m) != 1:
         raise InputError(f"twist order does not divide {j}")
-    order = m * j
-
-    def mul(a: int, b: int) -> int:
-        l1, i1 = divmod(a, m)
-        l2, i2 = divmod(b, m)
-        return ((l1 + l2) % j) * m + (i1 * pow(k, l2, m) + i2) % m
-
-    table = [[mul(a, b) for b in range(order)] for a in range(order)]
+    # Row y^l1 x^i1 is, block by block over l2, y^(l1+l2) times the
+    # rotation of x^0..x^(m-1) that starts at x^(i1 k^l2).
+    twist = [pow(k, l, m) for l in range(j)]
+    blocks = [[[l * m + (c + i) % m for i in range(m)] for c in range(m)] for l in range(j)]
+    table = [[x for l2 in range(j) for x in blocks[(l1 + l2) % j][i1 * twist[l2] % m]]
+             for l1 in range(j) for i1 in range(m)]
     return trusted_group(table)
 
 
@@ -78,17 +76,7 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     n2 = G2.order
-    order = G1.order * n2
-    table = [[0] * order for _ in range(order)]
-    for a1 in G1.elements():
-        for b1 in G2.elements():
-            row = table[a1 * n2 + b1]
-            ra = G1.table[a1]
-            rb = G2.table[b1]
-            for a2 in G1.elements():
-                base = ra[a2] * n2
-                for b2 in G2.elements():
-                    row[a2 * n2 + b2] = base + rb[b2]
+    table = [[x * n2 + y for x in ra for y in rb] for ra in G1.table for rb in G2.table]
     verified = G1.associativity_verified and G2.associativity_verified
     return trusted_group(table, verified=verified)
 

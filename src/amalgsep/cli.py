@@ -23,8 +23,6 @@ import traceback
 from dataclasses import dataclass
 from importlib import resources
 
-import jsonschema
-
 from . import amalgam as am
 from . import compat as cp
 from . import engine as eng
@@ -42,20 +40,111 @@ DEFAULT_REPORT = "amalgsep_report.json"
 
 
 @functools.cache
-def _validator(kind: str):
-    """The validator for one schema kind; the schema is read and checked once."""
+def _load_schema(kind: str) -> dict:
     text = resources.files("amalgsep.schemas").joinpath(f"{kind}.schema.json").read_text()
-    schema = json.loads(text)
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+    return json.loads(text)
+
+
+_TYPES = {
+    "object": lambda x: isinstance(x, dict),
+    "array": lambda x: isinstance(x, list),
+    "string": lambda x: isinstance(x, str),
+    "integer": lambda x: (isinstance(x, int) and not isinstance(x, bool)
+                          or isinstance(x, float) and x.is_integer()),
+    "number": lambda x: isinstance(x, (int, float)) and not isinstance(x, bool),
+    "boolean": lambda x: isinstance(x, bool),
+    "null": lambda x: x is None,
+}
+
+
+def _has_type(x, types) -> bool:
+    if isinstance(types, str):
+        return _TYPES[types](x)
+    return any(_TYPES[t](x) for t in types)
+
+
+def _fail(out: list, path: tuple, schema: dict, x, message: str) -> None:
+    out.append((path, message, not ("type" in schema and _has_type(x, schema["type"]))))
+
+
+def _schema_errors(schema: dict, x, path: tuple, out: list) -> None:
+    """Append ``(path, message, fails_type)`` for each way ``x`` fails ``schema``.
+
+    A JSON Schema 2020-12 interpreter for the keywords of the package
+    schemas only; any other keyword raises. Errors come in jsonschema's
+    order (schema keywords in file order) with jsonschema's wording, and
+    ``fails_type`` is false only when ``schema`` names a type ``x`` has.
+    """
+    for key, value in schema.items():
+        if key == "type":
+            if not _has_type(x, value):
+                names = [value] if isinstance(value, str) else value
+                _fail(out, path, schema, x, f"{x!r} is not of type {', '.join(map(repr, names))}")
+        elif key == "const":
+            if isinstance(value, (list, dict)):
+                raise NotImplementedError("only scalar const values are supported")
+            # As in JSON, a boolean equals only itself (Python has True == 1).
+            if isinstance(x, bool) or isinstance(value, bool):
+                same = x is value
+            else:
+                same = x == value
+            if not same:
+                _fail(out, path, schema, x, f"{value!r} was expected")
+        elif key == "minimum":
+            if _TYPES["number"](x) and x < value:
+                _fail(out, path, schema, x, f"{x!r} is less than the minimum of {value!r}")
+        elif key == "minItems":
+            if isinstance(x, list) and len(x) < value:
+                short = "should be non-empty" if value == 1 else "is too short"
+                _fail(out, path, schema, x, f"{x!r} {short}")
+        elif key == "items":
+            if isinstance(x, list):
+                for i, item in enumerate(x):
+                    _schema_errors(value, item, path + (i,), out)
+        elif key == "properties":
+            if isinstance(x, dict):
+                for name, sub in value.items():
+                    if name in x:
+                        _schema_errors(sub, x[name], path + (name,), out)
+        elif key == "required":
+            if isinstance(x, dict):
+                for name in value:
+                    if name not in x:
+                        _fail(out, path, schema, x, f"{name!r} is a required property")
+        elif key == "additionalProperties":
+            if isinstance(x, dict):
+                known = schema.get("properties", {})
+                extras = [name for name in x if name not in known]
+                if isinstance(value, dict):
+                    for name in extras:
+                        _schema_errors(value, x[name], path + (name,), out)
+                elif value is False and extras:
+                    listed = ", ".join(map(repr, sorted(extras, key=str)))
+                    verb = "was" if len(extras) == 1 else "were"
+                    _fail(out, path, schema, x,
+                          f"Additional properties are not allowed ({listed} {verb} unexpected)")
+        elif key == "if":
+            probe: list = []
+            _schema_errors(value, x, path, probe)
+            branch = schema.get("else" if probe else "then")
+            if branch is not None:
+                _schema_errors(branch, x, path, out)
+        elif key not in ("$schema", "title", "then", "else"):
+            raise NotImplementedError(f"schema keyword {key!r} is not supported")
 
 
 def validate_document(doc: dict, kind: str) -> None:
-    # best_match is the error jsonschema.validate would raise.
-    error = jsonschema.exceptions.best_match(_validator(kind).iter_errors(doc))
-    if error is not None:
-        raise InputError(f"{kind} document rejected: {error.message}")
+    """Check ``doc`` against the package schema ``<kind>.schema.json``.
+
+    Raises ``InputError`` with the message of the error jsonschema's
+    ``best_match`` would pick: the shallowest path, then the greatest
+    path, then an instance that fails its schema's type, then the first.
+    """
+    errors: list = []
+    _schema_errors(_load_schema(kind), doc, (), errors)
+    if errors:
+        _, message, _ = max(errors, key=lambda e: (-len(e[0]), e[0], e[2]))
+        raise InputError(f"{kind} document rejected: {message}")
 
 
 @dataclass
@@ -383,6 +472,17 @@ def cmd_case(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a bound or a count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="amalgsep",
@@ -440,16 +540,16 @@ def build_parser() -> argparse.ArgumentParser:
     wit.add_argument("h")
     wit.add_argument("g")
     wit.add_argument("--p", type=int)
-    wit.add_argument("--max-order", type=int, default=eng.DEFAULT_TARGET_BOUND)
+    wit.add_argument("--max-order", type=_positive_int, default=eng.DEFAULT_TARGET_BOUND)
     wit.set_defaults(handler=cmd_witness)
 
     case = sub.add_parser("case", help="run a scripted case study")
     case.add_argument("case", choices=["thm21", "sec3", "cyclic-remark"])
     case.add_argument("--p", type=int)
     case.add_argument("--q", type=int)
-    case.add_argument("--n", type=int)
-    case.add_argument("--bound", type=int, default=48)
-    case.add_argument("--trials", type=int, default=100)
+    case.add_argument("--n", type=_positive_int)
+    case.add_argument("--bound", type=_positive_int, default=48)
+    case.add_argument("--trials", type=_positive_int, default=100)
     case.set_defaults(handler=cmd_case)
 
     return parser

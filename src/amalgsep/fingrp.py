@@ -277,16 +277,12 @@ def trusted_group(table, names=None, verified=True) -> FiniteGroup:
     for x in range(n):
         if tbl[0][x] != x or tbl[x][0] != x:
             raise NoIdentity(f"fails on element {x}")
-    inverse = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if tbl[x][y] == 0:
-                if tbl[y][x] != 0:
-                    raise NotInvertible(x)
-                inverse[x] = y
-                break
-        if inverse[x] < 0:
+    inverse = []
+    for x, row in enumerate(tbl):
+        y = row.index(0) if 0 in row else None
+        if y is None or tbl[y][x] != 0:
             raise NotInvertible(x)
+        inverse.append(y)
     if names is None:
         names = default_names(n)
     return FiniteGroup(order=n, table=tbl, inverse=tuple(inverse),

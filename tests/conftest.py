@@ -8,8 +8,12 @@ of all normal forms.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import json
+from importlib import resources
 
+import jsonschema
 import pytest
 
 from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam
@@ -19,6 +23,7 @@ from amalgsep.fingrp import (
     FiniteGroup,
     Subgroup,
     construct_group,
+    default_names,
     enumerate_normal_subgroups,
     is_p_power,
     subgroup_generated,
@@ -402,3 +407,72 @@ def free_pair_scan_oracle(desc, a_chunks, b_chunks, p, bound, accept=None):
                     continue
                 return (f"{entry.name}:{u}|{v}", qa)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Catalog oracle: the constructions the catalog used before it built tables
+# row by row, one product and one inverse search at a time.
+
+
+def trusted_group_oracle(table, names=None, verified=True) -> FiniteGroup:
+    n = len(table)
+    inverse = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
+    return FiniteGroup(order=n, table=tuple(tuple(row) for row in table),
+                       inverse=tuple(inverse),
+                       names=tuple(names if names is not None else default_names(n)),
+                       associativity_verified=verified)
+
+
+def metacyclic_group_oracle(m: int, k: int, j: int) -> FiniteGroup:
+    def mul(a: int, b: int) -> int:
+        l1, i1 = divmod(a, m)
+        l2, i2 = divmod(b, m)
+        return ((l1 + l2) % j) * m + (i1 * pow(k, l2, m) + i2) % m
+
+    return trusted_group_oracle([[mul(a, b) for b in range(m * j)] for a in range(m * j)])
+
+
+def direct_product_oracle(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
+    n2 = G2.order
+    order = G1.order * n2
+    table = [[0] * order for _ in range(order)]
+    for a1, b1, a2, b2 in itertools.product(G1.elements(), G2.elements(),
+                                            G1.elements(), G2.elements()):
+        table[a1 * n2 + b1][a2 * n2 + b2] = G1.table[a1][a2] * n2 + G2.table[b1][b2]
+    return trusted_group_oracle(table, verified=G1.associativity_verified
+                                and G2.associativity_verified)
+
+
+def catalog_group_oracle(entry, by_key: dict) -> FiniteGroup:
+    """The group of a catalog entry; ``by_key`` maps each entry's key to it,
+    for the factors of a product. Cyclic, dihedral and symmetric tables are
+    the catalog's own, since their construction is unchanged."""
+    if entry.family_rank == 2:
+        return metacyclic_group_oracle(*entry.params)
+    if entry.family_rank == 4:
+        return direct_product_oracle(*(catalog_group_oracle(by_key[key], by_key)
+                                       for key in entry.params))
+    G = entry.build()
+    return trusted_group_oracle(G.table, G.names)
+
+
+# ---------------------------------------------------------------------------
+# Schema oracle: jsonschema itself, which the CLI no longer imports.
+
+
+def package_schema(kind: str) -> dict:
+    text = resources.files("amalgsep.schemas").joinpath(f"{kind}.schema.json").read_text()
+    return json.loads(text)
+
+
+@functools.cache
+def _jsonschema_validator(kind: str):
+    schema = package_schema(kind)
+    return jsonschema.validators.validator_for(schema)(schema)
+
+
+def best_match_oracle(doc, kind: str) -> str | None:
+    """The message of jsonschema's ``best_match`` error for ``doc`` against
+    the package schema ``kind``, or None when ``doc`` is valid."""
+    error = jsonschema.exceptions.best_match(_jsonschema_validator(kind).iter_errors(doc))
+    return None if error is None else error.message

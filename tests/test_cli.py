@@ -139,6 +139,7 @@ class TestCompatCommands:
         code, doc = run(workdir, "compat", "enum", str(workdir / "g2.json"))
         assert code == 0
         assert doc["count"] == 5
+        assert len(doc["pairs"]) == 5
 
     def test_enum_p_mode(self, workdir):
         code, doc = run(workdir, "compat", "enum", str(workdir / "g2.json"),
@@ -217,6 +218,21 @@ def test_internal_error_exits_4_with_a_report(workdir, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("Traceback")
     assert err.endswith("\ninternal error: AssertionError: certificate failed re-verification\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["witness", "g2.json", "A:a B:b3", "A:a B:b", "--max-order", "0"],
+    ["case", "thm21", "--bound", "0"],
+    ["case", "cyclic-remark", "--trials", "-1"],
+    ["case", "sec3", "--n", "0"],
+], ids=["max-order", "bound", "trials", "n"])
+def test_bound_below_1_is_an_input_error(workdir, capsys, argv):
+    # Not "bound exhausted" (3), a failed case (1) or a default run.
+    with pytest.raises(SystemExit) as exc:
+        run(workdir, *argv)
+    assert exc.value.code == 2
+    assert "must be at least 1" in capsys.readouterr().err
+    assert not (workdir / "report.json").exists()
 
 
 def test_python_dash_m_runs_the_cli():

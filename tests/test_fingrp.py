@@ -32,9 +32,11 @@ from amalgsep.fingrp import (
     subgroup_from_members,
     subgroup_generated,
     trivial_subgroup,
+    trusted_group,
 )
 from conftest import (
     all_subgroups_oracle,
+    catalog_group_oracle,
     chains_exist_oracle,
     cyclic_table,
     is_normal_oracle,
@@ -84,6 +86,27 @@ class TestConstructGroup:
     def test_broken_row_rejected(self):
         with pytest.raises(NotInvertible):
             construct_group([[0, 1, 2], [1, 2, 0], [2, 0, 2]])
+
+
+class TestTrustedGroup:
+    def test_catalog_matches_entrywise_constructions(self):
+        # Every family and product shape up to order 64 (340 entries);
+        # catalog(256) repeats them with about 60 million table entries.
+        entries = catalog(64)
+        by_key = {e.key(): e for e in entries}
+        for entry in entries:
+            G, want = entry.build(), catalog_group_oracle(entry, by_key)
+            assert ((G.table, G.inverse, G.names, G.associativity_verified)
+                    == (want.table, want.inverse, want.names,
+                        want.associativity_verified)), entry.name
+
+    @pytest.mark.parametrize("table", [
+        [[0, 1], [1, 1]],                    # no inverse in row 1
+        [[0, 1, 2], [1, 2, 0], [2, 2, 1]],   # 1 * 2 = e but 2 * 1 != e
+    ])
+    def test_missing_inverse_rejected(self, table):
+        with pytest.raises(NotInvertible):
+            trusted_group(table)
 
 
 class TestSubgroups:
