@@ -29,7 +29,6 @@ from .compat import (
     family_separability,
     is_compatible,
     is_p_compatible,
-    is_residually_p,
     presentation_residually_p,
 )
 from .engine import (
@@ -57,7 +56,6 @@ from .freegrp import (
     FreeWord,
     GenImages,
     SubgroupGraph,
-    enumerate_gen_images,
     fold_subgroup,
     graph_member,
     kernels_equal,

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 from .errors import (
     InputError,
@@ -26,7 +26,7 @@ from .errors import (
     PreconditionViolated,
     PresentationMismatch,
 )
-from .fingrp import FiniteGroup, Subgroup, is_prime, prime_factors
+from .fingrp import FiniteGroup, Subgroup, coset_representatives, is_prime, prime_factors
 
 Side = str  # 'A' or 'B'
 Letter = tuple[Side, int]
@@ -78,18 +78,6 @@ class AmalgamPresentation:
         return {}
 
 
-def _coset_transversal(G: FiniteGroup, S: Subgroup) -> tuple[int, ...]:
-    rep = [-1] * G.order
-    for x in G.elements():
-        if rep[x] >= 0:
-            continue
-        coset = sorted(G.table[s][x] for s in S.members)
-        r = coset[0]
-        for y in coset:
-            rep[y] = r
-    return tuple(rep)
-
-
 def build_amalgam(A: FiniteGroup, B: FiniteGroup, H: Subgroup, K: Subgroup,
                   phi: dict) -> AmalgamPresentation:
     """Validate the amalgamation data and precompute transversals.
@@ -114,8 +102,8 @@ def build_amalgam(A: FiniteGroup, B: FiniteGroup, H: Subgroup, K: Subgroup,
     phi_inv = {v: k for k, v in phi.items()}
     return AmalgamPresentation(
         A=A, B=B, H=H, K=K, phi=dict(phi), phi_inv=phi_inv,
-        transversal_a=_coset_transversal(A, H),
-        transversal_b=_coset_transversal(B, K),
+        transversal_a=coset_representatives(A, H),
+        transversal_b=coset_representatives(B, K),
     )
 
 
@@ -451,14 +439,21 @@ def serialize_element(x: AmalgamElement) -> str:
     return " ".join(parts)
 
 
-def parse_letters(pres: AmalgamPresentation, text: str) -> list[Letter]:
-    """Parse tagged letter strings like "A:a B:b A:a3"."""
-    letters: list[Letter] = []
+def parse_tagged(text: str, parse: Callable[[Side, str], object],
+                 payload: str = "name") -> list[tuple[Side, object]]:
+    """Parse "SIDE:payload" tokens into ``(side, parse(side, payload))``
+    pairs, token by token, so the first bad token is the one reported."""
+    letters = []
     for token in text.split():
         if ":" not in token:
-            raise InputError(f"letter {token!r} must look like SIDE:name")
-        side, name = token.split(":", 1)
+            raise InputError(f"letter {token!r} must look like SIDE:{payload}")
+        side, chunk = token.split(":", 1)
         if side not in ("A", "B"):
             raise InputError(f"unknown side {side!r} in {token!r}")
-        letters.append((side, pres.factor(side).index_of(name)))
+        letters.append((side, parse(side, chunk)))
     return letters
+
+
+def parse_letters(pres: AmalgamPresentation, text: str) -> list[Letter]:
+    """Parse tagged letter strings like "A:a B:b A:a3"."""
+    return parse_tagged(text, lambda side, name: pres.factor(side).index_of(name))

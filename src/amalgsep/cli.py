@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import traceback
-from dataclasses import dataclass
 from importlib import resources
 
 from . import amalgam as am
@@ -147,26 +146,6 @@ def validate_document(doc: dict, kind: str) -> None:
         raise InputError(f"{kind} document rejected: {message}")
 
 
-@dataclass
-class JobSpec:
-    """Validated invocation: command, inputs, parameters, output path."""
-
-    command: str
-    inputs: list[str]
-    parameters: dict
-    output: str | None
-
-    def __post_init__(self):
-        for key in ("p", "q"):
-            val = self.parameters.get(key)
-            if val is not None and not fg.is_prime(val):
-                raise InputError(f"parameter --{key} must be prime, got {val}")
-
-    def to_json(self) -> dict:
-        return {"schema": 1, "command": self.command, "inputs": list(self.inputs),
-                "parameters": dict(self.parameters), "output": self.output}
-
-
 def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -212,16 +191,9 @@ def load_presentation_file(path: str):
 
 
 def parse_free_letters(desc: cp.FreeAmalgamDescription, text: str):
-    letters = []
-    for token in text.split():
-        if ":" not in token:
-            raise InputError(f"letter {token!r} must look like SIDE:word")
-        side, chunk = token.split(":", 1)
-        if side not in ("A", "B"):
-            raise InputError(f"unknown side {side!r} in {token!r}")
-        names = desc.gen_names_a if side == "A" else desc.gen_names_b
-        letters.append((side, parse_word(chunk, names)))
-    return letters
+    """Parse tagged free words like "A:a B:b^7"."""
+    names = {"A": desc.gen_names_a, "B": desc.gen_names_b}
+    return am.parse_tagged(text, lambda side, word: parse_word(word, names[side]), "word")
 
 
 def write_report(doc: dict, path: str | None) -> None:
@@ -229,10 +201,6 @@ def write_report(doc: dict, path: str | None) -> None:
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _say(msg: str) -> None:
-    print(msg)
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +218,8 @@ def cmd_group_check(args) -> int:
                           else "unverified-associativity"),
     }
     write_report(doc, args.out)
-    _say(f"group OK: order {G.order}, associativity "
-         f"{'verified' if G.associativity_verified else 'sampled only'}")
+    print(f"group OK: order {G.order}, associativity "
+          f"{'verified' if G.associativity_verified else 'sampled only'}")
     return EXIT_OK
 
 
@@ -267,8 +235,8 @@ def cmd_amalgam_build(args) -> int:
             "coset_counts": [pres.A.order // pres.H.order,
                              pres.B.order // pres.K.order],
         }
-        _say(f"amalgam OK: factors of order {pres.A.order} and {pres.B.order}, "
-             f"amalgamated subgroup of order {pres.H.order}")
+        print(f"amalgam OK: factors of order {pres.A.order} and {pres.B.order}, "
+              f"amalgamated subgroup of order {pres.H.order}")
     else:
         doc = {
             "schema": 1,
@@ -277,7 +245,7 @@ def cmd_amalgam_build(args) -> int:
             "ranks": [pres.rank_a, pres.rank_b],
             "amalgamated_rank": len(pres.h_words),
         }
-        _say(f"amalgam OK: free factors of rank {pres.rank_a} and {pres.rank_b}")
+        print(f"amalgam OK: free factors of rank {pres.rank_a} and {pres.rank_b}")
     write_report(doc, args.out)
     return EXIT_OK
 
@@ -303,7 +271,7 @@ def cmd_amalgam_reduce(args) -> int:
         "syllable_length": am.syllable_length(x),
     }
     write_report(doc, args.out)
-    _say(f"normal form: {am.serialize_element(x)}  (length {am.syllable_length(x)})")
+    print(f"normal form: {am.serialize_element(x)}  (length {am.syllable_length(x)})")
     return EXIT_OK
 
 
@@ -324,10 +292,10 @@ def cmd_amalgam_member(args) -> int:
     }
     write_report(doc, args.out)
     if verdict.is_member:
-        _say(f"member: h = g^{verdict.exponent}")
+        print(f"member: h = g^{verdict.exponent}")
         # Membership is the negative outcome for separation queries.
         return EXIT_NEGATIVE
-    _say(f"nonmember ({verdict.reason})")
+    print(f"nonmember ({verdict.reason})")
     return EXIT_OK
 
 
@@ -346,13 +314,13 @@ def cmd_isolate(args) -> int:
     if isolated:
         f, j = am.isolated_closure(g, args.p)
         doc["closure"] = {"generator": am.serialize_element(f), "index": j}
-        _say(f"isolated: closure generator {am.serialize_element(f)}, index {j}")
+        print(f"isolated: closure generator {am.serialize_element(f)}, index {j}")
         write_report(doc, args.out)
         return EXIT_OK
     q, root = am.find_prime_root(g, args.p)
     doc["root"] = {"prime": q, "element": am.serialize_element(root)}
     write_report(doc, args.out)
-    _say(f"not isolated: {q}-th root {am.serialize_element(root)}")
+    print(f"not isolated: {q}-th root {am.serialize_element(root)}")
     return EXIT_NEGATIVE
 
 
@@ -379,7 +347,7 @@ def cmd_compat_check(args) -> int:
         doc["mode"] = "plain"
         doc["compatible"] = ok
         write_report(doc, args.out)
-        _say("compatible" if ok else "not compatible")
+        print("compatible" if ok else "not compatible")
         return EXIT_OK if ok else EXIT_NEGATIVE
     pair = cp.is_p_compatible(pres, R, S, args.p)
     doc["mode"] = f"p={args.p}"
@@ -392,7 +360,7 @@ def cmd_compat_check(args) -> int:
             "matching": [[list(a), list(b)] for a, b in cert.matching],
         }
     write_report(doc, args.out)
-    _say("p-compatible with chain certificate" if pair else "not p-compatible")
+    print("p-compatible with chain certificate" if pair else "not p-compatible")
     return EXIT_OK if pair else EXIT_NEGATIVE
 
 
@@ -421,7 +389,7 @@ def cmd_compat_enum(args) -> int:
         "pairs": listing,
     }
     write_report(doc, args.out)
-    _say(f"{len(pairs)} compatible pair(s)")
+    print(f"{len(pairs)} compatible pair(s)")
     return EXIT_OK
 
 
@@ -440,16 +408,16 @@ def cmd_witness(args) -> int:
     doc["command"] = "witness"
     write_report(doc, args.out)
     if report.outcome == "separated":
-        _say(f"separated by a homomorphism onto {report.target_name} "
-             f"(target order {report.target_order}, image order {report.image_order})")
+        print(f"separated by a homomorphism onto {report.target_name} "
+              f"(target order {report.target_order}, image order {report.image_order})")
         return EXIT_OK
     if report.outcome == "member":
-        _say(f"member: h = g^{report.exponent}")
+        print(f"member: h = g^{report.exponent}")
         return EXIT_NEGATIVE
     if report.reason == "bound_exhausted":
-        _say(f"bound exhausted at {report.bound}")
+        print(f"bound exhausted at {report.bound}")
         return EXIT_BOUND
-    _say(f"obstructed: {report.reason}")
+    print(f"obstructed: {report.reason}")
     return EXIT_NEGATIVE
 
 
@@ -465,7 +433,7 @@ def cmd_case(args) -> int:
     doc = report.to_json()
     write_report(doc, args.out)
     for name, ok, detail in report.assertions:
-        _say(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
     return EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
@@ -558,19 +526,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    params = {k: v for k, v in vars(args).items()
-              if k in ("p", "q", "n", "bound", "trials", "max_order") and v is not None}
     try:
-        job = JobSpec(command=args.command, inputs=[], parameters=params,
-                      output=args.out)
-        validate_document(job.to_json(), "job")
+        for key in ("p", "q"):
+            value = getattr(args, key, None)
+            if value is not None and not fg.is_prime(value):
+                raise InputError(f"parameter --{key} must be prime, got {value}")
         return args.handler(args)
     except BoundExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except AmalgsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -27,12 +27,11 @@ nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Any, Callable, Optional, Union
 
 from .amalgam import (
     AmalgamElement,
     AmalgamPresentation,
-    Letter,
     build_amalgam,
     normalize,
 )
@@ -64,7 +63,7 @@ from .freegrp import (
     fold_subgroup,
     format_word,
     graph_member,
-    kernels_equal,
+    induced_map,
     primitive_root,
     restriction,
     scan_gen_images,
@@ -113,15 +112,6 @@ def is_compatible(pres: AmalgamPresentation, R: Subgroup, S: Subgroup) -> bool:
     _check_normal_pair(pres, R, S)
     image = {pres.phi[x] for x in (R.members & pres.H.members)}
     return image == (S.members & pres.K.members)
-
-
-def free_pair_compatible(desc: "FreeAmalgamDescription",
-                         u: GenImages, v: GenImages) -> bool:
-    """Compatibility of kernel pairs for free factors: the maps induced on
-    the amalgamated subgroup's free basis must have equal kernels."""
-    ru = restriction(u, desc.h_words)
-    rv = restriction(v, desc.k_words)
-    return kernels_equal(ru, rv)
 
 
 def _check_prime(p) -> None:
@@ -264,31 +254,21 @@ def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
 class QuotientAmalgam:
     """An amalgam of quotient (or image) factors plus projection data.
 
-    For finite parents the projections are genuine quotient maps; for
-    free parents they evaluate generator images. ``pair`` records the
-    compatible pair that produced the quotient.
+    ``proj_a`` and ``proj_b`` send a letter's payload on each side to its
+    quotient factor element: a factor element under the quotient map for
+    finite parents, a free word through its generator images for free
+    ones. ``pair`` records the compatible pair that produced the quotient.
     """
 
-    kind: str                                  # 'finite' | 'free'
     pair: CompatiblePair
     presentation: AmalgamPresentation
-    proj_a: Optional[Homomorphism]             # finite kind
-    proj_b: Optional[Homomorphism]
-    desc: Optional["FreeAmalgamDescription"]   # free kind
-    embed_a: Optional[dict]                    # target element -> quotient factor index
-    embed_b: Optional[dict]
-
-    def project_letter(self, letter) -> Letter:
-        side, payload = letter
-        if self.kind == "finite":
-            proj = self.proj_a if side == "A" else self.proj_b
-            return (side, proj(payload))
-        u = self.pair.r_side if side == "A" else self.pair.s_side
-        embed = self.embed_a if side == "A" else self.embed_b
-        return (side, embed[u.evaluate(payload)])
+    proj_a: Callable[[Any], int]
+    proj_b: Callable[[Any], int]
 
     def project(self, letters) -> AmalgamElement:
-        return normalize(self.presentation, [self.project_letter(l) for l in letters])
+        return normalize(self.presentation, [
+            (side, (self.proj_a if side == "A" else self.proj_b)(payload))
+            for side, payload in letters])
 
 
 def build_quotient_amalgam(pres: AmalgamPresentation,
@@ -307,9 +287,7 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     Hbar = subgroup_generated(Qa, [proj_a(h) for h in pres.H.members])
     Kbar = subgroup_generated(Qb, [proj_b(k) for k in pres.K.members])
     qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
-    return QuotientAmalgam(kind="finite", pair=pair, presentation=qpres,
-                           proj_a=proj_a, proj_b=proj_b, desc=None,
-                           embed_a=None, embed_b=None)
+    return QuotientAmalgam(pair, qpres, proj_a, proj_b)
 
 
 @dataclass(frozen=True)
@@ -334,14 +312,13 @@ class FreeAmalgamDescription:
             raise InputError("generator name lists must match ranks")
 
 
-def _image_group(images: GenImages) -> tuple[FiniteGroup, dict]:
-    """The subgroup generated by the images, re-indexed as a table group."""
-    T = images.target
-    members = sorted(images.image_members())
-    sub = Subgroup(T, frozenset(members))
-    grp, member_list = subgroup_as_group(T, sub)
+def _image_projection(u: GenImages) -> tuple[FiniteGroup, dict, Callable]:
+    """The subgroup generated by the images, re-indexed as a table group,
+    with the embedding of its members and the projection of free words."""
+    T = u.target
+    grp, member_list = subgroup_as_group(T, Subgroup(T, u.image_members()))
     embed = {x: i for i, x in enumerate(member_list)}
-    return grp, embed
+    return grp, embed, lambda w: embed[u.evaluate(w)]
 
 
 def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
@@ -350,37 +327,18 @@ def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
     images of the amalgamated subgroups."""
     if u.rank != desc.rank_a or v.rank != desc.rank_b:
         raise InputError("generator images do not match the description ranks")
-    if not free_pair_compatible(desc, u, v):
+    # The identification is the induced map between the images of the
+    # amalgamated bases, which exists iff their kernels are equal.
+    iso = induced_map(restriction(u, desc.h_words), restriction(v, desc.k_words))
+    if iso is None:
         raise NotCompatible("restriction kernels differ")
-    Qa, embed_a = _image_group(u)
-    Qb, embed_b = _image_group(v)
-    # Closure of the generator correspondence gives the induced iso graph.
-    Tu, Tv = u.target, v.target
-    gen_pairs = [(u.evaluate(w), v.evaluate(wk))
-                 for w, wk in zip(desc.h_words, desc.k_words)]
-    gen_pairs += [(Tu.inverse[a], Tv.inverse[b]) for a, b in gen_pairs]
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        a, b = frontier.pop()
-        for ga, gb in gen_pairs:
-            pr = (Tu.table[a][ga], Tv.table[b][gb])
-            if pr not in seen:
-                seen.add(pr)
-                frontier.append(pr)
-    phi_bar: dict[int, int] = {}
-    for a, b in seen:
-        qa, qb = embed_a[a], embed_b[b]
-        if qa in phi_bar and phi_bar[qa] != qb:
-            raise NotCompatible("induced identification is ill defined")
-        phi_bar[qa] = qb
+    Qa, embed_a, proj_a = _image_projection(u)
+    Qb, embed_b, proj_b = _image_projection(v)
+    phi_bar = {embed_a[a]: embed_b[b] for a, b in iso.items()}
     Hbar = subgroup_generated(Qa, sorted(phi_bar.keys()))
     Kbar = subgroup_generated(Qb, sorted(phi_bar.values()))
     qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
-    pair = CompatiblePair("plain", None, u, v)
-    return QuotientAmalgam(kind="free", pair=pair, presentation=qpres,
-                           proj_a=None, proj_b=None, desc=desc,
-                           embed_a=embed_a, embed_b=embed_b)
+    return QuotientAmalgam(CompatiblePair("plain", None, u, v), qpres, proj_a, proj_b)
 
 
 def presentation_residually_p(pres: AmalgamPresentation, p: int) -> bool:
@@ -388,10 +346,6 @@ def presentation_residually_p(pres: AmalgamPresentation, p: int) -> bool:
     the trivial pair must be p-compatible."""
     return is_p_compatible(pres, trivial_subgroup(pres.A),
                            trivial_subgroup(pres.B), p) is not None
-
-
-def is_residually_p(qa: QuotientAmalgam, p: int) -> bool:
-    return presentation_residually_p(qa.presentation, p)
 
 
 def enumerate_free_compatible_classes(desc: FreeAmalgamDescription, bound: int,

@@ -455,23 +455,14 @@ def _free_member_exponent(desc: FreeAmalgamDescription, g_red: FreeReducedForm,
 # Length-preserving pairs
 
 
-@dataclass(frozen=True)
-class WorkingQuotient:
-    """A quotient amalgam together with bookkeeping for reports."""
-
-    qa: QuotientAmalgam
-    pair_desc: str
-
-
-def _trivial_pair_quotient(pres: AmalgamPresentation) -> WorkingQuotient:
+def _trivial_pair_quotient(pres: AmalgamPresentation) -> QuotientAmalgam:
     """The quotient by the trivial pair, cached on the presentation."""
-    wq = pres.quotient_cache.get("(1,1)")
-    if wq is None:
+    qa = pres.quotient_cache.get("(1,1)")
+    if qa is None:
         pair = CompatiblePair("plain", None, trivial_subgroup(pres.A),
                               trivial_subgroup(pres.B))
-        wq = WorkingQuotient(build_quotient_amalgam(pres, pair), "(1,1)")
-        pres.quotient_cache["(1,1)"] = wq
-    return wq
+        qa = pres.quotient_cache["(1,1)"] = build_quotient_amalgam(pres, pair)
+    return qa
 
 
 def _free_pair_scan(desc: FreeAmalgamDescription,
@@ -530,23 +521,16 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
 
 
 def find_length_preserving_pair(
-    target: Union[AmalgamPresentation, FreeAmalgamDescription],
+    desc: FreeAmalgamDescription,
     elements: Sequence[Sequence],
     mode: str = "plain",
     p: Optional[int] = None,
     bound: int = DEFAULT_PAIR_BOUND,
-) -> WorkingQuotient:
-    """A compatible pair whose projection keeps every listed element at its
-    syllable length. Finite factors: the trivial pair. Free factors: a
+) -> tuple[str, QuotientAmalgam]:
+    """A compatible pair of free factors whose projection keeps every
+    listed element at its syllable length, as (description, quotient): a
     catalog scan over generator-image pairs, each syllable required to
     stay outside the amalgamated image."""
-    if isinstance(target, AmalgamPresentation):
-        wq = _trivial_pair_quotient(target)
-        if mode == "p" and not presentation_residually_p(target, p):
-            raise BoundExhausted(
-                bound, "presentation is not residually p-finite; no p-mode pair")
-        return wq
-    desc = target
     a_chunks: list[FreeWord] = []
     b_chunks: list[FreeWord] = []
     for letters in elements:
@@ -557,8 +541,7 @@ def find_length_preserving_pair(
                             p if mode == "p" else None, bound)
     if found is None:
         raise BoundExhausted(bound, "no length-preserving pair in the catalog")
-    name, qa = found
-    return WorkingQuotient(qa, name)
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -736,9 +719,8 @@ def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
         return _exhausted(report, max_order, "presentation is not residually "
                           "p-finite; p-mode machinery does not apply")
 
-    wq = _trivial_pair_quotient(pres)
-    qa = wq.qa
-    report.pair_desc = wq.pair_desc
+    qa = _trivial_pair_quotient(pres)
+    report.pair_desc = "(1,1)"
     hq = qa.project(h.letters())
     gq = qa.project(g.letters())
 
@@ -763,21 +745,32 @@ def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
         report.root_text = am.serialize_element(root)
         return report
 
-    f, j = am.isolated_closure(gr, p)
-    n_prime = n // gcd(n, p ** n)      # the p'-part of n
+    if _power_collision(gr, ht, n, m, p) is not None:
+        # Contradicts p'-isolation plus non-membership in an exact
+        # presentation; unreachable when the preconditions hold.
+        raise AssertionError("isolation certificate inconsistent with power collision")
+    return _finish_scan(report, qa, hq, gq, p, max_order)
+
+
+def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
+                     p: int) -> Optional[tuple[int, int]]:
+    """p-mode, for gr cyclically reduced of length n >= 2 and ht of length
+    m: (n', k) when the n'-th power of ht is gr^k or gr^-k, where n' is
+    the p'-part of n and k = m n' / n; else None, which includes the case
+    that the lengths keep ht outside the isolated closure of <gr>."""
+    f, _ = am.isolated_closure(gr, p)
+    n_prime = n // gcd(n, p ** n)
     if (m * n_prime) % n != 0:
         # h cannot lie in the isolated closure: its n'-th power would land
         # in <g> with an impossible syllable length.
         if am.cyclic_member(ht, f).is_member:
             raise AssertionError("length argument contradicts the isolated closure")
-        return _finish_scan(report, qa, hq, gq, p, max_order)
+        return None
     k = m * n_prime // n
     hn = am.power(ht, n_prime)
     if hn == am.power(gr, k) or hn == am.power(gr, -k):
-        # Contradicts p'-isolation plus non-membership in an exact
-        # presentation; unreachable when the preconditions hold.
-        raise AssertionError("isolation certificate inconsistent with power collision")
-    return _finish_scan(report, qa, hq, gq, p, max_order)
+        return n_prime, k
+    return None
 
 
 def _short_generator_case(report, qa, hq, gq, gr, ht, mode, p, max_order
@@ -822,10 +815,7 @@ def _short_generator_case(report, qa, hq, gq, gr, ht, mode, p, max_order
 def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
                    mode, p, max_order, pair_bound) -> WitnessReport:
     _require_cyclic_amalgam(desc)
-    report = _report_base(
-        mode, p,
-        " ".join(f"{s}:{w}" for s, w in h_letters),
-        " ".join(f"{s}:{w}" for s, w in g_letters))
+    report = _report_base(mode, p, _letters_text(h_letters), _letters_text(g_letters))
     g_red, h_trans = _free_query_forms(desc, h_letters, g_letters)
     n = g_red.length
     m = h_trans.length
@@ -836,18 +826,19 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
         report.exponent = exponent
         return report
 
-    # Degenerate generator: a power of the amalgamated word.
+    keeps_apart = _keeps_apart(desc, g_red, h_trans)
     if n == 0:
-        return _free_amalgam_power_case(desc, report, g_red, h_trans,
-                                        mode, p, max_order, pair_bound)
+        # The generator is a power of the amalgamated word: refine to a
+        # pair keeping the quotient images apart.
+        step = _refine(report, desc, g_red, h_trans, p, pair_bound, keeps_apart)
+        if step is None:
+            return _exhausted(report, pair_bound)
+        return _finish_scan(report, *step, p, max_order)
 
-    wq = find_length_preserving_pair(
+    report.pair_desc, qa = find_length_preserving_pair(
         desc, [list(g_red.letters(desc)), list(h_trans.letters(desc))],
         mode, p, pair_bound)
-    qa = wq.qa
-    report.pair_desc = wq.pair_desc
-    gq = qa.project(g_red.letters(desc))
-    hq = qa.project(h_trans.letters(desc))
+    hq, gq = qa.project(h_trans.letters(desc)), qa.project(g_red.letters(desc))
     if am.syllable_length(gq) != n or am.syllable_length(hq) != m:
         raise AssertionError("length-preserving pair changed a syllable length")
     if not am.is_cyclically_reduced(gq):
@@ -858,14 +849,11 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
         # of g. For n >= 2 that power is g^(+-m/n) in every
         # length-preserving quotient, so keeping h outside <g> is keeping
         # it apart from those two.
-        found = _refining_scan(desc, g_red, h_trans, p, pair_bound,
-                               _keeps_apart(desc, g_red, h_trans))
-        if found is None:
+        step = _refine(report, desc, g_red, h_trans, p, pair_bound, keeps_apart)
+        if step is None:
             return _exhausted(report, pair_bound, "h lies outside <g>, but every pair "
                               "up to the bound maps h into the image of <g>")
-        report.pair_desc, qa = found
-        gq = qa.project(g_red.letters(desc))
-        hq = qa.project(h_trans.letters(desc))
+        qa, hq, gq = step
 
     if n == 1 or p is None:
         # Non-membership now holds in a length-preserving quotient; the
@@ -877,30 +865,20 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
     for _ in range(4):
         gr, c = am.cyclically_reduce(gq)
         ht = am.multiply(am.multiply(am.invert(c), hq), c)
-        f, j = am.isolated_closure(gr, p)
-        n_prime = n // gcd(n, p ** n)  # the p'-part of n
-        if (m * n_prime) % n != 0:
-            # h cannot lie in the isolated closure of <g>.
-            if am.cyclic_member(ht, f).is_member:
-                raise AssertionError("length argument contradicts the isolated closure")
+        collision = _power_collision(gr, ht, n, m, p)
+        if collision is None:
             return _finish_scan(report, qa, hq, gq, p, max_order)
-        k = m * n_prime // n
-        hn = am.power(ht, n_prime)
-        if hn != am.power(gr, k) and hn != am.power(gr, -k):
-            return _finish_scan(report, qa, hq, gq, p, max_order)
+        n_prime, k = collision
         h_pow = _free_power_letters(h_trans.letters(desc), -n_prime)
         g_letters_full = list(g_red.letters(desc))
         survivors = [h_pow + _free_power_letters(g_letters_full, k),
                      h_pow + _free_power_letters(g_letters_full, -k)]
-        found = _refining_scan(
-            desc, g_red, h_trans, p, pair_bound,
-            lambda q: all(not q.project(sv).is_identity() for sv in survivors))
-        if found is None:
+        step = _refine(report, desc, g_red, h_trans, p, pair_bound,
+                       lambda q: all(not q.project(sv).is_identity() for sv in survivors))
+        if step is None:
             return _exhausted(report, pair_bound,
                               "no refining pair distinguishes the power collision")
-        report.pair_desc, qa = found
-        gq = qa.project(g_red.letters(desc))
-        hq = qa.project(h_trans.letters(desc))
+        qa, hq, gq = step
     return _exhausted(report, pair_bound, "refinement loop did not stabilize")
 
 
@@ -910,20 +888,6 @@ def _free_power_letters(letters, k: int) -> list[FreeLetter]:
     return _free_letters_inverse(letters) * (-k)
 
 
-def _free_amalgam_power_case(desc, report, g_red, h_trans, mode, p,
-                             max_order, pair_bound) -> WitnessReport:
-    """Generator is a power of the amalgamated word and h lies outside <g>:
-    scan for a pair keeping the quotient images apart."""
-    found = _refining_scan(desc, g_red, h_trans, p, pair_bound,
-                           _keeps_apart(desc, g_red, h_trans))
-    if found is None:
-        return _exhausted(report, pair_bound)
-    report.pair_desc, qa = found
-    gq = qa.project(g_red.letters(desc))
-    hq = qa.project(h_trans.letters(desc))
-    return _finish_scan(report, qa, hq, gq, p, max_order)
-
-
 def _keeps_apart(desc, g_red, h_trans):
     """Quotient filter: the image of h lies outside the image of <g>."""
     h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
@@ -931,15 +895,20 @@ def _keeps_apart(desc, g_red, h_trans):
                                           q.project(g_letters)).is_member
 
 
-def _refining_scan(desc, g_red, h_trans, p, pair_bound, accept):
-    """First pair keeping the chunks of g and h at their lengths whose
-    quotient passes ``accept``."""
+def _refine(report, desc, g_red, h_trans, p, pair_bound, accept):
+    """The first pair keeping the chunks of g and h at their lengths whose
+    quotient passes ``accept``, named in the report: (qa, hq, gq) with the
+    images of h and g, or None when no pair up to the bound passes."""
     chunks = g_red.chunks + h_trans.chunks
-    return _free_pair_scan(
+    found = _free_pair_scan(
         desc,
         [w for s, w in chunks if s == "A"],
         [w for s, w in chunks if s == "B"],
         p, pair_bound, accept=accept)
+    if found is None:
+        return None
+    report.pair_desc, qa = found
+    return qa, qa.project(h_trans.letters(desc)), qa.project(g_red.letters(desc))
 
 
 # ---------------------------------------------------------------------------

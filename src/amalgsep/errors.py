@@ -66,10 +66,6 @@ class NoSuchM(AmalgsepError):
     """
 
 
-class SizeCap(AmalgsepError):
-    pass
-
-
 class RankMismatch(AmalgsepError):
     pass
 

@@ -10,7 +10,7 @@ and by 10,000 seeded random triples above that (such groups carry
 
 A group computes some derived data lazily and caches it on itself: a
 greedy generating set (``generators``, used by ``is_normal``), a
-generating tuple of least size (``generating_tuple``, used by the
+short generating tuple (``generating_tuple``, used by the
 engine's homomorphism search), the normal-subgroup lattice (behind
 ``enumerate_normal_subgroups``) and the homomorphisms the engine found
 from it to each target (``hom_cache``).
@@ -22,7 +22,6 @@ group, and no module-level table keeps a group alive.
 from __future__ import annotations
 
 import itertools
-import json
 import random
 from dataclasses import dataclass
 from functools import cached_property
@@ -91,16 +90,6 @@ class FiniteGroup:
     names: tuple[str, ...]
     associativity_verified: bool = True
 
-    @property
-    def identity(self) -> int:
-        return 0
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
     def elements(self) -> range:
         return range(self.order)
 
@@ -131,9 +120,6 @@ class FiniteGroup:
 
     def conjugate(self, a: int, by: int) -> int:
         return self.table[self.table[self.inverse[by]][a]][by]
-
-    def name_of(self, i: int) -> str:
-        return self.names[i]
 
     def index_of(self, name: str) -> int:
         try:
@@ -166,8 +152,9 @@ class FiniteGroup:
     def generating_tuple(self) -> tuple[int, ...]:
         """A generating tuple of least size, the lexicographically first of
         that size: one element when the group is cyclic, else the first
-        combination of non-identity elements that generates. The engine
-        enumerates homomorphisms by images of this tuple."""
+        combination of non-identity elements that generates. When no four
+        elements generate the group, it is the greedy ``generators``.
+        The engine enumerates homomorphisms by images of this tuple."""
         full = frozenset(self.elements())
         for x in self.elements():
             if self.element_order(x) == self.order:
@@ -176,7 +163,7 @@ class FiniteGroup:
             for combo in itertools.combinations(range(1, self.order), size):
                 if _grow(self, frozenset({0}), combo) == full:
                     return combo
-        raise InputError("group needs more than 4 generators; out of supported range")
+        return self.generators
 
     @cached_property
     def _normal_lattice(self) -> tuple[Subgroup, ...]:
@@ -308,9 +295,6 @@ class Subgroup:
         """Canonical sort key: (order, sorted member list)."""
         return (len(self.members), self.sorted_members)
 
-    def contains(self, x: int) -> bool:
-        return x in self.members
-
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, members={self.sorted_members})"
 
@@ -441,26 +425,19 @@ class Homomorphism:
     def __call__(self, x: int) -> int:
         return self.mapping[x]
 
-    def kernel(self) -> Subgroup:
-        return Subgroup(self.source, frozenset(x for x in self.source.elements()
-                                               if self.mapping[x] == 0))
 
-    def image_members(self) -> frozenset[int]:
-        return frozenset(self.mapping)
+def coset_representatives(G: FiniteGroup, S: Subgroup) -> tuple[int, ...]:
+    """The least element index of each right coset S x, listed by x.
 
-
-def make_homomorphism(source: FiniteGroup, target: FiniteGroup,
-                      mapping: Sequence[int]) -> Homomorphism:
-    mp = tuple(mapping)
-    if len(mp) != source.order:
-        raise InputError("mapping length does not match source order")
-    if mp[0] != 0:
-        raise InputError("mapping does not fix the identity")
-    for a in source.elements():
-        for b in source.elements():
-            if mp[source.table[a][b]] != target.table[mp[a]][mp[b]]:
-                raise InputError(f"mapping is not multiplicative on ({a}, {b})")
-    return Homomorphism(source, target, mp)
+    Elements are visited in index order, so the first element of a coset
+    not yet covered is its least one.
+    """
+    rep = [-1] * G.order
+    for x in G.elements():
+        if rep[x] < 0:
+            for s in S.members:
+                rep[G.table[s][x]] = x
+    return tuple(rep)
 
 
 def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
@@ -471,17 +448,8 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
     """
     if not is_normal(G, N):
         raise NotNormal("subgroup is not normal in its parent")
-    rep_of = [-1] * G.order
-    reps = []
-    for x in G.elements():
-        if rep_of[x] >= 0:
-            continue
-        coset = sorted(G.table[n][x] for n in N.members)
-        r = coset[0]
-        reps.append(r)
-        for y in coset:
-            rep_of[y] = r
-    reps.sort()
+    rep_of = coset_representatives(G, N)
+    reps = [x for x in G.elements() if rep_of[x] == x]
     index = {r: i for i, r in enumerate(reps)}
     m = len(reps)
     table = [[index[rep_of[G.table[reps[i]][reps[j]]]] for j in range(m)]
@@ -663,28 +631,11 @@ def separating_core(X: FiniteGroup, Y: Subgroup, F: Subgroup, g: int, p: int) ->
     return N
 
 
-def group_to_json(G: FiniteGroup) -> dict:
-    doc = {
-        "schema": 1,
-        "order": G.order,
-        "table": [list(row) for row in G.table],
-        "names": list(G.names),
-    }
-    if not G.associativity_verified:
-        doc["associativity"] = "unverified-associativity"
-    return doc
-
-
 def group_from_json(doc: dict) -> FiniteGroup:
-    if not isinstance(doc, dict) or "table" in doc and "order" not in doc:
+    if not isinstance(doc, dict) or "order" not in doc or "table" not in doc:
         raise InputError("group document must carry order and table")
     order = doc["order"]
     table = doc["table"]
     if len(table) != order:
         raise InputError("declared order does not match table size")
     return construct_group(table, doc.get("names"))
-
-
-def load_group(path: str) -> FiniteGroup:
-    with open(path, "r", encoding="utf-8") as fh:
-        return group_from_json(json.load(fh))

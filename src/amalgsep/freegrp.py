@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError, RankMismatch, SizeCap
+from .errors import InputError, RankMismatch
 from .fingrp import FiniteGroup, subgroup_generated
 
 Letter = tuple[int, int]          # (generator index, sign +1/-1)
 FreeWord = tuple[Letter, ...]
-
-GEN_IMAGE_CAP = 10_000_000
 
 
 def reduce_word(raw: Iterable[Letter]) -> FreeWord:
@@ -240,9 +238,6 @@ class GenImages:
     def image_members(self) -> frozenset[int]:
         return subgroup_generated(self.target, self.images).members
 
-    def index(self) -> int:
-        return len(self.image_members())
-
 
 def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = (),
                     chunks: Sequence[FreeWord] = (), distinct: bool = False
@@ -295,20 +290,13 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
         yield GenImages(rank, target, images), key
 
 
-def enumerate_gen_images(rank: int, target: FiniteGroup,
-                         cap: int = GEN_IMAGE_CAP) -> list[GenImages]:
-    """All target^rank assignments in lexicographic order."""
-    total = target.order ** rank
-    if total > cap:
-        raise SizeCap(f"{total} assignments exceed cap {cap}")
-    return [u for u, _ in scan_gen_images(rank, target)]
-
-
-def kernels_equal(u: GenImages, v: GenImages) -> bool:
-    """Whether two induced maps from the same free group have equal kernels.
+def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:
+    """The map u(w) -> v(w) over the free words w, from the image of u onto
+    the image of v, when ker u = ker v; None when the kernels differ.
 
     Closes the diagonal subgroup of target(u) x target(v) generated by the
-    paired generator images and checks it meets both axis factors trivially.
+    paired generator images. The kernels are equal iff it meets both axis
+    factors trivially, and then it is the graph of the map.
     """
     if u.rank != v.rank:
         raise RankMismatch(f"ranks {u.rank} and {v.rank} differ")
@@ -324,10 +312,14 @@ def kernels_equal(u: GenImages, v: GenImages) -> bool:
             if p not in seen:
                 seen.add(p)
                 frontier.append(p)
-    for a, b in seen:
-        if (a == 0) != (b == 0):
-            return False
-    return True
+    if any((a == 0) != (b == 0) for a, b in seen):
+        return None
+    return dict(seen)
+
+
+def kernels_equal(u: GenImages, v: GenImages) -> bool:
+    """Whether two induced maps from the same free group have equal kernels."""
+    return induced_map(u, v) is not None
 
 
 def restriction(u: GenImages, words: Sequence[FreeWord]) -> GenImages:

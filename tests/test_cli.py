@@ -279,26 +279,3 @@ class TestSchemasAndFlags:
         assert code == 0
         assert doc["associativity"] == "unverified-associativity"
 
-    def test_element_schema_roundtrip(self):
-        from amalgsep.cli import validate_document
-        doc = {"schema": 1, "letters": "A:a B:b A:a3"}
-        validate_document(doc, "element")
-        with pytest.raises(Exception):
-            validate_document({"schema": 1, "letters": "A:a", "extra": 1},
-                              "element")
-
-    def test_group_json_roundtrip(self, workdir):
-        from amalgsep.fingrp import group_from_json, group_to_json, load_group
-        G = load_group(str(workdir / "z4a.json"))
-        doc = group_to_json(G)
-        again = group_from_json(doc)
-        assert again.table == G.table and again.names == G.names
-
-    def test_job_document_validates(self):
-        from amalgsep.cli import JobSpec, validate_document
-        job = JobSpec(command="witness", inputs=["g2.json"],
-                      parameters={"p": 2, "max_order": 64}, output="r.json")
-        validate_document(job.to_json(), "job")
-        with pytest.raises(Exception):
-            JobSpec(command="witness", inputs=[], parameters={"p": 6},
-                    output=None)

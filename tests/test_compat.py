@@ -12,11 +12,9 @@ from amalgsep.compat import (
     enumerate_free_compatible_classes,
     family_separability,
     free_family_separability,
-    free_pair_compatible,
     induced_iso,
     is_compatible,
     is_p_compatible,
-    is_residually_p,
     presentation_residually_p,
 )
 from amalgsep.errors import NotCompatible
@@ -25,7 +23,7 @@ from amalgsep.fingrp import (
     subgroup_generated,
     trivial_subgroup,
 )
-from amalgsep.freegrp import GenImages, parse_word
+from amalgsep.freegrp import GenImages, kernels_equal, parse_word, restriction
 
 
 def z4_subgroups(G):
@@ -192,7 +190,7 @@ class TestFreeQuotients:
         Z4 = cyclic_group(4)
         u = GenImages(1, Z4, (1,))
         v = GenImages(1, Z4, (1,))
-        assert free_pair_compatible(desc, u, v)
+        assert kernels_equal(restriction(u, desc.h_words), restriction(v, desc.k_words))
         qa = build_free_quotient_amalgam(desc, u, v)
         assert qa.presentation.A.order == 4
         assert qa.presentation.H.sorted_members == (0, 2)
@@ -209,7 +207,7 @@ class TestFreeQuotients:
         u = GenImages(1, cyclic_group(4), (1,))
         v = GenImages(1, cyclic_group(2), (1,))
         # b^2 dies while a^2 survives: restriction kernels differ.
-        assert not free_pair_compatible(desc, u, v)
+        assert not kernels_equal(restriction(u, desc.h_words), restriction(v, desc.k_words))
         with pytest.raises(NotCompatible):
             build_free_quotient_amalgam(desc, u, v)
 
@@ -231,11 +229,6 @@ class TestResiduallyP:
         G1 = construct_group([[0]])
         pres = build_amalgam(G1, G1, trivial_subgroup(G1), trivial_subgroup(G1), {0: 0})
         assert presentation_residually_p(pres, 2)
-
-    def test_quotient_amalgam_wrapper(self, g2):
-        pair = enumerate_compatible_pairs(g2, "plain")[0]
-        qa = build_quotient_amalgam(g2, pair)
-        assert is_residually_p(qa, 2)
 
 
 class TestFamilySeparability:

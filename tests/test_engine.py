@@ -14,7 +14,13 @@ import amalgsep
 
 from amalgsep import engine
 from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
-from amalgsep.catalog import catalog, cyclic_group, entry_is_p_group
+from amalgsep.catalog import (
+    catalog,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    entry_is_p_group,
+)
 from amalgsep.compat import build_quotient_amalgam, enumerate_compatible_pairs
 from amalgsep.engine import (
     WitnessReport,
@@ -37,6 +43,13 @@ from conftest import (
     first_separating_hom_oracle,
     homs_oracle,
 )
+
+
+def elementary_abelian_2(rank):
+    G = cyclic_group(2)
+    for _ in range(rank - 1):
+        G = direct_product(G, cyclic_group(2))
+    return G
 
 
 def identity_quotient(pres):
@@ -117,6 +130,15 @@ class TestHomOracles:
             T = entry.build()
             assert engine._factor_homs_uncached(S, T) == homs_oracle(S, T), entry.name
 
+    @pytest.mark.parametrize("target", [cyclic_group(2), dihedral_group(2)],
+                             ids=["Z2", "D2"])
+    def test_factor_homs_from_a_five_generator_group(self, target):
+        # No four elements generate Z2^5, so the scan extends along the
+        # greedy generators.
+        S = elementary_abelian_2(5)
+        assert len(S.generating_tuple) == 5
+        assert engine._factor_homs(S, target) == homs_oracle(S, target)
+
     @pytest.mark.parametrize("shape", [("Z4", "Z4", 2), ("D4", "Z8", 4),
                                        ("Z3xZ3", "Z9", 3), ("Z4", "D3", 2)])
     def test_probe_matches_a_naive_scan(self, shape):
@@ -146,15 +168,11 @@ class TestHomOracles:
 
 
 class TestLengthPreservingPair:
-    def test_finite_factors_trivial_pair(self, g2):
-        wq = find_length_preserving_pair(g2, [[("A", 1), ("B", 1)]])
-        assert wq.qa.presentation.A.order == g2.A.order
-
     def test_free_square_identification(self):
         desc = power_congruence_description(2)
         ab = [("A", parse_word("a", ["a"])), ("B", parse_word("b", ["b"]))]
-        wq = find_length_preserving_pair(desc, [ab])
-        img = wq.qa.project(ab)
+        _, qa = find_length_preserving_pair(desc, [ab])
+        img = qa.project(ab)
         assert len(img.syllables) == 2
 
 
@@ -211,12 +229,19 @@ class TestSeparateFinite:
                              subgroup_generated(B, [2]), {0: 0, 2: 2})
         rep = separate_from_cyclic(pres, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
         assert rep.outcome == "separated"
-        quotient_a = pres.quotient_cache["(1,1)"].qa.presentation.A
+        quotient_a = pres.quotient_cache["(1,1)"].presentation.A
         assert quotient_a.hom_cache
         alive = weakref.ref(pres), weakref.ref(quotient_a)
         del pres, A, B, rep, quotient_a
         gc.collect()
         assert [ref() for ref in alive] == [None, None]
+
+    def test_five_generator_factor_is_separated(self):
+        A, B = elementary_abelian_2(5), cyclic_group(4)
+        pres = build_amalgam(A, B, subgroup_generated(A, [1]),
+                             subgroup_generated(B, [2]), {0: 0, 1: 2})
+        rep = separate_from_cyclic(pres, [("A", 2), ("B", 1)], [("A", 4), ("B", 1)])
+        assert rep.outcome == "separated" and rep.reverified
 
     def test_plain_separation_factor_element(self, g2):
         # h = a (length 1), g = ab: powers of g never have length 1.
@@ -381,10 +406,10 @@ class TestExactFreeMembership:
         h = hq[1] + hq[2]
         g_red, h_trans = _free_query_forms(desc, h, c + g + _inverse(c))
         assume(g_red.length >= 1)
-        wq = find_length_preserving_pair(
+        _, qa = find_length_preserving_pair(
             desc, [g_red.letters(desc), h_trans.letters(desc)])
-        image_h = wq.qa.project(h_trans.letters(desc))
-        image_g = wq.qa.project(g_red.letters(desc))
+        image_h = qa.project(h_trans.letters(desc))
+        image_g = qa.project(g_red.letters(desc))
         verdict = cyclic_member(image_h, image_g)
         exact = _free_member_exponent(desc, g_red, h_trans)
         if not verdict.is_member:
@@ -413,7 +438,7 @@ from amalgsep.catalog import catalog, cyclic_group
 from amalgsep.fingrp import subgroup_generated
 A, B = cyclic_group(4), cyclic_group(4)
 pres = build_amalgam(A, B, subgroup_generated(A, [2]), subgroup_generated(B, [2]), {0: 0, 2: 2})
-qa = engine._trivial_pair_quotient(pres).qa
+qa = engine._trivial_pair_quotient(pres)
 x = qa.project([("A", 1), ("B", 1)])
 y = qa.project([("A", 1), ("B", 3)])
 T = cyclic_group(4)

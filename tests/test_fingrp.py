@@ -8,7 +8,9 @@ import pytest
 
 from amalgsep import fingrp
 from amalgsep.catalog import catalog
+from amalgsep.engine import _respects_generators
 from amalgsep.errors import (
+    InputError,
     NoIdentity,
     NotAssociative,
     NotCyclic,
@@ -21,10 +23,10 @@ from amalgsep.fingrp import (
     construct_group,
     enumerate_normal_subgroups,
     find_p_chain,
+    group_from_json,
     is_normal,
     is_p_power,
     is_p_prime_isolated_cyclic_finite,
-    make_homomorphism,
     product_set,
     quotient_with_projection,
     separating_core,
@@ -86,6 +88,12 @@ class TestConstructGroup:
     def test_broken_row_rejected(self):
         with pytest.raises(NotInvertible):
             construct_group([[0, 1, 2], [1, 2, 0], [2, 0, 2]])
+
+    @pytest.mark.parametrize("doc", [{"order": 1}, {"table": [[0]]}, {}, [[0]]],
+                             ids=["no-table", "no-order", "empty", "list"])
+    def test_group_document_without_order_or_table_rejected(self, doc):
+        with pytest.raises(InputError, match="must carry order and table"):
+            group_from_json(doc)
 
 
 class TestTrustedGroup:
@@ -273,7 +281,7 @@ class TestQuotient:
         for G in (z4a, s3):
             for N in enumerate_normal_subgroups(G):
                 Q, proj = quotient_with_projection(G, N)
-                make_homomorphism(G, Q, proj.mapping)  # raises when broken
+                assert _respects_generators(G, Q, proj.mapping)
 
 
 class TestPChains:

@@ -25,7 +25,7 @@ from amalgsep.cli import validate_document
 from amalgsep.errors import InputError
 from conftest import best_match_oracle, package_schema
 
-KINDS = ("group", "presentation", "job", "element")
+KINDS = ("group", "presentation")
 BASES = {
     "group": [
         {"schema": 1, "order": 3, "table": [[0, 1, 2], [1, 2, 0], [2, 0, 1]],
@@ -40,12 +40,6 @@ BASES = {
         {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b", "c"],
          "h_words": ["a^2"], "k_words": ["b^2"]},
     ],
-    "job": [
-        {"schema": 1, "command": "witness", "inputs": ["g2.json"],
-         "parameters": {"p": 2, "max_order": 64}, "output": "r.json"},
-        {"schema": 1, "command": "case", "inputs": [], "parameters": {}, "output": None},
-    ],
-    "element": [{"schema": 1, "letters": "A:a B:b A:a3"}],
 }
 # Values put in place of a field: every JSON type, the schemas' constants,
 # integral floats, negatives and the shapes of each field.
@@ -161,7 +155,7 @@ def test_type_failure_breaks_ties_as_in_jsonschema(monkeypatch):
         jsonschema.Draft202012Validator(schema).iter_errors(doc))
     assert error.message == "'b' is a required property"
     monkeypatch.setattr(cli, "_load_schema", lambda kind: schema)
-    assert verdict(doc, "element") == f"element document rejected: {error.message}"
+    assert verdict(doc, "group") == f"group document rejected: {error.message}"
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -179,7 +173,7 @@ def test_package_schema_is_valid_under_its_meta_schema(kind):
 def test_unsupported_schema_keyword_raises(monkeypatch, schema, doc):
     monkeypatch.setattr(cli, "_load_schema", lambda kind: schema)
     with pytest.raises(NotImplementedError):
-        validate_document(doc, "element")
+        validate_document(doc, "group")
 
 
 def test_cli_does_not_import_jsonschema(tmp_path):
