@@ -122,19 +122,16 @@ def _build_catalog(max_order: int) -> tuple[CatalogEntry, ...]:
             entries.append(CatalogEntry(f"D{n}", 2 * n, 1, (n,),
                                         (lambda n=n: dihedral_group(n))))
     for m in range(3, METACYCLIC_M_MAX + 1):
-        for k in range(2, m - 0):
-            if k == m - 1 or gcd(k, m) != 1:
-                continue  # k = m-1 duplicates the dihedral family
+        # k = m-1 would duplicate the dihedral family. Each k in 2..m-2
+        # prime to m has multiplicative order at least 2, so j >= 2 below.
+        for k in range(2, m - 1):
+            if gcd(k, m) != 1:
+                continue
             base = _mult_order(k, m)
-            j = base
-            while m * j <= max_order:
-                if j > 1:
-                    entries.append(CatalogEntry(
-                        f"MC({m},{k},{j})", m * j, 2, (m, k, j),
-                        (lambda m=m, k=k, j=j: metacyclic_group(m, k, j))))
-                j += base
-                if base == 1:
-                    break  # k = 1 would be abelian; excluded by k >= 2 anyway
+            for j in range(base, max_order // m + 1, base):
+                entries.append(CatalogEntry(
+                    f"MC({m},{k},{j})", m * j, 2, (m, k, j),
+                    (lambda m=m, k=k, j=j: metacyclic_group(m, k, j))))
     for n in range(3, SYMMETRIC_MAX + 1):
         order = 1
         for i in range(2, n + 1):

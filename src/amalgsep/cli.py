@@ -3,13 +3,14 @@
 Subcommands mirror the library: ``group check``, ``amalgam build``,
 ``amalgam reduce``, ``amalgam member``, ``isolate``, ``compat check``,
 ``compat enum``, ``witness``, and ``case``. Every run writes a JSON
-report to the output path (default ``amalgsep_report.json``) and a short
-human summary to stdout.
+report to the output path (default ``amalgsep_report.json``), then prints
+a short human summary to stdout.
 
 Exit codes: 0 success, 1 negative verdict (member, obstructed,
-incompatible, not isolated, failed case assertion), 2 input error,
-3 search bound exhausted, 4 internal error (any other exception; the
-report then reads ``{"outcome": "internal_error", "error": ...}``).
+incompatible, not isolated, failed case assertion), 2 input error
+(including an output path that cannot be written), 3 search bound
+exhausted, 4 internal error (any other exception; the report then reads
+``{"outcome": "internal_error", "error": ...}``).
 """
 
 from __future__ import annotations
@@ -204,109 +205,89 @@ def write_report(doc: dict, path: str | None) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# Subcommand handlers: each returns (report fields, stdout summary, exit code)
+# and leaves writing and printing to ``main``.
+
+Outcome = tuple[dict, str, int]
 
 
-def cmd_group_check(args) -> int:
+def cmd_group_check(args) -> Outcome:
     G = load_group_file(args.file)
+    verified = G.associativity_verified
     doc = {
-        "schema": 1,
-        "command": "group check",
         "valid": True,
         "order": G.order,
-        "associativity": ("verified" if G.associativity_verified
-                          else "unverified-associativity"),
+        "associativity": "verified" if verified else "unverified-associativity",
     }
-    write_report(doc, args.out)
-    print(f"group OK: order {G.order}, associativity "
-          f"{'verified' if G.associativity_verified else 'sampled only'}")
-    return EXIT_OK
+    return (doc, f"group OK: order {G.order}, associativity "
+                 f"{'verified' if verified else 'sampled only'}", EXIT_OK)
 
 
-def cmd_amalgam_build(args) -> int:
+def cmd_amalgam_build(args) -> Outcome:
     kind, pres = load_presentation_file(args.file)
     if kind == "finite":
         doc = {
-            "schema": 1,
-            "command": "amalgam build",
             "kind": kind,
             "factor_orders": [pres.A.order, pres.B.order],
             "amalgamated_order": pres.H.order,
             "coset_counts": [pres.A.order // pres.H.order,
                              pres.B.order // pres.K.order],
         }
-        print(f"amalgam OK: factors of order {pres.A.order} and {pres.B.order}, "
-              f"amalgamated subgroup of order {pres.H.order}")
-    else:
-        doc = {
-            "schema": 1,
-            "command": "amalgam build",
-            "kind": kind,
-            "ranks": [pres.rank_a, pres.rank_b],
-            "amalgamated_rank": len(pres.h_words),
-        }
-        print(f"amalgam OK: free factors of rank {pres.rank_a} and {pres.rank_b}")
-    write_report(doc, args.out)
-    return EXIT_OK
+        return (doc, f"amalgam OK: factors of order {pres.A.order} and {pres.B.order}, "
+                     f"amalgamated subgroup of order {pres.H.order}", EXIT_OK)
+    doc = {
+        "kind": kind,
+        "ranks": [pres.rank_a, pres.rank_b],
+        "amalgamated_rank": len(pres.h_words),
+    }
+    return doc, f"amalgam OK: free factors of rank {pres.rank_a} and {pres.rank_b}", EXIT_OK
 
 
-def _require_finite(kind, pres, what: str):
+def _load_finite(path: str, what: str) -> am.AmalgamPresentation:
+    kind, pres = load_presentation_file(path)
     if kind != "finite":
         raise InputError(f"{what} needs a finite-kind presentation")
     return pres
 
 
-def cmd_amalgam_reduce(args) -> int:
-    kind, pres = load_presentation_file(args.presentation)
-    _require_finite(kind, pres, "amalgam reduce")
+def cmd_amalgam_reduce(args) -> Outcome:
+    pres = _load_finite(args.presentation, "amalgam reduce")
     letters = am.parse_letters(pres, args.word)
     x = am.normalize(pres, letters)
     doc = {
-        "schema": 1,
-        "command": "amalgam reduce",
         "input": args.word,
         "normal_form": am.serialize_element(x),
         "core": pres.A.names[x.core],
         "syllables": [f"{side}:{pres.factor(side).names[t]}" for side, t in x.syllables],
         "syllable_length": am.syllable_length(x),
     }
-    write_report(doc, args.out)
-    print(f"normal form: {am.serialize_element(x)}  (length {am.syllable_length(x)})")
-    return EXIT_OK
+    return (doc, f"normal form: {am.serialize_element(x)}  (length {am.syllable_length(x)})",
+            EXIT_OK)
 
 
-def cmd_amalgam_member(args) -> int:
-    kind, pres = load_presentation_file(args.presentation)
-    _require_finite(kind, pres, "amalgam member")
+def cmd_amalgam_member(args) -> Outcome:
+    pres = _load_finite(args.presentation, "amalgam member")
     h = am.normalize(pres, am.parse_letters(pres, args.h))
     g = am.normalize(pres, am.parse_letters(pres, args.g))
     verdict = am.cyclic_member(h, g)
     doc = {
-        "schema": 1,
-        "command": "amalgam member",
         "h": args.h,
         "g": args.g,
         "verdict": verdict.verdict,
         "exponent": verdict.exponent,
         "reason": verdict.reason,
     }
-    write_report(doc, args.out)
     if verdict.is_member:
-        print(f"member: h = g^{verdict.exponent}")
         # Membership is the negative outcome for separation queries.
-        return EXIT_NEGATIVE
-    print(f"nonmember ({verdict.reason})")
-    return EXIT_OK
+        return doc, f"member: h = g^{verdict.exponent}", EXIT_NEGATIVE
+    return doc, f"nonmember ({verdict.reason})", EXIT_OK
 
 
-def cmd_isolate(args) -> int:
-    kind, pres = load_presentation_file(args.presentation)
-    _require_finite(kind, pres, "isolate")
+def cmd_isolate(args) -> Outcome:
+    pres = _load_finite(args.presentation, "isolate")
     g = am.normalize(pres, am.parse_letters(pres, args.g))
     isolated = am.is_p_prime_isolated(g, args.p)
     doc = {
-        "schema": 1,
-        "command": "isolate",
         "g": args.g,
         "p": args.p,
         "isolated": isolated,
@@ -314,14 +295,10 @@ def cmd_isolate(args) -> int:
     if isolated:
         f, j = am.isolated_closure(g, args.p)
         doc["closure"] = {"generator": am.serialize_element(f), "index": j}
-        print(f"isolated: closure generator {am.serialize_element(f)}, index {j}")
-        write_report(doc, args.out)
-        return EXIT_OK
+        return doc, f"isolated: closure generator {am.serialize_element(f)}, index {j}", EXIT_OK
     q, root = am.find_prime_root(g, args.p)
     doc["root"] = {"prime": q, "element": am.serialize_element(root)}
-    write_report(doc, args.out)
-    print(f"not isolated: {q}-th root {am.serialize_element(root)}")
-    return EXIT_NEGATIVE
+    return doc, f"not isolated: {q}-th root {am.serialize_element(root)}", EXIT_NEGATIVE
 
 
 def _subgroup_from_names(G: fg.FiniteGroup, csv: str | None) -> fg.Subgroup:
@@ -331,14 +308,16 @@ def _subgroup_from_names(G: fg.FiniteGroup, csv: str | None) -> fg.Subgroup:
     return fg.subgroup_generated(G, gens)
 
 
-def cmd_compat_check(args) -> int:
-    kind, pres = load_presentation_file(args.presentation)
-    _require_finite(kind, pres, "compat check")
+def _chains(cert: cp.PChainCertificate) -> dict:
+    return {"chain_a": [list(l.sorted_members) for l in cert.chain_a.links],
+            "chain_b": [list(l.sorted_members) for l in cert.chain_b.links]}
+
+
+def cmd_compat_check(args) -> Outcome:
+    pres = _load_finite(args.presentation, "compat check")
     R = _subgroup_from_names(pres.A, args.r)
     S = _subgroup_from_names(pres.B, args.s)
     doc = {
-        "schema": 1,
-        "command": "compat check",
         "R": list(R.sorted_members),
         "S": list(S.sorted_members),
     }
@@ -346,27 +325,20 @@ def cmd_compat_check(args) -> int:
         ok = cp.is_compatible(pres, R, S)
         doc["mode"] = "plain"
         doc["compatible"] = ok
-        write_report(doc, args.out)
-        print("compatible" if ok else "not compatible")
-        return EXIT_OK if ok else EXIT_NEGATIVE
+        return doc, "compatible" if ok else "not compatible", EXIT_OK if ok else EXIT_NEGATIVE
     pair = cp.is_p_compatible(pres, R, S, args.p)
     doc["mode"] = f"p={args.p}"
     doc["compatible"] = pair is not None
-    if pair is not None:
-        cert = pair.certificate
-        doc["certificate"] = {
-            "chain_a": [list(l.sorted_members) for l in cert.chain_a.links],
-            "chain_b": [list(l.sorted_members) for l in cert.chain_b.links],
-            "matching": [[list(a), list(b)] for a, b in cert.matching],
-        }
-    write_report(doc, args.out)
-    print("p-compatible with chain certificate" if pair else "not p-compatible")
-    return EXIT_OK if pair else EXIT_NEGATIVE
+    if pair is None:
+        return doc, "not p-compatible", EXIT_NEGATIVE
+    cert = pair.certificate
+    doc["certificate"] = {**_chains(cert),
+                          "matching": [[list(a), list(b)] for a, b in cert.matching]}
+    return doc, "p-compatible with chain certificate", EXIT_OK
 
 
-def cmd_compat_enum(args) -> int:
-    kind, pres = load_presentation_file(args.presentation)
-    _require_finite(kind, pres, "compat enum")
+def cmd_compat_enum(args) -> Outcome:
+    pres = _load_finite(args.presentation, "compat enum")
     mode = "p" if args.p is not None else "plain"
     pairs = cp.enumerate_compatible_pairs(pres, mode, args.p)
     listing = []
@@ -376,53 +348,35 @@ def cmd_compat_enum(args) -> int:
             "S": list(pair.s_side.sorted_members),
         }
         if pair.certificate is not None:
-            item["chain_a"] = [list(l.sorted_members)
-                               for l in pair.certificate.chain_a.links]
-            item["chain_b"] = [list(l.sorted_members)
-                               for l in pair.certificate.chain_b.links]
+            item.update(_chains(pair.certificate))
         listing.append(item)
     doc = {
-        "schema": 1,
-        "command": "compat enum",
         "mode": "plain" if args.p is None else f"p={args.p}",
         "count": len(pairs),
         "pairs": listing,
     }
-    write_report(doc, args.out)
-    print(f"{len(pairs)} compatible pair(s)")
-    return EXIT_OK
+    return doc, f"{len(pairs)} compatible pair(s)", EXIT_OK
 
 
-def cmd_witness(args) -> int:
+def cmd_witness(args) -> Outcome:
     kind, pres = load_presentation_file(args.presentation)
     mode = "p" if args.p is not None else "plain"
-    if kind == "finite":
-        h = am.parse_letters(pres, args.h)
-        g = am.parse_letters(pres, args.g)
-    else:
-        h = parse_free_letters(pres, args.h)
-        g = parse_free_letters(pres, args.g)
-    report = eng.separate_from_cyclic(pres, h, g, mode=mode, p=args.p,
-                                      max_order=args.max_order)
+    parse = am.parse_letters if kind == "finite" else parse_free_letters
+    report = eng.separate_from_cyclic(pres, parse(pres, args.h), parse(pres, args.g),
+                                      mode=mode, p=args.p, max_order=args.max_order)
     doc = report.to_json()
-    doc["command"] = "witness"
-    write_report(doc, args.out)
     if report.outcome == "separated":
-        print(f"separated by a homomorphism onto {report.target_name} "
-              f"(target order {report.target_order}, image order {report.image_order})")
-        return EXIT_OK
+        return (doc, f"separated by a homomorphism onto {report.target_name} (target "
+                     f"order {report.target_order}, image order {report.image_order})",
+                EXIT_OK)
     if report.outcome == "member":
-        print(f"member: h = g^{report.exponent}")
-        return EXIT_NEGATIVE
+        return doc, f"member: h = g^{report.exponent}", EXIT_NEGATIVE
     if report.reason == "bound_exhausted":
-        print(f"bound exhausted at {report.bound}")
-        return EXIT_BOUND
-    print(f"obstructed: {report.reason}")
-    return EXIT_NEGATIVE
+        return doc, f"bound exhausted at {report.bound}", EXIT_BOUND
+    return doc, f"obstructed: {report.reason}", EXIT_NEGATIVE
 
 
-def cmd_case(args) -> int:
-    params = {}
+def cmd_case(args) -> Outcome:
     if args.case == "sec3":
         params = {"p": args.p or 2, "q": args.q or 3, "n": args.n or 2}
     elif args.case == "thm21":
@@ -430,11 +384,9 @@ def cmd_case(args) -> int:
     else:
         params = {"trials": args.trials}
     report = eng.run_case_study(args.case.replace("-", "_"), **params)
-    doc = report.to_json()
-    write_report(doc, args.out)
-    for name, ok, detail in report.assertions:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")
-    return EXIT_OK if report.all_passed else EXIT_NEGATIVE
+    summary = "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})"
+                        for name, ok, detail in report.assertions)
+    return report.to_json(), summary, EXIT_OK if report.all_passed else EXIT_NEGATIVE
 
 
 # ---------------------------------------------------------------------------
@@ -531,7 +483,7 @@ def main(argv=None) -> int:
             value = getattr(args, key, None)
             if value is not None and not fg.is_prime(value):
                 raise InputError(f"parameter --{key} must be prime, got {value}")
-        return args.handler(args)
+        doc, summary, code = args.handler(args)
     except BoundExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
@@ -550,6 +502,16 @@ def main(argv=None) -> int:
         except OSError:
             pass
         return EXIT_INTERNAL
+    if args.command != "case":      # a case report names its case instead
+        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
+        doc = {"schema": 1, "command": command, **doc}
+    try:
+        write_report(doc, args.out)
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    print(summary)
+    return code
 
 
 if __name__ == "__main__":

@@ -37,7 +37,7 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
@@ -95,12 +95,6 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     hit = G.hom_cache.get(id(T))
     if hit is not None:
         return hit[1]
-    out = _factor_homs_uncached(G, T)
-    G.hom_cache[id(T)] = (T, out)
-    return out
-
-
-def _factor_homs_uncached(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
     # rejected at the first edge whose endpoint already has another value.
     # Every element is a positive word in the generators, so a map that
@@ -125,7 +119,9 @@ def _factor_homs_uncached(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...
                 break
         else:
             out.append(tuple(f))
-    return sorted(out)
+    out.sort()
+    G.hom_cache[id(T)] = (T, out)
+    return out
 
 
 def _cayley_schedule(G: FiniteGroup, gens: tuple[int, ...]
@@ -175,27 +171,21 @@ def _glued_image(T: FiniteGroup, map_a: tuple[int, ...], map_b: tuple[int, ...],
     return acc
 
 
-def _iter_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup,
-                        target_name: str = "") -> Iterator[GluedHom]:
-    pres = qa.presentation
-    homs_a = _factor_homs(pres.A, target)
-    homs_b = _factor_homs(pres.B, target)
-    h_members = sorted(pres.H.members)
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    for mb in homs_b:
-        key = tuple(mb[pres.phi[h]] for h in h_members)
-        buckets.setdefault(key, []).append(mb)
-    for ma in homs_a:
-        key = tuple(ma[h] for h in h_members)
-        for mb in buckets.get(key, ()):
-            yield GluedHom(target, target_name, ma, mb)
-
-
 def enumerate_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup) -> list[GluedHom]:
     """All homomorphisms of the quotient amalgam into the target: pairs of
     factor homomorphisms agreeing on the amalgamated subgroup, in
     canonical (map_a, map_b) order."""
-    return list(_iter_quotient_homs(qa, target))
+    pres = qa.presentation
+    h_members = sorted(pres.H.members)
+    buckets: dict[tuple, list[tuple[int, ...]]] = {}
+    for mb in _factor_homs(pres.B, target):
+        key = tuple(mb[pres.phi[h]] for h in h_members)
+        buckets.setdefault(key, []).append(mb)
+    out = []
+    for ma in _factor_homs(pres.A, target):
+        key = tuple(ma[h] for h in h_members)
+        out.extend(GluedHom(target, "", ma, mb) for mb in buckets.get(key, ()))
+    return out
 
 
 def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> bool:
@@ -210,7 +200,7 @@ def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> bool:
 def _probe_entry(qa: QuotientAmalgam, hq: AmalgamElement, gq: AmalgamElement,
                  entry: CatalogEntry) -> Optional[GluedHom]:
     """The first glued homomorphism onto the entry's group, in the order of
-    ``_iter_quotient_homs``, that sends h outside <g>; None if there is none.
+    ``enumerate_quotient_homs``, that sends h outside <g>; None if there is none.
 
     Whether a pair (ma, mb) separates depends only on its H-key (``ma`` on
     H, which picks the bucket of ``mb``s it is glued to), on ``ma`` restricted
@@ -256,19 +246,6 @@ def _probe_entry(qa: QuotientAmalgam, hq: AmalgamElement, gq: AmalgamElement,
                 memo[(th, tg)] = verdict
             if not verdict:
                 return GluedHom(T, entry.name, ma, mb)
-    return None
-
-
-def _find_separating_hom(qa: QuotientAmalgam, hq: AmalgamElement,
-                         gq: AmalgamElement, p: Optional[int],
-                         max_order: int) -> Optional[GluedHom]:
-    """First catalog homomorphism theta with theta(h) outside <theta(g)>,
-    scanning targets by ascending order (p-groups only in p-mode)."""
-    for entry in catalog(max_order):
-        if p is None or entry_is_p_group(entry, p):
-            hom = _probe_entry(qa, hq, gq, entry)
-            if hom is not None:
-                return hom
     return None
 
 
@@ -609,11 +586,6 @@ def _letters_text(letters) -> str:
     return " ".join(f"{side}:{payload}" for side, payload in letters)
 
 
-def _report_base(mode, p, h_text, g_text) -> WitnessReport:
-    return WitnessReport(mode=mode, prime=p, h_text=h_text, g_text=g_text,
-                         outcome="")
-
-
 def _certify(report: WitnessReport, qa: QuotientAmalgam, hq: AmalgamElement,
              gq: AmalgamElement, hom: GluedHom) -> WitnessReport:
     """Re-verify the certificate from scratch and fill it into the report.
@@ -665,10 +637,15 @@ def _exhausted(report: WitnessReport, bound: int, note: Optional[str] = None
 
 def _finish_scan(report: WitnessReport, qa: QuotientAmalgam, hq, gq,
                  p: Optional[int], max_order: int) -> WitnessReport:
-    hom = _find_separating_hom(qa, hq, gq, p, max_order)
-    if hom is None:
-        return _exhausted(report, max_order)
-    return _certify(report, qa, hq, gq, hom)
+    """Certify the first catalog homomorphism theta with theta(h) outside
+    <theta(g)>, scanning targets by ascending order (p-groups only in
+    p-mode); the bound is exhausted when there is none."""
+    for entry in catalog(max_order):
+        if p is None or entry_is_p_group(entry, p):
+            hom = _probe_entry(qa, hq, gq, entry)
+            if hom is not None:
+                return _certify(report, qa, hq, gq, hom)
+    return _exhausted(report, max_order)
 
 
 def separate_from_cyclic(
@@ -703,7 +680,8 @@ def separate_from_cyclic(
 
 def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
                      mode, p, max_order) -> WitnessReport:
-    report = _report_base(mode, p, _letters_text(h_letters), _letters_text(g_letters))
+    report = WitnessReport(mode=mode, prime=p, h_text=_letters_text(h_letters),
+                           g_text=_letters_text(g_letters), outcome="")
     g = am.normalize(pres, g_letters)
     h = am.normalize(pres, h_letters)
     if g.is_identity():
@@ -815,7 +793,8 @@ def _short_generator_case(report, qa, hq, gq, gr, ht, mode, p, max_order
 def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
                    mode, p, max_order, pair_bound) -> WitnessReport:
     _require_cyclic_amalgam(desc)
-    report = _report_base(mode, p, _letters_text(h_letters), _letters_text(g_letters))
+    report = WitnessReport(mode=mode, prime=p, h_text=_letters_text(h_letters),
+                           g_text=_letters_text(g_letters), outcome="")
     g_red, h_trans = _free_query_forms(desc, h_letters, g_letters)
     n = g_red.length
     m = h_trans.length

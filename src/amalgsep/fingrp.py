@@ -10,8 +10,9 @@ and by 10,000 seeded random triples above that (such groups carry
 
 A group computes some derived data lazily and caches it on itself: a
 greedy generating set (``generators``, used by ``is_normal``), a
-short generating tuple (``generating_tuple``, used by the
-engine's homomorphism search), the normal-subgroup lattice (behind
+short generating tuple (``generating_tuple``: one element, else the first
+generating pair, else ``generators``; used by the engine's homomorphism
+search), the normal-subgroup lattice (behind
 ``enumerate_normal_subgroups``) and the homomorphisms the engine found
 from it to each target (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
@@ -150,19 +151,18 @@ class FiniteGroup:
 
     @cached_property
     def generating_tuple(self) -> tuple[int, ...]:
-        """A generating tuple of least size, the lexicographically first of
-        that size: one element when the group is cyclic, else the first
-        combination of non-identity elements that generates. When no four
-        elements generate the group, it is the greedy ``generators``.
-        The engine enumerates homomorphisms by images of this tuple."""
+        """A short generating tuple: one element when the group is cyclic,
+        else the lexicographically first pair of non-identity elements that
+        generates, else the greedy ``generators``. Larger combinations are
+        not searched: their number grows as a power of the order. The
+        engine enumerates homomorphisms by images of this tuple."""
         full = frozenset(self.elements())
         for x in self.elements():
             if self.element_order(x) == self.order:
                 return (x,)
-        for size in range(2, 5):
-            for combo in itertools.combinations(range(1, self.order), size):
-                if _grow(self, frozenset({0}), combo) == full:
-                    return combo
+        for pair in itertools.combinations(range(1, self.order), 2):
+            if _grow(self, frozenset({0}), pair) == full:
+                return pair
         return self.generators
 
     @cached_property

@@ -164,15 +164,11 @@ def chain_families_oracle(G: FiniteGroup, R: Subgroup, H: Subgroup, p: int) -> d
     return families
 
 
-def p_compatible_oracle(pres: AmalgamPresentation, R: Subgroup, S: Subgroup, p: int):
+def p_compatible_oracle(pres: AmalgamPresentation, fams_a: dict, fams_b: dict):
     """(chain_a, chain_b, matching) as member tuples for a p-compatible
-    pair, else None: both sides' families built from scratch and matched
-    under phi in sorted order of the A-side family."""
-    fams_a = chain_families_oracle(pres.A, R, pres.H, p)
-    if not fams_a:
-        return None
-    fams_b = chain_families_oracle(pres.B, S, pres.K, p)
-    if not fams_b:
+    pair, else None, from the pair's ``chain_families_oracle`` families on
+    each side, matched under phi in sorted order of the A-side family."""
+    if not fams_a or not fams_b:
         return None
     for fam_a in sorted(fams_a, key=lambda fam: sorted(tuple(sorted(s)) for s in fam)):
         phi_fam = frozenset(frozenset(pres.phi[x] for x in s) for s in fam_a)
@@ -186,16 +182,22 @@ def p_compatible_oracle(pres: AmalgamPresentation, R: Subgroup, S: Subgroup, p: 
 def p_pairs_oracle(pres: AmalgamPresentation, mode: str, p=None) -> list[tuple]:
     """The compatible ('plain') or p-compatible ('p') pairs as the
     all-pairs scan over N(A) x N(B) finds them, each pair tested from
-    scratch: (R members, S members, certificate or None) in scan order."""
+    scratch: (R members, S members, certificate or None) in scan order.
+    Each side's families are built from scratch too, once per subgroup."""
+    normals_a = enumerate_normal_subgroups(pres.A)
+    normals_b = enumerate_normal_subgroups(pres.B)
+    if mode == "p":
+        fams_a = [chain_families_oracle(pres.A, R, pres.H, p) for R in normals_a]
+        fams_b = [chain_families_oracle(pres.B, S, pres.K, p) for S in normals_b]
     out = []
-    for R in enumerate_normal_subgroups(pres.A):
-        for S in enumerate_normal_subgroups(pres.B):
+    for i, R in enumerate(normals_a):
+        for j, S in enumerate(normals_b):
             if mode == "plain":
                 image = {pres.phi[x] for x in R.members & pres.H.members}
                 if image == S.members & pres.K.members:
                     out.append((R.members, S.members, None))
             else:
-                cert = p_compatible_oracle(pres, R, S, p)
+                cert = p_compatible_oracle(pres, fams_a[i], fams_b[j])
                 if cert is not None:
                     out.append((R.members, S.members, cert))
     return out

@@ -221,6 +221,23 @@ def test_internal_error_exits_4_with_a_report(workdir, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["amalgam", "build", "g2.json"],
+    ["group", "check", "z4a.json"],
+], ids=["amalgam-build", "group-check"])
+def test_unwritable_out_is_an_input_error(workdir, monkeypatch, capsys, argv):
+    # The report is written before the summary is printed, so a path that
+    # cannot be written leaves stdout empty and says why in one line.
+    monkeypatch.chdir(workdir)
+    missing = workdir / "missing" / "r.json"
+    code = main(["--out", str(missing), *argv])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("argv", [
     ["witness", "g2.json", "A:a B:b3", "A:a B:b", "--max-order", "0"],
     ["case", "thm21", "--bound", "0"],
     ["case", "cyclic-remark", "--trials", "-1"],
