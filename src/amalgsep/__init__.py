@@ -35,7 +35,6 @@ from .engine import (
     CaseStudyReport,
     WitnessReport,
     enumerate_quotient_homs,
-    find_length_preserving_pair,
     run_case_study,
     separate_from_cyclic,
 )

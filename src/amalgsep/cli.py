@@ -27,7 +27,7 @@ from . import amalgam as am
 from . import compat as cp
 from . import engine as eng
 from . import fingrp as fg
-from .errors import AmalgsepError, BoundExhausted, InputError
+from .errors import AmalgsepError, InputError
 from .freegrp import parse_word
 
 EXIT_OK = 0
@@ -478,15 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
     try:
         for key in ("p", "q"):
             value = getattr(args, key, None)
             if value is not None and not fg.is_prime(value):
                 raise InputError(f"parameter --{key} must be prime, got {value}")
         doc, summary, code = args.handler(args)
-    except BoundExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
     except AmalgsepError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -497,13 +495,12 @@ def main(argv=None) -> int:
         traceback.print_exc()
         print(f"internal error: {error}", file=sys.stderr)
         try:
-            write_report({"schema": 1, "command": args.command,
+            write_report({"schema": 1, "command": command,
                           "outcome": "internal_error", "error": error}, args.out)
         except OSError:
             pass
         return EXIT_INTERNAL
     if args.command != "case":      # a case report names its case instead
-        command = " ".join(filter(None, (args.command, getattr(args, "subcommand", None))))
         doc = {"schema": 1, "command": command, **doc}
     try:
         write_report(doc, args.out)

@@ -54,11 +54,7 @@ from .compat import (
     is_p_compatible,
     presentation_residually_p,
 )
-from .errors import (
-    BoundExhausted,
-    InputError,
-    UnknownCase,
-)
+from .errors import InputError, UnknownCase
 from .fingrp import (
     FiniteGroup,
     is_prime,
@@ -497,30 +493,6 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     return None
 
 
-def find_length_preserving_pair(
-    desc: FreeAmalgamDescription,
-    elements: Sequence[Sequence],
-    mode: str = "plain",
-    p: Optional[int] = None,
-    bound: int = DEFAULT_PAIR_BOUND,
-) -> tuple[str, QuotientAmalgam]:
-    """A compatible pair of free factors whose projection keeps every
-    listed element at its syllable length, as (description, quotient): a
-    catalog scan over generator-image pairs, each syllable required to
-    stay outside the amalgamated image."""
-    a_chunks: list[FreeWord] = []
-    b_chunks: list[FreeWord] = []
-    for letters in elements:
-        form = free_reduced_form(desc, letters)
-        for side, w in form.chunks:
-            (a_chunks if side == "A" else b_chunks).append(w)
-    found = _free_pair_scan(desc, a_chunks, b_chunks,
-                            p if mode == "p" else None, bound)
-    if found is None:
-        raise BoundExhausted(bound, "no length-preserving pair in the catalog")
-    return found
-
-
 # ---------------------------------------------------------------------------
 # Witness reports
 
@@ -670,18 +642,17 @@ def separate_from_cyclic(
     if mode == "p" and not is_prime(p or 0):
         raise InputError("p-mode requires a prime p")
     pmode = p if mode == "p" else None
-
-    if isinstance(target, AmalgamPresentation):
-        return _separate_finite(target, list(h_letters), list(g_letters),
-                                mode, pmode, max_order)
-    return _separate_free(target, list(h_letters), list(g_letters),
-                          mode, pmode, max_order, pair_bound)
-
-
-def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
-                     mode, p, max_order) -> WitnessReport:
-    report = WitnessReport(mode=mode, prime=p, h_text=_letters_text(h_letters),
+    h_letters, g_letters = list(h_letters), list(g_letters)
+    report = WitnessReport(mode=mode, prime=pmode, h_text=_letters_text(h_letters),
                            g_text=_letters_text(g_letters), outcome="")
+    if isinstance(target, AmalgamPresentation):
+        return _separate_finite(report, target, h_letters, g_letters, pmode, max_order)
+    return _separate_free(report, target, h_letters, g_letters, pmode, max_order,
+                          pair_bound)
+
+
+def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters,
+                     g_letters, p, max_order) -> WitnessReport:
     g = am.normalize(pres, g_letters)
     h = am.normalize(pres, h_letters)
     if g.is_identity():
@@ -708,7 +679,7 @@ def _separate_finite(pres: AmalgamPresentation, h_letters, g_letters,
     m = am.syllable_length(ht)
 
     if n <= 1:
-        return _short_generator_case(report, qa, hq, gq, gr, ht, mode, p, max_order)
+        return _short_generator_case(report, qa, hq, gq, gr, ht, p, max_order)
 
     if p is None:
         # Non-membership is exact here; the length or exponent argument
@@ -751,8 +722,7 @@ def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
     return None
 
 
-def _short_generator_case(report, qa, hq, gq, gr, ht, mode, p, max_order
-                          ) -> WitnessReport:
+def _short_generator_case(report, qa, hq, gq, gr, ht, p, max_order) -> WitnessReport:
     """Generator lies in a factor after cyclic reduction (length <= 1)."""
     pres = qa.presentation
     g_fac = am.factor_element_of(gr)
@@ -790,11 +760,9 @@ def _short_generator_case(report, qa, hq, gq, gr, ht, mode, p, max_order
     return _finish_scan(report, qa2, hq2, gq2, p, max_order)
 
 
-def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
-                   mode, p, max_order, pair_bound) -> WitnessReport:
+def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letters,
+                   g_letters, p, max_order, pair_bound) -> WitnessReport:
     _require_cyclic_amalgam(desc)
-    report = WitnessReport(mode=mode, prime=p, h_text=_letters_text(h_letters),
-                           g_text=_letters_text(g_letters), outcome="")
     g_red, h_trans = _free_query_forms(desc, h_letters, g_letters)
     n = g_red.length
     m = h_trans.length
@@ -814,10 +782,10 @@ def _separate_free(desc: FreeAmalgamDescription, h_letters, g_letters,
             return _exhausted(report, pair_bound)
         return _finish_scan(report, *step, p, max_order)
 
-    report.pair_desc, qa = find_length_preserving_pair(
-        desc, [list(g_red.letters(desc)), list(h_trans.letters(desc))],
-        mode, p, pair_bound)
-    hq, gq = qa.project(h_trans.letters(desc)), qa.project(g_red.letters(desc))
+    step = _refine(report, desc, g_red, h_trans, p, pair_bound, None)
+    if step is None:
+        return _exhausted(report, pair_bound, "no length-preserving pair up to the bound")
+    qa, hq, gq = step
     if am.syllable_length(gq) != n or am.syllable_length(hq) != m:
         raise AssertionError("length-preserving pair changed a syllable length")
     if not am.is_cyclically_reduced(gq):
@@ -876,8 +844,9 @@ def _keeps_apart(desc, g_red, h_trans):
 
 def _refine(report, desc, g_red, h_trans, p, pair_bound, accept):
     """The first pair keeping the chunks of g and h at their lengths whose
-    quotient passes ``accept``, named in the report: (qa, hq, gq) with the
-    images of h and g, or None when no pair up to the bound passes."""
+    quotient passes ``accept`` (any quotient when it is None), named in the
+    report: (qa, hq, gq) with the images of h and g, or None when no pair up
+    to the bound passes."""
     chunks = g_red.chunks + h_trans.chunks
     found = _free_pair_scan(
         desc,

@@ -1,7 +1,6 @@
 """Exception taxonomy shared by all modules.
 
-InputError subclasses signal malformed user input (CLI exit code 2);
-BoundExhausted signals a search that ran out of budget (exit code 3).
+InputError subclasses signal malformed user input (CLI exit code 2).
 Everything else is a library-level contract violation.
 """
 
@@ -76,12 +75,6 @@ class NotCompatible(AmalgsepError):
 
 class WrongSide(AmalgsepError):
     pass
-
-
-class BoundExhausted(AmalgsepError):
-    def __init__(self, bound, detail=""):
-        self.bound = bound
-        super().__init__(f"search bound exhausted at {bound}{': ' + detail if detail else ''}")
 
 
 class UnknownCase(InputError):

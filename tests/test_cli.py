@@ -204,6 +204,18 @@ class TestWitness:
         assert doc["outcome"] == "obstructed"
         assert (doc["reason"], doc["bound"]) == ("bound_exhausted", 48)
 
+    def test_no_length_preserving_pair_replaces_a_stale_report(self, workdir):
+        # In a 3-group every element is a power of its square, so no pair
+        # keeps a outside the amalgamated image <a^2> and the first pair
+        # scan finds nothing: the report says so and names the bound, in
+        # place of whatever an earlier run left at --out.
+        (workdir / "report.json").write_text("stale")
+        code, doc = run(workdir, "witness", str(workdir / "free.json"),
+                        "A:a B:b A:a B:b A:a", "A:a B:b", "--p", "3")
+        assert code == 3
+        assert (doc["outcome"], doc["reason"], doc["bound"]) == (
+            "obstructed", "bound_exhausted", 48)
+
 
 def test_internal_error_exits_4_with_a_report(workdir, monkeypatch, capsys):
     # A crash is not a negative verdict (1): it gets its own code and report.
@@ -218,6 +230,17 @@ def test_internal_error_exits_4_with_a_report(workdir, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("Traceback")
     assert err.endswith("\ninternal error: AssertionError: certificate failed re-verification\n")
+
+
+def test_internal_error_report_names_both_words_of_the_command(workdir, monkeypatch):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(amalgsep.amalgam, "normalize", crash)
+    code, doc = run(workdir, "amalgam", "reduce", str(workdir / "g2.json"), "A:a")
+    assert code == 4
+    assert doc == {"schema": 1, "command": "amalgam reduce", "outcome": "internal_error",
+                   "error": "RuntimeError: boom"}
 
 
 @pytest.mark.parametrize("argv", [

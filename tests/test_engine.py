@@ -27,7 +27,6 @@ from amalgsep.engine import (
     _free_member_exponent,
     _free_query_forms,
     enumerate_quotient_homs,
-    find_length_preserving_pair,
     free_cyclically_reduce,
     free_reduced_form,
     power_congruence_description,
@@ -169,11 +168,22 @@ class TestHomOracles:
         assert separated
 
 
+def length_preserving_quotient(desc, *forms):
+    """The quotient of the first catalog pair keeping every chunk of the
+    reduced forms outside the amalgamated image."""
+    chunks = [c for form in forms for c in form.chunks]
+    found = engine._free_pair_scan(desc, [w for s, w in chunks if s == "A"],
+                                   [w for s, w in chunks if s == "B"],
+                                   None, engine.DEFAULT_PAIR_BOUND)
+    assert found is not None
+    return found[1]
+
+
 class TestLengthPreservingPair:
     def test_free_square_identification(self):
         desc = power_congruence_description(2)
         ab = [("A", parse_word("a", ["a"])), ("B", parse_word("b", ["b"]))]
-        _, qa = find_length_preserving_pair(desc, [ab])
+        qa = length_preserving_quotient(desc, free_reduced_form(desc, ab))
         img = qa.project(ab)
         assert len(img.syllables) == 2
 
@@ -408,8 +418,7 @@ class TestExactFreeMembership:
         h = hq[1] + hq[2]
         g_red, h_trans = _free_query_forms(desc, h, c + g + _inverse(c))
         assume(g_red.length >= 1)
-        _, qa = find_length_preserving_pair(
-            desc, [g_red.letters(desc), h_trans.letters(desc)])
+        qa = length_preserving_quotient(desc, g_red, h_trans)
         image_h = qa.project(h_trans.letters(desc))
         image_g = qa.project(g_red.letters(desc))
         verdict = cyclic_member(image_h, image_g)
