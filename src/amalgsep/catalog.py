@@ -7,6 +7,32 @@ base members under an order cap. Enumeration order is (group order,
 family rank, parameters), which fixes the deterministic scan order used
 everywhere downstream. The list is built once, for the largest bound
 asked for so far, and shared as an immutable tuple.
+
+The catalog repeats groups (Z2xZ3 is Z6, S3 is D3, ...). Scans walk
+``targets``, which keeps the first entry of each class of an isomorphism
+key computed from the parameters alone. Write MC(m,k,j) for
+<x, y | x^m, y^j, y^-1 x y = x^k>. Each step below is an explicit
+isomorphism, so entries with equal keys are isomorphic:
+
+1. D_n is MC(n, n-1, 2) and S3 is D3: the same presentation.
+2. In MC(m,k,j), let m1 be the product of the prime powers q || m with
+   k = 1 (mod q), and m2 = m/m1. The q-parts of <x> are y-invariant,
+   and y fixes the m1-part, so MC(m,k,j) = Z_m1 x MC(m2, k, j).
+3. Let o be the order of k mod m2, j1 the part of j prime to o and
+   j2 = j/j1, so o | j2. Then <y> = <y^j2> x <y^j1>, and y^j2 acts as
+   k^j2 = 1, so MC(m2,k,j) = Z_j1 x MC(m2, k^j1, j2).
+4. Cyclic pieces split into their prime powers (Z_ab = Z_a x Z_b for
+   coprime a, b); the abelian part is their sorted multiset, which is the
+   primary decomposition.
+5. MC(m2,k',j2) = MC(m2,k'^r,j2) for gcd(r, o) = 1: y^r generates <y>,
+   since j2 has the primes of o, and acts as x -> x^(k'^r). The core's
+   twist is min{k^r mod m2 : gcd(r, o) = 1}, and k^j1 gives the same
+   minimum as k because j1 is prime to o.
+6. A product's key is the union of its members' pieces.
+
+The key is not complete: equal groups with different keys stay in the
+scan, which costs time but never a result. Up to order 128 the only
+repeat it misses is MC(21,2,6), which is D3 x MC(7,2,3).
 """
 
 from __future__ import annotations
@@ -14,8 +40,8 @@ from __future__ import annotations
 import itertools
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import gcd
-from typing import Callable
+from math import gcd, prod
+from typing import Callable, Iterator, Optional
 
 from .errors import InputError
 from .fingrp import FiniteGroup, is_p_power, trusted_group
@@ -169,3 +195,71 @@ def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
 
 def entry_is_p_group(entry: CatalogEntry, p: int) -> bool:
     return is_p_power(entry.order, p)
+
+
+def _prime_powers(n: int) -> dict[int, int]:
+    """{q: q^a} for the prime powers q^a exactly dividing n."""
+    out, q = {}, 2
+    while n > 1:
+        while n % q == 0:
+            n //= q
+            out[q] = out.get(q, 1) * q
+        q += 1
+    return out
+
+
+def _metacyclic_pieces(m: int, k: int, j: int) -> tuple[list[int], list[tuple]]:
+    """Abelian prime powers and the core of MC(m,k,j), by steps 2-5 of the
+    module docstring."""
+    abelian = [qa for qa in _prime_powers(m).values() if (k - 1) % qa == 0]
+    m2 = m // prod(abelian)
+    if m2 == 1:
+        return abelian + list(_prime_powers(j).values()), []
+    o = _mult_order(k, m2)
+    j1 = [qa for q, qa in _prime_powers(j).items() if o % q]
+    twist = min(pow(k, r, m2) for r in range(1, o) if gcd(r, o) == 1)
+    return abelian + j1, [("MC", m2, twist, j // prod(j1))]
+
+
+def _pieces(rank: int, params: tuple) -> tuple[list[int], list[tuple]]:
+    if rank == 0:
+        return list(_prime_powers(params[0]).values()), []
+    if rank == 1:
+        return _metacyclic_pieces(params[0], params[0] - 1, 2)
+    if rank == 2:
+        return _metacyclic_pieces(*params)
+    if rank == 3:
+        return _metacyclic_pieces(3, 2, 2) if params[0] == 3 else ([], [("S", params[0])])
+    (_, r1, p1), (_, r2, p2) = params
+    (a1, c1), (a2, c2) = _pieces(r1, p1), _pieces(r2, p2)
+    return a1 + a2, c1 + c2
+
+
+def _iso_key(entry: CatalogEntry) -> tuple:
+    """Isomorphism key of an entry; equal keys prove the groups isomorphic."""
+    abelian, cores = _pieces(entry.family_rank, entry.params)
+    return tuple(sorted(abelian)), tuple(sorted(cores))
+
+
+# _KEPT[i] says whether catalog entry i is the first of its key class. It
+# grows in scan order as far as some scan has gone; entry i's flag depends
+# on entries 0..i only, which every catalog bound shares.
+_KEPT: list[bool] = []
+_KEYS_SEEN: set[tuple] = set()
+
+
+def targets(max_order: int, p: Optional[int] = None) -> Iterator[CatalogEntry]:
+    """The first entry of each isomorphism-key class of ``catalog(max_order)``,
+    in scan order; only p-groups when ``p`` is given.
+
+    A scan that stops at its first hit sees the same hit: the kept entry
+    precedes its twins, and whether a target serves is an isomorphism
+    invariant. Keys are computed on first use and kept for the process.
+    """
+    for i, entry in enumerate(catalog(max_order)):
+        if i == len(_KEPT):
+            key = _iso_key(entry)
+            _KEPT.append(key not in _KEYS_SEEN)
+            _KEYS_SEEN.add(key)
+        if _KEPT[i] and (p is None or entry_is_p_group(entry, p)):
+            yield entry

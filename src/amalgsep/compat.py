@@ -35,7 +35,7 @@ from .amalgam import (
     build_amalgam,
     normalize,
 )
-from .catalog import catalog, entry_is_p_group
+from .catalog import targets
 from .errors import (
     InputError,
     NotCompatible,
@@ -206,24 +206,30 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
     A join, not an N(A) x N(B) scan: each R meets only the S with
     S n K = phi(R n H), which is compatibility itself and holds for every
     p-compatible pair, since R n H is the least member of each chain
-    family of R and phi preserves inclusion.
+    family of R and phi preserves inclusion. The pairs are computed once
+    per (mode, p) and kept in the presentation's cache; each call returns
+    a new list of them.
     """
     if mode not in ("plain", "p"):
         raise InputError(f"unknown mode {mode!r}")
     if mode == "p":
         _check_prime(p)
-    buckets: dict[frozenset, list[Subgroup]] = {}
-    for S in enumerate_normal_subgroups(pres.B):
-        buckets.setdefault(S.members & pres.K.members, []).append(S)
-    out = []
-    for R in enumerate_normal_subgroups(pres.A):
-        image = frozenset(pres.phi[x] for x in R.members & pres.H.members)
-        for S in buckets.get(image, ()):
-            if mode == "plain":
-                out.append(CompatiblePair("plain", None, R, S))
-            elif (pair := _p_pair(pres, R, S, p)) is not None:
-                out.append(pair)
-    return out
+    key = ("compatible-pairs", mode, p if mode == "p" else None)
+    pairs = pres.quotient_cache.get(key)
+    if pairs is None:
+        buckets: dict[frozenset, list[Subgroup]] = {}
+        for S in enumerate_normal_subgroups(pres.B):
+            buckets.setdefault(S.members & pres.K.members, []).append(S)
+        out = []
+        for R in enumerate_normal_subgroups(pres.A):
+            image = frozenset(pres.phi[x] for x in R.members & pres.H.members)
+            for S in buckets.get(image, ()):
+                if mode == "plain":
+                    out.append(CompatiblePair("plain", None, R, S))
+                elif (pair := _p_pair(pres, R, S, p)) is not None:
+                    out.append(pair)
+        pairs = pres.quotient_cache[key] = tuple(out)
+    return list(pairs)
 
 
 def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
@@ -350,8 +356,9 @@ def presentation_residually_p(pres: AmalgamPresentation, p: int) -> bool:
 
 def enumerate_free_compatible_classes(desc: FreeAmalgamDescription, bound: int,
                                       p: Optional[int] = None) -> list[tuple]:
-    """Representatives of compatible generator-image pairs over the catalog,
-    one per kernel class of the amalgamated-subgroup restriction.
+    """Representatives of compatible generator-image pairs over the catalog
+    targets (one per isomorphism class), one per kernel class of the
+    amalgamated-subgroup restriction.
 
     Assignments on each side are bucketed by a canonical fingerprint of
     their restriction kernel; classes present on both sides are exactly
@@ -365,9 +372,7 @@ def enumerate_free_compatible_classes(desc: FreeAmalgamDescription, bound: int,
     rec: dict[tuple, list] = {}
     for side_idx, rank, words in ((0, desc.rank_a, desc.h_words),
                                   (1, desc.rank_b, desc.k_words)):
-        for entry in catalog(bound):
-            if p is not None and not entry_is_p_group(entry, p):
-                continue
+        for entry in targets(bound, p):
             for u, key in scan_gen_images(rank, entry.build(), words, distinct=True):
                 slot = rec.setdefault(key, [None, None])
                 if slot[side_idx] is None:

@@ -41,7 +41,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
-from .catalog import CatalogEntry, catalog, cyclic_group, entry_is_p_group
+from .catalog import CatalogEntry, catalog, cyclic_group, entry_is_p_group, targets
 from .compat import (
     CompatiblePair,
     FreeAmalgamDescription,
@@ -442,7 +442,8 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
                     a_chunks: list[FreeWord], b_chunks: list[FreeWord],
                     p: Optional[int], bound: int,
                     accept=None) -> Optional[tuple[str, QuotientAmalgam]]:
-    """First catalog pair (u, v) that is compatible, keeps every listed
+    """First pair (u, v) onto a catalog target (one per isomorphism class,
+    ``catalog.targets``) that is compatible, keeps every listed
     factor chunk outside the amalgamated image (length preservation),
     lands in p-groups with residually-p quotients in p-mode, and whose
     quotient amalgam passes the optional ``accept`` predicate.
@@ -459,9 +460,7 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     pruning by automorphisms.
     """
     tried: set[tuple] = set()
-    for entry in catalog(bound):
-        if p is not None and not entry_is_p_group(entry, p):
-            continue
+    for entry in targets(bound, p):
         T = entry.build()
         good_u = list(scan_gen_images(desc.rank_a, T, desc.h_words, a_chunks))
         if not good_u:
@@ -610,13 +609,13 @@ def _exhausted(report: WitnessReport, bound: int, note: Optional[str] = None
 def _finish_scan(report: WitnessReport, qa: QuotientAmalgam, hq, gq,
                  p: Optional[int], max_order: int) -> WitnessReport:
     """Certify the first catalog homomorphism theta with theta(h) outside
-    <theta(g)>, scanning targets by ascending order (p-groups only in
-    p-mode); the bound is exhausted when there is none."""
-    for entry in catalog(max_order):
-        if p is None or entry_is_p_group(entry, p):
-            hom = _probe_entry(qa, hq, gq, entry)
-            if hom is not None:
-                return _certify(report, qa, hq, gq, hom)
+    <theta(g)>, scanning one target per isomorphism class by ascending
+    order (p-groups only in p-mode); the bound is exhausted when there is
+    none."""
+    for entry in targets(max_order, p):
+        hom = _probe_entry(qa, hq, gq, entry)
+        if hom is not None:
+            return _certify(report, qa, hq, gq, hom)
     return _exhausted(report, max_order)
 
 

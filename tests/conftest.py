@@ -459,6 +459,108 @@ def catalog_group_oracle(entry, by_key: dict) -> FiniteGroup:
 
 
 # ---------------------------------------------------------------------------
+# Isomorphism oracle: invariants, then a backtracking search for a
+# bijective homomorphism. It knows nothing of the catalog's parameters.
+
+
+def _element_orders_oracle(G: FiniteGroup) -> list[int]:
+    out = []
+    for x in G.elements():
+        n, y = 1, x
+        while y != 0:
+            y, n = G.table[y][x], n + 1
+        out.append(n)
+    return out
+
+
+def _invariants_oracle(G: FiniteGroup) -> tuple:
+    """Element orders, centre size, commuting pairs, commutators and squares."""
+    els = G.elements()
+    commuting = sum(G.table[x][y] == G.table[y][x] for x in els for y in els)
+    centre = sum(all(G.table[x][y] == G.table[y][x] for y in els) for x in els)
+    commutators = {G.table[G.table[G.inverse[x]][G.inverse[y]]][G.table[x][y]]
+                   for x in els for y in els}
+    squares = {G.table[x][x] for x in els}
+    return (G.order, tuple(sorted(_element_orders_oracle(G))), centre, commuting,
+            len(commutators), len(squares))
+
+
+def isomorphism_oracle(G: FiniteGroup, H: FiniteGroup) -> dict | None:
+    """An isomorphism G -> H as a dict, or None when there is none.
+
+    Generators of G are taken greedily by descending element order. Their
+    images are chosen one at a time among the elements of H of the same
+    order, and after each choice the map is grown from the identity along
+    the Cayley graph of the generators chosen so far; it must give every
+    element one value and stay injective. Consistency on every edge makes
+    the map a homomorphism on the subgroup those generators span."""
+    if G.order != H.order:
+        return None
+    og, oh = _element_orders_oracle(G), _element_orders_oracle(H)
+    if sorted(og) != sorted(oh):
+        return None
+    gens: list[int] = []
+    span = closure_oracle(G, ())
+    for x in sorted(G.elements(), key=lambda x: -og[x]):
+        if x not in span:
+            gens.append(x)
+            span = closure_oracle(G, gens)
+
+    def grow(images) -> dict | None:
+        f, frontier = {0: 0}, [0]
+        while frontier:
+            x = frontier.pop()
+            for g, t in zip(gens, images):
+                y, v = G.table[x][g], H.table[f[x]][t]
+                if y not in f:
+                    f[y] = v
+                    frontier.append(y)
+                elif f[y] != v:
+                    return None
+        return f if len(set(f.values())) == len(f) else None
+
+    def search(images) -> dict | None:
+        f = grow(images)
+        if f is None or len(images) == len(gens):
+            return f
+        want = og[gens[len(images)]]
+        for t in H.elements():
+            if oh[t] == want and t not in f.values():
+                found = search(images + (t,))
+                if found is not None:
+                    return found
+        return None
+
+    return search(())
+
+
+@functools.lru_cache(maxsize=None)
+def catalog_twins_oracle(bound: int) -> dict[str, str]:
+    """Each entry of the catalog up to ``bound`` that is isomorphic to an
+    earlier one, mapped to the name of the earliest such entry."""
+    reps: dict[tuple, list] = {}
+    twins = {}
+    for entry in _build_catalog(bound):
+        G = entry.build()
+        bucket = reps.setdefault(_invariants_oracle(G), [])
+        for name, R in bucket:
+            if isomorphism_oracle(R, G) is not None:
+                twins[entry.name] = name
+                break
+        else:
+            bucket.append((entry.name, G))
+    return twins
+
+
+def all_targets(max_order: int, p=None):
+    """The scan loop without isomorphism classes: every entry of the
+    catalog, p-groups only when ``p`` is given."""
+    for entry in _build_catalog(max_order):
+        if p is None or is_p_power(entry.order, p):
+            yield entry
+
+
+# ---------------------------------------------------------------------------
 # Schema oracle: jsonschema itself, which the CLI no longer imports.
 
 

@@ -261,3 +261,25 @@ def test_compat_keeps_no_module_level_or_id_keyed_memo():
     assert not [name for name, value in vars(cp).items()
                 if isinstance(value, (dict, set, list)) and not name.startswith("__")]
     assert not re.search(r"\bid\(", inspect.getsource(cp))
+
+
+def test_pair_lists_are_memoized_and_callers_cannot_corrupt_them(monkeypatch):
+    import amalgsep.compat as cp
+    pres = fresh_g2()
+    want = {mode: [as_tuple(x) for x in enumerate_compatible_pairs(fresh_g2(), mode, 2)]
+            for mode in ("plain", "p")}
+    for mode in ("plain", "p"):
+        enumerate_compatible_pairs(pres, mode, 2).clear()
+    calls = []
+    real = cp.enumerate_normal_subgroups
+    monkeypatch.setattr(cp, "enumerate_normal_subgroups", lambda G: calls.append(G) or real(G))
+    for mode in ("plain", "p"):
+        got = enumerate_compatible_pairs(pres, mode, 2)
+        assert [as_tuple(x) for x in got] == want[mode]
+        got.reverse()
+    for g in pres.A.elements():
+        family_separability(pres, "A", g, "p", 2)
+    # Plain pairs do not depend on p.
+    assert [as_tuple(x) for x in enumerate_compatible_pairs(pres, "plain", 3)] == want["plain"]
+    assert [as_tuple(x) for x in enumerate_compatible_pairs(pres, "plain")] == want["plain"]
+    assert not calls

@@ -1,28 +1,39 @@
 """Catalog and free-factor scans against the oracles of ``conftest``.
 
 The library's scans memoize kernel keys, test each kernel class once and
-slice a catalog built once; the oracles scan every assignment and every
-pair with no memo, on a catalog built afresh for each bound.
+walk one catalog target per isomorphism class; the oracles scan every
+assignment and every pair with no memo, on a catalog built afresh for
+each bound, and the isomorphism oracle searches for bijective
+homomorphisms between the tables themselves.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import random
+import subprocess
+import sys
 
 import pytest
 from conftest import (
+    all_targets,
+    catalog_twins_oracle,
     closure_oracle,
     evaluate_oracle,
     free_classes_oracle,
     free_pair_scan_oracle,
+    isomorphism_oracle,
     kernel_key_oracle,
 )
 
-from amalgsep import engine
-from amalgsep.catalog import _build_catalog, catalog
+from amalgsep import compat, engine
+from amalgsep.amalgam import build_amalgam
+from amalgsep.catalog import _build_catalog, _iso_key, catalog, targets
 from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_classes
 from amalgsep.engine import conjugation_doubling_description, power_congruence_description
+from amalgsep.errors import InputError
+from amalgsep.fingrp import is_p_power, subgroup_generated
 from amalgsep.freegrp import GenImages, kernel_key, parse_word, scan_gen_images
 
 
@@ -49,6 +60,46 @@ class TestCatalog:
         with pytest.raises(dataclasses.FrozenInstanceError):
             entries[0].name = "Z1"
         assert catalog(16)[0].name == "Z2"
+
+
+class TestTargets:
+    def test_dropped_entries_are_isomorphic_to_the_kept_one(self):
+        kept = {_iso_key(e): e for e in targets(64)}
+        dropped = [e for e in catalog(64) if kept[_iso_key(e)] is not e]
+        assert dropped
+        for entry in dropped:
+            G, H = kept[_iso_key(entry)].build(), entry.build()
+            f = isomorphism_oracle(G, H)
+            assert f is not None, entry.name
+            assert sorted(f.values()) == list(H.elements())
+            assert all(f[G.table[a][b]] == H.table[f[a]][f[b]]
+                       for a in G.elements() for b in G.elements())
+
+    @pytest.mark.parametrize("bound,count", [(32, 36), (64, 137)])
+    def test_drops_exactly_the_oracle_twins(self, bound, count):
+        names = {e.name for e in targets(bound)}
+        dropped = {e.name for e in catalog(bound)} - names
+        twins = catalog_twins_oracle(bound)
+        assert dropped == set(twins) and len(dropped) == count
+        assert set(twins.values()) <= names
+
+    def test_smaller_bounds_and_primes_are_prefixes_and_filters(self):
+        full = list(targets(128))
+        for n in (1, 2, 12, 32, 48, 64, 100, 128):
+            assert list(targets(n)) == full[:len(list(targets(n)))]
+            assert list(targets(n)) == [e for e in full if e.order <= n]
+            for p in (2, 3, 5):
+                assert list(targets(n, p)) == [e for e in targets(n) if is_p_power(e.order, p)]
+
+    def test_keys_are_computed_on_demand(self):
+        code = ("import amalgsep.cli\n"
+                "from amalgsep import catalog\n"
+                "assert not catalog._KEPT\n"
+                "scan = catalog.targets(256)\n"
+                "print([next(scan).name for _ in range(3)], len(catalog._KEPT))\n")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             check=True).stdout
+        assert out.strip() == "['Z2', 'Z3', 'Z4'] 3"
 
 
 class TestKernelKey:
@@ -199,3 +250,111 @@ class TestFreePairScan:
         want = free_pair_scan_oracle(desc, [], [], None, 16, accept=accept)
         assert want is not None
         assert got[0] == want[0]
+
+
+# The slow path swaps the class scan for a loop over the whole catalog.
+# Every filter of the three scanners is an isomorphism invariant and the
+# kept entry precedes its twins, so each scan must give the same result.
+
+FINITE_AMALGAMS = [("Z4", "Z4", 2), ("D4", "Z8", 2), ("Z2xZ4", "D4", 4), ("Z4", "D3", 2),
+                   ("Z9", "Z9", 3), ("D3", "Z6", 3), ("Z3xZ3", "Z9", 3), ("D4", "D4", 2),
+                   ("Z3xZ9", "MC(9,4,3)", 9)]
+
+
+def _finite_amalgam(name_a, name_b, d):
+    """Two catalog groups glued along the first elements of order d."""
+    A, B = (next(e for e in catalog(32) if e.name == n).build() for n in (name_a, name_b))
+    x, y = A.element_orders.index(d), B.element_orders.index(d)
+    phi, hx, ky = {}, 0, 0
+    for _ in range(d):
+        phi[hx] = ky
+        hx, ky = A.table[hx][x], B.table[ky][y]
+    return build_amalgam(A, B, subgroup_generated(A, [x]), subgroup_generated(B, [y]), phi)
+
+
+def _finite_word(pres, rng):
+    """Alternating letters outside the amalgamated subgroups."""
+    side, out = rng.choice("AB"), []
+    for _ in range(rng.randint(1, 3)):
+        factor, sub = (pres.A, pres.H) if side == "A" else (pres.B, pres.K)
+        out.append((side, rng.choice([x for x in factor.elements() if x not in sub.members])))
+        side = "B" if side == "A" else "A"
+    return out
+
+
+def _finite_queries(rng):
+    for name_a, name_b, d in FINITE_AMALGAMS:
+        pres = _finite_amalgam(name_a, name_b, d)
+        for mode, p in (("plain", None), ("p", 2), ("p", 3)):
+            for _ in range(8):
+                yield (pres, _finite_word(pres, rng), _finite_word(pres, rng), mode, p, 32)
+
+
+def _free_text(desc, rng):
+    syllables = []
+    side = rng.choice("AB")
+    for _ in range(rng.randint(1, 3)):
+        names = desc.gen_names_a if side == "A" else desc.gen_names_b
+        syllables.append(f"{side}:{rng.choice(names)}^{rng.choice([-2, -1, 1, 2, 3])}")
+        side = "B" if side == "A" else "A"
+    return _letters(desc, " ".join(syllables))
+
+
+def _free_queries(rng):
+    # h = g^2 b^16 lies outside <g>, and every pair up to order 32 keeps
+    # it inside: its refining scans run through the whole catalog.
+    for mode, p in (("plain", None), ("p", 2)):
+        yield (PC2, _letters(PC2, "A:a B:b A:a B:b^17"), _letters(PC2, "A:a B:b"),
+               mode, p, 32, 32)
+    for desc, mode, p in ((PC2, "plain", None), (PC2, "p", 2), (PC3, "plain", None),
+                          (PC3, "p", 3), (_rank2(), "plain", None)):
+        for _ in range(5):
+            yield (desc, _free_text(desc, rng), _free_text(desc, rng), mode, p, 32, 32)
+
+
+def _scan_record(monkeypatch, slow, seed):
+    """What every _finish_scan and _free_pair_scan call of a seeded sweep
+    returned, and the free class scans, on the class scan or the slow path."""
+    if slow:
+        monkeypatch.setattr(engine, "targets", all_targets)
+        monkeypatch.setattr(compat, "targets", all_targets)
+    record = []
+    finish, pair_scan = engine._finish_scan, engine._free_pair_scan
+
+    def finish_spy(*args):
+        out = finish(*args)
+        record.append(("finish", out.to_json()))
+        return out
+
+    def pair_spy(*args, **kwargs):
+        out = pair_scan(*args, **kwargs)
+        record.append(("pair", args[3:5], out and (out[0], out[1].pair.key())))
+        return out
+
+    monkeypatch.setattr(engine, "_finish_scan", finish_spy)
+    monkeypatch.setattr(engine, "_free_pair_scan", pair_spy)
+    rng = random.Random(seed)
+    for query in [*_finite_queries(rng), *_free_queries(rng)]:
+        try:
+            engine.separate_from_cyclic(*query)
+        except InputError as exc:  # g = 1; the same on both paths
+            record.append(("error", str(exc)))
+    for desc, bound, p in ((_doubling(1, 1), 24, None), (PC2, 32, 2), (PC3, 27, 3),
+                           (PC3, 32, None), (_rank2(), 8, None)):
+        record.append(("classes", _classes(desc, bound, p)))
+    monkeypatch.undo()
+    return record
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_class_scan_matches_the_full_catalog(monkeypatch, seed):
+    fast = _scan_record(monkeypatch, False, seed)
+    assert fast == _scan_record(monkeypatch, True, seed)
+    finished = [doc for tag, doc, *_ in fast if tag == "finish"]
+    for mode in ("plain", "p"):
+        outcomes = {(doc["outcome"], doc.get("bound")) for doc in finished
+                    if doc["query"]["mode"] == mode}
+        assert ("obstructed", 32) in outcomes and any(o == "separated" for o, _ in outcomes)
+    pairs = [(p, out) for tag, (p, _), out in (r for r in fast if r[0] == "pair")]
+    assert {p is None for p, _ in pairs} == {True, False}
+    assert any(out is None for _, out in pairs) and any(out is not None for _, out in pairs)
