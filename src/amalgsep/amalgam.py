@@ -72,8 +72,7 @@ class AmalgamPresentation:
 
     @cached_property
     def quotient_cache(self) -> dict:
-        """Quotient amalgams the engine built, keyed by pair description, and
-        compat's p-chain families, p-pair verdicts and compatible-pair
+        """Compat's p-chain families, p-pair verdicts and compatible-pair
         lists, keyed by tuples. It lives and dies with the presentation."""
         return {}
 

@@ -5,8 +5,9 @@ split metacyclic Z_m x| Z_j with twist k (m <= 31, j a multiple of the
 order of k mod m), symmetric S_n (n <= 5), and direct products of two
 base members under an order cap. Enumeration order is (group order,
 family rank, parameters), which fixes the deterministic scan order used
-everywhere downstream. The list is built once, for the largest bound
-asked for so far, and shared as an immutable tuple.
+everywhere downstream. Entries are generated in that order one group
+order at a time, only as far as some scan or bound has read, and kept
+for the process.
 
 The catalog repeats groups (Z2xZ3 is Z6, S3 is D3, ...). Scans walk
 ``targets``, which keeps the first entry of each class of an isomorphism
@@ -38,9 +39,8 @@ repeat it misses is MC(21,2,6), which is D3 x MC(7,2,3).
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from math import gcd, prod
+from math import factorial, gcd, isqrt, prod
 from typing import Callable, Iterator, Optional
 
 from .errors import InputError
@@ -137,60 +137,78 @@ def _mult_order(k: int, m: int) -> int:
     return o
 
 
-def _build_catalog(max_order: int) -> tuple[CatalogEntry, ...]:
-    entries: list[CatalogEntry] = []
-    for n in range(2, CYCLIC_MAX + 1):
-        if n <= max_order:
-            entries.append(CatalogEntry(f"Z{n}", n, 0, (n,),
-                                        (lambda n=n: cyclic_group(n))))
-    for n in range(2, DIHEDRAL_MAX + 1):
-        if 2 * n <= max_order:
-            entries.append(CatalogEntry(f"D{n}", 2 * n, 1, (n,),
-                                        (lambda n=n: dihedral_group(n))))
+def _entries_of_order(n: int, base: dict[int, list[CatalogEntry]]) -> list[CatalogEntry]:
+    """The catalog entries of order n in scan order, given ``base``, the
+    base-family members of every smaller order; records those of order n
+    in it. Base families come first, by family rank and then parameters.
+    Products a x b with a.key() <= b.key() follow in (a.key(), b.key())
+    order: by the order of a, then a, then b, since a key starts with its
+    order."""
+    own = []
+    if n <= CYCLIC_MAX:
+        own.append(CatalogEntry(f"Z{n}", n, 0, (n,), (lambda n=n: cyclic_group(n))))
+    if n % 2 == 0 and 2 <= n // 2 <= DIHEDRAL_MAX:
+        d = n // 2
+        own.append(CatalogEntry(f"D{d}", n, 1, (d,), (lambda d=d: dihedral_group(d))))
     for m in range(3, METACYCLIC_M_MAX + 1):
+        if n % m:
+            continue
+        j = n // m
         # k = m-1 would duplicate the dihedral family. Each k in 2..m-2
-        # prime to m has multiplicative order at least 2, so j >= 2 below.
+        # prime to m has multiplicative order at least 2, so j >= 2.
         for k in range(2, m - 1):
-            if gcd(k, m) != 1:
-                continue
-            base = _mult_order(k, m)
-            for j in range(base, max_order // m + 1, base):
-                entries.append(CatalogEntry(
-                    f"MC({m},{k},{j})", m * j, 2, (m, k, j),
+            if gcd(k, m) == 1 and j % _mult_order(k, m) == 0:
+                own.append(CatalogEntry(
+                    f"MC({m},{k},{j})", n, 2, (m, k, j),
                     (lambda m=m, k=k, j=j: metacyclic_group(m, k, j))))
-    for n in range(3, SYMMETRIC_MAX + 1):
-        order = 1
-        for i in range(2, n + 1):
-            order *= i
-        if order <= max_order:
-            entries.append(CatalogEntry(f"S{n}", order, 3, (n,),
-                                        (lambda n=n: symmetric_group(n))))
-    entries.sort(key=lambda e: e.key())
-    base = tuple(entries)
-    for i, e1 in enumerate(base):
-        for e2 in base[i:]:
-            order = e1.order * e2.order
-            if order <= max_order:
-                entries.append(CatalogEntry(
-                    f"{e1.name}x{e2.name}", order, 4, (e1.key(), e2.key()),
-                    (lambda a=e1, b=e2: direct_product(a.build(), b.build()))))
-    entries.sort(key=lambda e: e.key())
-    return tuple(entries)
+    for s in range(3, SYMMETRIC_MAX + 1):
+        if factorial(s) == n:
+            own.append(CatalogEntry(f"S{s}", n, 3, (s,), (lambda s=s: symmetric_group(s))))
+    base[n] = own
+    products = []
+    for d in range(2, isqrt(n) + 1):
+        if n % d:
+            continue
+        for a in base[d]:
+            for b in base[n // d]:
+                if a.key() <= b.key():
+                    products.append(CatalogEntry(
+                        f"{a.name}x{b.name}", n, 4, (a.key(), b.key()),
+                        (lambda a=a, b=b: direct_product(a.build(), b.build()))))
+    return own + products
 
 
-# The catalog for the largest bound requested so far. Entries sort by order
-# first and the factors of a product never exceed its order, so the catalog
-# for a smaller bound is a prefix of it.
-_CATALOG: tuple[CatalogEntry, ...] = ()
-_CATALOG_BOUND = 0
+def _generate() -> Iterator[tuple[CatalogEntry, bool]]:
+    """Every catalog entry in scan order, with whether it is the first of
+    its isomorphism-key class."""
+    base: dict[int, list[CatalogEntry]] = {}
+    seen: set[tuple] = set()
+    for n in itertools.count(2):
+        for entry in _entries_of_order(n, base):
+            key = _iso_key(entry)
+            yield entry, key not in seen
+            seen.add(key)
+
+
+# What _generate has yielded so far. An entry's flag depends on the
+# entries before it only, so one prefix serves every bound.
+_SCANNED: list[tuple[CatalogEntry, bool]] = []
+_SOURCE = _generate()
+
+
+def _scan() -> Iterator[tuple[CatalogEntry, bool]]:
+    """The pairs of ``_generate``, read from ``_SCANNED`` and extending it
+    as far as the caller reads."""
+    for i in itertools.count():
+        if i == len(_SCANNED):
+            _SCANNED.append(next(_SOURCE))
+        yield _SCANNED[i]
 
 
 def catalog(max_order: int) -> tuple[CatalogEntry, ...]:
     """Catalog entries of order <= max_order in canonical scan order."""
-    global _CATALOG, _CATALOG_BOUND
-    if max_order > _CATALOG_BOUND:
-        _CATALOG, _CATALOG_BOUND = _build_catalog(max_order), max_order
-    return _CATALOG[:bisect_right(_CATALOG, max_order, key=lambda e: e.order)]
+    return tuple(itertools.takewhile(lambda e: e.order <= max_order,
+                                     (entry for entry, _ in _scan())))
 
 
 def entry_is_p_group(entry: CatalogEntry, p: int) -> bool:
@@ -241,13 +259,6 @@ def _iso_key(entry: CatalogEntry) -> tuple:
     return tuple(sorted(abelian)), tuple(sorted(cores))
 
 
-# _KEPT[i] says whether catalog entry i is the first of its key class. It
-# grows in scan order as far as some scan has gone; entry i's flag depends
-# on entries 0..i only, which every catalog bound shares.
-_KEPT: list[bool] = []
-_KEYS_SEEN: set[tuple] = set()
-
-
 def targets(max_order: int, p: Optional[int] = None) -> Iterator[CatalogEntry]:
     """The first entry of each isomorphism-key class of ``catalog(max_order)``,
     in scan order; only p-groups when ``p`` is given.
@@ -256,10 +267,8 @@ def targets(max_order: int, p: Optional[int] = None) -> Iterator[CatalogEntry]:
     precedes its twins, and whether a target serves is an isomorphism
     invariant. Keys are computed on first use and kept for the process.
     """
-    for i, entry in enumerate(catalog(max_order)):
-        if i == len(_KEPT):
-            key = _iso_key(entry)
-            _KEPT.append(key not in _KEYS_SEEN)
-            _KEYS_SEEN.add(key)
-        if _KEPT[i] and (p is None or entry_is_p_group(entry, p)):
+    for entry, kept in _scan():
+        if entry.order > max_order:
+            return
+        if kept and (p is None or entry_is_p_group(entry, p)):
             yield entry

@@ -27,7 +27,7 @@ nothing more.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from .amalgam import (
     AmalgamElement,
@@ -83,19 +83,16 @@ class PChainCertificate:
 
 @dataclass(frozen=True)
 class CompatiblePair:
-    """A compatible pair of normal subgroups (finite factors) or of
-    generator-image kernels (free factors)."""
+    """A compatible pair of normal subgroups of the two factors."""
 
     mode: str                                  # 'plain' | 'p'
     prime: Optional[int]
-    r_side: Union[Subgroup, GenImages]
-    s_side: Union[Subgroup, GenImages]
+    r_side: Subgroup
+    s_side: Subgroup
     certificate: Optional[PChainCertificate] = None
 
     def key(self):
-        if isinstance(self.r_side, Subgroup):
-            return (self.r_side.key(), self.s_side.key())
-        return (self.r_side.images, self.s_side.images)
+        return (self.r_side.key(), self.s_side.key())
 
 
 def _check_normal_pair(pres: AmalgamPresentation, R: Subgroup, S: Subgroup) -> None:
@@ -263,10 +260,9 @@ class QuotientAmalgam:
     ``proj_a`` and ``proj_b`` send a letter's payload on each side to its
     quotient factor element: a factor element under the quotient map for
     finite parents, a free word through its generator images for free
-    ones. ``pair`` records the compatible pair that produced the quotient.
+    ones.
     """
 
-    pair: CompatiblePair
     presentation: AmalgamPresentation
     proj_a: Callable[[Any], int]
     proj_b: Callable[[Any], int]
@@ -293,7 +289,7 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     Hbar = subgroup_generated(Qa, [proj_a(h) for h in pres.H.members])
     Kbar = subgroup_generated(Qb, [proj_b(k) for k in pres.K.members])
     qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
-    return QuotientAmalgam(pair, qpres, proj_a, proj_b)
+    return QuotientAmalgam(qpres, proj_a, proj_b)
 
 
 @dataclass(frozen=True)
@@ -344,7 +340,7 @@ def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
     Hbar = subgroup_generated(Qa, sorted(phi_bar.keys()))
     Kbar = subgroup_generated(Qb, sorted(phi_bar.values()))
     qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
-    return QuotientAmalgam(CompatiblePair("plain", None, u, v), qpres, proj_a, proj_b)
+    return QuotientAmalgam(qpres, proj_a, proj_b)
 
 
 def presentation_residually_p(pres: AmalgamPresentation, p: int) -> bool:

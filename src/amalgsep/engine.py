@@ -43,7 +43,6 @@ from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
 from .catalog import CatalogEntry, catalog, cyclic_group, entry_is_p_group, targets
 from .compat import (
-    CompatiblePair,
     FreeAmalgamDescription,
     QuotientAmalgam,
     build_free_quotient_amalgam,
@@ -60,7 +59,6 @@ from .fingrp import (
     is_prime,
     product_set,
     subgroup_generated,
-    trivial_subgroup,
 )
 from .freegrp import (
     FreeWord,
@@ -193,7 +191,7 @@ def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> bool:
     return False
 
 
-def _probe_entry(qa: QuotientAmalgam, hq: AmalgamElement, gq: AmalgamElement,
+def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamElement,
                  entry: CatalogEntry) -> Optional[GluedHom]:
     """The first glued homomorphism onto the entry's group, in the order of
     ``enumerate_quotient_homs``, that sends h outside <g>; None if there is none.
@@ -210,7 +208,6 @@ def _probe_entry(qa: QuotientAmalgam, hq: AmalgamElement, gq: AmalgamElement,
     would have ended the scan there.
     """
     T = entry.build()
-    pres = qa.presentation
     # The letters whose images decide the verdict; the identity keeps every
     # getter below non-empty.
     letters: dict[str, set[int]] = {"A": {0, hq.core, gq.core}, "B": {0}}
@@ -428,16 +425,6 @@ def _free_member_exponent(desc: FreeAmalgamDescription, g_red: FreeReducedForm,
 # Length-preserving pairs
 
 
-def _trivial_pair_quotient(pres: AmalgamPresentation) -> QuotientAmalgam:
-    """The quotient by the trivial pair, cached on the presentation."""
-    qa = pres.quotient_cache.get("(1,1)")
-    if qa is None:
-        pair = CompatiblePair("plain", None, trivial_subgroup(pres.A),
-                              trivial_subgroup(pres.B))
-        qa = pres.quotient_cache["(1,1)"] = build_quotient_amalgam(pres, pair)
-    return qa
-
-
 def _free_pair_scan(desc: FreeAmalgamDescription,
                     a_chunks: list[FreeWord], b_chunks: list[FreeWord],
                     p: Optional[int], bound: int,
@@ -557,7 +544,7 @@ def _letters_text(letters) -> str:
     return " ".join(f"{side}:{payload}" for side, payload in letters)
 
 
-def _certify(report: WitnessReport, qa: QuotientAmalgam, hq: AmalgamElement,
+def _certify(report: WitnessReport, pres: AmalgamPresentation, hq: AmalgamElement,
              gq: AmalgamElement, hom: GluedHom) -> WitnessReport:
     """Re-verify the certificate from scratch and fill it into the report.
 
@@ -565,7 +552,6 @@ def _certify(report: WitnessReport, qa: QuotientAmalgam, hq: AmalgamElement,
     ``python -O``. The homomorphism test walks the generators fingrp
     picks, not the tuple the enumeration extended along.
     """
-    pres = qa.presentation
     T = hom.target
     for side, G, mapping in (("A", pres.A, hom.map_a), ("B", pres.B, hom.map_b)):
         if not _respects_generators(G, T, mapping):
@@ -606,16 +592,16 @@ def _exhausted(report: WitnessReport, bound: int, note: Optional[str] = None
     return report
 
 
-def _finish_scan(report: WitnessReport, qa: QuotientAmalgam, hq, gq,
+def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
                  p: Optional[int], max_order: int) -> WitnessReport:
     """Certify the first catalog homomorphism theta with theta(h) outside
     <theta(g)>, scanning one target per isomorphism class by ascending
     order (p-groups only in p-mode); the bound is exhausted when there is
     none."""
     for entry in targets(max_order, p):
-        hom = _probe_entry(qa, hq, gq, entry)
+        hom = _probe_entry(pres, hq, gq, entry)
         if hom is not None:
-            return _certify(report, qa, hq, gq, hom)
+            return _certify(report, pres, hq, gq, hom)
     return _exhausted(report, max_order)
 
 
@@ -667,23 +653,21 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
         return _exhausted(report, max_order, "presentation is not residually "
                           "p-finite; p-mode machinery does not apply")
 
-    qa = _trivial_pair_quotient(pres)
+    # The presentation is its own quotient by the trivial pair, index for
+    # index, so the scan runs on it.
     report.pair_desc = "(1,1)"
-    hq = qa.project(h.letters())
-    gq = qa.project(g.letters())
-
-    gr, c = am.cyclically_reduce(gq)
-    ht = am.multiply(am.multiply(am.invert(c), hq), c)
+    gr, c = am.cyclically_reduce(g)
+    ht = am.multiply(am.multiply(am.invert(c), h), c)
     n = am.syllable_length(gr)
     m = am.syllable_length(ht)
 
     if n <= 1:
-        return _short_generator_case(report, qa, hq, gq, gr, ht, p, max_order)
+        return _short_generator_case(report, pres, h, g, gr, ht, p, max_order)
 
     if p is None:
         # Non-membership is exact here; the length or exponent argument
         # already holds, so scan for the certifying homomorphism.
-        return _finish_scan(report, qa, hq, gq, None, max_order)
+        return _finish_scan(report, pres, h, g, None, max_order)
 
     if not am.is_p_prime_isolated(g, p):
         q, root = am.find_prime_root(g, p)
@@ -697,7 +681,7 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
         # Contradicts p'-isolation plus non-membership in an exact
         # presentation; unreachable when the preconditions hold.
         raise AssertionError("isolation certificate inconsistent with power collision")
-    return _finish_scan(report, qa, hq, gq, p, max_order)
+    return _finish_scan(report, pres, h, g, p, max_order)
 
 
 def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
@@ -721,14 +705,13 @@ def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
     return None
 
 
-def _short_generator_case(report, qa, hq, gq, gr, ht, p, max_order) -> WitnessReport:
+def _short_generator_case(report, pres, h, g, gr, ht, p, max_order) -> WitnessReport:
     """Generator lies in a factor after cyclic reduction (length <= 1)."""
-    pres = qa.presentation
     g_fac = am.factor_element_of(gr)
     h_fac = am.factor_element_of(ht)
     if h_fac is None:
         # h keeps length >= 2 while all powers of g stay in one factor.
-        return _finish_scan(report, qa, hq, gq, p, max_order)
+        return _finish_scan(report, pres, h, g, p, max_order)
     g_side, g_elem = g_fac
     h_side, h_elem = h_fac
     if h_side != g_side:
@@ -737,7 +720,7 @@ def _short_generator_case(report, qa, hq, gq, gr, ht, p, max_order) -> WitnessRe
             h_side, h_elem = g_side, pres.core_on(g_side, ht.core)
         else:
             # Genuinely different factors, so h cannot meet <g>.
-            return _finish_scan(report, qa, hq, gq, p, max_order)
+            return _finish_scan(report, pres, h, g, p, max_order)
     factor = pres.factor(g_side)
     cyc = subgroup_generated(factor, [g_elem])
     pairs = enumerate_compatible_pairs(pres, "p" if p is not None else "plain", p)
@@ -752,11 +735,10 @@ def _short_generator_case(report, qa, hq, gq, gr, ht, p, max_order) -> WitnessRe
         report.reason = "lambda_family"
         report.lambda_side = g_side
         return report
-    qa2 = build_quotient_amalgam(pres, chosen)
-    hq2 = qa2.project(hq.letters())
-    gq2 = qa2.project(gq.letters())
+    qa = build_quotient_amalgam(pres, chosen)
     report.pair_desc = (report.pair_desc or "") + f" -> factor pair {chosen.key()}"
-    return _finish_scan(report, qa2, hq2, gq2, p, max_order)
+    return _finish_scan(report, qa.presentation, qa.project(h.letters()),
+                        qa.project(g.letters()), p, max_order)
 
 
 def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letters,
@@ -779,7 +761,8 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         step = _refine(report, desc, g_red, h_trans, p, pair_bound, keeps_apart)
         if step is None:
             return _exhausted(report, pair_bound)
-        return _finish_scan(report, *step, p, max_order)
+        qa, hq, gq = step
+        return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
 
     step = _refine(report, desc, g_red, h_trans, p, pair_bound, None)
     if step is None:
@@ -804,7 +787,7 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
     if n == 1 or p is None:
         # Non-membership now holds in a length-preserving quotient; the
         # certificate scan realizes the length or factor argument.
-        return _finish_scan(report, qa, hq, gq, p, max_order)
+        return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
 
     # p-mode, n >= 2: work with the isolated closure inside the quotient,
     # refining the pair while the n'-th power of h collides with g^k.
@@ -813,7 +796,7 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         ht = am.multiply(am.multiply(am.invert(c), hq), c)
         collision = _power_collision(gr, ht, n, m, p)
         if collision is None:
-            return _finish_scan(report, qa, hq, gq, p, max_order)
+            return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
         n_prime, k = collision
         h_pow = _free_power_letters(h_trans.letters(desc), -n_prime)
         g_letters_full = list(g_red.letters(desc))

@@ -12,12 +12,25 @@ import functools
 import itertools
 import json
 from importlib import resources
+from math import gcd
 
 import jsonschema
 import pytest
 
 from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam
-from amalgsep.catalog import _build_catalog
+from amalgsep.catalog import (
+    CYCLIC_MAX,
+    DIHEDRAL_MAX,
+    METACYCLIC_M_MAX,
+    SYMMETRIC_MAX,
+    CatalogEntry,
+    _mult_order,
+    cyclic_group,
+    dihedral_group,
+    direct_product,
+    metacyclic_group,
+    symmetric_group,
+)
 from amalgsep.compat import build_free_quotient_amalgam, presentation_residually_p
 from amalgsep.fingrp import (
     FiniteGroup,
@@ -349,7 +362,7 @@ def free_classes_oracle(desc, bound: int, p=None) -> list[tuple]:
     name_b, images_b) in the order of ``enumerate_free_compatible_classes``."""
     rec: dict[tuple, list] = {}
     for side, rank, words in ((0, desc.rank_a, desc.h_words), (1, desc.rank_b, desc.k_words)):
-        for entry in _build_catalog(bound):
+        for entry in catalog_oracle(bound):
             if p is not None and not is_p_power(entry.order, p):
                 continue
             T = entry.build()
@@ -379,7 +392,7 @@ def free_pair_scan_oracle(desc, a_chunks, b_chunks, p, bound, accept=None):
     own quotient amalgam. Returns the pair text and quotient of the first
     pair that passes, or None."""
     wh, wk = desc.h_words[0], desc.k_words[0]
-    for entry in _build_catalog(bound):
+    for entry in catalog_oracle(bound):
         if p is not None and not is_p_power(entry.order, p):
             continue
         T = entry.build()
@@ -409,6 +422,51 @@ def free_pair_scan_oracle(desc, a_chunks, b_chunks, p, bound, accept=None):
                     continue
                 return (f"{entry.name}:{u}|{v}", qa)
     return None
+
+
+# ---------------------------------------------------------------------------
+# Catalog order oracle: every entry up to the bound built eagerly, by
+# family loops and two sorts, as the catalog did before it generated
+# entries in scan order.
+
+
+def catalog_oracle(max_order: int) -> tuple[CatalogEntry, ...]:
+    entries: list[CatalogEntry] = []
+    for n in range(2, CYCLIC_MAX + 1):
+        if n <= max_order:
+            entries.append(CatalogEntry(f"Z{n}", n, 0, (n,),
+                                        (lambda n=n: cyclic_group(n))))
+    for n in range(2, DIHEDRAL_MAX + 1):
+        if 2 * n <= max_order:
+            entries.append(CatalogEntry(f"D{n}", 2 * n, 1, (n,),
+                                        (lambda n=n: dihedral_group(n))))
+    for m in range(3, METACYCLIC_M_MAX + 1):
+        for k in range(2, m - 1):
+            if gcd(k, m) != 1:
+                continue
+            base = _mult_order(k, m)
+            for j in range(base, max_order // m + 1, base):
+                entries.append(CatalogEntry(
+                    f"MC({m},{k},{j})", m * j, 2, (m, k, j),
+                    (lambda m=m, k=k, j=j: metacyclic_group(m, k, j))))
+    for n in range(3, SYMMETRIC_MAX + 1):
+        order = 1
+        for i in range(2, n + 1):
+            order *= i
+        if order <= max_order:
+            entries.append(CatalogEntry(f"S{n}", order, 3, (n,),
+                                        (lambda n=n: symmetric_group(n))))
+    entries.sort(key=lambda e: e.key())
+    base = tuple(entries)
+    for i, e1 in enumerate(base):
+        for e2 in base[i:]:
+            order = e1.order * e2.order
+            if order <= max_order:
+                entries.append(CatalogEntry(
+                    f"{e1.name}x{e2.name}", order, 4, (e1.key(), e2.key()),
+                    (lambda a=e1, b=e2: direct_product(a.build(), b.build()))))
+    entries.sort(key=lambda e: e.key())
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +598,7 @@ def catalog_twins_oracle(bound: int) -> dict[str, str]:
     earlier one, mapped to the name of the earliest such entry."""
     reps: dict[tuple, list] = {}
     twins = {}
-    for entry in _build_catalog(bound):
+    for entry in catalog_oracle(bound):
         G = entry.build()
         bucket = reps.setdefault(_invariants_oracle(G), [])
         for name, R in bucket:
@@ -555,7 +613,7 @@ def catalog_twins_oracle(bound: int) -> dict[str, str]:
 def all_targets(max_order: int, p=None):
     """The scan loop without isomorphism classes: every entry of the
     catalog, p-groups only when ``p`` is given."""
-    for entry in _build_catalog(max_order):
+    for entry in catalog_oracle(max_order):
         if p is None or is_p_power(entry.order, p):
             yield entry
 

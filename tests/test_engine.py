@@ -157,7 +157,7 @@ class TestHomOracles:
         for h, g in queries:
             hq, gq = qa.project(h), qa.project(g)
             for entry in catalog(32):
-                hom = engine._probe_entry(qa, hq, gq, entry)
+                hom = engine._probe_entry(qa.presentation, hq, gq, entry)
                 naive = first_separating_hom_oracle(
                     enumerate_quotient_homs(qa, entry.build()), hq, gq)
                 if naive is None:
@@ -241,10 +241,9 @@ class TestSeparateFinite:
                              subgroup_generated(B, [2]), {0: 0, 2: 2})
         rep = separate_from_cyclic(pres, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
         assert rep.outcome == "separated"
-        quotient_a = pres.quotient_cache["(1,1)"].presentation.A
-        assert quotient_a.hom_cache
-        alive = weakref.ref(pres), weakref.ref(quotient_a)
-        del pres, A, B, rep, quotient_a
+        assert A.hom_cache
+        alive = weakref.ref(pres), weakref.ref(A)
+        del pres, A, B, rep
         gc.collect()
         assert [ref() for ref in alive] == [None, None]
 
@@ -444,16 +443,15 @@ class TestExactFreeMembership:
 CERTIFY_SETUP = """
 import dataclasses
 from amalgsep import engine
-from amalgsep.amalgam import build_amalgam
+from amalgsep.amalgam import build_amalgam, normalize
 from amalgsep.catalog import catalog, cyclic_group
 from amalgsep.fingrp import subgroup_generated
 A, B = cyclic_group(4), cyclic_group(4)
 pres = build_amalgam(A, B, subgroup_generated(A, [2]), subgroup_generated(B, [2]), {0: 0, 2: 2})
-qa = engine._trivial_pair_quotient(pres)
-x = qa.project([("A", 1), ("B", 1)])
-y = qa.project([("A", 1), ("B", 3)])
+x = normalize(pres, [("A", 1), ("B", 1)])
+y = normalize(pres, [("A", 1), ("B", 3)])
 T = cyclic_group(4)
-hom = engine._probe_entry(qa, y, x, next(e for e in catalog(4) if e.name == "Z4"))
+hom = engine._probe_entry(pres, y, x, next(e for e in catalog(4) if e.name == "Z4"))
 bad = list(hom.map_b)
 bad[1] = T.table[bad[1]][1]
 tampered = dataclasses.replace(hom, map_b=tuple(bad))
@@ -461,7 +459,7 @@ tampered = dataclasses.replace(hom, map_b=tuple(bad))
 
 def certify(h, g, hom):
     report = engine.WitnessReport(mode="plain", prime=None, h_text="", g_text="", outcome="")
-    return engine._certify(report, qa, h, g, hom)
+    return engine._certify(report, pres, h, g, hom)
 """
 
 
@@ -486,7 +484,7 @@ def test_reverification_failure_raises_under_optimize():
     # check still rejects a homomorphism that does not separate (h = g)
     # and a factor map that is not a homomorphism.
     code = CERTIFY_SETUP + """
-for args in ((x, x, engine.enumerate_quotient_homs(qa, cyclic_group(2))[0]),
+for args in ((x, x, engine.GluedHom(cyclic_group(2), "", (0,) * 4, (0,) * 4)),
              (y, x, tampered)):
     try:
         certify(*args)
