@@ -71,7 +71,7 @@ class AmalgamPresentation:
         return G.table[x][G.inverse[t]], t
 
     @cached_property
-    def quotient_cache(self) -> dict:
+    def compat_cache(self) -> dict:
         """Compat's p-chain families, p-pair verdicts and compatible-pair
         lists, keyed by tuples. It lives and dies with the presentation."""
         return {}

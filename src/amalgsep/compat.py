@@ -19,9 +19,9 @@ Free factors are handled through GenImages kernels: a pair of assignments
 is compatible when the induced maps on the amalgamated subgroup's free
 basis have equal kernels. The class scan keeps one assignment per kernel
 class and target, and computes each kernel key once per distinct tuple of
-restricted images; assignments that differ by an automorphism of the
-target have the same kernel, so pruning by automorphisms would find
-nothing more.
+restricted images. The scanner skips images that differ by a listed
+automorphism of the target before any word is evaluated; they have the
+same kernel, so the first assignment of each class is unchanged.
 """
 
 from __future__ import annotations
@@ -126,8 +126,8 @@ def _chain_families(pres: AmalgamPresentation, side: str, N: Subgroup, p: int) -
     (side, N, p) and kept in the presentation's cache.
     """
     key = ("chain-families", side, N.members, p)
-    if key in pres.quotient_cache:
-        return pres.quotient_cache[key]
+    if key in pres.compat_cache:
+        return pres.compat_cache[key]
     G, H = (pres.A, pres.H) if side == "A" else (pres.B, pres.K)
     normals = [M.members for M in enumerate_normal_subgroups(G)
                if N.members <= M.members]
@@ -151,7 +151,7 @@ def _chain_families(pres: AmalgamPresentation, side: str, N: Subgroup, p: int) -
 
     if is_p_power(G.order // N.order, p):
         ascend(N.members, (N.members,), frozenset({frozenset(N.members & H.members)}))
-    out = pres.quotient_cache[key] = dict(
+    out = pres.compat_cache[key] = dict(
         sorted(families.items(), key=lambda kv: sorted(tuple(sorted(s)) for s in kv[0])))
     return out
 
@@ -161,8 +161,8 @@ def _p_pair(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
     """is_p_compatible without its input checks, one verdict per
     (R, S, p) kept in the presentation's cache."""
     key = ("p-pair", R.members, S.members, p)
-    if key in pres.quotient_cache:
-        return pres.quotient_cache[key]
+    if key in pres.compat_cache:
+        return pres.compat_cache[key]
     pair = None
     fams_a = _chain_families(pres, "A", R, p)
     fams_b = _chain_families(pres, "B", S, p) if fams_a else {}
@@ -175,7 +175,7 @@ def _p_pair(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
                       for F, chain in ((pres.A, chain_a), (pres.B, fams_b[phi_fam])))
             pair = CompatiblePair("p", p, R, S, PChainCertificate(*chains, matching))
             break
-    pres.quotient_cache[key] = pair
+    pres.compat_cache[key] = pair
     return pair
 
 
@@ -212,7 +212,7 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
     if mode == "p":
         _check_prime(p)
     key = ("compatible-pairs", mode, p if mode == "p" else None)
-    pairs = pres.quotient_cache.get(key)
+    pairs = pres.compat_cache.get(key)
     if pairs is None:
         buckets: dict[frozenset, list[Subgroup]] = {}
         for S in enumerate_normal_subgroups(pres.B):
@@ -225,7 +225,7 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
                     out.append(CompatiblePair("plain", None, R, S))
                 elif (pair := _p_pair(pres, R, S, p)) is not None:
                     out.append(pair)
-        pairs = pres.quotient_cache[key] = tuple(out)
+        pairs = pres.compat_cache[key] = tuple(out)
     return list(pairs)
 
 

@@ -26,8 +26,9 @@ length-preserving finite quotient amalgam, refined when the quotient
 identifies h with a power of g. The pair scan behind those quotients
 tests each pair of kernels once: the quotient amalgam and every filter
 depend on the two kernels alone, so a repeated pair could only repeat a
-rejection. This subsumes pruning by automorphisms of the target, which
-keep the kernel, and needs no automorphism group.
+rejection. That still removes kernels repeated across targets; the
+scanner itself skips images that differ by an automorphism of the
+target before any word is evaluated.
 """
 
 from __future__ import annotations
@@ -442,9 +443,10 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     preservation, ``accept``, ``presentation_residually_p``; in p-mode the
     targets are p-groups, so every index is a p-power) is an isomorphism
     invariant. So a repeated pair could only repeat a rejection, and the
-    first passing pair and its text are unchanged. Replacing u by a*u for
-    an automorphism a of the target keeps the kernel, so this subsumes
-    pruning by automorphisms.
+    first passing pair and its text are unchanged. The scanner yields only
+    orbit leaders under automorphisms of the target, among them the first
+    assignment of every kernel, so each kernel pair is still first tested
+    at the pair it was tested at over the full product.
     """
     tried: set[tuple] = set()
     for entry in targets(bound, p):

@@ -12,7 +12,9 @@ A group computes some derived data lazily and caches it on itself: a
 greedy generating set (``generators``, used by ``is_normal``), a
 short generating tuple (``generating_tuple``: one element, else the first
 generating pair, else ``generators``; used by the engine's homomorphism
-search), the normal-subgroup lattice (behind
+search), the element orders (``element_orders``), the leaders of pairs
+of elements under inner automorphisms or power maps (``pair_leaders``,
+for the generator-image scanner), the normal-subgroup lattice (behind
 ``enumerate_normal_subgroups``) and the homomorphisms the engine found
 from it to each target (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
@@ -164,6 +166,27 @@ class FiniteGroup:
             if _grow(self, frozenset({0}), pair) == full:
                 return pair
         return self.generators
+
+    @cached_property
+    def pair_leaders(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The pairs (x, y) that are least in their orbit under a group S of
+        automorphisms acting diagonally, as ``(x, ys)`` in ascending order:
+        x least in its S-orbit, ys the elements least in their orbit under
+        the stabilizer of x. S is Inn(G) for a nonabelian group and the
+        power maps x -> x^k, k prime to the exponent, for an abelian one;
+        both are listed in O(order^2), unlike Aut(G)."""
+        n, tab, inv = self.order, self.table, self.inverse
+        if all(tab[a][b] == tab[b][a] for a in range(n) for b in range(a)):
+            e = self.exponent()
+            maps = [[self.power(x, k) for x in range(n)] for k in range(2, e) if gcd(k, e) == 1]
+        else:
+            maps = [[tab[tab[inv[g]][x]][g] for x in range(n)] for g in range(1, n)]
+        out = []
+        for x in range(n):
+            if all(s[x] >= x for s in maps):
+                stab = [s for s in maps if s[x] == x]
+                out.append((x, tuple(y for y in range(n) if all(s[y] >= y for s in stab))))
+        return tuple(out)
 
     @cached_property
     def _normal_lattice(self) -> tuple[Subgroup, ...]:

@@ -4,8 +4,10 @@ Finite-index normal subgroups of free factors are never materialized as
 element sets; they are carried around as ``GenImages`` (the images of the
 free generators in a finite target group, the subgroup being the kernel
 of the induced map). Every walk over the assignments of a target goes
-through ``scan_gen_images``. Membership in finitely generated subgroups
-is decided on a folded core graph.
+through ``scan_gen_images``, which yields only orbit leaders under
+automorphisms of the target: an ordered subsequence of the full product
+that holds the first assignment of every kernel. Membership in finitely
+generated subgroups is decided on a folded core graph.
 """
 
 from __future__ import annotations
@@ -242,8 +244,25 @@ class GenImages:
 def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = (),
                     chunks: Sequence[FreeWord] = (), distinct: bool = False
                     ) -> Iterator[tuple[GenImages, tuple]]:
-    """The assignments of ``target^rank`` in lexicographic order, each with
-    ``kernel_key(restriction(u, basis))``.
+    """The orbit leaders among the assignments of ``target^rank``, in
+    lexicographic order, each with ``kernel_key(restriction(u, basis))``.
+
+    Rank 1 takes the first element of each element order. Higher ranks
+    take x from ``target.pair_leaders``, y from the leaders under the
+    stabilizer of x, and the later coordinates from all of the target.
+    Every assignment that is least among those with its kernel is a
+    leader. At rank 1 the image of u is cyclic of order ord(x), so the
+    kernel <a^ord(x)> depends on that order alone. At higher ranks, for an
+    automorphism s of the target, s*u has the kernel of u, and so the same
+    chunk verdict and the same restricted key: ``kernel_key`` is the BFS
+    normal form of the marked image, which s carries over label for label.
+    The least assignment of a kernel is least in its diagonal orbit, so x
+    is least in its orbit and y in its orbit under the stabilizer of x.
+    The scan is thus an ordered subsequence of the full product that keeps
+    the first assignment of every (restricted key, kernel) pair. The
+    restricted key depends on the kernel alone, so the first assignment of
+    a key is the first of a kernel, and with ``distinct`` the scan yields
+    exactly what the full product would.
 
     An assignment is skipped when some word of ``chunks`` maps into the
     subgroup generated by the images of ``basis``, and with ``distinct``
@@ -271,7 +290,15 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
     memo: dict[tuple[int, ...], tuple[tuple, int, frozenset[int]]] = {}
     serials: dict[tuple, int] = {}
     seen: set[int] = set()
-    for images in itertools.product(range(target.order), repeat=rank):
+    if rank == 0:
+        assignments = [()]
+    elif rank == 1:
+        orders = target.element_orders
+        assignments = [(x,) for x in sorted(map(orders.index, set(orders)))]
+    else:
+        rest = list(itertools.product(range(target.order), repeat=rank - 2))
+        assignments = ((x, y) + r for x, ys in target.pair_leaders for y in ys for r in rest)
+    for images in assignments:
         ext = images + tuple([inverse[x] for x in images])
         restricted = tuple([value(prog, ext) for prog in basis_progs])
         hit = memo.get(restricted)

@@ -41,7 +41,7 @@ from amalgsep.fingrp import (
     is_p_power,
     subgroup_generated,
 )
-from amalgsep.freegrp import GenImages
+from amalgsep.freegrp import GenImages, kernel_key
 
 
 def cyclic_table(n):
@@ -354,6 +354,61 @@ def kernel_key_oracle(T: FiniteGroup, images) -> tuple:
 
 def _restricted_key(T, images, words):
     return kernel_key_oracle(T, [evaluate_oracle(T, images, w) for w in words])
+
+
+def scan_gen_images_oracle(rank, target, basis=(), chunks=(), distinct=False):
+    """``freegrp.scan_gen_images`` as it was before it skipped automorphic
+    images: every assignment of ``target^rank`` in lexicographic order,
+    with the same chunk filter, key memo and ``distinct`` rule."""
+    table, inverse = target.table, target.inverse
+
+    def program(w):
+        return [gen if sign > 0 else rank + gen for gen, sign in w]
+
+    def value(prog, ext):
+        acc = 0
+        for i in prog:
+            acc = table[acc][ext[i]]
+        return acc
+
+    basis_progs = [program(w) for w in basis]
+    chunk_progs = [program(w) for w in chunks]
+    memo = {}
+    serials = {}
+    seen = set()
+    for images in itertools.product(range(target.order), repeat=rank):
+        ext = images + tuple([inverse[x] for x in images])
+        restricted = tuple([value(prog, ext) for prog in basis_progs])
+        hit = memo.get(restricted)
+        if hit is None:
+            r = GenImages(len(basis), target, restricted)
+            key = kernel_key(r)
+            hit = memo[restricted] = (key, serials.setdefault(key, len(serials)),
+                                      r.image_members() if chunk_progs else frozenset())
+        key, serial, sub = hit
+        if chunk_progs and any(value(prog, ext) in sub for prog in chunk_progs):
+            continue
+        if distinct:
+            if serial in seen:
+                continue
+            seen.add(serial)
+        yield GenImages(rank, target, images), key
+
+
+def assert_leaders_of(got, want, T, rank):
+    """``got`` is an ordered subsequence of ``want``, both lists of
+    (images, restricted key), and both give the same first assignment for
+    every (restricted key, kernel key) pair."""
+    rest = iter(want)
+    assert all(item in rest for item in got)
+
+    def firsts(pairs):
+        out = {}
+        for images, key in pairs:
+            out.setdefault((key, kernel_key_oracle(T, images)), images)
+        return out
+
+    assert firsts(got) == firsts(want)
 
 
 def free_classes_oracle(desc, bound: int, p=None) -> list[tuple]:

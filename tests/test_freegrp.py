@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import scan_gen_images_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -83,8 +84,17 @@ class TestFolding:
         assert graph_member(g, ())
 
     def test_membership_against_bounded_enumeration(self):
-        # Naive oracle: products of the generators up to length 8.
+        # Naive oracle: products of the generators up to length 8. The
+        # words are reduced and so is each generator, so a product reduces
+        # by cancelling at the seam alone.
+        def seam(w, g):
+            k = 0
+            while k < min(len(w), len(g)) and w[-1 - k] == (g[k][0], -g[k][1]):
+                k += 1
+            return w[:len(w) - k] + g[k:]
+
         rng = random.Random(7)
+        checked = 0
         for trial in range(25):
             gens = []
             for _ in range(rng.randrange(1, 4)):
@@ -103,13 +113,14 @@ class TestFolding:
                 nxt = []
                 for w in frontier:
                     for g in alphabet:
-                        u = word_mul(w, g)
+                        u = seam(w, g)
                         if u not in known:
                             known.add(u)
                             nxt.append(u)
                 frontier = nxt
             for w in known:
                 assert graph_member(graph, w), (gens, w)
+            checked += len(known)
             # Spot-check some non-members of bounded length.
             for _ in range(30):
                 raw = [(rng.randrange(2), rng.choice([1, -1]))
@@ -118,6 +129,7 @@ class TestFolding:
                 if graph_member(graph, w):
                     continue  # cannot refute membership without a bound
                 assert w not in known
+        assert checked == 921_815
 
 
 class TestPrimitiveRoot:
@@ -139,22 +151,29 @@ class TestPrimitiveRoot:
 
 class TestGenImages:
     def test_rank1_z4_counts(self):
-        assert len([u for u, _ in scan_gen_images(1, cyclic_group(4))]) == 4
+        # The image of x is cyclic of order ord(x), so the kernel depends
+        # on that order alone: the first element of each order stands for
+        # all four assignments.
+        got = [u.images for u, _ in scan_gen_images(1, cyclic_group(4))]
+        assert got == [(0,), (1,), (2,)]
+        assert len(list(scan_gen_images_oracle(1, cyclic_group(4)))) == 4
 
     def test_rank2_z2_counts(self):
-        assert len([u for u, _ in scan_gen_images(2, cyclic_group(2))]) == 4
+        # Z2 has no nontrivial power map or inner automorphism.
+        got = [u.images for u, _ in scan_gen_images(2, cyclic_group(2))]
+        assert got == list(itertools.product(range(2), repeat=2))
 
     def test_s3_generating_pairs(self, s3):
-        # Exhaustive oracle: count pairs whose closure is all of S3.
+        # Exhaustive oracle: the 18 pairs whose closure is all of S3 fall
+        # into 3 conjugacy orbits of 6, and the scan keeps one of each.
         from amalgsep.fingrp import subgroup_generated
-        gens = [u for u, _ in scan_gen_images(2, s3)
+        gens = [u.images for u, _ in scan_gen_images(2, s3)
                 if len(u.image_members()) == 6]
-        count = 0
-        for x in s3.elements():
-            for y in s3.elements():
-                if subgroup_generated(s3, [x, y]).order == 6:
-                    count += 1
-        assert len(gens) == count == 18
+        want = {(x, y) for x in s3.elements() for y in s3.elements()
+                if subgroup_generated(s3, [x, y]).order == 6}
+        assert len(gens) == 3 and len(want) == 18
+        assert {(s3.conjugate(x, g), s3.conjugate(y, g))
+                for x, y in gens for g in s3.elements()} == want
 
     def test_evaluate(self):
         u = GenImages(2, cyclic_group(4), (1, 2))

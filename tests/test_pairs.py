@@ -246,7 +246,7 @@ def test_memo_is_collected_with_its_presentation(call):
         family_separability(pres, "A", 1, "p", 2)
     else:
         enumerate_compatible_pairs(pres, "p", 2)
-    assert any(isinstance(k, tuple) for k in pres.quotient_cache)
+    assert any(isinstance(k, tuple) for k in pres.compat_cache)
     alive = weakref.ref(pres)
     del pres
     gc.collect()

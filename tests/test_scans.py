@@ -18,6 +18,7 @@ import sys
 import pytest
 from conftest import (
     all_targets,
+    assert_leaders_of,
     catalog_oracle,
     catalog_twins_oracle,
     closure_oracle,
@@ -26,6 +27,7 @@ from conftest import (
     free_pair_scan_oracle,
     isomorphism_oracle,
     kernel_key_oracle,
+    scan_gen_images_oracle,
 )
 
 from amalgsep import compat, engine
@@ -35,7 +37,7 @@ from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_cl
 from amalgsep.engine import conjugation_doubling_description, power_congruence_description
 from amalgsep.errors import InputError
 from amalgsep.fingrp import is_p_power, subgroup_generated
-from amalgsep.freegrp import GenImages, kernel_key, parse_word, scan_gen_images
+from amalgsep.freegrp import GenImages, kernel_key, parse_word, reduce_word, scan_gen_images
 
 
 class TestCatalog:
@@ -137,7 +139,7 @@ class TestScanGenImages:
                 hsub = closure_oracle(T, [him])
                 if all(evaluate_oracle(T, images, c) not in hsub for c in chunks):
                     want.append((images, kernel_key_oracle(T, (him,))))
-            assert got == want
+            assert_leaders_of(got, want, T, 2)
 
     def test_distinct_yields_the_first_of_each_key(self):
         words = [parse_word("a^2", ["a"])]
@@ -151,6 +153,28 @@ class TestScanGenImages:
                     seen.add(key)
                     want.append(((x,), key))
             assert got == want
+
+    @pytest.mark.parametrize("rank,bound", [(1, 24), (2, 24), (3, 8)])
+    def test_leaders_match_the_full_product(self, rank, bound):
+        rng = random.Random(rank)
+
+        def word():
+            return reduce_word([(rng.randrange(rank), rng.choice((1, -1)))
+                                for _ in range(rng.randint(1, 4))])
+
+        for entry, _ in itertools.product(targets(bound), range(2)):
+            T = entry.build()
+            basis = [word() for _ in range(rng.randint(1, 2))]
+            chunks = [word() for _ in range(rng.randint(0, 2))]
+            for distinct in (False, True):
+                got = [(u.images, key)
+                       for u, key in scan_gen_images(rank, T, basis, chunks, distinct)]
+                want = [(u.images, key)
+                        for u, key in scan_gen_images_oracle(rank, T, basis, chunks, distinct)]
+                if distinct:
+                    assert got == want
+                else:
+                    assert_leaders_of(got, want, T, rank)
 
 
 def _doubling(sb: int, sd: int) -> FreeAmalgamDescription:
@@ -261,6 +285,38 @@ class TestFreePairScan:
         want = free_pair_scan_oracle(desc, [], [], None, 16, accept=accept)
         assert want is not None
         assert got[0] == want[0]
+
+    @pytest.mark.parametrize("desc,a_chunks,b_chunks,p", [
+        (PC2, [], [], None), (PC2, ["a"], ["b^2"], None), (PC2, [], [], 2),
+        (PC2, ["a"], ["b"], 2),
+        (PC3, [], [], None), (PC3, ["a^2"], ["b"], None), (PC3, [], [], 3),
+        (PC3, ["a"], ["b"], 3),
+        (_rank2(), [], [], None), (_rank2(), ["a", "b^2"], ["c", "d"], None),
+        (_rank2(), [], [], 2), (_rank2(), ["b"], ["c d"], 2),
+        (_doubling(1, 1), [], [], None), (_doubling(1, 1), ["b"], ["d", "c d"], None),
+        (_doubling(1, 1), [], [], 2), (_doubling(1, 1), ["a b"], ["d"], 2)])
+    def test_leaders_give_the_full_product_pair(self, monkeypatch, desc, a_chunks, b_chunks, p):
+        # Isomorphism-invariant filters that pass pairs deep in the scan,
+        # some on nonabelian targets, and one that passes nothing, so each
+        # scan also runs to its bound.
+        def abelian(G):
+            return all(G.table[x][y] == G.table[y][x] for x in G.elements() for y in G.elements())
+
+        a_chunks = [parse_word(w, desc.gen_names_a) for w in a_chunks]
+        b_chunks = [parse_word(w, desc.gen_names_b) for w in b_chunks]
+        accepts = [None,
+                   lambda qa: (qa.presentation.A.order, qa.presentation.B.order) in ((6, 3), (4, 8)),
+                   lambda qa: (not abelian(qa.presentation.A)
+                               and qa.presentation.A.order != qa.presentation.B.order),
+                   lambda qa: qa.presentation.H.order == 4 and qa.presentation.A.order > 4,
+                   lambda qa: False]
+        got = [engine._free_pair_scan(desc, a_chunks, b_chunks, p, 16, accept=f)
+               for f in accepts]
+        monkeypatch.setattr(engine, "scan_gen_images", scan_gen_images_oracle)
+        want = [engine._free_pair_scan(desc, a_chunks, b_chunks, p, 16, accept=f)
+                for f in accepts]
+        assert [r and r[0] for r in got] == [r and r[0] for r in want]
+        assert got[-1] is None
 
 
 # The slow path swaps the class scan for a loop over the whole catalog.
