@@ -17,7 +17,15 @@ dropped at the first edge that disagrees, O(|G| r) work per candidate
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The certificate scan glues factor homomorphisms over the amalgamated
 subgroup, but it tests each distinct restriction to the letters of h and
-g once: pairs that agree there give the same verdict.
+g once: pairs that agree there give the same verdict. It works on each
+target T in two steps. The first decides, in no order, whether any glued
+pair separates, trying only the A-homomorphisms whose first generator
+image is least in its orbit under a group S of automorphisms of T (inner
+automorphisms, or power maps when T is abelian). That is exact: sigma in
+S maps a glued pair to a glued pair and <tg> onto <sigma tg>, so every
+S-orbit of pairs holds one such pair, and all its pairs give the same
+verdict. Only the target that separates then gets the canonical scan that
+picks the certified pair, so the certificate does not depend on S.
 
 Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
@@ -82,12 +90,16 @@ FreeLetter = tuple[str, FreeWord]
 # Homomorphism enumeration for quotient amalgams
 
 
-def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
+def _factor_homs(G: FiniteGroup, T: FiniteGroup, leaders: bool = False
+                 ) -> Optional[list[tuple[int, ...]]]:
     """All homomorphisms G -> T as full mapping tuples, canonical order.
 
-    Cached in ``G.hom_cache``, so the list lives as long as G does.
+    With ``leaders``, only those whose first generator image lies in
+    ``T.orbit_leaders``, in no fixed order; None when that keeps every
+    candidate first image. Cached in ``G.hom_cache``, so the lists live
+    as long as G does.
     """
-    hit = G.hom_cache.get(id(T))
+    hit = G.hom_cache.get((id(T), leaders))
     if hit is not None:
         return hit[1]
     # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
@@ -96,11 +108,17 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     # respects every edge is a homomorphism, and each homomorphism is the
     # extension of its generator images. For cyclic G this walks the
     # powers of the one image.
-    gens = G.generating_tuple
     g_orders, t_orders = G.element_orders, T.element_orders
     pools = [[t for t in T.elements() if g_orders[g] % t_orders[t] == 0]
-             for g in gens]
-    schedule = _cayley_schedule(G, gens)
+             for g in G.generating_tuple]
+    if leaders:
+        lead = set(T.orbit_leaders)
+        first = [t for t in pools[0] if t in lead]
+        if len(first) == len(pools[0]):
+            G.hom_cache[(id(T), True)] = (T, None)
+            return None
+        pools[0] = first
+    schedule = G.cayley_schedule
     columns = list(zip(*T.table))      # columns[t][a] = a*t
     out = []
     for images in itertools.product(*pools):
@@ -114,30 +132,10 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
                 break
         else:
             out.append(tuple(f))
-    out.sort()
-    G.hom_cache[id(T)] = (T, out)
+    if not leaders:
+        out.sort()
+    G.hom_cache[(id(T), leaders)] = (T, out)
     return out
-
-
-def _cayley_schedule(G: FiniteGroup, gens: tuple[int, ...]
-                     ) -> list[tuple[int, int, int, bool]]:
-    """The edges (x, i, x*gens[i], new) of the Cayley graph of ``gens`` in
-    breadth-first order from the identity, where ``new`` marks the edge
-    that first reaches its endpoint. The order depends on G alone, and
-    every other edge ends at an element an earlier edge already reached."""
-    reached = [0]
-    seen = {0}
-    schedule = []
-    for x in reached:               # grows while it is walked
-        row = G.table[x]
-        for i, g in enumerate(gens):
-            y = row[g]
-            new = y not in seen
-            if new:
-                seen.add(y)
-                reached.append(y)
-            schedule.append((x, i, y, new))
-    return schedule
 
 
 @dataclass(frozen=True)
@@ -201,12 +199,21 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     H, which picks the bucket of ``mb``s it is glued to), on ``ma`` restricted
     to the A-letters of h and g (cores included), and on ``mb`` restricted
     to their B-letters. So each bucket keeps only the first ``mb`` of each
-    B-signature, and an ``ma`` whose (H-key, A-signature) was probed before
-    is skipped. The first separating pair stays the same. Within a bucket,
-    the first separating ``mb`` is the earliest of its signature, so it is
-    kept. A skipped ``ma`` meets the same bucket with the same A-signature
-    as an earlier ``ma``, so it could only repeat that one's misses: a hit
-    would have ended the scan there.
+    B-signature: the first separating ``mb`` is the earliest of its
+    signature. And the first separating ``mb`` for an ``ma`` depends only
+    on its probe, the (H-key, A-signature) pair, so it is found once per
+    probe and reused for every later ``ma`` with that probe.
+
+    The scan runs in two steps. The first decides, in no order, whether
+    any pair separates, trying only the ``ma`` whose first generator image
+    is in ``T.orbit_leaders``, least in its orbit under a group S of
+    automorphisms of the target T. That is exact: for sigma in S,
+    (sigma ma, sigma mb) is a glued pair whenever (ma, mb) is one, and it
+    separates iff (ma, mb) does, because sigma maps <tg> onto <sigma tg>;
+    some sigma takes the first image of ``ma`` to its orbit leader. Only a
+    target that separates then gets the canonical scan over all ``ma``,
+    with the same buckets and the probes the first step settled. The first
+    step is skipped when S fixes every candidate first image.
     """
     T = entry.build()
     # The letters whose images decide the verdict; the identity keeps every
@@ -223,24 +230,35 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     buckets: dict[object, dict[object, tuple[int, ...]]] = {}
     for mb in _factor_homs(pres.B, T):
         buckets.setdefault(k_key(mb), {}).setdefault(b_sig(mb), mb)
-    probed: set[object] = set()
     memo: dict[tuple[int, int], bool] = {}
-    for ma in _factor_homs(pres.A, T):
-        reps = buckets.get(h_key(ma))
-        probe = a_probe(ma)
-        if reps is None or probe in probed:
-            continue
-        probed.add(probe)
-        for mb in reps.values():
-            th = _glued_image(T, ma, mb, hq)
-            tg = _glued_image(T, ma, mb, gq)
-            verdict = memo.get((th, tg))
-            if verdict is None:
-                verdict = _cyclic_member_in_table(T, th, tg)
-                memo[(th, tg)] = verdict
-            if not verdict:
-                return GluedHom(T, entry.name, ma, mb)
-    return None
+    found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
+
+    def first_hit(a_homs: list[tuple[int, ...]]) -> Optional[GluedHom]:
+        for ma in a_homs:
+            reps = buckets.get(h_key(ma))
+            if reps is None:
+                continue
+            probe = a_probe(ma)
+            if probe not in found:
+                found[probe] = None
+                for mb in reps.values():
+                    th = _glued_image(T, ma, mb, hq)
+                    tg = _glued_image(T, ma, mb, gq)
+                    verdict = memo.get((th, tg))
+                    if verdict is None:
+                        verdict = _cyclic_member_in_table(T, th, tg)
+                        memo[(th, tg)] = verdict
+                    if not verdict:
+                        found[probe] = mb
+                        break
+            if found[probe] is not None:
+                return GluedHom(T, entry.name, ma, found[probe])
+        return None
+
+    leads = _factor_homs(pres.A, T, leaders=True)
+    if leads is not None and first_hit(leads) is None:
+        return None
+    return first_hit(_factor_homs(pres.A, T))
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +617,8 @@ def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
     """Certify the first catalog homomorphism theta with theta(h) outside
     <theta(g)>, scanning one target per isomorphism class by ascending
     order (p-groups only in p-mode); the bound is exhausted when there is
-    none."""
+    none. Each target is first decided on orbit leaders, and only the one
+    that separates is scanned in canonical order (``_probe_entry``)."""
     for entry in targets(max_order, p):
         hom = _probe_entry(pres, hq, gq, entry)
         if hom is not None:

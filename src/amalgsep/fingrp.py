@@ -11,12 +11,14 @@ and by 10,000 seeded random triples above that (such groups carry
 A group computes some derived data lazily and caches it on itself: a
 greedy generating set (``generators``, used by ``is_normal``), a
 short generating tuple (``generating_tuple``: one element, else the first
-generating pair, else ``generators``; used by the engine's homomorphism
-search), the element orders (``element_orders``), the leaders of pairs
-of elements under inner automorphisms or power maps (``pair_leaders``,
-for the generator-image scanner), the normal-subgroup lattice (behind
-``enumerate_normal_subgroups``) and the homomorphisms the engine found
-from it to each target (``hom_cache``).
+generating pair, else ``generators``) and the breadth-first edges of its
+Cayley graph (``cayley_schedule``), both for the engine's homomorphism
+search; the element orders (``element_orders``); the elements least in
+their orbit under inner automorphisms or power maps (``orbit_leaders``,
+for the engine's certificate scan) and the least pairs of elements under
+the same maps (``pair_leaders``, for the generator-image scanner); the
+normal-subgroup lattice (behind ``enumerate_normal_subgroups``); and the
+homomorphisms the engine found from it to each target (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
 fields, so equality and hashing ignore them; they live and die with the
 group, and no module-level table keeps a group alive.
@@ -116,8 +118,7 @@ class FiniteGroup:
 
     def exponent(self) -> int:
         e = 1
-        for a in self.elements():
-            o = self.element_order(a)
+        for o in self.element_orders:
             e = e * o // gcd(e, o)
         return e
 
@@ -168,24 +169,86 @@ class FiniteGroup:
         return self.generators
 
     @cached_property
-    def pair_leaders(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """The pairs (x, y) that are least in their orbit under a group S of
-        automorphisms acting diagonally, as ``(x, ys)`` in ascending order:
-        x least in its S-orbit, ys the elements least in their orbit under
-        the stabilizer of x. S is Inn(G) for a nonabelian group and the
-        power maps x -> x^k, k prime to the exponent, for an abelian one;
-        both are listed in O(order^2), unlike Aut(G)."""
+    def cayley_schedule(self) -> tuple[tuple[int, int, int, bool], ...]:
+        """The edges (x, i, x*t_i, new) of the Cayley graph of
+        ``generating_tuple`` = (t_0, t_1, ...) in breadth-first order from
+        the identity, where ``new`` marks the edge that first reaches its
+        endpoint; every other edge ends at an element an earlier edge
+        already reached."""
+        gens = self.generating_tuple
+        reached = [0]
+        seen = {0}
+        schedule = []
+        for x in reached:               # grows while it is walked
+            row = self.table[x]
+            for i, g in enumerate(gens):
+                y = row[g]
+                new = y not in seen
+                if new:
+                    seen.add(y)
+                    reached.append(y)
+                schedule.append((x, i, y, new))
+        return tuple(schedule)
+
+    def _symmetries(self, generators_only: bool = False) -> list[Sequence[int]]:
+        """The group S of automorphisms that the leaders below prune by,
+        each map listed by element: Inn(G) for a nonabelian group, and the
+        power maps x -> x^k, k prime to the exponent, for an abelian one.
+        Both are found without an Aut(G) search. With ``generators_only``,
+        a generating set of S: conjugation by ``generators``, or the power
+        maps of the units mod the exponent picked greedily, each outside
+        the span of the earlier ones. Commutativity is tested on
+        ``generators``, which suffices."""
         n, tab, inv = self.order, self.table, self.inverse
-        if all(tab[a][b] == tab[b][a] for a in range(n) for b in range(a)):
+        gens = self.generators
+        if all(tab[a][b] == tab[b][a] for a in gens for b in gens):
             e = self.exponent()
-            maps = [[self.power(x, k) for x in range(n)] for k in range(2, e) if gcd(k, e) == 1]
-        else:
-            maps = [[tab[tab[inv[g]][x]][g] for x in range(n)] for g in range(1, n)]
+            ks, span = [], {1}
+            for k in range(2, e):
+                if gcd(k, e) == 1 and k not in span:
+                    ks.append(k)
+                    if generators_only:
+                        span = _unit_span(span, k, e)
+            return [[self.power(x, k) for x in range(n)] for k in ks]
+        by = gens if generators_only else range(1, n)
+        # Elements in one coset of the centre conjugate alike: list each map once.
+        return list(dict.fromkeys(tuple(tab[tab[inv[g]][x]][g] for x in range(n)) for g in by))
+
+    @cached_property
+    def orbit_leaders(self) -> tuple[int, ...]:
+        """The elements least in their orbit under the group S of
+        ``_symmetries``, ascending. Each orbit is closed under generators
+        of S from its least element, in O(order * #generators)."""
+        maps = self._symmetries(generators_only=True)
+        seen = [False] * self.order
         out = []
-        for x in range(n):
-            if all(s[x] >= x for s in maps):
-                stab = [s for s in maps if s[x] == x]
-                out.append((x, tuple(y for y in range(n) if all(s[y] >= y for s in stab))))
+        for x in range(self.order):
+            if seen[x]:
+                continue
+            out.append(x)
+            seen[x] = True
+            stack = [x]
+            while stack:
+                y = stack.pop()
+                for s in maps:
+                    z = s[y]
+                    if not seen[z]:
+                        seen[z] = True
+                        stack.append(z)
+        return tuple(out)
+
+    @cached_property
+    def pair_leaders(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """The pairs (x, y) that are least in their orbit under the group S
+        of ``_symmetries`` acting diagonally, as ``(x, ys)`` in ascending
+        order: x from ``orbit_leaders``, ys the elements least in their
+        orbit under the stabilizer of x. S is listed in O(order^2)."""
+        maps = self._symmetries()
+        out = []
+        for x in self.orbit_leaders:
+            stab = [s for s in maps if s[x] == x]
+            out.append((x, tuple(y for y in range(self.order)
+                                 if all(s[y] >= y for s in stab))))
         return tuple(out)
 
     @cached_property
@@ -193,10 +256,15 @@ class FiniteGroup:
         return _compute_normal_lattice(self)
 
     @cached_property
-    def hom_cache(self) -> dict[int, tuple[FiniteGroup, list[tuple[int, ...]]]]:
-        """All homomorphisms from this group to a target, as the engine's
-        scan found them: ``id(target) -> (target, mappings)``. Each entry
-        holds its target, so that id cannot be reused while the entry lives."""
+    def hom_cache(self) -> dict[tuple[int, bool],
+                                tuple[FiniteGroup, Optional[list[tuple[int, ...]]]]]:
+        """Homomorphisms from this group to a target, as the engine's scan
+        found them: ``(id(target), leaders) -> (target, mappings)``, all of
+        them in canonical order when ``leaders`` is false, else those whose
+        first generator image is in ``target.orbit_leaders`` (None when
+        that prunes nothing). Each entry holds its target, so that id
+        cannot be reused while the entry lives; both kinds of list die
+        with this group."""
         return {}
 
 
@@ -342,6 +410,15 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
         if not (0 <= g < G.order):
             raise InputError(f"generator index {g} out of range")
     return Subgroup(G, _grow(G, frozenset({0}), gens))
+
+
+def _unit_span(span: set[int], k: int, e: int) -> set[int]:
+    """The units mod e generated by ``span`` (a subgroup) and k."""
+    out, x = set(span), k
+    while x not in span:
+        out |= {s * x % e for s in span}
+        x = x * k % e
+    return out
 
 
 def _grow(G: FiniteGroup, seed: frozenset[int], gens: Sequence[int]) -> frozenset[int]:

@@ -307,6 +307,28 @@ def homs_oracle(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
+def orbit_leaders_oracle(G: FiniteGroup) -> tuple[int, ...]:
+    """The elements least in their orbit under the automorphism group S of
+    the leader scans, from a full listing of S: conjugation by every
+    element when some pair of elements does not commute, else the power
+    maps x -> x^k for every k in 1..e prime to the exponent e."""
+    els = G.elements()
+    if all(G.table[x][y] == G.table[y][x] for x in els for y in els):
+        orders = _element_orders_oracle(G)
+        e = functools.reduce(lambda a, b: a * b // gcd(a, b), orders, 1)
+        powers = []
+        for x in els:
+            row = [0]
+            for _ in range(orders[x] - 1):
+                row.append(G.table[row[-1]][x])
+            powers.append(row)
+        maps = [[powers[x][k % orders[x]] for x in els]
+                for k in range(1, e + 1) if gcd(k, e) == 1]
+    else:
+        maps = [[G.table[G.table[G.inverse[g]][x]][g] for x in els] for g in els]
+    return tuple(x for x in els if min(s[x] for s in maps) == x)
+
+
 def first_separating_hom_oracle(homs, h, g):
     """The first of ``homs`` (glued homomorphisms, in their given order)
     that sends h outside the cyclic subgroup of g's image, by listing that

@@ -20,6 +20,7 @@ from amalgsep.catalog import (
     dihedral_group,
     direct_product,
     entry_is_p_group,
+    targets,
 )
 from amalgsep.compat import build_quotient_amalgam, enumerate_compatible_pairs
 from amalgsep.engine import (
@@ -96,10 +97,20 @@ def _catalog_group(name):
     return next(e for e in catalog(32) if e.name == name).build()
 
 
-def _cyclic_amalgam(name_a, name_b, h_order):
+def _by_order(G):
+    """G relabeled so that its elements are indexed by ascending order:
+    element 1 then has the least order, and need not be a generator."""
+    old = sorted(G.elements(), key=lambda x: (G.element_order(x), x))
+    new = {x: i for i, x in enumerate(old)}
+    return construct_group([[new[G.table[a][b]] for b in old] for a in old])
+
+
+def _cyclic_amalgam(name_a, name_b, h_order, relabel=False):
     """The amalgam of two catalog groups over a cyclic subgroup of the
     given order, generated by the first element of that order on each side."""
     A, B = _catalog_group(name_a), _catalog_group(name_b)
+    if relabel:
+        A, B = _by_order(A), _by_order(B)
     x = next(a for a in A.elements() if A.element_order(a) == h_order)
     y = next(b for b in B.elements() if B.element_order(b) == h_order)
     phi, hx, ky = {}, 0, 0
@@ -141,9 +152,18 @@ class TestHomOracles:
         assert engine._factor_homs(S, target) == homs_oracle(S, target)
 
     @pytest.mark.parametrize("shape", [("Z4", "Z4", 2), ("D4", "Z8", 4),
-                                       ("Z3xZ3", "Z9", 3), ("Z4", "D3", 2)])
+                                       ("Z3xZ3", "Z9", 3), ("Z4", "D3", 2),
+                                       ("Z8", "Z8", 4, 64, 2)])
     def test_probe_matches_a_naive_scan(self, shape):
-        pres = _cyclic_amalgam(*shape)
+        # Shapes scan catalog(32), or the targets named after the factors:
+        # the 2-groups to order 64 have non-trivial orbits, so the scan
+        # decides them on orbit leaders first. Their factors are relabeled
+        # so that the canonical order is not the order of the first
+        # generator's images: the certificate is then not simply the
+        # first separating pair among the leaders.
+        name_a, name_b, h_order, *bound = shape
+        entries = list(targets(*bound)) if bound else catalog(32)
+        pres = _cyclic_amalgam(name_a, name_b, h_order, relabel=bool(bound))
         qa = identity_quotient(pres)
         rng = random.Random(" ".join(map(str, shape)))
         queries = []
@@ -156,7 +176,7 @@ class TestHomOracles:
         separated = 0
         for h, g in queries:
             hq, gq = qa.project(h), qa.project(g)
-            for entry in catalog(32):
+            for entry in entries:
                 hom = engine._probe_entry(qa.presentation, hq, gq, entry)
                 naive = first_separating_hom_oracle(
                     enumerate_quotient_homs(qa, entry.build()), hq, gq)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from amalgsep import fingrp
-from amalgsep.catalog import catalog
+from amalgsep.catalog import catalog, targets
 from amalgsep.engine import _respects_generators
 from amalgsep.errors import (
     InputError,
@@ -43,6 +43,7 @@ from conftest import (
     cyclic_table,
     is_normal_oracle,
     normal_subgroups_oracle,
+    orbit_leaders_oracle,
 )
 
 
@@ -213,6 +214,18 @@ def construct_calls(monkeypatch):
 
     monkeypatch.setattr(fingrp, "construct_group", counting)
     return calls
+
+
+class TestOrbitLeaders:
+    @pytest.mark.parametrize("bound, p", [(64, None), (256, 2)])
+    def test_leaders_match_a_full_listing(self, bound, p):
+        # The leaders close orbits under generators of S, while the oracle
+        # lists all of S; pair_leaders takes its x column from them.
+        for entry in targets(bound, p):
+            T = entry.build()
+            want = orbit_leaders_oracle(T)
+            assert T.orbit_leaders == want, entry.name
+            assert tuple(x for x, _ in T.pair_leaders) == want, entry.name
 
 
 class TestDerivedTables:
