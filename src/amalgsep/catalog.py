@@ -1,13 +1,13 @@
 """Built-in catalog of finite homomorphism targets.
 
 Families: cyclic Z_n (n <= 64), dihedral D_n (n <= 12, order 2n),
-split metacyclic Z_m x| Z_j with twist k (m <= 31, j a multiple of the
-order of k mod m), symmetric S_n (n <= 5), and direct products of two
-base members under an order cap. Enumeration order is (group order,
-family rank, parameters), which fixes the deterministic scan order used
-everywhere downstream. Entries are generated in that order one group
-order at a time, only as far as some scan or bound has read, and kept
-for the process.
+split metacyclic Z_m x| Z_j with twist k (m <= 31, 2 <= k <= m-2, j a
+multiple of the order of k mod m), symmetric S_n (n <= 5), and direct
+products of two base members under an order cap. Enumeration order is
+(group order, family rank, parameters), which fixes the deterministic
+scan order used everywhere downstream. Entries are generated in that
+order one group order at a time, only as far as some scan or bound has
+read, and kept for the process.
 
 The catalog repeats groups (Z2xZ3 is Z6, S3 is D3, ...). Scans walk
 ``targets``, which keeps the first entry of each class of an isomorphism
@@ -38,6 +38,7 @@ repeat it misses is MC(21,2,6), which is D3 x MC(7,2,3).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from math import factorial, gcd, isqrt, prod
@@ -154,8 +155,10 @@ def _entries_of_order(n: int, base: dict[int, list[CatalogEntry]]) -> list[Catal
         if n % m:
             continue
         j = n // m
-        # k = m-1 would duplicate the dihedral family. Each k in 2..m-2
-        # prime to m has multiplicative order at least 2, so j >= 2.
+        # k = m-1 is skipped for every j, but only MC(m, m-1, 2) is the
+        # dihedral D_m: MC(3,2,4) and MC(4,3,4) are in no family, and
+        # neither are Q8 and A4. Each k in 2..m-2 prime to m has
+        # multiplicative order at least 2, so j >= 2.
         for k in range(2, m - 1):
             if gcd(k, m) == 1 and j % _mult_order(k, m) == 0:
                 own.append(CatalogEntry(
@@ -185,7 +188,7 @@ def _generate() -> Iterator[tuple[CatalogEntry, bool]]:
     seen: set[tuple] = set()
     for n in itertools.count(2):
         for entry in _entries_of_order(n, base):
-            key = _iso_key(entry)
+            key = iso_key(entry)
             yield entry, key not in seen
             seen.add(key)
 
@@ -240,23 +243,40 @@ def _metacyclic_pieces(m: int, k: int, j: int) -> tuple[list[int], list[tuple]]:
 
 
 def _pieces(rank: int, params: tuple) -> tuple[list[int], list[tuple]]:
+    """Abelian prime powers and cores of a base member, by steps 1-5."""
     if rank == 0:
         return list(_prime_powers(params[0]).values()), []
     if rank == 1:
         return _metacyclic_pieces(params[0], params[0] - 1, 2)
     if rank == 2:
         return _metacyclic_pieces(*params)
-    if rank == 3:
-        return _metacyclic_pieces(3, 2, 2) if params[0] == 3 else ([], [("S", params[0])])
-    (_, r1, p1), (_, r2, p2) = params
-    (a1, c1), (a2, c2) = _pieces(r1, p1), _pieces(r2, p2)
-    return a1 + a2, c1 + c2
+    return _metacyclic_pieces(3, 2, 2) if params[0] == 3 else ([], [("S", params[0])])
 
 
-def _iso_key(entry: CatalogEntry) -> tuple:
-    """Isomorphism key of an entry; equal keys prove the groups isomorphic."""
-    abelian, cores = _pieces(entry.family_rank, entry.params)
+@functools.cache
+def _key(rank: int, params: tuple) -> tuple:
+    if rank == 4:  # step 6, from the members' keys
+        (_, r1, p1), (_, r2, p2) = params
+        (a1, c1), (a2, c2) = _key(r1, p1), _key(r2, p2)
+        return tuple(sorted(a1 + a2)), tuple(sorted(c1 + c2))
+    abelian, cores = _pieces(rank, params)
     return tuple(sorted(abelian)), tuple(sorted(cores))
+
+
+def iso_key(entry: CatalogEntry) -> tuple:
+    """Isomorphism key of an entry; equal keys prove the groups isomorphic.
+    Kept for the process, one per entry generated."""
+    return _key(entry.family_rank, entry.params)
+
+
+def member_keys(entry: CatalogEntry) -> Optional[tuple[tuple, tuple]]:
+    """The isomorphism keys of the two members of a product entry, None
+    for a base member. A member may be a twin that ``targets`` drops (S3
+    for D3); its key names the class that ``targets`` keeps."""
+    if entry.family_rank != 4:
+        return None
+    (_, r1, p1), (_, r2, p2) = entry.params
+    return _key(r1, p1), _key(r2, p2)
 
 
 def targets(max_order: int, p: Optional[int] = None) -> Iterator[CatalogEntry]:

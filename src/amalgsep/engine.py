@@ -27,6 +27,16 @@ S-orbit of pairs holds one such pair, and all its pairs give the same
 verdict. Only the target that separates then gets the canonical scan that
 picks the certified pair, so the certificate does not depend on S.
 
+A direct product T1 x T2 of two catalog members is decided without a
+probe. A homomorphism theta into it is a pair (theta1, theta2) of
+homomorphisms into the members, and the members' classes came earlier in
+the scan without separating: theta_i(h) = theta_i(g)^k_i, where o_i is the
+order of theta_i(g). Then theta(h) is a power g^n of theta(g) iff
+n = k1 (mod o1) and n = k2 (mod o2), which by the Chinese remainder
+theorem is solvable iff k1 = k2 (mod gcd(o1, o2)). So the product
+separates iff some pair of the members' exponent sets {(o_i, k_i)} breaks
+that congruence, and only then is it probed for its certificate.
+
 Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
 the symbolic normal forms; a non-member is then separated inside a
@@ -41,6 +51,7 @@ target before any word is evaluated.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass, field
@@ -50,7 +61,15 @@ from typing import Iterable, Optional, Sequence, Union
 
 from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
-from .catalog import CatalogEntry, catalog, cyclic_group, entry_is_p_group, targets
+from .catalog import (
+    CatalogEntry,
+    catalog,
+    cyclic_group,
+    entry_is_p_group,
+    iso_key,
+    member_keys,
+    targets,
+)
 from .compat import (
     FreeAmalgamDescription,
     QuotientAmalgam,
@@ -95,9 +114,9 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup, leaders: bool = False
     """All homomorphisms G -> T as full mapping tuples, canonical order.
 
     With ``leaders``, only those whose first generator image lies in
-    ``T.orbit_leaders``, in no fixed order; None when that keeps every
-    candidate first image. Cached in ``G.hom_cache``, so the lists live
-    as long as G does.
+    ``T.orbit_leaders``, a sublist of the canonical list; None when that
+    keeps every candidate first image. Cached in ``G.hom_cache``, so the
+    lists live as long as G does.
     """
     hit = G.hom_cache.get((id(T), leaders))
     if hit is not None:
@@ -132,8 +151,7 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup, leaders: bool = False
                 break
         else:
             out.append(tuple(f))
-    if not leaders:
-        out.sort()
+    out.sort()
     G.hom_cache[(id(T), leaders)] = (T, out)
     return out
 
@@ -181,17 +199,19 @@ def enumerate_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup) -> list[Gl
     return out
 
 
-def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> bool:
+def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> Optional[int]:
+    """The k in [0, o) with th = tg^k, where o is the order of tg; None
+    when th lies outside <tg>."""
     x = 0
-    for _ in range(T.element_orders[tg]):
+    for k in range(T.element_orders[tg]):
         if x == th:
-            return True
+            return k
         x = T.table[x][tg]
-    return False
+    return None
 
 
 def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamElement,
-                 entry: CatalogEntry) -> Optional[GluedHom]:
+                 entry: CatalogEntry, memo: Optional[dict] = None) -> Optional[GluedHom]:
     """The first glued homomorphism onto the entry's group, in the order of
     ``enumerate_quotient_homs``, that sends h outside <g>; None if there is none.
 
@@ -204,16 +224,26 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     on its probe, the (H-key, A-signature) pair, so it is found once per
     probe and reused for every later ``ma`` with that probe.
 
-    The scan runs in two steps. The first decides, in no order, whether
-    any pair separates, trying only the ``ma`` whose first generator image
-    is in ``T.orbit_leaders``, least in its orbit under a group S of
+    The scan runs in two steps. The first decides whether any pair
+    separates, trying only the ``ma`` whose first generator image is in
+    ``T.orbit_leaders``, least in its orbit under a group S of
     automorphisms of the target T. That is exact: for sigma in S,
     (sigma ma, sigma mb) is a glued pair whenever (ma, mb) is one, and it
     separates iff (ma, mb) does, because sigma maps <tg> onto <sigma tg>;
-    some sigma takes the first image of ``ma`` to its orbit leader. Only a
-    target that separates then gets the canonical scan over all ``ma``,
-    with the same buckets and the probes the first step settled. The first
-    step is skipped when S fixes every candidate first image.
+    some sigma takes the first image of ``ma`` to its orbit leader. The
+    first step is skipped when S fixes every candidate first image.
+
+    When the first generator of A is element 1, the first step's hit is
+    already the canonical one: sigma ma precedes ma in canonical order when
+    sigma lowers the image of element 1, so the least separating ``ma``
+    has a leader there, and the leaders are scanned in canonical order.
+    Otherwise a target that separates gets the canonical scan over all
+    ``ma``, with the same buckets and the probes the first step settled.
+
+    ``memo``, when given, is filled with the verdict on each image pair
+    (th, tg) the scan visited: the k with th = tg^k, or None when th lies
+    outside <tg>. When no pair separates, the visited pairs are all pairs
+    up to S, and S keeps (order of tg, k).
     """
     T = entry.build()
     # The letters whose images decide the verdict; the identity keeps every
@@ -230,7 +260,8 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     buckets: dict[object, dict[object, tuple[int, ...]]] = {}
     for mb in _factor_homs(pres.B, T):
         buckets.setdefault(k_key(mb), {}).setdefault(b_sig(mb), mb)
-    memo: dict[tuple[int, int], bool] = {}
+    if memo is None:
+        memo = {}
     found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
 
     def first_hit(a_homs: list[tuple[int, ...]]) -> Optional[GluedHom]:
@@ -242,13 +273,11 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
             if probe not in found:
                 found[probe] = None
                 for mb in reps.values():
-                    th = _glued_image(T, ma, mb, hq)
-                    tg = _glued_image(T, ma, mb, gq)
-                    verdict = memo.get((th, tg))
-                    if verdict is None:
-                        verdict = _cyclic_member_in_table(T, th, tg)
-                        memo[(th, tg)] = verdict
-                    if not verdict:
+                    pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
+                    k = memo.get(pair, -1)
+                    if k == -1:
+                        k = memo[pair] = _cyclic_member_in_table(T, *pair)
+                    if k is None:
                         found[probe] = mb
                         break
             if found[probe] is not None:
@@ -256,8 +285,10 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
         return None
 
     leads = _factor_homs(pres.A, T, leaders=True)
-    if leads is not None and first_hit(leads) is None:
-        return None
+    if leads is not None:
+        hom = first_hit(leads)
+        if hom is None or pres.A.generating_tuple[0] == 1:
+            return hom
     return first_hit(_factor_homs(pres.A, T))
 
 
@@ -578,8 +609,7 @@ def _certify(report: WitnessReport, pres: AmalgamPresentation, hq: AmalgamElemen
             raise AssertionError(f"certificate factor map {side} is not a homomorphism")
     if any(hom.map_a[h] != hom.map_b[pres.phi[h]] for h in pres.H.members):
         raise AssertionError("certificate factor maps disagree on the amalgamated subgroup")
-    th, tg = hom.apply(hq), hom.apply(gq)
-    ok = not _cyclic_member_in_table(T, th, tg)
+    ok = _cyclic_member_in_table(T, hom.apply(hq), hom.apply(gq)) is None
     image = hom.image_members()
     report.outcome = "separated"
     report.target_name = hom.target_name
@@ -618,11 +648,41 @@ def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
     <theta(g)>, scanning one target per isomorphism class by ascending
     order (p-groups only in p-mode); the bound is exhausted when there is
     none. Each target is first decided on orbit leaders, and only the one
-    that separates is scanned in canonical order (``_probe_entry``)."""
+    that separates is scanned in canonical order (``_probe_entry``).
+
+    A product T1 x T2 is decided without a probe, by the rule of the
+    module docstring, from the exponent sets E(Ti) = {(o, k)} of its
+    members' classes: the order o of theta(g) and the k with
+    theta(h) = theta(g)^k, over every homomorphism theta into Ti. The
+    members have smaller order, so the entries ``targets`` keeps for their
+    classes, which are base members, were probed earlier in this scan (in
+    p-mode they are p-groups too), and neither separated. Their probes'
+    memos hold E: the pairs they visited are all pairs up to S, and S keeps
+    (o, k). E is read off a memo when a product first needs it, and keyed
+    by ``catalog.iso_key``, because a member may be a twin of the entry
+    probed for its class. Only a product that separates is probed, so
+    certificates are those of a scan that probes every target.
+    """
+    probed: dict[tuple, tuple[Sequence[int], dict]] = {}  # key -> (orders, memo)
+
+    @functools.cache
+    def spectrum(key: tuple) -> list[tuple[int, int]]:
+        orders, memo = probed[key]
+        return list({(orders[tg], k) for (_, tg), k in memo.items()})
+
     for entry in targets(max_order, p):
-        hom = _probe_entry(pres, hq, gq, entry)
+        members = member_keys(entry)
+        if members is not None:
+            e1, e2 = map(spectrum, members)
+            if not any((k1 - k2) % gcd(o1, o2) for o1, k1 in e1 for o2, k2 in e2):
+                continue
+        memo: dict = {}
+        hom = _probe_entry(pres, hq, gq, entry, memo)
         if hom is not None:
             return _certify(report, pres, hq, gq, hom)
+        if members is not None:
+            raise AssertionError(f"the exponent sets separate, but {entry.name} does not")
+        probed[iso_key(entry)] = (entry.build().element_orders, memo)
     return _exhausted(report, max_order)
 
 

@@ -11,12 +11,14 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import random
 from importlib import resources
 from math import gcd
 
 import jsonschema
 import pytest
 
+from amalgsep import engine
 from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam
 from amalgsep.catalog import (
     CYCLIC_MAX,
@@ -28,6 +30,7 @@ from amalgsep.catalog import (
     cyclic_group,
     dihedral_group,
     direct_product,
+    iso_key,
     metacyclic_group,
     symmetric_group,
 )
@@ -693,6 +696,34 @@ def all_targets(max_order: int, p=None):
     for entry in catalog_oracle(max_order):
         if p is None or is_p_power(entry.order, p):
             yield entry
+
+
+def shuffled_targets(seed):
+    """A ``targets`` that keeps one entry per isomorphism-key class, as
+    ``catalog.targets`` does, but a seeded random one instead of the first,
+    and a base member whenever the class has one: a product's members are
+    then often not the entries the scan probed for their classes."""
+    @functools.cache
+    def chosen(max_order: int, p) -> list[CatalogEntry]:
+        classes: dict[tuple, list[CatalogEntry]] = {}
+        for entry in catalog_oracle(max_order):
+            if p is None or is_p_power(entry.order, p):
+                classes.setdefault(iso_key(entry), []).append(entry)
+        rng = random.Random(f"{seed}:{max_order}:{p}")
+        return [rng.choice([e for e in members if e.family_rank != 4] or members)
+                for members in classes.values()]
+
+    return lambda max_order, p=None: iter(chosen(max_order, p))
+
+
+def finish_scan_oracle(report, pres, hq, gq, p, max_order):
+    """``engine._finish_scan`` with every target probed by ``_probe_entry``,
+    direct products included, on the scan's own ``targets``."""
+    for entry in engine.targets(max_order, p):
+        hom = engine._probe_entry(pres, hq, gq, entry)
+        if hom is not None:
+            return engine._certify(report, pres, hq, gq, hom)
+    return engine._exhausted(report, max_order)
 
 
 # ---------------------------------------------------------------------------

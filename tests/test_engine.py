@@ -105,12 +105,23 @@ def _by_order(G):
     return construct_group([[new[G.table[a][b]] for b in old] for a in old])
 
 
+def _shuffled(G, rng):
+    """G relabeled by a random permutation that fixes the identity."""
+    old = [0] + rng.sample(range(1, G.order), G.order - 1)
+    new = {x: i for i, x in enumerate(old)}
+    return construct_group([[new[G.table[a][b]] for b in old] for a in old])
+
+
 def _cyclic_amalgam(name_a, name_b, h_order, relabel=False):
     """The amalgam of two catalog groups over a cyclic subgroup of the
-    given order, generated by the first element of that order on each side."""
+    given order, generated by the first element of that order on each side.
+    ``relabel`` is True for ``_by_order`` or an int seeding ``_shuffled``."""
     A, B = _catalog_group(name_a), _catalog_group(name_b)
-    if relabel:
+    if relabel is True:
         A, B = _by_order(A), _by_order(B)
+    elif relabel is not False:
+        rng = random.Random(relabel)
+        A, B = _shuffled(A, rng), _shuffled(B, rng)
     x = next(a for a in A.elements() if A.element_order(a) == h_order)
     y = next(b for b in B.elements() if B.element_order(b) == h_order)
     phi, hx, ky = {}, 0, 0
@@ -151,29 +162,45 @@ class TestHomOracles:
         assert len(S.generating_tuple) == rank
         assert engine._factor_homs(S, target) == homs_oracle(S, target)
 
+    # Pinned queries on shuffled factors whose certificate onto S4 is not
+    # the first separating pair among the leaders in the order that the
+    # generator images are enumerated: with the first generator element 1
+    # (seed 6), the leader list must be sorted; otherwise (seed 1) the
+    # canonical pass must run.
+    PINNED = {1: ([("A", 7), ("B", 4), ("A", 7)], [("B", 6), ("A", 7), ("B", 3), ("A", 4)]),
+              6: ([("B", 1), ("A", 2), ("B", 1)], [("B", 3)])}
+
     @pytest.mark.parametrize("shape", [("Z4", "Z4", 2), ("D4", "Z8", 4),
                                        ("Z3xZ3", "Z9", 3), ("Z4", "D3", 2),
-                                       ("Z8", "Z8", 4, 64, 2)])
+                                       ("Z8", "Z8", 4, True, False, 64, 2),
+                                       ("D4", "Z8", 4, True, False, 64, 2),
+                                       ("D4", "Z8", 4, False, True, 64, 2),
+                                       ("Z2xZ4", "D4", 2, 1, False, 24),
+                                       ("D4", "Z4", 2, 6, True, 24)])
     def test_probe_matches_a_naive_scan(self, shape):
         # Shapes scan catalog(32), or the targets named after the factors:
         # the 2-groups to order 64 have non-trivial orbits, so the scan
-        # decides them on orbit leaders first. Their factors are relabeled
-        # so that the canonical order is not the order of the first
-        # generator's images: the certificate is then not simply the
-        # first separating pair among the leaders.
-        name_a, name_b, h_order, *bound = shape
+        # decides them on orbit leaders first. A factor relabeled by order
+        # has an element of least order as element 1, which is then not its
+        # first generator: the canonical order is not the order of the
+        # first generator's images, and the probe runs the canonical pass.
+        # When the first generator is element 1, the leader step's first
+        # hit is the certificate and no second pass runs.
+        name_a, name_b, h_order, *rest = shape
+        relabel, first_is_one, *bound = rest or [False, True]
         entries = list(targets(*bound)) if bound else catalog(32)
-        pres = _cyclic_amalgam(name_a, name_b, h_order, relabel=bool(bound))
+        pres = _cyclic_amalgam(name_a, name_b, h_order, relabel=relabel)
+        assert (pres.A.generating_tuple[0] == 1) is first_is_one
         qa = identity_quotient(pres)
         rng = random.Random(" ".join(map(str, shape)))
-        queries = []
+        queries = [self.PINNED[relabel]] if relabel in self.PINNED else []
         for h_len, g_len in ((2, 2), (1, 2), (3, 1), (4, 4)):
             queries.append((_random_word(pres, rng, h_len), _random_word(pres, rng, g_len)))
         g = _random_word(pres, rng, 2)
         queries.append((g + g, g))
         x = max(pres.A.elements(), key=pres.A.element_order)
         queries.append(([("A", x)], [("A", pres.A.table[x][x])]))
-        separated = 0
+        separated = led = 0
         for h, g in queries:
             hq, gq = qa.project(h), qa.project(g)
             for entry in entries:
@@ -185,7 +212,8 @@ class TestHomOracles:
                 else:
                     assert (hom.map_a, hom.map_b) == (naive.map_a, naive.map_b), entry.name
                     separated += 1
-        assert separated
+                    led += engine._factor_homs(pres.A, entry.build(), leaders=True) is not None
+        assert separated and led
 
 
 def length_preserving_quotient(desc, *forms):

@@ -9,6 +9,7 @@ homomorphisms between the tables themselves.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import random
@@ -23,16 +24,19 @@ from conftest import (
     catalog_twins_oracle,
     closure_oracle,
     evaluate_oracle,
+    finish_scan_oracle,
     free_classes_oracle,
     free_pair_scan_oracle,
     isomorphism_oracle,
     kernel_key_oracle,
     scan_gen_images_oracle,
+    shuffled_targets,
 )
 
+from amalgsep import catalog as catalog_module
 from amalgsep import compat, engine
 from amalgsep.amalgam import build_amalgam
-from amalgsep.catalog import _iso_key, catalog, targets
+from amalgsep.catalog import catalog, iso_key, member_keys, targets
 from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_classes
 from amalgsep.engine import conjugation_doubling_description, power_congruence_description
 from amalgsep.errors import InputError
@@ -78,11 +82,11 @@ class TestCatalog:
 
 class TestTargets:
     def test_dropped_entries_are_isomorphic_to_the_kept_one(self):
-        kept = {_iso_key(e): e for e in targets(64)}
-        dropped = [e for e in catalog(64) if kept[_iso_key(e)] is not e]
+        kept = {iso_key(e): e for e in targets(64)}
+        dropped = [e for e in catalog(64) if kept[iso_key(e)] is not e]
         assert dropped
         for entry in dropped:
-            G, H = kept[_iso_key(entry)].build(), entry.build()
+            G, H = kept[iso_key(entry)].build(), entry.build()
             f = isomorphism_oracle(G, H)
             assert f is not None, entry.name
             assert sorted(f.values()) == list(H.elements())
@@ -425,3 +429,84 @@ def test_class_scan_matches_the_full_catalog(monkeypatch, seed):
     pairs = [(p, out) for tag, (p, _), out in (r for r in fast if r[0] == "pair")]
     assert {p is None for p, _ in pairs} == {True, False}
     assert any(out is None for _, out in pairs) and any(out is not None for _, out in pairs)
+
+
+# Direct products are decided from their members' exponent sets; the
+# oracle probes every product. Each query below passes every smaller
+# class up to its bound and separates only at the named product.
+PRODUCT_QUERIES = [
+    (("D4", "Z8", 4), [("B", 5), ("A", 5), ("B", 7), ("A", 5)],
+     [("A", 7), ("B", 7), ("A", 7), ("B", 5)], "plain", None, 256, "D8xD8"),
+    (("Z9", "Z9", 3), [("B", 5), ("A", 8)], [("A", 5), ("B", 5)], "p", 3, 256,
+     "Z9xMC(9,4,3)"),
+]
+
+
+def _product_queries():
+    for shape, h, g, mode, p, bound, _ in PRODUCT_QUERIES:
+        yield (_finite_amalgam(*shape), h, g, mode, p, bound)
+
+
+def _finish_pairs(monkeypatch, queries):
+    """(library report, oracle report) for every _finish_scan call of the
+    queries."""
+    finish, pairs = engine._finish_scan, []
+
+    def spy(report, *args):
+        want = finish_scan_oracle(copy.deepcopy(report), *args).to_json()
+        got = finish(report, *args)
+        pairs.append((got.to_json(), want))
+        return got
+
+    monkeypatch.setattr(engine, "_finish_scan", spy)
+    for query in queries:
+        try:
+            engine.separate_from_cyclic(*query)
+        except InputError:  # g = 1
+            pass
+    return pairs
+
+
+@pytest.mark.parametrize("reps", ["kept", "shuffled"])
+def test_products_decided_by_exponents_match_probing_them(monkeypatch, reps):
+    if reps == "shuffled":
+        # A product whose member is not the entry probed for its class
+        # needs the twin lookup by isomorphism key.
+        scan = shuffled_targets(5)
+        chosen = {iso_key(e): e for e in scan(32)}
+        assert any(chosen[iso_key(m)] != m
+                   for e in chosen.values() if member_keys(e)
+                   for m in catalog(32) if m.key() in e.params)
+        monkeypatch.setattr(engine, "targets", scan)
+    rng = random.Random(4)
+    free = [q for q in _free_queries(rng) if q[0] is PC2][:8]
+    products = list(_product_queries()) if reps == "kept" else []
+    pairs = _finish_pairs(monkeypatch, [*products, *_finite_queries(rng), *free])
+    for got, want in pairs:
+        assert got == want
+    docs = [got for got, _ in pairs]
+    if products:
+        assert [d["certificate"]["target"] for d in docs[:len(products)]] == \
+            [q[-1] for q in PRODUCT_QUERIES]
+    modes = {(d["query"]["mode"], d["outcome"], d.get("bound")) for d in docs}
+    assert {("plain", "obstructed", 32), ("p", "obstructed", 32)} <= modes
+    assert any(d["query"]["g"].startswith("A:((") for d in docs)  # a free query
+
+
+def test_scans_build_only_the_products_that_separate(monkeypatch):
+    """A finite sweep at bound 32 builds the table of no product target
+    but the ones it certifies onto: the rest are decided without one."""
+    queries = list(_finite_queries(random.Random(6)))  # factor tables built here
+    monkeypatch.setattr(catalog_module, "_BUILD_CACHE", {})
+    docs = []
+    for query in queries:
+        try:
+            docs.append(engine.separate_from_cyclic(*query).to_json())
+        except InputError:
+            pass
+    products = {e.name for e in catalog(32) if member_keys(e)}
+    built = products & set(catalog_module._BUILD_CACHE)
+    certified = {d["certificate"]["target"] for d in docs if d["outcome"] == "separated"}
+    assert built <= certified
+    # Exhausted scans passed every product class up to the bound.
+    assert sum(d.get("reason") == "bound_exhausted" for d in docs) >= 10
