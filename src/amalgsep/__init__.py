@@ -57,7 +57,6 @@ from .freegrp import (
     SubgroupGraph,
     fold_subgroup,
     graph_member,
-    kernels_equal,
     reduce_word,
 )
 

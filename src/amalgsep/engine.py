@@ -17,15 +17,13 @@ dropped at the first edge that disagrees, O(|G| r) work per candidate
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The certificate scan glues factor homomorphisms over the amalgamated
 subgroup, but it tests each distinct restriction to the letters of h and
-g once: pairs that agree there give the same verdict. It works on each
-target T in two steps. The first decides, in no order, whether any glued
-pair separates, trying only the A-homomorphisms whose first generator
-image is least in its orbit under a group S of automorphisms of T (inner
-automorphisms, or power maps when T is abelian). That is exact: sigma in
-S maps a glued pair to a glued pair and <tg> onto <sigma tg>, so every
-S-orbit of pairs holds one such pair, and all its pairs give the same
-verdict. Only the target that separates then gets the canonical scan that
-picks the certified pair, so the certificate does not depend on S.
+g once: pairs that agree there give the same verdict. It tries only the
+A-homomorphisms whose image of element 1 is least in its orbit under a
+group S of automorphisms of T (inner automorphisms, or power maps when T
+is abelian). Sigma in S maps a glued pair to a glued pair and <tg> onto
+<sigma tg>, so all pairs of an S-orbit give the same verdict, and
+canonical order compares images of element 1 first: the first separating
+pair is among those tried, and the certificate does not depend on S.
 
 A direct product T1 x T2 of two catalog members is decided without a
 probe. A homomorphism theta into it is a pair (theta1, theta2) of
@@ -109,16 +107,12 @@ FreeLetter = tuple[str, FreeWord]
 # Homomorphism enumeration for quotient amalgams
 
 
-def _factor_homs(G: FiniteGroup, T: FiniteGroup, leaders: bool = False
-                 ) -> Optional[list[tuple[int, ...]]]:
+def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     """All homomorphisms G -> T as full mapping tuples, canonical order.
 
-    With ``leaders``, only those whose first generator image lies in
-    ``T.orbit_leaders``, a sublist of the canonical list; None when that
-    keeps every candidate first image. Cached in ``G.hom_cache``, so the
-    lists live as long as G does.
+    Cached in ``G.hom_cache``, so the list lives as long as G does.
     """
-    hit = G.hom_cache.get((id(T), leaders))
+    hit = G.hom_cache.get(id(T))
     if hit is not None:
         return hit[1]
     # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
@@ -130,13 +124,6 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup, leaders: bool = False
     g_orders, t_orders = G.element_orders, T.element_orders
     pools = [[t for t in T.elements() if g_orders[g] % t_orders[t] == 0]
              for g in G.generating_tuple]
-    if leaders:
-        lead = set(T.orbit_leaders)
-        first = [t for t in pools[0] if t in lead]
-        if len(first) == len(pools[0]):
-            G.hom_cache[(id(T), True)] = (T, None)
-            return None
-        pools[0] = first
     schedule = G.cayley_schedule
     columns = list(zip(*T.table))      # columns[t][a] = a*t
     out = []
@@ -152,7 +139,7 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup, leaders: bool = False
         else:
             out.append(tuple(f))
     out.sort()
-    G.hom_cache[(id(T), leaders)] = (T, out)
+    G.hom_cache[id(T)] = (T, out)
     return out
 
 
@@ -224,26 +211,21 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     on its probe, the (H-key, A-signature) pair, so it is found once per
     probe and reused for every later ``ma`` with that probe.
 
-    The scan runs in two steps. The first decides whether any pair
-    separates, trying only the ``ma`` whose first generator image is in
-    ``T.orbit_leaders``, least in its orbit under a group S of
-    automorphisms of the target T. That is exact: for sigma in S,
-    (sigma ma, sigma mb) is a glued pair whenever (ma, mb) is one, and it
-    separates iff (ma, mb) does, because sigma maps <tg> onto <sigma tg>;
-    some sigma takes the first image of ``ma`` to its orbit leader. The
-    first step is skipped when S fixes every candidate first image.
-
-    When the first generator of A is element 1, the first step's hit is
-    already the canonical one: sigma ma precedes ma in canonical order when
-    sigma lowers the image of element 1, so the least separating ``ma``
-    has a leader there, and the leaders are scanned in canonical order.
-    Otherwise a target that separates gets the canonical scan over all
-    ``ma``, with the same buckets and the probes the first step settled.
+    Only the ``ma`` whose image of element 1 is in ``T.orbit_leaders``,
+    least in its orbit under a group S of automorphisms of the target T,
+    are tried. For sigma in S, (sigma ma, sigma mb) is a glued pair
+    whenever (ma, mb) is one, and it separates iff (ma, mb) does, because
+    sigma maps <tg> onto <sigma tg>. Every ``ma`` sends 0 to 0, so the
+    canonical order compares the images of element 1 first: a sigma that
+    lowers that image gives an earlier ``ma`` that separates alike, and the
+    least separating ``ma`` has a leader there. A trivial A has no element
+    1, and its one map is tried.
 
     ``memo``, when given, is filled with the verdict on each image pair
     (th, tg) the scan visited: the k with th = tg^k, or None when th lies
     outside <tg>. When no pair separates, the visited pairs are all pairs
-    up to S, and S keeps (order of tg, k).
+    up to S, since every ``ma`` is S-equivalent to a tried one, and S keeps
+    (order of tg, k).
     """
     T = entry.build()
     # The letters whose images decide the verdict; the identity keeps every
@@ -263,33 +245,28 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     if memo is None:
         memo = {}
     found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
-
-    def first_hit(a_homs: list[tuple[int, ...]]) -> Optional[GluedHom]:
-        for ma in a_homs:
-            reps = buckets.get(h_key(ma))
-            if reps is None:
-                continue
-            probe = a_probe(ma)
-            if probe not in found:
-                found[probe] = None
-                for mb in reps.values():
-                    pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
-                    k = memo.get(pair, -1)
-                    if k == -1:
-                        k = memo[pair] = _cyclic_member_in_table(T, *pair)
-                    if k is None:
-                        found[probe] = mb
-                        break
-            if found[probe] is not None:
-                return GluedHom(T, entry.name, ma, found[probe])
-        return None
-
-    leads = _factor_homs(pres.A, T, leaders=True)
-    if leads is not None:
-        hom = first_hit(leads)
-        if hom is None or pres.A.generating_tuple[0] == 1:
-            return hom
-    return first_hit(_factor_homs(pres.A, T))
+    lead = set(T.orbit_leaders)
+    one = min(1, pres.A.order - 1)     # element 1; the identity, a leader, in a trivial A
+    for ma in _factor_homs(pres.A, T):
+        if ma[one] not in lead:
+            continue
+        reps = buckets.get(h_key(ma))
+        if reps is None:
+            continue
+        probe = a_probe(ma)
+        if probe not in found:
+            found[probe] = None
+            for mb in reps.values():
+                pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
+                k = memo.get(pair, -1)
+                if k == -1:
+                    k = memo[pair] = _cyclic_member_in_table(T, *pair)
+                if k is None:
+                    found[probe] = mb
+                    break
+        if found[probe] is not None:
+            return GluedHom(T, entry.name, ma, found[probe])
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -647,8 +624,7 @@ def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
     """Certify the first catalog homomorphism theta with theta(h) outside
     <theta(g)>, scanning one target per isomorphism class by ascending
     order (p-groups only in p-mode); the bound is exhausted when there is
-    none. Each target is first decided on orbit leaders, and only the one
-    that separates is scanned in canonical order (``_probe_entry``).
+    none. Each target is scanned on orbit leaders (``_probe_entry``).
 
     A product T1 x T2 is decided without a probe, by the rule of the
     module docstring, from the exponent sets E(Ti) = {(o, k)} of its

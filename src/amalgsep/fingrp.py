@@ -15,10 +15,11 @@ generating pair, else ``generators``) and the breadth-first edges of its
 Cayley graph (``cayley_schedule``), both for the engine's homomorphism
 search; the element orders (``element_orders``); the elements least in
 their orbit under inner automorphisms or power maps (``orbit_leaders``,
-for the engine's certificate scan) and the least pairs of elements under
-the same maps (``pair_leaders``, for the generator-image scanner); the
-normal-subgroup lattice (behind ``enumerate_normal_subgroups``); and the
-homomorphisms the engine found from it to each target (``hom_cache``).
+the images of element 1 the engine's certificate scan tries) and the
+least pairs of elements under the same maps (``pair_leaders``, for the
+generator-image scanner); the normal-subgroup lattice (behind
+``enumerate_normal_subgroups``); and the homomorphisms from it to each
+target, one list per target (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
 fields, so equality and hashing ignore them; they live and die with the
 group, and no module-level table keeps a group alive.
@@ -256,15 +257,11 @@ class FiniteGroup:
         return _compute_normal_lattice(self)
 
     @cached_property
-    def hom_cache(self) -> dict[tuple[int, bool],
-                                tuple[FiniteGroup, Optional[list[tuple[int, ...]]]]]:
-        """Homomorphisms from this group to a target, as the engine's scan
-        found them: ``(id(target), leaders) -> (target, mappings)``, all of
-        them in canonical order when ``leaders`` is false, else those whose
-        first generator image is in ``target.orbit_leaders`` (None when
-        that prunes nothing). Each entry holds its target, so that id
-        cannot be reused while the entry lives; both kinds of list die
-        with this group."""
+    def hom_cache(self) -> dict[int, tuple[FiniteGroup, list[tuple[int, ...]]]]:
+        """The homomorphisms from this group to a target, in canonical
+        order, as the engine found them: ``id(target) -> (target,
+        mappings)``. Each entry holds its target, so that id cannot be
+        reused while the entry lives; the lists die with this group."""
         return {}
 
 
@@ -516,7 +513,9 @@ def _compute_normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    """A verified homomorphism between two table groups."""
+    """A homomorphism between two table groups, given by its mapping. Not
+    checked here: ``quotient_with_projection`` builds its projection onto
+    the coset representatives, a homomorphism by construction."""
 
     source: FiniteGroup
     target: FiniteGroup

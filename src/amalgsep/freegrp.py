@@ -344,11 +344,6 @@ def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:
     return dict(seen)
 
 
-def kernels_equal(u: GenImages, v: GenImages) -> bool:
-    """Whether two induced maps from the same free group have equal kernels."""
-    return induced_map(u, v) is not None
-
-
 def restriction(u: GenImages, words: Sequence[FreeWord]) -> GenImages:
     """Induced map on the subgroup with the given generating words.
 

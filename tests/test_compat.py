@@ -23,7 +23,7 @@ from amalgsep.fingrp import (
     subgroup_generated,
     trivial_subgroup,
 )
-from amalgsep.freegrp import GenImages, kernels_equal, parse_word, restriction
+from amalgsep.freegrp import GenImages, induced_map, parse_word, restriction
 
 
 def z4_subgroups(G):
@@ -190,7 +190,7 @@ class TestFreeQuotients:
         Z4 = cyclic_group(4)
         u = GenImages(1, Z4, (1,))
         v = GenImages(1, Z4, (1,))
-        assert kernels_equal(restriction(u, desc.h_words), restriction(v, desc.k_words))
+        assert induced_map(restriction(u, desc.h_words), restriction(v, desc.k_words)) is not None
         qa = build_free_quotient_amalgam(desc, u, v)
         assert qa.presentation.A.order == 4
         assert qa.presentation.H.sorted_members == (0, 2)
@@ -207,7 +207,7 @@ class TestFreeQuotients:
         u = GenImages(1, cyclic_group(4), (1,))
         v = GenImages(1, cyclic_group(2), (1,))
         # b^2 dies while a^2 survives: restriction kernels differ.
-        assert not kernels_equal(restriction(u, desc.h_words), restriction(v, desc.k_words))
+        assert induced_map(restriction(u, desc.h_words), restriction(v, desc.k_words)) is None
         with pytest.raises(NotCompatible):
             build_free_quotient_amalgam(desc, u, v)
 

@@ -141,6 +141,25 @@ def _random_word(pres, rng, length):
     return out
 
 
+def _assert_probe_is_naive(qa, queries, entries):
+    """``_probe_entry`` gives the first separating pair of the naive scan
+    on every (h, g) of the quotient and every entry, and some separated
+    entry has non-trivial automorphism orbits, so the scan skipped maps."""
+    separated = pruned = 0
+    for hq, gq in queries:
+        for entry in entries:
+            hom = engine._probe_entry(qa.presentation, hq, gq, entry)
+            naive = first_separating_hom_oracle(
+                enumerate_quotient_homs(qa, entry.build()), hq, gq)
+            if naive is None:
+                assert hom is None, entry.name
+            else:
+                assert (hom.map_a, hom.map_b) == (naive.map_a, naive.map_b), entry.name
+                separated += 1
+                pruned += len(entry.build().orbit_leaders) < entry.order
+    assert separated and pruned
+
+
 class TestHomOracles:
     @pytest.mark.parametrize("source", [e.name for e in catalog(16)])
     def test_factor_homs_match_brute_force(self, source):
@@ -163,10 +182,11 @@ class TestHomOracles:
         assert engine._factor_homs(S, target) == homs_oracle(S, target)
 
     # Pinned queries on shuffled factors whose certificate onto S4 is not
-    # the first separating pair among the leaders in the order that the
-    # generator images are enumerated: with the first generator element 1
-    # (seed 6), the leader list must be sorted; otherwise (seed 1) the
-    # canonical pass must run.
+    # the first separating pair in the order that the generator images are
+    # enumerated, so the A-list must be sorted: with the first generator
+    # element 1 (seed 6), and with another first generator (seed 1), where
+    # a scan keyed on the first generator's image instead of element 1's
+    # would skip the certificate.
     PINNED = {1: ([("A", 7), ("B", 4), ("A", 7)], [("B", 6), ("A", 7), ("B", 3), ("A", 4)]),
               6: ([("B", 1), ("A", 2), ("B", 1)], [("B", 3)])}
 
@@ -180,12 +200,11 @@ class TestHomOracles:
     def test_probe_matches_a_naive_scan(self, shape):
         # Shapes scan catalog(32), or the targets named after the factors:
         # the 2-groups to order 64 have non-trivial orbits, so the scan
-        # decides them on orbit leaders first. A factor relabeled by order
-        # has an element of least order as element 1, which is then not its
-        # first generator: the canonical order is not the order of the
-        # first generator's images, and the probe runs the canonical pass.
-        # When the first generator is element 1, the leader step's first
-        # hit is the certificate and no second pass runs.
+        # skips A-maps whose image of element 1 is not an orbit leader. A
+        # factor relabeled by order has an element of least order as
+        # element 1, which is then not its first generator: the skip must
+        # follow element 1, which canonical order compares first, and not
+        # the first generator.
         name_a, name_b, h_order, *rest = shape
         relabel, first_is_one, *bound = rest or [False, True]
         entries = list(targets(*bound)) if bound else catalog(32)
@@ -200,20 +219,28 @@ class TestHomOracles:
         queries.append((g + g, g))
         x = max(pres.A.elements(), key=pres.A.element_order)
         queries.append(([("A", x)], [("A", pres.A.table[x][x])]))
-        separated = led = 0
-        for h, g in queries:
-            hq, gq = qa.project(h), qa.project(g)
-            for entry in entries:
-                hom = engine._probe_entry(qa.presentation, hq, gq, entry)
-                naive = first_separating_hom_oracle(
-                    enumerate_quotient_homs(qa, entry.build()), hq, gq)
-                if naive is None:
-                    assert hom is None, entry.name
-                else:
-                    assert (hom.map_a, hom.map_b) == (naive.map_a, naive.map_b), entry.name
-                    separated += 1
-                    led += engine._factor_homs(pres.A, entry.build(), leaders=True) is not None
-        assert separated and led
+        _assert_probe_is_naive(qa, [(qa.project(h), qa.project(g)) for h, g in queries],
+                               entries)
+
+    @pytest.mark.parametrize("a_order", [1, 2])
+    def test_probe_on_a_factor_of_order_one_or_two(self, a_order):
+        # A trivial A has no element 1 (the scan of a query inside B can
+        # pick a pair with R = A); in an A of order 2 element 1 is the
+        # generator. Z2 * Z2xD4 over Z2 has quotients of both with B of
+        # order 8 or more.
+        pres = _cyclic_amalgam("Z2", "Z2xD4", 2)
+        quotients = (build_quotient_amalgam(pres, pair)
+                     for pair in enumerate_compatible_pairs(pres, "plain"))
+        qa = next(q for q in quotients if q.presentation.A.order == a_order)
+        qp = qa.presentation
+        assert qp.B.order >= 8
+        rng = random.Random(a_order)
+        core = [("A", 1)] if a_order == 2 else []
+        queries = []
+        for _ in range(12):
+            x, y = rng.sample(range(1, qp.B.order), 2)
+            queries.append((normalize(qp, core + [("B", x)]), normalize(qp, [("B", y)])))
+        _assert_probe_is_naive(qa, queries, catalog(16))
 
 
 def length_preserving_quotient(desc, *forms):

@@ -13,8 +13,8 @@ from amalgsep.freegrp import (
     fold_subgroup,
     format_word,
     graph_member,
+    induced_map,
     kernel_key,
-    kernels_equal,
     parse_word,
     primitive_root,
     reduce_word,
@@ -184,13 +184,13 @@ class TestGenImages:
 class TestKernelsEqual:
     def test_identical_maps(self):
         u = GenImages(1, cyclic_group(4), (1,))
-        assert kernels_equal(u, u)
+        assert induced_map(u, u) is not None
 
     def test_rank1_z2_generator_vs_identity(self):
         T = cyclic_group(2)
         u = GenImages(1, T, (1,))
         v = GenImages(1, T, (0,))
-        assert not kernels_equal(u, v)
+        assert induced_map(u, v) is None
 
     def test_rank2_z4_doubling(self):
         # Fiber-product oracle: the word a lands in one kernel only after
@@ -198,34 +198,34 @@ class TestKernelsEqual:
         T = cyclic_group(4)
         u = GenImages(2, T, (1, 1))
         v = GenImages(2, T, (2, 2))
-        assert not kernels_equal(u, v)
+        assert induced_map(u, v) is None
         w = parse_word("a^2", ["a", "b"])
         assert u.evaluate(w) != 0 and v.evaluate(w) == 0
 
     def test_rank_mismatch(self):
         T = cyclic_group(2)
         with pytest.raises(RankMismatch):
-            kernels_equal(GenImages(1, T, (1,)), GenImages(2, T, (1, 0)))
+            induced_map(GenImages(1, T, (1,)), GenImages(2, T, (1, 0)))
 
     def test_equivalence_relation_exhaustive_small(self):
         # Reflexive and symmetric over all rank-1 maps into Z6 and S3.
         targets = [cyclic_group(6), symmetric_group(3)]
         maps = [GenImages(1, T, (i,)) for T in targets for i in T.elements()]
         for u in maps:
-            assert kernels_equal(u, u)
+            assert induced_map(u, u) is not None
         for u in maps:
             for v in maps:
-                assert kernels_equal(u, v) == kernels_equal(v, u)
+                assert (induced_map(u, v) is None) == (induced_map(v, u) is None)
         # Transitivity on random triples.
         rng = random.Random(3)
         for _ in range(200):
             u, v, w = (rng.choice(maps) for _ in range(3))
-            if kernels_equal(u, v) and kernels_equal(v, w):
-                assert kernels_equal(u, w)
+            if induced_map(u, v) is not None and induced_map(v, w) is not None:
+                assert induced_map(u, w) is not None
 
     def test_kernel_key_matches_kernels_equal(self):
         targets = [cyclic_group(4), cyclic_group(8), symmetric_group(3)]
         maps = [GenImages(1, T, (i,)) for T in targets for i in T.elements()]
         for u in maps:
             for v in maps:
-                assert (kernel_key(u) == kernel_key(v)) == kernels_equal(u, v)
+                assert (kernel_key(u) == kernel_key(v)) == (induced_map(u, v) is not None)
