@@ -15,6 +15,11 @@ chain family of R, and phi preserves inclusion, so matched families have
 matched least members. Each side's chain families and each pair's
 p-verdict are computed once and kept on the presentation.
 
+Chain families are found in one memoized top-down pass per (side, p)
+over the factor's index-p cover edges (``FiniteGroup.normal_covers``),
+with the witness chains a depth-first ascent finds first; each A-side
+family's phi-image and certificate parts are built once per (R, p).
+
 Free factors are handled through GenImages kernels: a pair of assignments
 is compatible when the induced maps on the amalgamated subgroup's free
 basis have equal kernels. The class scan keeps one assignment per kernel
@@ -124,35 +129,56 @@ def _chain_families(pres: AmalgamPresentation, side: str, N: Subgroup, p: int) -
     Returns a dict family -> one witness chain (as a tuple of member
     frozensets, ascending) in canonical family order, computed once per
     (side, N, p) and kept in the presentation's cache.
+
+    One memoized top-down pass per (side, p): ``fams(G)`` is
+    {{G n H}: (G,)}, and ``fams(M)`` keeps, over the index-p covers U of M
+    in canonical order and the items (f, chain) of ``fams(U)`` in
+    discovery order, the first f | {M n H} -> (M,) + chain. Each witness
+    is the first chain with its family in the depth-first ascent from N
+    over covers in canonical order: that ascent lists the chains from M
+    by first cover U, then as the ascent from U lists them, so by
+    induction on [G:M] the first chain from M with family F continues the
+    first chain from U whose family f gives F.
     """
     key = ("chain-families", side, N.members, p)
     if key in pres.compat_cache:
         return pres.compat_cache[key]
     G, H = (pres.A, pres.H) if side == "A" else (pres.B, pres.K)
-    normals = [M.members for M in enumerate_normal_subgroups(G)
-               if N.members <= M.members]
+    covers = G.normal_covers(p)
     top = frozenset(G.elements())
-    families: dict[frozenset, tuple] = {}
-    seen_states = set()
+    memo = pres.compat_cache.setdefault(("suffix-families", side, p), {})
 
-    def ascend(cur: frozenset, chain: tuple, fam: frozenset) -> None:
-        state = (cur, fam)
-        if state in seen_states:
-            return
-        seen_states.add(state)
-        if cur == top:
-            if fam not in families:
-                families[fam] = chain
-            return
-        want = len(cur) * p
-        for M in normals:
-            if len(M) == want and cur < M:
-                ascend(M, chain + (M,), fam | {frozenset(M & H.members)})
+    def fams(cur: frozenset) -> dict:
+        out = memo.get(cur)
+        if out is None:
+            mark = frozenset(cur & H.members)
+            out = memo[cur] = {frozenset({mark}): (cur,)} if cur == top else {}
+            for U in covers[cur]:
+                for fam, chain in fams(U).items():
+                    fam = fam | {mark}
+                    if fam not in out:
+                        out[fam] = (cur,) + chain
+        return out
 
-    if is_p_power(G.order // N.order, p):
-        ascend(N.members, (N.members,), frozenset({frozenset(N.members & H.members)}))
+    families = fams(N.members) if is_p_power(G.order // N.order, p) else {}
     out = pres.compat_cache[key] = dict(
         sorted(families.items(), key=lambda kv: sorted(tuple(sorted(s)) for s in kv[0])))
+    return out
+
+
+def _phi_families(pres: AmalgamPresentation, R: Subgroup, p: int) -> tuple:
+    """The A-side chain families of R in canonical order as (phi image,
+    witness chain, matching), the last two as a certificate holds them,
+    built once per (R, p) and kept in the presentation's cache."""
+    key = ("phi-families", R.members, p)
+    out = pres.compat_cache.get(key)
+    if out is None:
+        A, phi = pres.A, pres.phi
+        out = pres.compat_cache[key] = tuple(
+            (frozenset(frozenset(phi[x] for x in s) for s in fam),
+             NormalChain(A, tuple(Subgroup(A, ms) for ms in chain), p),
+             tuple(sorted((tuple(sorted(s)), tuple(sorted(phi[x] for x in s))) for s in fam)))
+            for fam, chain in _chain_families(pres, "A", R, p).items())
     return out
 
 
@@ -164,16 +190,12 @@ def _p_pair(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
     if key in pres.compat_cache:
         return pres.compat_cache[key]
     pair = None
-    fams_a = _chain_families(pres, "A", R, p)
+    fams_a = _phi_families(pres, R, p)
     fams_b = _chain_families(pres, "B", S, p) if fams_a else {}
-    for fam_a, chain_a in fams_a.items():
-        phi_fam = frozenset(frozenset(pres.phi[x] for x in s) for s in fam_a)
+    for phi_fam, chain_a, matching in fams_a:
         if phi_fam in fams_b:
-            matching = tuple(sorted((tuple(sorted(s)), tuple(sorted(pres.phi[x] for x in s)))
-                                    for s in fam_a))
-            chains = (NormalChain(F, tuple(Subgroup(F, ms) for ms in chain), p)
-                      for F, chain in ((pres.A, chain_a), (pres.B, fams_b[phi_fam])))
-            pair = CompatiblePair("p", p, R, S, PChainCertificate(*chains, matching))
+            chain_b = NormalChain(pres.B, tuple(Subgroup(pres.B, ms) for ms in fams_b[phi_fam]), p)
+            pair = CompatiblePair("p", p, R, S, PChainCertificate(chain_a, chain_b, matching))
             break
     pres.compat_cache[key] = pair
     return pair

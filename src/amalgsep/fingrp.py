@@ -18,8 +18,11 @@ their orbit under inner automorphisms or power maps (``orbit_leaders``,
 the images of element 1 the engine's certificate scan tries) and the
 least pairs of elements under the same maps (``pair_leaders``, for the
 generator-image scanner); the normal-subgroup lattice (behind
-``enumerate_normal_subgroups``); and the homomorphisms from it to each
-target, one list per target (``hom_cache``).
+``enumerate_normal_subgroups``), built as joins of the normal closures of
+conjugacy classes; its index-p cover edges, one table per prime p
+(``normal_covers``, for ``find_p_chain`` and compat's chain families);
+and the homomorphisms from it to each target, one list per target
+(``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
 fields, so equality and hashing ignore them; they live and die with the
 group, and no module-level table keeps a group alive.
@@ -220,23 +223,8 @@ class FiniteGroup:
         """The elements least in their orbit under the group S of
         ``_symmetries``, ascending. Each orbit is closed under generators
         of S from its least element, in O(order * #generators)."""
-        maps = self._symmetries(generators_only=True)
-        seen = [False] * self.order
-        out = []
-        for x in range(self.order):
-            if seen[x]:
-                continue
-            out.append(x)
-            seen[x] = True
-            stack = [x]
-            while stack:
-                y = stack.pop()
-                for s in maps:
-                    z = s[y]
-                    if not seen[z]:
-                        seen[z] = True
-                        stack.append(z)
-        return tuple(out)
+        return tuple(orbit[0] for orbit in
+                     _orbits(self.order, self._symmetries(generators_only=True)))
 
     @cached_property
     def pair_leaders(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
@@ -255,6 +243,24 @@ class FiniteGroup:
     @cached_property
     def _normal_lattice(self) -> tuple[Subgroup, ...]:
         return _compute_normal_lattice(self)
+
+    @cached_property
+    def _cover_cache(self) -> dict[int, dict[frozenset[int], tuple[frozenset[int], ...]]]:
+        return {}
+
+    def normal_covers(self, p: int) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
+        """The index-p cover edges of the normal-subgroup lattice: for each
+        normal N, by members, the normal U with N < U and |U| = p|N|, in
+        canonical order. Computed once per p and cached on the group."""
+        covers = self._cover_cache.get(p)
+        if covers is None:
+            by_order: dict[int, list[frozenset[int]]] = {}
+            for U in self._normal_lattice:
+                by_order.setdefault(U.order, []).append(U.members)
+            covers = self._cover_cache[p] = {
+                N: tuple(U for U in by_order.get(p * len(N), ()) if N < U)
+                for Ns in by_order.values() for N in Ns}
+        return covers
 
     @cached_property
     def hom_cache(self) -> dict[int, tuple[FiniteGroup, list[tuple[int, ...]]]]:
@@ -463,18 +469,32 @@ def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     return True
 
 
+def _orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The orbits on range(n) of the group the ``maps`` generate (each a
+    permutation listed by element), each led by its least element, in
+    ascending order of it. An orbit is closed under the maps alone: every
+    element of a finite group is a positive word in its generators."""
+    seen = [False] * n
+    out = []
+    for x in range(n):
+        if not seen[x]:
+            seen[x] = True
+            orbit = [x]
+            for y in orbit:             # grows while it is walked
+                for s in maps:
+                    if not seen[s[y]]:
+                        seen[s[y]] = True
+                        orbit.append(s[y])
+            out.append(orbit)
+    return out
+
+
 def conjugacy_classes(G: FiniteGroup) -> list[frozenset[int]]:
-    """Conjugacy classes, sorted by (size, least member)."""
-    seen = set()
-    classes = []
-    for x in G.elements():
-        if x in seen:
-            continue
-        cls = {G.conjugate(x, g) for g in G.elements()}
-        seen |= cls
-        classes.append(frozenset(cls))
-    classes.sort(key=lambda c: (len(c), min(c)))
-    return classes
+    """Conjugacy classes, sorted by (size, least member): the orbits under
+    conjugation by ``generators``, in O(order * #generators) lookups."""
+    tab, inv = G.table, G.inverse
+    conj = [[tab[tab[inv[g]][x]][g] for x in G.elements()] for g in G.generators]
+    return [frozenset(c) for c in sorted(_orbits(G.order, conj), key=lambda c: (len(c), c[0]))]
 
 
 def enumerate_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
@@ -487,24 +507,34 @@ def enumerate_normal_subgroups(G: FiniteGroup) -> list[Subgroup]:
 
 
 def _compute_normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
-    """Works up the join semilattice: starting from the trivial subgroup,
-    repeatedly join a known normal subgroup with one extra conjugacy
-    class. Every normal subgroup is a union of classes, so this search
-    reaches them all. A class generates a normal subgroup, so the join of
-    ``cur`` and ``cls`` is the product cur * <cls>: ``cur`` grown by
-    right multiplication with the members of ``cls`` alone.
+    """Every normal subgroup, in canonical order, as a join of class closures.
+
+    The closure <C> of a class C is normal, as C is closed under
+    conjugation. A normal N is a union of classes, and C in N gives
+    C <= <C> <= N, so N is the join of the closures it contains: the search
+    reaches every N by joining each subgroup found with each closure M not
+    in it. M lies in a normal N exactly when one member of its class does.
+    For normal N and M the join is N M, the union of the right cosets N m,
+    m in M. Cosets partition G, so an m outside the cosets taken so far
+    starts a new one, and N M costs |N M| lookups and |M| membership tests.
     """
-    classes = [tuple(cls) for cls in conjugacy_classes(G)]
-    found: dict[frozenset[int], Subgroup] = {}
+    table = G.table
+    closures = {}
+    for cls in conjugacy_classes(G)[1:]:
+        closures.setdefault(_grow(G, frozenset({0}), tuple(cls)), next(iter(cls)))
     start = frozenset({0})
+    found = {start: Subgroup(G, start)}
     queue = [start]
-    found[start] = Subgroup(G, start)
     while queue:
         cur = queue.pop()
-        for cls in classes:
-            if cls[0] in cur:
-                continue  # a normal subgroup holds each class wholly or not at all
-            new = _grow(G, cur, cls)
+        for M, rep in closures.items():
+            if rep in cur:
+                continue
+            new = set(cur)
+            for m in M:
+                if m not in new:
+                    new.update([table[n][m] for n in cur])
+            new = frozenset(new)
             if new not in found:
                 found[new] = Subgroup(G, new)
                 queue.append(new)
@@ -586,8 +616,10 @@ def find_p_chain(G: FiniteGroup, R: Subgroup, p: int) -> Optional[NormalChain]:
     """A chain R = R0 < ... < Rm = G, all links normal in G, steps of index p.
 
     Returns None when no such chain exists (in particular whenever [G:R]
-    is not a power of p). Depth-first, taking the canonically smallest
-    candidate link first, so the result is deterministic.
+    is not a power of p). Below each link the chain takes the canonically
+    smallest link that R reaches, as a depth-first descent from G trying
+    the smallest first would; one ascending pass over ``normal_covers``
+    finds that link for every link R reaches.
     """
     if not is_normal(G, R):
         raise NotNormal("R is not normal in G")
@@ -595,23 +627,20 @@ def find_p_chain(G: FiniteGroup, R: Subgroup, p: int) -> Optional[NormalChain]:
         raise InputError(f"{p} is not prime")
     if not is_p_power(G.order // R.order, p):
         return None
-    normals = [N for N in enumerate_normal_subgroups(G) if R.members <= N.members]
-
-    def descend(top: frozenset[int]) -> Optional[list[frozenset[int]]]:
-        if top == R.members:
-            return [top]
-        want = len(top) // p
-        for N in normals:
-            if len(N.members) == want and N.members < top:
-                tail = descend(N.members)
-                if tail is not None:
-                    return tail + [top]
+    covers = G.normal_covers(p)
+    below: dict[frozenset[int], Optional[frozenset[int]]] = {R.members: None}
+    for N in G._normal_lattice:     # ascending order: each N before its covers
+        if N.members in below:
+            for U in covers[N.members]:
+                below.setdefault(U, N.members)
+    link: Optional[frozenset[int]] = frozenset(G.elements())
+    if link not in below:
         return None
-
-    path = descend(frozenset(G.elements()))
-    if path is None:
-        return None
-    return NormalChain(G, tuple(Subgroup(G, ms) for ms in path), p)
+    path = []
+    while link is not None:
+        path.append(Subgroup(G, link))
+        link = below[link]
+    return NormalChain(G, tuple(reversed(path)), p)
 
 
 def is_cyclic_subgroup(G: FiniteGroup, F: Subgroup) -> bool:

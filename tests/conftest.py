@@ -87,6 +87,28 @@ def z9_amalgam():
     return build_amalgam(z9a, z9b, H, K, {0: 0, 3: 3, 6: 6})
 
 
+def relabeled(G: FiniteGroup, seed) -> tuple[FiniteGroup, list[int]]:
+    """An isomorphic copy of G under a seeded random permutation of its
+    elements that fixes 0, drawn as ``benchmark/groups.relabel`` draws it,
+    with ``perm[old] = new``."""
+    n = G.order
+    perm = [0] + random.Random(seed).sample(range(1, n), n - 1)
+    inv = [0] * n
+    for old, new in enumerate(perm):
+        inv[new] = old
+    return construct_group([[perm[G.table[inv[i]][inv[j]]] for j in range(n)]
+                            for i in range(n)]), perm
+
+
+def relabeled_amalgam(pres: AmalgamPresentation, seed) -> AmalgamPresentation:
+    """The amalgam carried over to ``relabeled`` copies of both factors."""
+    A, pa = relabeled(pres.A, f"A:{seed}")
+    B, pb = relabeled(pres.B, f"B:{seed}")
+    return build_amalgam(A, B, Subgroup(A, frozenset(pa[h] for h in pres.H.members)),
+                         Subgroup(B, frozenset(pb[k] for k in pres.K.members)),
+                         {pa[h]: pb[k] for h, k in pres.phi.items()})
+
+
 # ---------------------------------------------------------------------------
 # Oracles
 
@@ -134,6 +156,35 @@ def is_normal_oracle(G: FiniteGroup, members: frozenset[int]) -> bool:
 
 def normal_subgroups_oracle(G: FiniteGroup) -> list[frozenset[int]]:
     return [ms for ms in all_subgroups_oracle(G) if is_normal_oracle(G, ms)]
+
+
+def conjugacy_classes_oracle(G: FiniteGroup) -> list[frozenset[int]]:
+    """Conjugacy classes by conjugation with every element, sorted by
+    (size, least member)."""
+    classes = {frozenset(G.conjugate(x, g) for g in G.elements()) for x in G.elements()}
+    return sorted(classes, key=lambda c: (len(c), min(c)))
+
+
+def p_chain_oracle(G: FiniteGroup, R: Subgroup, p: int):
+    """The links of the chain ``find_p_chain`` returned before it walked
+    cover edges, as member sets: a depth-first descent from G that filters
+    the whole lattice at every step and tries the smallest link first."""
+    if not is_p_power(G.order // R.order, p):
+        return None
+    normals = [N.members for N in enumerate_normal_subgroups(G) if R.members <= N.members]
+
+    def descend(top: frozenset):
+        if top == R.members:
+            return [top]
+        want = len(top) // p
+        for N in normals:
+            if len(N) == want and N < top:
+                tail = descend(N)
+                if tail is not None:
+                    return tail + [top]
+        return None
+
+    return descend(frozenset(G.elements()))
 
 
 def chains_exist_oracle(G: FiniteGroup, R_members: frozenset[int], p: int) -> bool:

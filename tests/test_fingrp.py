@@ -40,10 +40,13 @@ from conftest import (
     all_subgroups_oracle,
     catalog_group_oracle,
     chains_exist_oracle,
+    conjugacy_classes_oracle,
     cyclic_table,
     is_normal_oracle,
     normal_subgroups_oracle,
     orbit_leaders_oracle,
+    p_chain_oracle,
+    relabeled,
 )
 
 
@@ -174,12 +177,29 @@ class TestNormalSubgroups:
 
 
 CATALOG_32 = {e.name: e for e in catalog(32)}
+# Each catalog group up to order 32 under two seeded relabelings that fix
+# element 0. Generating sets, class orbits and search orders follow the
+# labels, so the results must not.
+RELABELED_32 = [(name, seed) for name in CATALOG_32 for seed in (1, 2)]
+
+
+def relabeled_32(name: str, seed: int):
+    return relabeled(CATALOG_32[name].build(), f"{name}:{seed}")[0]
+
+
+def check_lattice(G) -> None:
+    got = [S.members for S in enumerate_normal_subgroups(G)]
+    assert got == normal_subgroups_oracle(G)
+    for ms in all_subgroups_oracle(G):
+        assert is_normal(G, Subgroup(G, ms)) == is_normal_oracle(G, ms)
+    assert subgroup_generated(G, G.generators).order == G.order
+    assert 2 ** len(G.generators) <= G.order
 
 
 class TestLatticeOracle:
-    """The cached lattice, the class-by-class join and normality by
+    """The cached lattice, the joins of class closures and normality by
     generators, each against brute force on every catalog group up to
-    order 32 and on the fixture groups."""
+    order 32, on two relabelings of each and on the fixture groups."""
 
     @pytest.mark.parametrize("name", [*CATALOG_32, "z4a", "z4b", "s3", "z9a", "z9b"])
     def test_lattice_and_normality(self, name, request):
@@ -190,12 +210,26 @@ class TestLatticeOracle:
             G = z9.A if name == "z9a" else z9.B
         else:
             G = request.getfixturevalue(name)
-        got = [S.members for S in enumerate_normal_subgroups(G)]
-        assert got == normal_subgroups_oracle(G)
-        for ms in all_subgroups_oracle(G):
-            assert is_normal(G, Subgroup(G, ms)) == is_normal_oracle(G, ms)
-        assert subgroup_generated(G, G.generators).order == G.order
-        assert 2 ** len(G.generators) <= G.order
+        check_lattice(G)
+
+    @pytest.mark.parametrize("name,seed", RELABELED_32)
+    def test_relabeled_lattice_and_normality(self, name, seed):
+        check_lattice(relabeled_32(name, seed))
+
+
+class TestConjugacyClasses:
+    """Class orbits under conjugation by ``generators`` against
+    conjugation by every element."""
+
+    @pytest.mark.parametrize("name", CATALOG_32)
+    def test_catalog_groups(self, name):
+        G = CATALOG_32[name].build()
+        assert fingrp.conjugacy_classes(G) == conjugacy_classes_oracle(G)
+
+    @pytest.mark.parametrize("name,seed", RELABELED_32)
+    def test_relabeled_groups(self, name, seed):
+        G = relabeled_32(name, seed)
+        assert fingrp.conjugacy_classes(G) == conjugacy_classes_oracle(G)
 
 
 def _fields(G):
@@ -325,6 +359,17 @@ class TestPChains:
                     assert (chain is not None) == chains_exist_oracle(G, R.members, p)
                     if chain is not None:
                         chain.validate()
+
+    @pytest.mark.parametrize("name", CATALOG_32)
+    def test_same_chain_as_the_descent(self, name):
+        # The cover-edge walk returns the chain the old depth-first descent
+        # from G found first, for every normal R.
+        G = CATALOG_32[name].build()
+        for R in enumerate_normal_subgroups(G):
+            for p in (2, 3):
+                chain = find_p_chain(G, R, p)
+                got = None if chain is None else [l.members for l in chain.links]
+                assert got == p_chain_oracle(G, R, p)
 
     def test_validate_rejects_a_step_of_index_p_squared(self, z4a):
         chain = fingrp.NormalChain(z4a, (trivial_subgroup(z4a),

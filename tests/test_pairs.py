@@ -5,10 +5,12 @@
 presentation. The sweep compares both with ``conftest.p_pairs_oracle``,
 which tests every (R, S) from scratch, on every ordered pair of small
 catalog p-groups glued along a cyclic subgroup of each common order,
-plus mixed-order amalgams and non-cyclic amalgamated subgroups. The
-memo tests check that validation still runs on memo hits, that results
-do not depend on call order, and that the memo dies with its
-presentation.
+plus mixed-order amalgams and non-cyclic amalgamated subgroups. Each
+side's chain families, witness chains included, are compared with the
+depth-first ascent on relabeled copies of the same amalgams. The memo
+tests check that validation still runs on memo hits, that results do not
+depend on call order, and that the memo and the factors' cover edges die
+with their presentation and group.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import pytest
 from amalgsep.amalgam import build_amalgam
 from amalgsep.catalog import catalog, entry_is_p_group
 from amalgsep.compat import (
+    _chain_families,
     enumerate_compatible_pairs,
     family_separability,
     is_compatible,
@@ -32,11 +35,18 @@ from amalgsep.errors import InputError, NotNormal
 from amalgsep.fingrp import (
     Subgroup,
     enumerate_normal_subgroups,
+    find_p_chain,
     subgroup_generated,
     trivial_subgroup,
 )
 
-from conftest import family_verdict_oracle, p_pairs_oracle
+from conftest import (
+    chain_families_oracle,
+    family_verdict_oracle,
+    p_pairs_oracle,
+    relabeled,
+    relabeled_amalgam,
+)
 
 ENTRIES = {e.name: e for e in catalog(27)}
 P_GROUPS = {2: [e.name for e in catalog(16) if entry_is_p_group(e, 2)],
@@ -113,12 +123,40 @@ NON_CYCLIC = [("Z2xZ4", (2, 4)), ("Z2xD2", (1, 2)), ("Z2xD2", (2, 4)), ("Z4xZ4",
               ("Z2xD4", (1, 4))]
 
 
-@pytest.mark.parametrize("name,gens", NON_CYCLIC, ids=[f"{n}{list(g)}" for n, g in NON_CYCLIC])
-def test_non_cyclic_amalgams_match_oracle(name, gens):
+def non_cyclic_amalgam(name, gens):
     G = ENTRIES[name].build()
     H = subgroup_generated(G, list(gens))
-    assert H.order < G.order and all(G.element_orders[h] < H.order for h in H.members)
-    check_against_oracle(build_amalgam(G, G, H, H, {h: h for h in H.members}), 2)
+    return build_amalgam(G, G, H, H, {h: h for h in H.members})
+
+
+@pytest.mark.parametrize("name,gens", NON_CYCLIC, ids=[f"{n}{list(g)}" for n, g in NON_CYCLIC])
+def test_non_cyclic_amalgams_match_oracle(name, gens):
+    pres = non_cyclic_amalgam(name, gens)
+    assert pres.H.order < pres.A.order
+    assert all(pres.A.element_orders[h] < pres.H.order for h in pres.H.members)
+    check_against_oracle(pres, 2)
+
+
+def canonical_items(families: dict) -> list:
+    return sorted(families.items(), key=lambda kv: sorted(tuple(sorted(s)) for s in kv[0]))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_chain_families_match_the_ascent(p):
+    # The memoized top-down pass keeps the witness chain the depth-first
+    # ascent found first, on labels unlike the catalog's.
+    amalgams = [pres for names in [*itertools.product(P_GROUPS[p], repeat=2), *MIXED]
+                for pres in cyclic_amalgams(*names)]
+    amalgams += [non_cyclic_amalgam(*shape) for shape in NON_CYCLIC]
+    cases = 0
+    for seed, pres in enumerate(amalgams):
+        pres = relabeled_amalgam(pres, seed)
+        for side, G, H in (("A", pres.A, pres.H), ("B", pres.B, pres.K)):
+            for N in enumerate_normal_subgroups(G):
+                got = list(_chain_families(pres, side, N, p).items())
+                assert got == canonical_items(chain_families_oracle(G, N, H, p))
+                cases += bool(got)
+    assert cases > 10 * len(amalgams)
 
 
 def test_mixed_order_p_mode_skips_the_trivial_pair():
@@ -249,6 +287,18 @@ def test_memo_is_collected_with_its_presentation(call):
     assert any(isinstance(k, tuple) for k in pres.compat_cache)
     alive = weakref.ref(pres)
     del pres
+    gc.collect()
+    assert alive() is None
+
+
+def test_factor_group_is_collected_with_its_cover_cache():
+    G = relabeled(ENTRIES["D4"].build(), "cover-cache")[0]
+    pres = build_amalgam(G, G, trivial_subgroup(G), trivial_subgroup(G), {0: 0})
+    assert enumerate_compatible_pairs(pres, "p", 2)
+    assert find_p_chain(G, trivial_subgroup(G), 2) is not None
+    assert G.normal_covers(2) is G.normal_covers(2)
+    alive = weakref.ref(G)
+    del G, pres
     gc.collect()
     assert alive() is None
 
