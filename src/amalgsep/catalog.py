@@ -34,6 +34,35 @@ isomorphism, so entries with equal keys are isomorphic:
 The key is not complete: equal groups with different keys stay in the
 scan, which costs time but never a result. Up to order 128 the only
 repeat it misses is MC(21,2,6), which is D3 x MC(7,2,3).
+
+Each group carries candidate automorphisms read off its construction,
+as images of its family's generators; the leader scans prune by them
+(``FiniteGroup._symmetries``). fingrp checks each candidate on the
+Cayley graph before use, so a wrong one costs pruning, never a result.
+Units u are picked by ``fingrp.unit_generators``, at most log2 of them.
+
+  family     candidate                      why it is an automorphism
+  Z_n        none                           power maps give all of Aut(Z_n)
+  D_n        r -> r^u, u a unit mod n       r^u has order n; s inverts it
+  D_n        s -> r s                       r s is a reflection, inverts r
+  D2         r <-> s                        D2 = Z2 x Z2, symmetric in r, s
+  MC(m,k,j)  x -> x^u, u a unit mod m       y^-1 x^u y = (x^u)^k
+  MC(m,k,j)  y -> x^v y, v least with       (x^v y)^j = x^(v s) = 1, where
+             v s = 0 (mod m)                s = 1 + k + ... + k^(j-1), and
+                                            x^v y acts on <x> as y does
+  MC(m,k,j)  y -> y^w, w = 1 (mod ord k),   y^w has order j and acts as
+             w a unit mod j                 k^w = k
+  S_n        none                           Aut(S_n) = Inn(S_n) for n != 6
+  a x b      each member's S generators,    an automorphism of one factor
+             on its own coordinate          times the identity
+  a x a      (x, y) -> (y, x)               the factors are equal
+  a x b      g -> g z, g a generator of     (x, y) -> (x, y f(x)) for the
+             one member, z a power of a     homomorphism f into the centre
+             central generator of the       with f(g) = z, f = 1 on the
+             other, ord z | ord g           other generators, if it exists
+
+The last needs ord z to divide the order of g modulo the commutator
+subgroup; where it does not (r in D_n, z of order 4), the check drops it.
 """
 
 from __future__ import annotations
@@ -45,7 +74,13 @@ from math import factorial, gcd, isqrt, prod
 from typing import Callable, Iterator, Optional
 
 from .errors import InputError
-from .fingrp import FiniteGroup, is_p_power, trusted_group
+from .fingrp import (
+    FiniteGroup,
+    is_p_power,
+    subgroup_generated,
+    trusted_group,
+    unit_generators,
+)
 
 CYCLIC_MAX = 64
 DIHEDRAL_MAX = 12
@@ -56,7 +91,7 @@ SYMMETRIC_MAX = 5
 def cyclic_group(n: int) -> FiniteGroup:
     table = [[(i + j) % n for j in range(n)] for i in range(n)]
     names = ["e"] + [f"x{i}" if i > 1 else "x" for i in range(1, n)]
-    return trusted_group(table, names)
+    return trusted_group(table, names, generators=(1,) if n > 1 else ())
 
 
 def dihedral_group(n: int) -> FiniteGroup:
@@ -72,7 +107,11 @@ def dihedral_group(n: int) -> FiniteGroup:
     table = [[mul(a, b) for b in range(order)] for a in range(order)]
     names = ["e"] + [f"r{i}" if i > 1 else "r" for i in range(1, n)]
     names += [f"sr{i}" if i else "s" for i in range(n)]
-    return trusted_group(table, names)
+    # Images of (r, s) = (1, n): r -> r^u; s -> r s; for D2, r <-> s.
+    candidates = [(u, n) for u in unit_generators(n)] + [(1, 1 + n)]
+    if n == 2:
+        candidates.append((n, 1))
+    return trusted_group(table, names, generators=(1, n), candidates=candidates)
 
 
 def metacyclic_group(m: int, k: int, j: int) -> FiniteGroup:
@@ -87,7 +126,16 @@ def metacyclic_group(m: int, k: int, j: int) -> FiniteGroup:
     blocks = [[[l * m + (c + i) % m for i in range(m)] for c in range(m)] for l in range(j)]
     table = [[x for l2 in range(j) for x in blocks[(l1 + l2) % j][i1 * twist[l2] % m]]
              for l1 in range(j) for i1 in range(m)]
-    return trusted_group(table)
+    # Images of (x, y) = (1, m). (x^v y)^j = x^(v s) y^j with
+    # s = 1 + k + ... + k^(j-1), so y -> x^v y for the least v with
+    # v s = 0 (mod m); x^v y = y x^(v k) has index m + v k.
+    o = _mult_order(k, m)
+    v = m // gcd(m, sum(twist))
+    candidates = [(u, m) for u in unit_generators(m)]
+    if v < m:
+        candidates.append((1, m + v * k % m))
+    candidates += [(1, w * m) for w in unit_generators(j, lambda w: w % o == 1)]
+    return trusted_group(table, generators=(1, m), candidates=candidates)
 
 
 def symmetric_group(n: int) -> FiniteGroup:
@@ -102,10 +150,42 @@ def symmetric_group(n: int) -> FiniteGroup:
 
 
 def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
+    """G1 x G2, with (a, b) at index a*|G2| + b. Its candidate automorphisms
+    are given on the members' generators (see the module docstring)."""
     n2 = G2.order
     table = [[x * n2 + y for x in ra for y in rb] for ra in G1.table for rb in G2.table]
     verified = G1.associativity_verified and G2.associativity_verified
-    return trusted_group(table, verified=verified)
+    a_gens = G1.family_generators or G1.generators
+    b_gens = G2.family_generators or G2.generators
+    g1, g2 = [a * n2 for a in a_gens], list(b_gens)
+    gens = g1 + g2
+    candidates = [[s[a] * n2 for a in a_gens] + g2 for s in G1._symmetries()]
+    candidates += [g1 + [s[b] for b in b_gens] for s in G2._symmetries()]
+    if G1 == G2:
+        candidates.append(g2 + g1)
+    # g -> g z for a generator g of one member, z central in the other.
+    c1, c2 = _central_generators(G1), _central_generators(G2)
+    moves = ([(G2, c2, 1, G1.element_orders[a]) for a in a_gens]
+             + [(G1, c1, n2, G2.element_orders[b]) for b in b_gens])
+    for i, (other, centre, scale, order) in enumerate(moves):
+        for c in centre:
+            oc = other.element_orders[c]
+            z = other.power(c, oc // gcd(oc, order))
+            if z:
+                candidates.append(gens[:i] + [gens[i] + z * scale] + gens[i + 1:])
+    return trusted_group(table, verified=verified, generators=gens, candidates=candidates)
+
+
+def _central_generators(G: FiniteGroup) -> list[int]:
+    """Generators of the centre of G, picked greedily in index order."""
+    tab = G.table
+    gens: list[int] = []
+    span = {0}
+    for z in G.elements():
+        if z not in span and all(tab[z][g] == tab[g][z] for g in G.generators):
+            gens.append(z)
+            span = subgroup_generated(G, gens).members
+    return gens
 
 
 @dataclass(frozen=True)

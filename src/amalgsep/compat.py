@@ -24,9 +24,11 @@ Free factors are handled through GenImages kernels: a pair of assignments
 is compatible when the induced maps on the amalgamated subgroup's free
 basis have equal kernels. The class scan keeps one assignment per kernel
 class and target, and computes each kernel key once per distinct tuple of
-restricted images. The scanner skips images that differ by a listed
-automorphism of the target before any word is evaluated; they have the
-same kernel, so the first assignment of each class is unchanged.
+restricted images. The scanner skips images that differ by an element of
+the target's automorphism group S (``FiniteGroup._symmetries``: inner
+automorphisms or power maps, and the checked automorphisms the catalog
+construction names) before any word is evaluated; they have the same
+kernel, so the first assignment of each class is unchanged.
 """
 
 from __future__ import annotations

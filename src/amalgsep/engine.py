@@ -19,11 +19,13 @@ The certificate scan glues factor homomorphisms over the amalgamated
 subgroup, but it tests each distinct restriction to the letters of h and
 g once: pairs that agree there give the same verdict. It tries only the
 A-homomorphisms whose image of element 1 is least in its orbit under a
-group S of automorphisms of T (inner automorphisms, or power maps when T
-is abelian). Sigma in S maps a glued pair to a glued pair and <tg> onto
-<sigma tg>, so all pairs of an S-orbit give the same verdict, and
-canonical order compares images of element 1 first: the first separating
-pair is among those tried, and the certificate does not depend on S.
+group S of automorphisms of T: inner automorphisms, or power maps when T
+is abelian, and the checked automorphisms its catalog construction names
+(``FiniteGroup._symmetries``). Sigma in S maps a glued pair to a glued
+pair and <tg> onto <sigma tg>, so all pairs of an S-orbit give the same
+verdict, and canonical order compares images of element 1 first: the
+first separating pair is among those tried, and the certificate does not
+depend on S.
 
 A direct product T1 x T2 of two catalog members is decided without a
 probe. A homomorphism theta into it is a pair (theta1, theta2) of
@@ -84,6 +86,7 @@ from .fingrp import (
     FiniteGroup,
     is_prime,
     product_set,
+    respects_generators,
     subgroup_generated,
 )
 from .freegrp import (
@@ -582,7 +585,7 @@ def _certify(report: WitnessReport, pres: AmalgamPresentation, hq: AmalgamElemen
     """
     T = hom.target
     for side, G, mapping in (("A", pres.A, hom.map_a), ("B", pres.B, hom.map_b)):
-        if not _respects_generators(G, T, mapping):
+        if not respects_generators(G, T, mapping):
             raise AssertionError(f"certificate factor map {side} is not a homomorphism")
     if any(hom.map_a[h] != hom.map_b[pres.phi[h]] for h in pres.H.members):
         raise AssertionError("certificate factor maps disagree on the amalgamated subgroup")
@@ -598,17 +601,6 @@ def _certify(report: WitnessReport, pres: AmalgamPresentation, hq: AmalgamElemen
     if not ok:
         raise AssertionError("certificate failed re-verification")
     return report
-
-
-def _respects_generators(G: FiniteGroup, T: FiniteGroup, mapping: Sequence[int]) -> bool:
-    """Whether f(0) = 0 and f(x*g) = f(x)*f(g) for every x in G and
-    generator g: then f is a homomorphism, because every element is a
-    positive word in the generators."""
-    if (len(mapping) != G.order or mapping[0] != 0
-            or not all(0 <= v < T.order for v in mapping)):
-        return False
-    return all(mapping[G.table[x][g]] == T.table[mapping[x]][mapping[g]]
-               for x in G.elements() for g in G.generators)
 
 
 def _exhausted(report: WitnessReport, bound: int, note: Optional[str] = None

@@ -14,10 +14,14 @@ short generating tuple (``generating_tuple``: one element, else the first
 generating pair, else ``generators``) and the breadth-first edges of its
 Cayley graph (``cayley_schedule``), both for the engine's homomorphism
 search; the element orders (``element_orders``); the elements least in
-their orbit under inner automorphisms or power maps (``orbit_leaders``,
-the images of element 1 the engine's certificate scan tries) and the
-least pairs of elements under the same maps (``pair_leaders``, for the
-generator-image scanner); the normal-subgroup lattice (behind
+their orbit under a group S of automorphisms (``orbit_leaders``, the
+images of element 1 the engine's certificate scan tries) and the least
+pairs of elements under S acting diagonally (``pair_leaders``, for the
+generator-image scanner), both found from generators of S alone. S is
+generated by the inner automorphisms, or the power maps of an abelian
+group, and by the automorphisms a catalog construction names
+(``automorphism_candidates``), each checked on the Cayley graph before
+use (``_symmetries``); the normal-subgroup lattice (behind
 ``enumerate_normal_subgroups``), built as joins of the normal closures of
 conjugacy classes; its index-p cover edges, one table per prime p
 (``normal_covers``, for ``find_p_chain`` and compat's chain families);
@@ -32,10 +36,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import (
     InputError,
@@ -91,6 +95,9 @@ class FiniteGroup:
 
     ``table[i][j]`` is the index of the product of elements i and j;
     element 0 is the identity and ``inverse[i]`` the two-sided inverse.
+    A group built from a closed-form construction may carry candidate
+    automorphisms, each given as the images of ``family_generators``;
+    ``_symmetries`` checks them before use. Equality ignores both.
     """
 
     order: int
@@ -98,6 +105,9 @@ class FiniteGroup:
     inverse: tuple[int, ...]
     names: tuple[str, ...]
     associativity_verified: bool = True
+    family_generators: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    automorphism_candidates: tuple[tuple[int, ...], ...] = field(
+        default=(), compare=False, repr=False)
 
     def elements(self) -> range:
         return range(self.order)
@@ -194,51 +204,52 @@ class FiniteGroup:
                 schedule.append((x, i, y, new))
         return tuple(schedule)
 
-    def _symmetries(self, generators_only: bool = False) -> list[Sequence[int]]:
-        """The group S of automorphisms that the leaders below prune by,
-        each map listed by element: Inn(G) for a nonabelian group, and the
-        power maps x -> x^k, k prime to the exponent, for an abelian one.
-        Both are found without an Aut(G) search. With ``generators_only``,
-        a generating set of S: conjugation by ``generators``, or the power
-        maps of the units mod the exponent picked greedily, each outside
-        the span of the earlier ones. Commutativity is tested on
-        ``generators``, which suffices."""
+    def _symmetries(self) -> list[list[int]]:
+        """Generators of the group S of automorphisms that the leaders below
+        prune by, each map listed by element: conjugation by ``generators``
+        for a nonabelian group, or the power maps x -> x^k for an abelian
+        one, with the units k mod the exponent picked by
+        ``unit_generators``; then every ``automorphism_candidates`` entry
+        that passes the check. A candidate is extended from the images of
+        ``family_generators`` along the Cayley graph and kept only when the
+        result is an automorphism (``_is_automorphism``), so a wrong
+        candidate costs pruning, never exactness.
+        Commutativity is tested on ``generators``, which suffices."""
         n, tab, inv = self.order, self.table, self.inverse
         gens = self.generators
         if all(tab[a][b] == tab[b][a] for a in gens for b in gens):
-            e = self.exponent()
-            ks, span = [], {1}
-            for k in range(2, e):
-                if gcd(k, e) == 1 and k not in span:
-                    ks.append(k)
-                    if generators_only:
-                        span = _unit_span(span, k, e)
-            return [[self.power(x, k) for x in range(n)] for k in ks]
-        by = gens if generators_only else range(1, n)
-        # Elements in one coset of the centre conjugate alike: list each map once.
-        return list(dict.fromkeys(tuple(tab[tab[inv[g]][x]][g] for x in range(n)) for g in by))
+            maps = [[self.power(x, k) for x in range(n)]
+                    for k in unit_generators(self.exponent())]
+        else:
+            maps = [[tab[tab[inv[g]][x]][g] for x in range(n)] for g in gens]
+        for images in self.automorphism_candidates:
+            f = _extend(self, self.family_generators, images)
+            if _is_automorphism(self, f):
+                maps.append(f)
+        return maps
 
     @cached_property
     def orbit_leaders(self) -> tuple[int, ...]:
         """The elements least in their orbit under the group S of
         ``_symmetries``, ascending. Each orbit is closed under generators
         of S from its least element, in O(order * #generators)."""
-        return tuple(orbit[0] for orbit in
-                     _orbits(self.order, self._symmetries(generators_only=True)))
+        return tuple(orbit[0] for orbit in _orbits(self.order, self._symmetries()))
 
     @cached_property
     def pair_leaders(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         """The pairs (x, y) that are least in their orbit under the group S
         of ``_symmetries`` acting diagonally, as ``(x, ys)`` in ascending
-        order: x from ``orbit_leaders``, ys the elements least in their
-        orbit under the stabilizer of x. S is listed in O(order^2)."""
-        maps = self._symmetries()
-        out = []
-        for x in self.orbit_leaders:
-            stab = [s for s in maps if s[x] == x]
-            out.append((x, tuple(y for y in range(self.order)
-                                 if all(s[y] >= y for s in stab))))
-        return tuple(out)
+        order: the least members of the orbits on pairs, closed under
+        generators of S in O(order^2 * #generators). A least pair has x
+        least in its orbit, so the x column is ``orbit_leaders``, and y
+        least under the stabilizer of x."""
+        n = self.order
+        maps = [[sa + sb for sa in [v * n for v in s] for sb in s] for s in self._symmetries()]
+        out: dict[int, list[int]] = {}
+        for orbit in _orbits(n * n, maps):
+            x, y = divmod(orbit[0], n)
+            out.setdefault(x, []).append(y)
+        return tuple((x, tuple(ys)) for x, ys in out.items())
 
     @cached_property
     def _normal_lattice(self) -> tuple[Subgroup, ...]:
@@ -347,11 +358,14 @@ def construct_group(
                        associativity_verified=verified)
 
 
-def trusted_group(table, names=None, verified=True) -> FiniteGroup:
+def trusted_group(table, names=None, verified=True, generators=(),
+                  candidates=()) -> FiniteGroup:
     """Construct from a structurally correct table: cheap checks only.
 
     Used by the target catalog, whose tables come from closed-form group
     constructions; the Latin-square and identity checks still run.
+    ``generators`` and ``candidates`` become ``family_generators`` and
+    ``automorphism_candidates``.
     """
     n = len(table)
     tbl = tuple(tuple(row) for row in table)
@@ -367,7 +381,9 @@ def trusted_group(table, names=None, verified=True) -> FiniteGroup:
     if names is None:
         names = default_names(n)
     return FiniteGroup(order=n, table=tbl, inverse=tuple(inverse),
-                       names=tuple(names), associativity_verified=verified)
+                       names=tuple(names), associativity_verified=verified,
+                       family_generators=tuple(generators),
+                       automorphism_candidates=tuple(map(tuple, candidates)))
 
 
 @dataclass(frozen=True)
@@ -424,6 +440,18 @@ def _unit_span(span: set[int], k: int, e: int) -> set[int]:
     return out
 
 
+def unit_generators(e: int, keep: Callable[[int], bool] = lambda k: True) -> list[int]:
+    """Units k mod e, 1 < k < e, that ``keep`` accepts, picked greedily in
+    ascending order, each outside the span of the earlier ones: they
+    generate every accepted unit, and there are at most log2(e) of them."""
+    ks, span = [], {1}
+    for k in range(2, e):
+        if gcd(k, e) == 1 and keep(k) and k not in span:
+            ks.append(k)
+            span = _unit_span(span, k, e)
+    return ks
+
+
 def _grow(G: FiniteGroup, seed: frozenset[int], gens: Sequence[int]) -> frozenset[int]:
     """Close ``seed`` under right multiplication by ``gens``.
 
@@ -467,6 +495,43 @@ def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
             if table[g_inv[x]][g] not in members:
                 return False
     return True
+
+
+def respects_generators(G: FiniteGroup, T: FiniteGroup, mapping: Sequence[int]) -> bool:
+    """Whether f(0) = 0 and f(x*g) = f(x)*f(g) for every x in G and
+    generator g: then f is a homomorphism, because every element is a
+    positive word in the generators."""
+    if (len(mapping) != G.order or mapping[0] != 0
+            or min(mapping) < 0 or max(mapping) >= T.order):
+        return False
+    for g in G.generators:
+        tg = mapping[g]
+        if any(mapping[row[g]] != T.table[fx][tg] for row, fx in zip(G.table, mapping)):
+            return False
+    return True
+
+
+def _is_automorphism(G: FiniteGroup, f: Sequence[int]) -> bool:
+    """Whether the map f, listed by element, respects every Cayley-graph
+    edge of G and is bijective."""
+    return respects_generators(G, G, f) and len(set(f)) == G.order
+
+
+def _extend(G: FiniteGroup, gens: Sequence[int], images: Sequence[int]) -> list[int]:
+    """The map f(x*g_i) = f(x)*images[i] from f(0) = 0, spread breadth-first
+    along the Cayley graph of ``gens`` without checking the other edges;
+    -1 at the elements that ``gens`` does not reach."""
+    f = [-1] * G.order
+    f[0] = 0
+    reached = [0]
+    for x in reached:                   # grows while it is walked
+        row, fx = G.table[x], G.table[f[x]]
+        for g, t in zip(gens, images):
+            y = row[g]
+            if f[y] < 0:
+                f[y] = fx[t]
+                reached.append(y)
+    return f
 
 
 def _orbits(n: int, maps: Sequence[Sequence[int]]) -> list[list[int]]:

@@ -4,9 +4,11 @@ Finite-index normal subgroups of free factors are never materialized as
 element sets; they are carried around as ``GenImages`` (the images of the
 free generators in a finite target group, the subgroup being the kernel
 of the induced map). Every walk over the assignments of a target goes
-through ``scan_gen_images``, which yields only orbit leaders under
-automorphisms of the target: an ordered subsequence of the full product
-that holds the first assignment of every kernel. Membership in finitely
+through ``scan_gen_images``, which yields only orbit leaders under the
+target's automorphism group S (``FiniteGroup._symmetries``: inner
+automorphisms or power maps, and the checked automorphisms the catalog
+construction names): an ordered subsequence of the full product that
+holds the first assignment of every kernel. Membership in finitely
 generated subgroups is decided on a folded core graph.
 """
 
@@ -248,16 +250,16 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
     lexicographic order, each with ``kernel_key(restriction(u, basis))``.
 
     Rank 1 takes the first element of each element order. Higher ranks
-    take x from ``target.pair_leaders``, y from the leaders under the
-    stabilizer of x, and the later coordinates from all of the target.
+    take (x, y) from ``target.pair_leaders``, the pairs least in their
+    orbit under S, and the later coordinates from all of the target.
     Every assignment that is least among those with its kernel is a
     leader. At rank 1 the image of u is cyclic of order ord(x), so the
     kernel <a^ord(x)> depends on that order alone. At higher ranks, for an
     automorphism s of the target, s*u has the kernel of u, and so the same
     chunk verdict and the same restricted key: ``kernel_key`` is the BFS
     normal form of the marked image, which s carries over label for label.
-    The least assignment of a kernel is least in its diagonal orbit, so x
-    is least in its orbit and y in its orbit under the stabilizer of x.
+    The least assignment of a kernel is least in its diagonal orbit, so
+    its first two coordinates are a least pair.
     The scan is thus an ordered subsequence of the full product that keeps
     the first assignment of every (restricted key, kernel) pair. The
     restricted key depends on the kernel alone, so the first assignment of

@@ -361,26 +361,42 @@ def homs_oracle(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
     return sorted(out)
 
 
-def orbit_leaders_oracle(G: FiniteGroup) -> tuple[int, ...]:
-    """The elements least in their orbit under the automorphism group S of
-    the leader scans, from a full listing of S: conjugation by every
-    element when some pair of elements does not commute, else the power
-    maps x -> x^k for every k in 1..e prime to the exponent e."""
+def symmetry_group_oracle(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every map in the group S of the leader scans, listed by element: the
+    closure of the identity map under composition with the generators
+    ``G._symmetries()`` returns (in a finite group every element is a
+    positive word in generators)."""
+    gens = [tuple(s) for s in G._symmetries()]
+    ident = tuple(G.elements())
+    seen, out = {ident}, [ident]
+    for f in out:                       # grows while it is walked
+        for s in gens:
+            h = tuple([s[x] for x in f])
+            if h not in seen:
+                seen.add(h)
+                out.append(h)
+    return out
+
+
+def automorphisms_oracle(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Aut(G), by brute force: the bijective maps among ``homs_oracle(G, G)``."""
+    return [f for f in homs_oracle(G, G) if len(set(f)) == G.order]
+
+
+def leaders_oracle(G: FiniteGroup, maps) -> tuple[tuple, tuple]:
+    """The elements x with s(x) >= x for every listed map s, and the pairs
+    least in their diagonal orbit under the maps (which must be a group),
+    as ``(x, ys)`` like ``FiniteGroup.pair_leaders``: pairs are visited in
+    ascending order, and one no earlier orbit reached leads a new orbit,
+    all of whose pairs are marked."""
     els = G.elements()
-    if all(G.table[x][y] == G.table[y][x] for x in els for y in els):
-        orders = _element_orders_oracle(G)
-        e = functools.reduce(lambda a, b: a * b // gcd(a, b), orders, 1)
-        powers = []
-        for x in els:
-            row = [0]
-            for _ in range(orders[x] - 1):
-                row.append(G.table[row[-1]][x])
-            powers.append(row)
-        maps = [[powers[x][k % orders[x]] for x in els]
-                for k in range(1, e + 1) if gcd(k, e) == 1]
-    else:
-        maps = [[G.table[G.table[G.inverse[g]][x]][g] for x in els] for g in els]
-    return tuple(x for x in els if min(s[x] for s in maps) == x)
+    elements = tuple(x for x in els if min(s[x] for s in maps) == x)
+    marked, pairs = set(), {}
+    for x, y in itertools.product(els, repeat=2):
+        if (x, y) not in marked:
+            pairs.setdefault(x, []).append(y)
+            marked.update((s[x], s[y]) for s in maps)
+    return elements, tuple((x, tuple(ys)) for x, ys in pairs.items())
 
 
 def first_separating_hom_oracle(homs, h, g):

@@ -35,7 +35,7 @@ from amalgsep.engine import (
     separate_from_cyclic,
 )
 from amalgsep.errors import InputError, UnknownCase
-from amalgsep.fingrp import construct_group, is_p_power, subgroup_generated
+from amalgsep.fingrp import construct_group, is_p_power, respects_generators, subgroup_generated
 from amalgsep.freegrp import parse_word
 from conftest import (
     cyclic_table,
@@ -550,8 +550,8 @@ def test_tampered_certificate_is_rejected():
 def test_reverification_needs_the_identity_fixed():
     # The trivial group has no generators, so only f(0) = 0 is left to check.
     one = construct_group([[0]])
-    assert engine._respects_generators(one, cyclic_group(2), (0,))
-    assert not engine._respects_generators(one, cyclic_group(2), (1,))
+    assert respects_generators(one, cyclic_group(2), (0,))
+    assert not respects_generators(one, cyclic_group(2), (1,))
 
 
 def test_reverification_failure_raises_under_optimize():

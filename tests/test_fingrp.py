@@ -8,7 +8,6 @@ import pytest
 
 from amalgsep import fingrp
 from amalgsep.catalog import catalog, targets
-from amalgsep.engine import _respects_generators
 from amalgsep.errors import (
     InputError,
     NoIdentity,
@@ -29,6 +28,7 @@ from amalgsep.fingrp import (
     is_p_prime_isolated_cyclic_finite,
     product_set,
     quotient_with_projection,
+    respects_generators,
     separating_core,
     subgroup_as_group,
     subgroup_from_members,
@@ -38,15 +38,18 @@ from amalgsep.fingrp import (
 )
 from conftest import (
     all_subgroups_oracle,
+    automorphisms_oracle,
     catalog_group_oracle,
     chains_exist_oracle,
     conjugacy_classes_oracle,
     cyclic_table,
+    generating_set_oracle,
     is_normal_oracle,
+    leaders_oracle,
     normal_subgroups_oracle,
-    orbit_leaders_oracle,
     p_chain_oracle,
     relabeled,
+    symmetry_group_oracle,
 )
 
 
@@ -251,15 +254,57 @@ def construct_calls(monkeypatch):
 
 
 class TestOrbitLeaders:
-    @pytest.mark.parametrize("bound, p", [(64, None), (256, 2)])
+    @pytest.mark.parametrize("bound, p", [(64, None)])
     def test_leaders_match_a_full_listing(self, bound, p):
         # The leaders close orbits under generators of S, while the oracle
-        # lists all of S; pair_leaders takes its x column from them.
+        # lists all of S; every generator must pass a full table check.
+        # Above order 64 the listing is out of reach: S has over 300,000
+        # maps on D2xMC(8,3,8).
         for entry in targets(bound, p):
             T = entry.build()
-            want = orbit_leaders_oracle(T)
-            assert T.orbit_leaders == want, entry.name
-            assert tuple(x for x, _ in T.pair_leaders) == want, entry.name
+            tab = T.table
+            for s in T._symmetries():
+                assert sorted(s) == list(T.elements()), entry.name
+                assert all(s[tab[a][b]] == tab[s[a]][s[b]]
+                           for a in T.elements() for b in T.elements()), entry.name
+            elements, pairs = leaders_oracle(T, symmetry_group_oracle(T))
+            assert T.orbit_leaders == elements, entry.name
+            assert T.pair_leaders == pairs, entry.name
+
+    def test_leaders_include_those_of_the_full_automorphism_group(self):
+        # S lies in Aut(T), so each Aut-leader is least in its S-orbit too.
+        # Rank-4 entries are left out: their brute force tries 16^4 maps.
+        for entry in targets(24):
+            T = entry.build()
+            if len(generating_set_oracle(T)) >= 4:
+                continue
+            elements, pairs = leaders_oracle(T, automorphisms_oracle(T))
+            assert set(elements) <= set(T.orbit_leaders), entry.name
+            got = {(x, y) for x, ys in T.pair_leaders for y in ys}
+            assert {(x, y) for x, ys in pairs for y in ys} <= got, entry.name
+
+    def test_exponent_two_targets_are_pruned(self):
+        # Inner automorphisms and power maps alone kept 4,061 pairs here
+        # and fixed every element of D2, Z2xD2 and D2xD2.
+        assert sum(len(ys) for e in targets(24) for _, ys in e.build().pair_leaders) <= 2000
+        for entry in targets(16):
+            if entry.name in ("D2", "Z2xD2", "D2xD2"):
+                assert len(entry.build().orbit_leaders) < entry.order, entry.name
+
+    @pytest.mark.parametrize("name, candidate", [("D6", (2, 6)), ("Z2xZ4", (1, 4))],
+                             ids=["non-unit-power", "swap-of-unequal-members"])
+    def test_non_automorphisms_are_rejected(self, name, candidate):
+        # D6: r -> r^2, s -> s with 2 not a unit mod 6. Z2xZ4: the swap of
+        # the generators (1, 0) and (0, 1), of orders 2 and 4.
+        G = CATALOG_32[name].build()
+        bare = dataclasses.replace(G, automorphism_candidates=())
+        bad = dataclasses.replace(
+            G, automorphism_candidates=G.automorphism_candidates + (candidate,))
+        images = fingrp._extend(G, G.family_generators, candidate)
+        assert not fingrp._is_automorphism(G, images)
+        assert bad._symmetries() == G._symmetries() != bare._symmetries()
+        assert bad.orbit_leaders == G.orbit_leaders
+        assert bad.pair_leaders == G.pair_leaders
 
 
 class TestDerivedTables:
@@ -328,7 +373,7 @@ class TestQuotient:
         for G in (z4a, s3):
             for N in enumerate_normal_subgroups(G):
                 Q, proj = quotient_with_projection(G, N)
-                assert _respects_generators(G, Q, proj.mapping)
+                assert respects_generators(G, Q, proj.mapping)
 
 
 class TestPChains:

@@ -34,7 +34,7 @@ from conftest import (
 )
 
 from amalgsep import catalog as catalog_module
-from amalgsep import compat, engine
+from amalgsep import compat, engine, fingrp
 from amalgsep.amalgam import build_amalgam
 from amalgsep.catalog import catalog, iso_key, member_keys, targets
 from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_classes
@@ -167,18 +167,36 @@ class TestScanGenImages:
                                 for _ in range(rng.randint(1, 4))])
 
         for entry, _ in itertools.product(targets(bound), range(2)):
-            T = entry.build()
             basis = [word() for _ in range(rng.randint(1, 2))]
             chunks = [word() for _ in range(rng.randint(0, 2))]
-            for distinct in (False, True):
-                got = [(u.images, key)
-                       for u, key in scan_gen_images(rank, T, basis, chunks, distinct)]
-                want = [(u.images, key)
-                        for u, key in scan_gen_images_oracle(rank, T, basis, chunks, distinct)]
-                if distinct:
-                    assert got == want
-                else:
-                    assert_leaders_of(got, want, T, rank)
+            _assert_scan_matches_full_product(rank, entry.build(), basis, chunks)
+
+    def test_an_unchecked_non_automorphism_loses_kernels(self, monkeypatch):
+        # D6 given the candidate r -> r^2, s -> s (2 is not a unit mod 6).
+        # The check drops it; with the check patched out, the scan prunes
+        # by it and misses kernels that the full product has.
+        D6 = next(e for e in targets(12) if e.name == "D6").build()
+        candidates = D6.automorphism_candidates + ((2, 6),)
+        basis = [((0, 1),), ((1, 1),)]
+        _assert_scan_matches_full_product(
+            2, dataclasses.replace(D6, automorphism_candidates=candidates), basis, [])
+        monkeypatch.setattr(fingrp, "_is_automorphism", lambda G, f: True)
+        with pytest.raises(AssertionError):
+            _assert_scan_matches_full_product(
+                2, dataclasses.replace(D6, automorphism_candidates=candidates), basis, [])
+
+
+def _assert_scan_matches_full_product(rank, T, basis, chunks):
+    """``scan_gen_images`` on T keeps the first assignment of every kernel
+    of the full product, and with ``distinct`` yields what it yields."""
+    for distinct in (False, True):
+        got = [(u.images, key) for u, key in scan_gen_images(rank, T, basis, chunks, distinct)]
+        want = [(u.images, key)
+                for u, key in scan_gen_images_oracle(rank, T, basis, chunks, distinct)]
+        if distinct:
+            assert got == want
+        else:
+            assert_leaders_of(got, want, T, rank)
 
 
 def _doubling(sb: int, sd: int) -> FreeAmalgamDescription:
