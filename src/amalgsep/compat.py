@@ -67,14 +67,13 @@ from .fingrp import (
 from .freegrp import (
     FreeWord,
     GenImages,
-    fold_subgroup,
     format_word,
-    graph_member,
     induced_map,
     primitive_root,
     restriction,
     scan_gen_images,
     word_pow,
+    word_power_exponent,
 )
 
 
@@ -470,11 +469,11 @@ def free_family_separability(desc: FreeAmalgamDescription, side: str,
     """Catalog-bounded family verdict for a cyclic subgroup of a free factor.
 
     Candidate excluded elements are the intermediate powers of the
-    primitive root of g together with the free generators (each checked
-    against the folded graph of <g>). A not_separated verdict certifies
-    its element only up to the reported bound unless a structural note
-    upgrades it; a separable verdict likewise quantifies only over the
-    candidate set and the family members found.
+    primitive root of g together with the free generators, less those
+    that are powers of g (``word_power_exponent``). A not_separated
+    verdict certifies its element only up to the reported bound unless a
+    structural note upgrades it; a separable verdict likewise quantifies
+    only over the candidate set and the family members found.
     """
     if side not in ("A", "B"):
         raise WrongSide(f"side must be 'A' or 'B', got {side!r}")
@@ -486,7 +485,6 @@ def free_family_separability(desc: FreeAmalgamDescription, side: str,
     fam_name = f"Omega_{side}" + ("^p" if mode == "p" else "")
     subject = f"<{format_word(g_word, names)}>"
 
-    graph = fold_subgroup([g_word], rank)
     root, mult = primitive_root(g_word)
     candidates: list[FreeWord] = []
     for j in range(1, mult):
@@ -494,7 +492,8 @@ def free_family_separability(desc: FreeAmalgamDescription, side: str,
     for i in range(rank):
         candidates.append(((i, 1),))
         candidates.append(((i, -1),))
-    candidates = [x for x in candidates if x and not graph_member(graph, x)]
+    candidates = [x for x in candidates
+                  if x and word_power_exponent(x, g_word) is None]
 
     classes = enumerate_free_compatible_classes(desc, bound,
                                                 p if mode == "p" else None)

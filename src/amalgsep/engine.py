@@ -98,6 +98,7 @@ from .freegrp import (
     word_inv,
     word_mul,
     word_pow,
+    word_power_exponent,
 )
 
 DEFAULT_TARGET_BOUND = 256
@@ -276,23 +277,6 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
 # Symbolic reduced forms for free descriptions with cyclic amalgamation
 
 
-def _word_power_exponent(x: FreeWord, w: FreeWord) -> Optional[int]:
-    """The exponent t with x = w^t, or None."""
-    if not x:
-        return 0
-    if not w:
-        return None
-    for base, sign in ((w, 1), (word_inv(w), -1)):
-        acc: FreeWord = ()
-        for t in range(1, len(x) + 2):
-            acc = word_mul(acc, base)
-            if acc == x:
-                return sign * t
-            if len(acc) > len(x) + 2 * len(w):
-                break
-    return None
-
-
 @dataclass(frozen=True)
 class FreeReducedForm:
     """Reduced form of a free-amalgam element with cyclic amalgamation:
@@ -361,7 +345,7 @@ def free_reduced_form(desc: FreeAmalgamDescription,
         changed = False
         for i, (side, word) in enumerate(chunks):
             w_own, w_other, other = (wh, wk, "B") if side == "A" else (wk, wh, "A")
-            t = _word_power_exponent(word, w_own)
+            t = word_power_exponent(word, w_own)
             if t is None:
                 continue
             if len(chunks) == 1:
@@ -448,7 +432,7 @@ def _free_member_exponent(desc: FreeAmalgamDescription, g_red: FreeReducedForm,
     else:
         w_side = desc.h_words[0] if side == "A" else desc.k_words[0]
         word = word_pow(w_side, h_trans.core_exponent)
-    return _word_power_exponent(word, g_word)
+    return word_power_exponent(word, g_word)
 
 
 # ---------------------------------------------------------------------------

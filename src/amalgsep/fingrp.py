@@ -24,7 +24,7 @@ group, and by the automorphisms a catalog construction names
 use (``_symmetries``); the normal-subgroup lattice (behind
 ``enumerate_normal_subgroups``), built as joins of the normal closures of
 conjugacy classes; its index-p cover edges, one table per prime p
-(``normal_covers``, for ``find_p_chain`` and compat's chain families);
+(``normal_covers``, for compat's chain families);
 and the homomorphisms from it to each target, one list per target
 (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
@@ -675,37 +675,6 @@ class NormalChain:
         for a, b in zip(self.links, self.links[1:]):
             if not (a.members < b.members and b.order == a.order * self.prime):
                 raise AssertionError(f"chain step is not an index-{self.prime} inclusion")
-
-
-def find_p_chain(G: FiniteGroup, R: Subgroup, p: int) -> Optional[NormalChain]:
-    """A chain R = R0 < ... < Rm = G, all links normal in G, steps of index p.
-
-    Returns None when no such chain exists (in particular whenever [G:R]
-    is not a power of p). Below each link the chain takes the canonically
-    smallest link that R reaches, as a depth-first descent from G trying
-    the smallest first would; one ascending pass over ``normal_covers``
-    finds that link for every link R reaches.
-    """
-    if not is_normal(G, R):
-        raise NotNormal("R is not normal in G")
-    if not is_prime(p):
-        raise InputError(f"{p} is not prime")
-    if not is_p_power(G.order // R.order, p):
-        return None
-    covers = G.normal_covers(p)
-    below: dict[frozenset[int], Optional[frozenset[int]]] = {R.members: None}
-    for N in G._normal_lattice:     # ascending order: each N before its covers
-        if N.members in below:
-            for U in covers[N.members]:
-                below.setdefault(U, N.members)
-    link: Optional[frozenset[int]] = frozenset(G.elements())
-    if link not in below:
-        return None
-    path = []
-    while link is not None:
-        path.append(Subgroup(G, link))
-        link = below[link]
-    return NormalChain(G, tuple(reversed(path)), p)
 
 
 def is_cyclic_subgroup(G: FiniteGroup, F: Subgroup) -> bool:

@@ -1,4 +1,4 @@
-"""Free-group words, folded subgroup graphs, and finite-quotient images.
+"""Free-group words, cyclic membership, and finite-quotient images.
 
 Finite-index normal subgroups of free factors are never materialized as
 element sets; they are carried around as ``GenImages`` (the images of the
@@ -8,8 +8,10 @@ through ``scan_gen_images``, which yields only orbit leaders under the
 target's automorphism group S (``FiniteGroup._symmetries``: inner
 automorphisms or power maps, and the checked automorphisms the catalog
 construction names): an ordered subsequence of the full product that
-holds the first assignment of every kernel. Membership in finitely
-generated subgroups is decided on a folded core graph.
+holds the first assignment of every kernel. Membership of a word in a
+cyclic subgroup <w> is decided by comparing it with the powers of w
+(``word_power_exponent``; Lyndon and Schupp, Combinatorial Group Theory,
+ch. I).
 """
 
 from __future__ import annotations
@@ -92,103 +94,29 @@ def format_word(w: FreeWord, gen_names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class SubgroupGraph:
-    """Folded core graph of a finitely generated subgroup of a free group.
+def word_power_exponent(x: FreeWord, w: FreeWord) -> Optional[int]:
+    """The exponent t with x = w^t, or None; decides x in <w> in a free group.
 
-    ``edges[(state, gen, sign)]`` is the state reached by reading that
-    letter; the map is deterministic and closed under edge inversion.
+    x and w are reduced words. Write w = c u c^-1 with u cyclically
+    reduced and nonempty. For t >= 1, w^t = c u^t c^-1 is reduced and has
+    length 2|c| + t|u|, which is at least t and grows strictly with t. So
+    x = w^(+-t) forces t <= |x|, within the loop's range, and once a power
+    is longer than x no later one can equal it, so the length break loses
+    nothing.
     """
-
-    rank: int
-    n_states: int
-    edges: dict
-    base: int = 0
-
-
-def fold_subgroup(gens: Iterable[FreeWord], rank: int) -> SubgroupGraph:
-    """Stallings construction: wedge of generator loops, folded to a core graph."""
-    gens = [reduce_word(g) for g in gens]
-    for w in gens:
-        for gen, _ in w:
-            if not (0 <= gen < rank):
-                raise InputError(f"generator index {gen} out of declared rank {rank}")
-
-    # Bouquet of loops at state 0; quads (u, gen, v) read "u --gen--> v".
-    quads: set[tuple[int, int, int]] = set()
-    n = 1
-    for w in gens:
-        cur = 0
-        for i, (gen, sign) in enumerate(w):
-            nxt = 0 if i == len(w) - 1 else n
-            if nxt != 0:
-                n += 1
-            if sign > 0:
-                quads.add((cur, gen, nxt))
-            else:
-                quads.add((nxt, gen, cur))
-            cur = nxt
-
-    # Fold: merge states until the labelled graph is deterministic in both
-    # directions. Every union drops the state count, so this terminates.
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    while True:
-        quads = {(find(u), gen, find(v)) for (u, gen, v) in quads}
-        forward: dict[tuple[int, int], int] = {}
-        backward: dict[tuple[int, int], int] = {}
-        merged = False
-        for u, gen, v in sorted(quads):
-            if forward.setdefault((u, gen), v) != v:
-                union(forward[(u, gen)], v)
-                merged = True
-            if backward.setdefault((v, gen), u) != u:
-                union(backward[(v, gen)], u)
-                merged = True
-        if not merged:
-            break
-
-    edges: dict[tuple[int, int, int], int] = {}
-    for u, gen, v in quads:
-        edges[(u, gen, 1)] = v
-        edges[(v, gen, -1)] = u
-
-    # Canonical relabel: BFS from the base in (gen, sign) order.
-    base = find(0)
-    label = {base: 0}
-    queue = [base]
-    while queue:
-        u = queue.pop(0)
-        for gen in range(rank):
-            for sign in (1, -1):
-                v = edges.get((u, gen, sign))
-                if v is not None and v not in label:
-                    label[v] = len(label)
-                    queue.append(v)
-    relabelled = {(label[u], gen, sign): label[v]
-                  for (u, gen, sign), v in edges.items() if u in label}
-    return SubgroupGraph(rank=rank, n_states=len(label), edges=relabelled, base=0)
-
-
-def graph_member(graph: SubgroupGraph, w: FreeWord) -> bool:
-    """True iff the word labels a loop at the base state."""
-    state, edges = graph.base, graph.edges
-    for gen, sign in reduce_word(w):
-        state = edges.get((state, gen, sign))
-        if state is None:
-            return False
-    return state == graph.base
+    if not x:
+        return 0
+    if not w:
+        return None
+    for base, sign in ((w, 1), (word_inv(w), -1)):
+        acc: FreeWord = ()
+        for t in range(1, len(x) + 2):
+            acc = word_mul(acc, base)
+            if acc == x:
+                return sign * t
+            if len(acc) > len(x) + 2 * len(w):
+                break
+    return None
 
 
 def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:

@@ -165,41 +165,6 @@ def conjugacy_classes_oracle(G: FiniteGroup) -> list[frozenset[int]]:
     return sorted(classes, key=lambda c: (len(c), min(c)))
 
 
-def p_chain_oracle(G: FiniteGroup, R: Subgroup, p: int):
-    """The links of the chain ``find_p_chain`` returned before it walked
-    cover edges, as member sets: a depth-first descent from G that filters
-    the whole lattice at every step and tries the smallest link first."""
-    if not is_p_power(G.order // R.order, p):
-        return None
-    normals = [N.members for N in enumerate_normal_subgroups(G) if R.members <= N.members]
-
-    def descend(top: frozenset):
-        if top == R.members:
-            return [top]
-        want = len(top) // p
-        for N in normals:
-            if len(N) == want and N < top:
-                tail = descend(N)
-                if tail is not None:
-                    return tail + [top]
-        return None
-
-    return descend(frozenset(G.elements()))
-
-
-def chains_exist_oracle(G: FiniteGroup, R_members: frozenset[int], p: int) -> bool:
-    """Exhaustive search for an all-normal chain with index-p steps."""
-    normals = normal_subgroups_oracle(G)
-
-    def grow(cur):
-        if len(cur) == G.order:
-            return True
-        want = len(cur) * p
-        return any(len(N) == want and cur < N and grow(N) for N in normals)
-
-    return grow(R_members)
-
-
 def chain_families_oracle(G: FiniteGroup, R: Subgroup, H: Subgroup, p: int) -> dict:
     """Every intersection-set family {link n H} over chains R < ... < G of
     normal subgroups with index-p steps, each with its first witness

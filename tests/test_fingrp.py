@@ -21,7 +21,6 @@ from amalgsep.fingrp import (
     Subgroup,
     construct_group,
     enumerate_normal_subgroups,
-    find_p_chain,
     group_from_json,
     is_normal,
     is_p_power,
@@ -40,14 +39,12 @@ from conftest import (
     all_subgroups_oracle,
     automorphisms_oracle,
     catalog_group_oracle,
-    chains_exist_oracle,
     conjugacy_classes_oracle,
     cyclic_table,
     generating_set_oracle,
     is_normal_oracle,
     leaders_oracle,
     normal_subgroups_oracle,
-    p_chain_oracle,
     relabeled,
     symmetry_group_oracle,
 )
@@ -377,45 +374,6 @@ class TestQuotient:
 
 
 class TestPChains:
-    def test_z4_chain(self, z4a):
-        chain = find_p_chain(z4a, trivial_subgroup(z4a), 2)
-        assert chain is not None
-        chain.validate()
-        assert [l.order for l in chain.links] == [1, 2, 4]
-
-    def test_top_pair_empty_chain(self, s3):
-        full = subgroup_generated(s3, list(s3.elements()))
-        chain = find_p_chain(s3, full, 2)
-        assert chain is not None
-        assert len(chain.links) == 1
-
-    def test_s3_has_no_2_chain(self, s3):
-        assert find_p_chain(s3, trivial_subgroup(s3), 2) is None
-
-    def test_cross_check_exhaustive_small(self, z4a, s3):
-        from amalgsep.catalog import cyclic_group, dihedral_group, direct_product
-        groups = [z4a, s3, dihedral_group(4), cyclic_group(12),
-                  direct_product(cyclic_group(2), cyclic_group(8))]
-        for G in groups:
-            assert G.order <= 32
-            for R in enumerate_normal_subgroups(G):
-                for p in (2, 3):
-                    chain = find_p_chain(G, R, p)
-                    assert (chain is not None) == chains_exist_oracle(G, R.members, p)
-                    if chain is not None:
-                        chain.validate()
-
-    @pytest.mark.parametrize("name", CATALOG_32)
-    def test_same_chain_as_the_descent(self, name):
-        # The cover-edge walk returns the chain the old depth-first descent
-        # from G found first, for every normal R.
-        G = CATALOG_32[name].build()
-        for R in enumerate_normal_subgroups(G):
-            for p in (2, 3):
-                chain = find_p_chain(G, R, p)
-                got = None if chain is None else [l.members for l in chain.links]
-                assert got == p_chain_oracle(G, R, p)
-
     def test_validate_rejects_a_step_of_index_p_squared(self, z4a):
         chain = fingrp.NormalChain(z4a, (trivial_subgroup(z4a),
                                          subgroup_generated(z4a, [1])), 2)

@@ -10,9 +10,7 @@ from amalgsep.catalog import cyclic_group, symmetric_group
 from amalgsep.errors import RankMismatch
 from amalgsep.freegrp import (
     GenImages,
-    fold_subgroup,
     format_word,
-    graph_member,
     induced_map,
     kernel_key,
     parse_word,
@@ -22,6 +20,7 @@ from amalgsep.freegrp import (
     word_inv,
     word_mul,
     word_pow,
+    word_power_exponent,
 )
 
 letters = st.lists(st.tuples(st.integers(0, 2), st.sampled_from([1, -1])), max_size=30)
@@ -56,82 +55,6 @@ class TestReduce:
         assert format_word(w, ["a", "b"]) == "a b^-1 a^2"
 
 
-class TestFolding:
-    def test_single_generator_loop(self):
-        g = fold_subgroup([((0, 1),)], rank=2)
-        assert g.n_states == 1
-
-    def test_square_in_rank_one(self):
-        g = fold_subgroup([((0, 1), (0, 1))], rank=1)
-        assert g.n_states == 2
-        assert graph_member(g, ((0, 1), (0, 1)))
-        assert not graph_member(g, ((0, 1),))
-
-    def test_conjugate_pair_graph(self):
-        # <a, b^-1 a b>: two states, an a-loop at each, one b-edge between.
-        # (Spanning-tree reading recovers exactly these two generators.)
-        gens = [((0, 1),), ((1, -1), (0, 1), (1, 1))]
-        g = fold_subgroup(gens, rank=2)
-        assert g.n_states == 2
-        assert graph_member(g, gens[1])
-        # (b^-1 a b)^2 folds through the same edges.
-        assert graph_member(g, ((1, -1), (0, 1), (0, 1), (1, 1)))
-        assert not graph_member(g, ((0, 1), (1, 1)))
-        assert not graph_member(g, ((1, 1),))
-
-    def test_empty_word_always_member(self):
-        g = fold_subgroup([((0, 1), (1, 1))], rank=2)
-        assert graph_member(g, ())
-
-    def test_membership_against_bounded_enumeration(self):
-        # Naive oracle: products of the generators up to length 8. The
-        # words are reduced and so is each generator, so a product reduces
-        # by cancelling at the seam alone.
-        def seam(w, g):
-            k = 0
-            while k < min(len(w), len(g)) and w[-1 - k] == (g[k][0], -g[k][1]):
-                k += 1
-            return w[:len(w) - k] + g[k:]
-
-        rng = random.Random(7)
-        checked = 0
-        for trial in range(25):
-            gens = []
-            for _ in range(rng.randrange(1, 4)):
-                raw = [(rng.randrange(2), rng.choice([1, -1]))
-                       for _ in range(rng.randrange(1, 5))]
-                w = reduce_word(raw)
-                if w:
-                    gens.append(w)
-            if not gens:
-                continue
-            graph = fold_subgroup(gens, rank=2)
-            alphabet = gens + [word_inv(w) for w in gens]
-            known = {()}
-            frontier = [()]
-            for _ in range(8):
-                nxt = []
-                for w in frontier:
-                    for g in alphabet:
-                        u = seam(w, g)
-                        if u not in known:
-                            known.add(u)
-                            nxt.append(u)
-                frontier = nxt
-            for w in known:
-                assert graph_member(graph, w), (gens, w)
-            checked += len(known)
-            # Spot-check some non-members of bounded length.
-            for _ in range(30):
-                raw = [(rng.randrange(2), rng.choice([1, -1]))
-                       for _ in range(rng.randrange(0, 5))]
-                w = reduce_word(raw)
-                if graph_member(graph, w):
-                    continue  # cannot refute membership without a bound
-                assert w not in known
-        assert checked == 921_815
-
-
 class TestPrimitiveRoot:
     def test_square(self):
         w = parse_word("a a", ["a"])
@@ -147,6 +70,64 @@ class TestPrimitiveRoot:
         root, m = primitive_root(w)
         assert m == 2
         assert word_pow(root, 2) == w
+
+
+class TestWordPowerExponent:
+    AB = ["a", "b"]
+
+    @staticmethod
+    def brute_force(x, w):
+        """The t with x = w^t among |t| <= len(x) + 1; 0 for the empty x."""
+        if not x:
+            return 0
+        for t in range(-len(x) - 1, len(x) + 2):
+            if word_pow(w, t) == x:
+                return t
+        return None
+
+    def test_against_brute_force_powers(self):
+        rng = random.Random(20)
+
+        def word(n):
+            return reduce_word([(rng.randrange(2), rng.choice([1, -1])) for _ in range(n)])
+
+        signs = set()
+        for _ in range(300):
+            w = word(rng.randrange(6))
+            if rng.random() < 0.3:      # conjugate, so w is not cyclically reduced
+                c = word(rng.randrange(1, 3))
+                w = word_mul(word_mul(c, w), word_inv(c))
+            for x in (word(rng.randrange(10)), word_pow(w, rng.randrange(-4, 5))):
+                want = self.brute_force(x, w)
+                assert word_power_exponent(x, w) == want, (x, w)
+                if x and want is not None:
+                    signs.add(want > 0)
+        assert signs == {True, False}
+
+    def test_conjugated_generator(self):
+        w = parse_word("b a b^-1", self.AB)
+        assert word_power_exponent(parse_word("b a^3 b^-1", self.AB), w) == 3
+        assert word_power_exponent(parse_word("b a^-2 b^-1", self.AB), w) == -2
+        assert word_power_exponent(parse_word("a", self.AB), w) is None
+        assert word_power_exponent(parse_word("b a b^-1 a", self.AB), w) is None
+
+    def test_proper_powers(self):
+        r = parse_word("a b", self.AB)
+        w = word_pow(r, 2)
+        assert word_power_exponent(word_pow(r, 3), w) is None
+        assert word_power_exponent(word_pow(r, 4), w) == 2
+        assert word_power_exponent(word_pow(r, -6), w) == -3
+
+    def test_empty_words(self):
+        a = parse_word("a", self.AB)
+        assert word_power_exponent((), a) == 0
+        assert word_power_exponent((), ()) == 0
+        assert word_power_exponent(a, ()) is None
+
+    def test_square_in_rank_one(self):
+        w = parse_word("a^2", ["a"])
+        assert word_power_exponent(w, w) == 1
+        assert word_power_exponent(parse_word("a", ["a"]), w) is None
 
 
 class TestGenImages:

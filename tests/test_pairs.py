@@ -35,7 +35,6 @@ from amalgsep.errors import InputError, NotNormal
 from amalgsep.fingrp import (
     Subgroup,
     enumerate_normal_subgroups,
-    find_p_chain,
     subgroup_generated,
     trivial_subgroup,
 )
@@ -295,7 +294,6 @@ def test_factor_group_is_collected_with_its_cover_cache():
     G = relabeled(ENTRIES["D4"].build(), "cover-cache")[0]
     pres = build_amalgam(G, G, trivial_subgroup(G), trivial_subgroup(G), {0: 0})
     assert enumerate_compatible_pairs(pres, "p", 2)
-    assert find_p_chain(G, trivial_subgroup(G), 2) is not None
     assert G.normal_covers(2) is G.normal_covers(2)
     alive = weakref.ref(G)
     del G, pres
