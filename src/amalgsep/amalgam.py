@@ -19,13 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
-from .errors import (
-    InputError,
-    NotIsomorphism,
-    NotSubgroup,
-    PreconditionViolated,
-    PresentationMismatch,
-)
+from .errors import InputError
 from .fingrp import FiniteGroup, Subgroup, coset_representatives, is_prime, prime_factors
 
 Side = str  # 'A' or 'B'
@@ -85,19 +79,20 @@ def build_amalgam(A: FiniteGroup, B: FiniteGroup, H: Subgroup, K: Subgroup,
     homomorphism (checked on all pairs).
     """
     if H.parent is not A or not H.members <= frozenset(A.elements()):
-        raise NotSubgroup("H is not a subgroup of A")
+        raise InputError("H is not a subgroup of A")
     if K.parent is not B:
-        raise NotSubgroup("K is not a subgroup of B")
+        raise InputError("K is not a subgroup of B")
     if set(phi.keys()) != set(H.members):
-        raise NotIsomorphism("domain differs from H")
+        raise InputError("map is not an isomorphism: domain differs from H")
     if set(phi.values()) != set(K.members):
-        raise NotIsomorphism("image differs from K (not a bijection onto K)")
+        raise InputError("map is not an isomorphism: image differs from K "
+                         "(not a bijection onto K)")
     if len(set(phi.values())) != len(phi):
-        raise NotIsomorphism("map is not injective")
+        raise InputError("map is not an isomorphism: map is not injective")
     for h1 in H.members:
         for h2 in H.members:
             if phi[A.table[h1][h2]] != B.table[phi[h1]][phi[h2]]:
-                raise NotIsomorphism(f"fails on pair ({h1}, {h2})")
+                raise InputError(f"map is not an isomorphism: fails on pair ({h1}, {h2})")
     phi_inv = {v: k for k, v in phi.items()}
     return AmalgamPresentation(
         A=A, B=B, H=H, K=K, phi=dict(phi), phi_inv=phi_inv,
@@ -168,9 +163,9 @@ def normalize(pres: AmalgamPresentation, letters: Iterable[Letter]) -> AmalgamEl
     letters = list(letters)
     for side, elem in letters:
         if side not in ("A", "B"):
-            raise InputError(f"letter side must be 'A' or 'B', got {side!r}")
+            raise AssertionError(f"letter side must be 'A' or 'B', got {side!r}")
         if not (0 <= elem < pres.factor(side).order):
-            raise InputError(f"element index {elem} out of range for factor {side}")
+            raise AssertionError(f"element index {elem} out of range for factor {side}")
     x = identity_element(pres)
     for side, elem in reversed(letters):
         x = _prepend(pres, side, elem, x)
@@ -179,7 +174,7 @@ def normalize(pres: AmalgamPresentation, letters: Iterable[Letter]) -> AmalgamEl
 
 def multiply(x: AmalgamElement, y: AmalgamElement) -> AmalgamElement:
     if x.pres is not y.pres:
-        raise PresentationMismatch("elements live in different presentations")
+        raise AssertionError("elements live in different presentations")
     out = y
     for side, elem in reversed(x.letters()):
         out = _prepend(x.pres, side, elem, out)
@@ -298,7 +293,7 @@ def cyclic_member(h: AmalgamElement, g: AmalgamElement) -> CyclicMembership:
     ambient factor is enumerated.
     """
     if h.pres is not g.pres:
-        raise PresentationMismatch("elements live in different presentations")
+        raise AssertionError("elements live in different presentations")
     gr, c = cyclically_reduce(g)
     ht = multiply(multiply(invert(c), h), c)
     n = syllable_length(gr)
@@ -336,7 +331,7 @@ def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:
     is searched directly (roots realized inside the factor only).
     """
     if not is_prime(q):
-        raise InputError(f"{q} is not prime")
+        raise AssertionError(f"{q} is not prime")
     pres = g.pres
     y, c = cyclically_reduce(g)
     n = syllable_length(y)
@@ -375,14 +370,13 @@ def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:
 
 def _require_infinite_and_certified(g: AmalgamElement, p: int) -> None:
     if not is_prime(p):
-        raise InputError(f"{p} is not prime")
+        raise AssertionError(f"{p} is not prime")
     if element_order(g) != math.inf:
-        raise PreconditionViolated("infinite-order", "element has finite order")
+        raise InputError("precondition violated: infinite-order (element has finite order)")
     from .compat import presentation_residually_p  # local import: compat builds on this module
     if not presentation_residually_p(g.pres, p):
-        raise PreconditionViolated(
-            "residually-p-ambient",
-            f"presentation admits no index-{p} chain certificate")
+        raise InputError("precondition violated: residually-p-ambient "
+                         f"(presentation admits no index-{p} chain certificate)")
 
 
 def find_prime_root(g: AmalgamElement, p: int) -> Optional[tuple[int, AmalgamElement]]:

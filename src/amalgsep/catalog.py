@@ -73,7 +73,6 @@ from dataclasses import dataclass, field
 from math import factorial, gcd, isqrt, prod
 from typing import Callable, Iterator, Optional
 
-from .errors import InputError
 from .fingrp import (
     FiniteGroup,
     is_p_power,
@@ -117,9 +116,9 @@ def dihedral_group(n: int) -> FiniteGroup:
 def metacyclic_group(m: int, k: int, j: int) -> FiniteGroup:
     """Split metacyclic <x, y | x^m, y^j, y^-1 x y = x^k>; index = l*m + i for y^l x^i."""
     if gcd(k, m) != 1:
-        raise InputError(f"twist {k} not invertible mod {m}")
+        raise AssertionError(f"twist {k} not invertible mod {m}")
     if pow(k, j, m) != 1:
-        raise InputError(f"twist order does not divide {j}")
+        raise AssertionError(f"twist order does not divide {j}")
     # Row y^l1 x^i1 is, block by block over l2, y^(l1+l2) times the
     # rotation of x^0..x^(m-1) that starts at x^(i1 k^l2).
     twist = [pow(k, l, m) for l in range(j)]

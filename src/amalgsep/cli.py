@@ -7,10 +7,11 @@ report to the output path (default ``amalgsep_report.json``), then prints
 a short human summary to stdout.
 
 Exit codes: 0 success, 1 negative verdict (member, obstructed,
-incompatible, not isolated, failed case assertion), 2 input error
-(including an output path that cannot be written), 3 search bound
-exhausted, 4 internal error (any other exception; the report then reads
-``{"outcome": "internal_error", "error": ...}``).
+incompatible, not isolated, failed case assertion), 2 bad input from a
+file or an argument (``InputError``, or an output path that cannot be
+written), 3 search bound exhausted, 4 internal error (any other
+exception, such as the AssertionError of a broken internal contract; the
+report then reads ``{"outcome": "internal_error", "error": ...}``).
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from . import amalgam as am
 from . import compat as cp
 from . import engine as eng
 from . import fingrp as fg
-from .errors import AmalgsepError, InputError
+from .errors import InputError
 from .freegrp import parse_word
 
 EXIT_OK = 0
@@ -485,7 +486,7 @@ def main(argv=None) -> int:
             if value is not None and not fg.is_prime(value):
                 raise InputError(f"parameter --{key} must be prime, got {value}")
         doc, summary, code = args.handler(args)
-    except AmalgsepError as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

@@ -43,12 +43,7 @@ from .amalgam import (
     normalize,
 )
 from .catalog import targets
-from .errors import (
-    InputError,
-    NotCompatible,
-    NotNormal,
-    WrongSide,
-)
+from .errors import InputError
 from .fingrp import (
     FiniteGroup,
     Homomorphism,
@@ -103,11 +98,11 @@ class CompatiblePair:
 
 def _check_normal_pair(pres: AmalgamPresentation, R: Subgroup, S: Subgroup) -> None:
     if R.parent is not pres.A or S.parent is not pres.B:
-        raise InputError("pair subgroups must live in the presentation factors")
+        raise AssertionError("pair subgroups must live in the presentation factors")
     if not is_normal(pres.A, R):
-        raise NotNormal("R is not normal in A")
+        raise InputError("R is not normal in A")
     if not is_normal(pres.B, S):
-        raise NotNormal("S is not normal in B")
+        raise InputError("S is not normal in B")
 
 
 def is_compatible(pres: AmalgamPresentation, R: Subgroup, S: Subgroup) -> bool:
@@ -119,7 +114,7 @@ def is_compatible(pres: AmalgamPresentation, R: Subgroup, S: Subgroup) -> bool:
 
 def _check_prime(p) -> None:
     if not isinstance(p, int) or not is_prime(p):
-        raise InputError("p-mode needs a prime p" if p is None else f"{p} is not prime")
+        raise AssertionError("p-mode needs a prime p" if p is None else f"{p} is not prime")
 
 
 def _chain_families(pres: AmalgamPresentation, side: str, N: Subgroup, p: int) -> dict:
@@ -231,7 +226,7 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
     a new list of them.
     """
     if mode not in ("plain", "p"):
-        raise InputError(f"unknown mode {mode!r}")
+        raise AssertionError(f"unknown mode {mode!r}")
     if mode == "p":
         _check_prime(p)
     key = ("compatible-pairs", mode, p if mode == "p" else None)
@@ -257,7 +252,7 @@ def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
     """The map h.R -> (h phi).S on the quotient images of H and K.
 
     Well-definedness and bijectivity are exactly compatibility of (R, S);
-    NotCompatible is raised otherwise.
+    AssertionError is raised otherwise.
     """
     mapping: dict[int, int] = {}
     for h in pres.H.members:
@@ -265,14 +260,14 @@ def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
         v = proj_b(pres.phi[h])
         if u in mapping:
             if mapping[u] != v:
-                raise NotCompatible("induced map on H-image is ill defined")
+                raise AssertionError("induced map on H-image is ill defined")
         else:
             mapping[u] = v
     values = set(mapping.values())
     if len(values) != len(mapping):
-        raise NotCompatible("induced map on H-image is not injective")
+        raise AssertionError("induced map on H-image is not injective")
     if values != {proj_b(k) for k in pres.K.members}:
-        raise NotCompatible("induced map does not cover the K-image")
+        raise AssertionError("induced map does not cover the K-image")
     return mapping
 
 
@@ -305,7 +300,7 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     """
     R, S = pair.r_side, pair.s_side
     if not is_compatible(pres, R, S):
-        raise NotCompatible("pair fails the compatibility equation")
+        raise AssertionError("pair fails the compatibility equation")
     Qa, proj_a = quotient_with_projection(pres.A, R)
     Qb, proj_b = quotient_with_projection(pres.B, S)
     phi_bar = induced_iso(pres, R, S, proj_a, proj_b)
@@ -351,12 +346,12 @@ def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
     """Quotient amalgam for free factors: image groups glued along the
     images of the amalgamated subgroups."""
     if u.rank != desc.rank_a or v.rank != desc.rank_b:
-        raise InputError("generator images do not match the description ranks")
+        raise AssertionError("generator images do not match the description ranks")
     # The identification is the induced map between the images of the
     # amalgamated bases, which exists iff their kernels are equal.
     iso = induced_map(restriction(u, desc.h_words), restriction(v, desc.k_words))
     if iso is None:
-        raise NotCompatible("restriction kernels differ")
+        raise AssertionError("restriction kernels differ")
     Qa, embed_a, proj_a = _image_projection(u)
     Qb, embed_b, proj_b = _image_projection(v)
     phi_bar = {embed_a[a]: embed_b[b] for a, b in iso.items()}
@@ -431,10 +426,10 @@ def family_separability(pres: AmalgamPresentation, side: str, g: int,
     on success reports one separating family member per excluded element.
     """
     if side not in ("A", "B"):
-        raise WrongSide(f"side must be 'A' or 'B', got {side!r}")
+        raise AssertionError(f"side must be 'A' or 'B', got {side!r}")
     factor = pres.factor(side)
     if not (0 <= g < factor.order):
-        raise WrongSide(f"element {g} does not lie in factor {side}")
+        raise AssertionError(f"element {g} does not lie in factor {side}")
     pairs = enumerate_compatible_pairs(pres, mode, p)
     fam_name = f"Omega_{side}" + ("^p" if mode == "p" else "")
     members = []
@@ -476,12 +471,12 @@ def free_family_separability(desc: FreeAmalgamDescription, side: str,
     only over the candidate set and the family members found.
     """
     if side not in ("A", "B"):
-        raise WrongSide(f"side must be 'A' or 'B', got {side!r}")
+        raise AssertionError(f"side must be 'A' or 'B', got {side!r}")
     rank = desc.rank_a if side == "A" else desc.rank_b
     names = desc.gen_names_a if side == "A" else desc.gen_names_b
     for gen, _ in g_word:
         if gen >= rank:
-            raise WrongSide(f"generator index {gen} outside factor {side}")
+            raise AssertionError(f"generator index {gen} outside factor {side}")
     fam_name = f"Omega_{side}" + ("^p" if mode == "p" else "")
     subject = f"<{format_word(g_word, names)}>"
 

@@ -81,7 +81,7 @@ from .compat import (
     is_p_compatible,
     presentation_residually_p,
 )
-from .errors import InputError, UnknownCase
+from .errors import InputError
 from .fingrp import (
     FiniteGroup,
     is_prime,
@@ -322,7 +322,7 @@ def free_reduced_form(desc: FreeAmalgamDescription,
     chunks: list[FreeLetter] = []
     for side, word in letters:
         if side not in ("A", "B"):
-            raise InputError(f"letter side must be 'A' or 'B', got {side!r}")
+            raise AssertionError(f"letter side must be 'A' or 'B', got {side!r}")
         word = reduce_word(word)
         if word:
             chunks.append((side, word))
@@ -656,9 +656,9 @@ def separate_from_cyclic(
     an exhausted search bound).
     """
     if mode not in ("plain", "p"):
-        raise InputError(f"unknown mode {mode!r}")
+        raise AssertionError(f"unknown mode {mode!r}")
     if mode == "p" and not is_prime(p or 0):
-        raise InputError("p-mode requires a prime p")
+        raise AssertionError("p-mode requires a prime p")
     pmode = p if mode == "p" else None
     h_letters, g_letters = list(h_letters), list(g_letters)
     report = WitnessReport(mode=mode, prime=pmode, h_text=_letters_text(h_letters),
@@ -1119,4 +1119,4 @@ def run_case_study(case: str, **params) -> CaseStudyReport:
     if case in ("cyclic_remark", "cyclic-remark"):
         return _cyclic_remark_case(params.get("trials", 100),
                                    params.get("seed", 20260810))
-    raise UnknownCase(f"unknown case {case!r}")
+    raise AssertionError(f"unknown case {case!r}")

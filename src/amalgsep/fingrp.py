@@ -41,17 +41,7 @@ from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
-from .errors import (
-    InputError,
-    NoIdentity,
-    NoSuchM,
-    NotAssociative,
-    NotCyclic,
-    NotInvertible,
-    NotNormal,
-    NotSubgroup,
-    PreconditionViolated,
-)
+from .errors import InputError
 
 EXHAUSTIVE_ASSOC_LIMIT = 64
 ASSOC_SAMPLES = 10_000
@@ -292,8 +282,8 @@ def construct_group(
 ) -> FiniteGroup:
     """Validate a multiplication table and build the group.
 
-    Element 0 must act as a two-sided identity. Raises NotAssociative,
-    NoIdentity or NotInvertible naming the violating triple or element.
+    Element 0 must act as a two-sided identity. Raises InputError naming
+    the violating triple or element.
     """
     n = len(table)
     if n == 0:
@@ -310,15 +300,15 @@ def construct_group(
 
     for x in range(n):
         if tbl[0][x] != x or tbl[x][0] != x:
-            raise NoIdentity(f"fails on element {x}")
+            raise InputError(f"element 0 is not a two-sided identity: fails on element {x}")
 
     # Latin square property: every row and column is a permutation.
     full = frozenset(range(n))
     for i in range(n):
         if frozenset(tbl[i]) != full:
-            raise NotInvertible(i)
+            raise InputError(f"element {i} has no two-sided inverse")
         if frozenset(tbl[j][i] for j in range(n)) != full:
-            raise NotInvertible(i)
+            raise InputError(f"element {i} has no two-sided inverse")
 
     inverse = [-1] * n
     for x in range(n):
@@ -327,7 +317,7 @@ def construct_group(
                 inverse[x] = y
                 break
         if inverse[x] < 0:
-            raise NotInvertible(x)
+            raise InputError(f"element {x} has no two-sided inverse")
 
     verified = True
     if n <= EXHAUSTIVE_ASSOC_LIMIT:
@@ -338,13 +328,13 @@ def construct_group(
                 tb = tbl[b]
                 for c in range(n):
                     if tab[c] != ta[tb[c]]:
-                        raise NotAssociative((a, b, c))
+                        raise InputError(f"table is not associative on triple ({a}, {b}, {c})")
     else:
         rng = random.Random(0xA55)
         for _ in range(ASSOC_SAMPLES):
             a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
             if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
-                raise NotAssociative((a, b, c))
+                raise InputError(f"table is not associative on triple ({a}, {b}, {c})")
         verified = False
 
     if names is None:
@@ -371,12 +361,12 @@ def trusted_group(table, names=None, verified=True, generators=(),
     tbl = tuple(tuple(row) for row in table)
     for x in range(n):
         if tbl[0][x] != x or tbl[x][0] != x:
-            raise NoIdentity(f"fails on element {x}")
+            raise AssertionError(f"element 0 is not a two-sided identity: fails on element {x}")
     inverse = []
     for x, row in enumerate(tbl):
         y = row.index(0) if 0 in row else None
         if y is None or tbl[y][x] != 0:
-            raise NotInvertible(x)
+            raise AssertionError(f"element {x} has no two-sided inverse")
         inverse.append(y)
     if names is None:
         names = default_names(n)
@@ -412,13 +402,13 @@ class Subgroup:
 def subgroup_from_members(G: FiniteGroup, members: Iterable[int]) -> Subgroup:
     ms = frozenset(members)
     if 0 not in ms:
-        raise NotSubgroup("identity missing")
+        raise AssertionError("identity missing")
     for x in ms:
         if G.inverse[x] not in ms:
-            raise NotSubgroup(f"inverse of {x} missing")
+            raise AssertionError(f"inverse of {x} missing")
         for y in ms:
             if G.table[x][y] not in ms:
-                raise NotSubgroup(f"product {x}*{y} escapes the set")
+                raise AssertionError(f"product {x}*{y} escapes the set")
     return Subgroup(G, ms)
 
 
@@ -427,7 +417,7 @@ def subgroup_generated(G: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     gens = list(gens)
     for g in gens:
         if not (0 <= g < G.order):
-            raise InputError(f"generator index {g} out of range")
+            raise AssertionError(f"generator index {g} out of range")
     return Subgroup(G, _grow(G, frozenset({0}), gens))
 
 
@@ -484,7 +474,7 @@ def is_normal(G: FiniteGroup, S: Subgroup) -> bool:
     at once, so a group used only once need not pick generators.
     """
     if S.parent is not G:
-        raise InputError("subgroup belongs to a different group")
+        raise AssertionError("subgroup belongs to a different group")
     members = S.members
     if len(members) == 1:
         return True
@@ -641,7 +631,7 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
     identity coset therefore becomes element 0 of the quotient.
     """
     if not is_normal(G, N):
-        raise NotNormal("subgroup is not normal in its parent")
+        raise AssertionError("subgroup is not normal in its parent")
     rep_of = coset_representatives(G, N)
     reps = [x for x in G.elements() if rep_of[x] == x]
     index = {r: i for i, r in enumerate(reps)}
@@ -688,7 +678,7 @@ def is_p_prime_isolated_cyclic_finite(G: FiniteGroup, F: Subgroup, p: int) -> bo
     y^q with q coprime to the order of y generates the same cyclic subgroup.
     """
     if not is_cyclic_subgroup(G, F):
-        raise NotCyclic("F is not cyclic")
+        raise AssertionError("F is not cyclic")
     qs = [q for q in prime_factors(G.exponent()) if q != p]
     for y in G.elements():
         if y in F.members:
@@ -735,15 +725,16 @@ def separating_core(X: FiniteGroup, Y: Subgroup, F: Subgroup, g: int, p: int) ->
     of the conjugates of M over coset representatives of Y in X.
     """
     if not is_normal(X, Y):
-        raise PreconditionViolated("Y-normal", "Y is not normal in X")
+        raise AssertionError("precondition violated: Y-normal (Y is not normal in X)")
     if not is_p_power(X.order // Y.order, p):
-        raise PreconditionViolated("p-power-index", f"[X:Y] = {X.order // Y.order}")
+        raise AssertionError("precondition violated: p-power-index "
+                             f"([X:Y] = {X.order // Y.order})")
     if not is_cyclic_subgroup(X, F):
-        raise PreconditionViolated("F-cyclic", "F is not cyclic")
+        raise AssertionError("precondition violated: F-cyclic (F is not cyclic)")
     if not is_p_prime_isolated_cyclic_finite(X, F, p):
-        raise PreconditionViolated("F-isolated", "F is not p'-isolated in X")
+        raise AssertionError("precondition violated: F-isolated (F is not p'-isolated in X)")
     if g in F.members:
-        raise PreconditionViolated("g-outside-F", "g lies in F")
+        raise AssertionError("precondition violated: g-outside-F (g lies in F)")
 
     FY = product_set(X, F.members, Y.members)
     if g not in FY:
@@ -767,7 +758,7 @@ def separating_core(X: FiniteGroup, Y: Subgroup, F: Subgroup, g: int, p: int) ->
             M_sub = M
             break
     if M_sub is None:
-        raise NoSuchM(
+        raise AssertionError(
             "no normal subgroup of p-power index in Y separates the split part; "
             "a p'-isolated cyclic subgroup of Y is not p-separable")
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import InputError, RankMismatch
+from .errors import InputError
 from .fingrp import FiniteGroup, subgroup_generated
 
 Letter = tuple[int, int]          # (generator index, sign +1/-1)
@@ -32,7 +32,7 @@ def reduce_word(raw: Iterable[Letter]) -> FreeWord:
     out: list[Letter] = []
     for gen, sign in raw:
         if sign not in (1, -1):
-            raise InputError(f"letter sign must be +1 or -1, got {sign}")
+            raise AssertionError(f"letter sign must be +1 or -1, got {sign}")
         if out and out[-1][0] == gen and out[-1][1] == -sign:
             out.pop()
         else:
@@ -157,7 +157,7 @@ class GenImages:
 
     def __post_init__(self):
         if len(self.images) != self.rank:
-            raise InputError("images length must equal rank")
+            raise AssertionError("images length must equal rank")
 
     def evaluate(self, w: FreeWord) -> int:
         T = self.target
@@ -256,7 +256,7 @@ def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:
     factors trivially, and then it is the graph of the map.
     """
     if u.rank != v.rank:
-        raise RankMismatch(f"ranks {u.rank} and {v.rank} differ")
+        raise AssertionError(f"ranks {u.rank} and {v.rank} differ")
     Tu, Tv = u.target, v.target
     gen_pairs = list(zip(u.images, v.images))
     gen_pairs += [(Tu.inverse[a], Tv.inverse[b]) for a, b in gen_pairs]

@@ -23,11 +23,7 @@ from amalgsep.amalgam import (
     serialize_element,
     syllable_length,
 )
-from amalgsep.errors import (
-    NotIsomorphism,
-    PreconditionViolated,
-    PresentationMismatch,
-)
+from amalgsep.errors import InputError
 from amalgsep.fingrp import subgroup_generated
 from conftest import elements_of_length, elements_up_to_length
 
@@ -40,7 +36,7 @@ class TestBuild:
     def test_order_mismatch_rejected(self, z4a, z4b):
         H = subgroup_generated(z4a, [2])
         K = subgroup_generated(z4b, [2])
-        with pytest.raises(NotIsomorphism):
+        with pytest.raises(InputError, match="map is not an isomorphism: image differs from K"):
             build_amalgam(z4a, z4b, H, K, {0: 0, 2: 0})
 
     def test_full_amalgamation_degenerate(self, z4a, z4b):
@@ -92,7 +88,7 @@ class TestArithmetic:
     def test_presentation_mismatch(self, g2, z9_amalgam):
         x = normalize(g2, [("A", 1)])
         y = normalize(z9_amalgam, [("A", 1)])
-        with pytest.raises(PresentationMismatch):
+        with pytest.raises(AssertionError, match="elements live in different presentations"):
             multiply(x, y)
 
 
@@ -219,7 +215,7 @@ class TestIsolation:
         assert is_p_prime_isolated(ab, 2)
 
     def test_finite_order_rejected(self, g2):
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(InputError, match=r"infinite-order \(element has finite order\)"):
             is_p_prime_isolated(normalize(g2, [("A", 1)]), 2)
 
     def test_closure_of_cube(self, g2):

@@ -1,6 +1,8 @@
 """No API that nothing calls: every public module-level function or class
 in ``src/amalgsep`` is referenced somewhere other than its own definition,
-by the package itself, the benchmark or the acceptance suite."""
+by the package itself, the benchmark or the acceptance suite. And two
+kinds of error: every ``raise`` in the package is an ``InputError`` (bad
+input, exit 2) or an ``AssertionError`` (a broken contract, exit 4)."""
 
 import ast
 from pathlib import Path
@@ -45,3 +47,30 @@ def test_every_public_definition_is_referenced():
                        for user in USERS):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+# The two raises outside the rule, by module, top-level definition and name.
+OTHER_RAISES = {("cli", "_schema_errors", "NotImplementedError"),
+                ("cli", "_positive_int", "ArgumentTypeError")}
+
+
+def raised_name(node: ast.Raise) -> str:
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return exc.attr if isinstance(exc, ast.Attribute) else ast.unparse(exc)
+
+
+def test_every_raise_is_an_input_error_or_an_assertion_error():
+    stray = []
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            where = stmt.name if isinstance(stmt, DEFINITIONS) else ""
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Raise) or node.exc is None:
+                    continue            # a bare re-raise
+                name = raised_name(node)
+                if (name not in ("InputError", "AssertionError")
+                        and (path.stem, where, name) not in OTHER_RAISES):
+                    stray.append(f"{path.stem}.py:{node.lineno} raises {name}")
+    assert stray == []
+    errors = ast.parse((ROOT / "src" / "amalgsep" / "errors.py").read_text())
+    assert [s.name for s in errors.body if isinstance(s, ast.ClassDef)] == ["InputError"]

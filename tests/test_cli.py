@@ -14,6 +14,7 @@ Z4A = {"schema": 1, "order": 4,
 Z4B = {"schema": 1, "order": 4,
        "table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
        "names": ["e", "b", "b2", "b3"]}
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
 
 
 @pytest.fixture
@@ -243,6 +244,68 @@ def test_internal_error_report_names_both_words_of_the_command(workdir, monkeypa
                    "error": "RuntimeError: boom"}
 
 
+def test_contract_violation_exits_4_also_under_optimize(workdir):
+    # A check that only amalgsep's own data can fail is not bad input. With
+    # the free quotient's kernel test forced to fail, the README free query
+    # crashes with a report, also in a process where asserts are off.
+    code = """
+import sys
+import amalgsep.compat
+from amalgsep.cli import main
+amalgsep.compat.induced_map = lambda u, v: None
+sys.exit(main(["--out", "report.json", "witness", "free.json", "A:a B:b^7",
+               "A:a B:b A:a B:b A:a B:b A:a^2", "--p", "2"]))
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=workdir,
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True)
+    assert out.returncode == 4
+    assert json.loads((workdir / "report.json").read_text()) == {
+        "schema": 1, "command": "witness", "outcome": "internal_error",
+        "error": "AssertionError: restriction kernels differ"}
+    assert out.stderr.endswith("\ninternal error: AssertionError: restriction kernels differ\n")
+
+
+S3 = {"schema": 1, "order": 6,
+      "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
+                [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
+      "names": ["e", "t", "u", "r", "r2", "v"]}
+BAD_INPUTS = {
+    "s3.json": S3,
+    "s3z4.json": {"schema": 1, "kind": "finite", "group_a": "s3.json",
+                  "group_b": "z4b.json", "h": [], "k": [], "phi": {"e": "e"}},
+    "nonhom.json": {"schema": 1, "kind": "finite", "group_a": "z4a.json",
+                    "group_b": "z4b.json", "h": ["a"], "k": ["b"],
+                    "phi": {"e": "e", "a": "b", "a2": "b3", "a3": "b2"}},
+    "two-words.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
+                       "h_words": ["a^2", "a^3"], "k_words": ["b^2", "b^3"]},
+    "unequal.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
+                     "h_words": ["a^2"], "k_words": ["b^2", "b^3"]},
+}
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["isolate", "g2.json", "A:a", "--p", "2"],
+     "precondition violated: infinite-order (element has finite order)"),
+    (["compat", "check", "s3z4.json", "--r", "t"], "R is not normal in A"),
+    (["amalgam", "build", "nonhom.json"], "map is not an isomorphism: fails on pair (1, 1)"),
+    (["case", "sec3", "--p", "3", "--q", "3"], "p and q must be distinct primes"),
+    (["witness", "g2.json", "A:a", "A:e"], "g must be nontrivial"),
+    (["witness", "two-words.json", "A:a", "B:b"],
+     "free-side separation supports cyclic amalgamated subgroups "
+     "(exactly one basis word per side)"),
+    (["amalgam", "build", "unequal.json"], "amalgamated bases must have equal length"),
+], ids=["finite-order", "non-normal-r", "phi-not-homomorphism", "equal-primes",
+        "trivial-g", "two-basis-words", "unequal-bases"])
+def test_user_reachable_check_is_an_input_error(workdir, monkeypatch, capsys, argv, message):
+    # Checks made on the user's behalf below the CLI: exit 2, one line, no report.
+    for name, doc in BAD_INPUTS.items():
+        (workdir / name).write_text(json.dumps(doc))
+    monkeypatch.chdir(workdir)
+    assert run(workdir, *argv) == (2, None)
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ["amalgam", "build", "g2.json"],
     ["group", "check", "z4a.json"],
@@ -276,9 +339,8 @@ def test_bound_below_1_is_an_input_error(workdir, capsys, argv):
 
 
 def test_python_dash_m_runs_the_cli():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
     out = subprocess.run([sys.executable, "-m", "amalgsep", "--help"],
-                         env=dict(os.environ, PYTHONPATH=src),
+                         env=dict(os.environ, PYTHONPATH=SRC),
                          capture_output=True, text=True)
     assert out.returncode == 0
     assert out.stdout.startswith("usage: amalgsep")

@@ -34,7 +34,7 @@ from amalgsep.engine import (
     run_case_study,
     separate_from_cyclic,
 )
-from amalgsep.errors import InputError, UnknownCase
+from amalgsep.errors import InputError
 from amalgsep.fingrp import construct_group, is_p_power, respects_generators, subgroup_generated
 from amalgsep.freegrp import parse_word
 from conftest import (
@@ -301,7 +301,7 @@ class TestSeparateFinite:
         assert rep.outcome == "member" and rep.exponent == 2
 
     def test_trivial_g_rejected(self, g2):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="g must be nontrivial"):
             separate_from_cyclic(g2, [("A", 1)], [])
 
     def test_plain_separation_same_length(self, g2):
@@ -617,7 +617,7 @@ class TestCaseStudies:
         assert rep.all_passed
 
     def test_unknown_case(self):
-        with pytest.raises(UnknownCase):
+        with pytest.raises(AssertionError, match="unknown case 'nonsense'"):
             run_case_study("nonsense")
 
     def test_report_serializes(self):

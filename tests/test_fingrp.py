@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import os
+import re
 import subprocess
 import sys
 
@@ -8,15 +9,7 @@ import pytest
 
 from amalgsep import fingrp
 from amalgsep.catalog import catalog, targets
-from amalgsep.errors import (
-    InputError,
-    NoIdentity,
-    NotAssociative,
-    NotCyclic,
-    NotInvertible,
-    NotNormal,
-    PreconditionViolated,
-)
+from amalgsep.errors import InputError
 from amalgsep.fingrp import (
     Subgroup,
     construct_group,
@@ -71,7 +64,7 @@ class TestConstructGroup:
 
     def test_identity_not_first_rejected(self):
         table = [[1, 0], [0, 1]]
-        with pytest.raises(NoIdentity):
+        with pytest.raises(InputError, match="element 0 is not a two-sided identity"):
             construct_group(table)
 
     def test_nonassociative_latin_square_names_triple(self):
@@ -83,14 +76,14 @@ class TestConstructGroup:
             [3, 2, 4, 0, 1],
             [4, 3, 1, 2, 0],
         ]
-        with pytest.raises(NotAssociative) as exc:
+        with pytest.raises(InputError, match="table is not associative on triple") as exc:
             construct_group(table)
-        a, b, c = exc.value.triple
+        a, b, c = map(int, re.search(r"\((\d+), (\d+), (\d+)\)$", str(exc.value)).groups())
         t = table
         assert t[t[a][b]][c] != t[a][t[b][c]]
 
     def test_broken_row_rejected(self):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(InputError, match="element 2 has no two-sided inverse"):
             construct_group([[0, 1, 2], [1, 2, 0], [2, 0, 2]])
 
     @pytest.mark.parametrize("doc", [{"order": 1}, {"table": [[0]]}, {}, [[0]]],
@@ -117,7 +110,7 @@ class TestTrustedGroup:
         [[0, 1, 2], [1, 2, 0], [2, 2, 1]],   # 1 * 2 = e but 2 * 1 != e
     ])
     def test_missing_inverse_rejected(self, table):
-        with pytest.raises(NotInvertible):
+        with pytest.raises(AssertionError, match="element 1 has no two-sided inverse"):
             trusted_group(table)
 
 
@@ -138,8 +131,7 @@ class TestSubgroups:
 
     def test_subgroup_from_members_validates(self, z4a):
         subgroup_from_members(z4a, {0, 2})
-        from amalgsep.errors import NotSubgroup
-        with pytest.raises(NotSubgroup):
+        with pytest.raises(AssertionError, match="inverse of 1 missing"):
             subgroup_from_members(z4a, {0, 1})
 
 
@@ -363,7 +355,7 @@ class TestQuotient:
     def test_not_normal_rejected(self, s3):
         t = next(x for x in s3.elements() if s3.element_order(x) == 2)
         S = subgroup_generated(s3, [t])
-        with pytest.raises(NotNormal):
+        with pytest.raises(AssertionError, match="subgroup is not normal in its parent"):
             quotient_with_projection(s3, S)
 
     def test_projection_is_homomorphism_small_orders(self, z4a, s3):
@@ -418,7 +410,7 @@ class TestIsolation:
         from amalgsep.catalog import dihedral_group
         d2 = dihedral_group(2)
         full = subgroup_generated(d2, list(d2.elements()))
-        with pytest.raises(NotCyclic):
+        with pytest.raises(AssertionError, match="F is not cyclic"):
             is_p_prime_isolated_cyclic_finite(d2, full, 2)
 
     def test_agrees_with_double_loop(self, s3):
@@ -462,7 +454,7 @@ class TestSeparatingCore:
     def test_f_equal_x_rejected(self, z4a):
         Y = subgroup_generated(z4a, [2])
         F = subgroup_generated(z4a, [1])
-        with pytest.raises(PreconditionViolated):
+        with pytest.raises(AssertionError, match=r"g-outside-F \(g lies in F\)"):
             separating_core(z4a, Y, F, 2, 2)
 
     def test_postconditions_on_mixed_group(self):
