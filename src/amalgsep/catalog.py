@@ -153,7 +153,6 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     are given on the members' generators (see the module docstring)."""
     n2 = G2.order
     table = [[x * n2 + y for x in ra for y in rb] for ra in G1.table for rb in G2.table]
-    verified = G1.associativity_verified and G2.associativity_verified
     a_gens = G1.family_generators or G1.generators
     b_gens = G2.family_generators or G2.generators
     g1, g2 = [a * n2 for a in a_gens], list(b_gens)
@@ -172,7 +171,7 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
             z = other.power(c, oc // gcd(oc, order))
             if z:
                 candidates.append(gens[:i] + [gens[i] + z * scale] + gens[i + 1:])
-    return trusted_group(table, verified=verified, generators=gens, candidates=candidates)
+    return trusted_group(table, generators=gens, candidates=candidates)
 
 
 def _central_generators(G: FiniteGroup) -> list[int]:

@@ -46,7 +46,6 @@ from .catalog import targets
 from .errors import InputError
 from .fingrp import (
     FiniteGroup,
-    Homomorphism,
     NormalChain,
     Subgroup,
     enumerate_normal_subgroups,
@@ -248,16 +247,17 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
 
 
 def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
-                proj_a: Homomorphism, proj_b: Homomorphism) -> dict:
-    """The map h.R -> (h phi).S on the quotient images of H and K.
+                proj_a: tuple[int, ...], proj_b: tuple[int, ...]) -> dict:
+    """The map h.R -> (h phi).S on the quotient images of H and K, with the
+    projections listed by element as ``quotient_with_projection`` gives them.
 
     Well-definedness and bijectivity are exactly compatibility of (R, S);
     AssertionError is raised otherwise.
     """
     mapping: dict[int, int] = {}
     for h in pres.H.members:
-        u = proj_a(h)
-        v = proj_b(pres.phi[h])
+        u = proj_a[h]
+        v = proj_b[pres.phi[h]]
         if u in mapping:
             if mapping[u] != v:
                 raise AssertionError("induced map on H-image is ill defined")
@@ -266,7 +266,7 @@ def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
     values = set(mapping.values())
     if len(values) != len(mapping):
         raise AssertionError("induced map on H-image is not injective")
-    if values != {proj_b(k) for k in pres.K.members}:
+    if values != {proj_b[k] for k in pres.K.members}:
         raise AssertionError("induced map does not cover the K-image")
     return mapping
 
@@ -299,14 +299,25 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     normalizing and then projecting.
     """
     R, S = pair.r_side, pair.s_side
-    if not is_compatible(pres, R, S):
+    if {pres.phi[x] for x in R.members & pres.H.members} != S.members & pres.K.members:
         raise AssertionError("pair fails the compatibility equation")
     Qa, proj_a = quotient_with_projection(pres.A, R)
     Qb, proj_b = quotient_with_projection(pres.B, S)
     phi_bar = induced_iso(pres, R, S, proj_a, proj_b)
-    Hbar = subgroup_generated(Qa, [proj_a(h) for h in pres.H.members])
-    Kbar = subgroup_generated(Qb, [proj_b(k) for k in pres.K.members])
-    qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
+    return _glue(Qa, Qb, phi_bar, proj_a.__getitem__, proj_b.__getitem__)
+
+
+def _glue(Qa: FiniteGroup, Qb: FiniteGroup, phi_bar: dict,
+          proj_a: Callable[[Any], int], proj_b: Callable[[Any], int]) -> QuotientAmalgam:
+    """The quotient amalgam of Qa and Qb glued along ``phi_bar``, whose keys
+    and values are the images of H and K. The map was built by the
+    program, so a failed ``build_amalgam`` check is a broken contract."""
+    Hbar = subgroup_generated(Qa, sorted(phi_bar.keys()))
+    Kbar = subgroup_generated(Qb, sorted(phi_bar.values()))
+    try:
+        qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
+    except InputError as exc:
+        raise AssertionError(str(exc)) from exc
     return QuotientAmalgam(qpres, proj_a, proj_b)
 
 
@@ -354,11 +365,7 @@ def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
         raise AssertionError("restriction kernels differ")
     Qa, embed_a, proj_a = _image_projection(u)
     Qb, embed_b, proj_b = _image_projection(v)
-    phi_bar = {embed_a[a]: embed_b[b] for a, b in iso.items()}
-    Hbar = subgroup_generated(Qa, sorted(phi_bar.keys()))
-    Kbar = subgroup_generated(Qb, sorted(phi_bar.values()))
-    qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
-    return QuotientAmalgam(qpres, proj_a, proj_b)
+    return _glue(Qa, Qb, {embed_a[a]: embed_b[b] for a, b in iso.items()}, proj_a, proj_b)
 
 
 def presentation_residually_p(pres: AmalgamPresentation, p: int) -> bool:

@@ -822,15 +822,17 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         # certificate scan realizes the length or factor argument.
         return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
 
-    # p-mode, n >= 2: work with the isolated closure inside the quotient,
-    # refining the pair while the n'-th power of h collides with g^k.
-    for _ in range(4):
+    # p-mode, n >= 2: work with the isolated closure inside the quotient.
+    # n' and k depend on n, m and p alone, which a length-preserving pair
+    # keeps, so one refinement keeping h^n' apart from g^k and g^-k ends
+    # the collision.
+    def collision(hq, gq):
         gr, c = am.cyclically_reduce(gq)
-        ht = am.multiply(am.multiply(am.invert(c), hq), c)
-        collision = _power_collision(gr, ht, n, m, p)
-        if collision is None:
-            return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
-        n_prime, k = collision
+        return _power_collision(gr, am.multiply(am.multiply(am.invert(c), hq), c), n, m, p)
+
+    found = collision(hq, gq)
+    if found is not None:
+        n_prime, k = found
         h_pow = _free_power_letters(h_trans.letters(desc), -n_prime)
         g_letters_full = list(g_red.letters(desc))
         survivors = [h_pow + _free_power_letters(g_letters_full, k),
@@ -841,7 +843,9 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
             return _exhausted(report, pair_bound,
                               "no refining pair distinguishes the power collision")
         qa, hq, gq = step
-    return _exhausted(report, pair_bound, "refinement loop did not stabilize")
+        if collision(hq, gq) is not None:
+            raise AssertionError("refined pair still collides")
+    return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
 
 
 def _free_power_letters(letters, k: int) -> list[FreeLetter]:

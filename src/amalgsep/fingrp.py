@@ -4,29 +4,27 @@ Element 0 is always the identity. Groups are immutable; all enumeration
 results come back in a canonical deterministic order (sorted by order, then
 by sorted member list). The practical working range is order <= 48 for
 amalgam factors; tables up to a few hundred elements are still fine as
-homomorphism targets. Associativity is checked exhaustively up to order 64
-and by 10,000 seeded random triples above that (such groups carry
-``associativity_verified=False`` and are flagged in reports).
+homomorphism targets. Associativity is checked exactly at every order,
+by Light's test on the greedy generators (``construct_group``).
 
 A group computes some derived data lazily and caches it on itself: a
-greedy generating set (``generators``, used by ``is_normal``), a
-short generating tuple (``generating_tuple``: one element, else the first
-generating pair, else ``generators``) and the breadth-first edges of its
-Cayley graph (``cayley_schedule``), both for the engine's homomorphism
-search; the element orders (``element_orders``); the elements least in
-their orbit under a group S of automorphisms (``orbit_leaders``, the
-images of element 1 the engine's certificate scan tries) and the least
-pairs of elements under S acting diagonally (``pair_leaders``, for the
-generator-image scanner), both found from generators of S alone. S is
-generated by the inner automorphisms, or the power maps of an abelian
-group, and by the automorphisms a catalog construction names
-(``automorphism_candidates``), each checked on the Cayley graph before
-use (``_symmetries``); the normal-subgroup lattice (behind
-``enumerate_normal_subgroups``), built as joins of the normal closures of
-conjugacy classes; its index-p cover edges, one table per prime p
-(``normal_covers``, for compat's chain families);
-and the homomorphisms from it to each target, one list per target
-(``hom_cache``).
+greedy generating set (``generators``, used by ``construct_group`` and
+``is_normal``), a short generating tuple (``generating_tuple``: one
+element, else the first generating pair, else ``generators``) and the
+breadth-first edges of its Cayley graph (``cayley_schedule``), both for
+the engine's homomorphism search; the element orders (``element_orders``);
+the elements least in their orbit under a group S of automorphisms
+(``orbit_leaders``, the images of element 1 the engine's certificate scan
+tries) and the least pairs of elements under S acting diagonally
+(``pair_leaders``, for the generator-image scanner), both found from
+generators of S alone. S is generated by the inner automorphisms, or the
+power maps of an abelian group, and by the automorphisms a catalog
+construction names (``automorphism_candidates``), each checked on the
+Cayley graph before use (``_symmetries``); the normal-subgroup lattice
+(behind ``enumerate_normal_subgroups``), built as joins of the normal
+closures of conjugacy classes; its index-p cover edges, one table per
+prime p (``normal_covers``, for compat's chain families); and the
+homomorphisms from it to each target, one list per target (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
 fields, so equality and hashing ignore them; they live and die with the
 group, and no module-level table keeps a group alive.
@@ -35,16 +33,12 @@ group, and no module-level table keeps a group alive.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
-
-EXHAUSTIVE_ASSOC_LIMIT = 64
-ASSOC_SAMPLES = 10_000
 
 
 def is_prime(n: int) -> bool:
@@ -94,7 +88,6 @@ class FiniteGroup:
     table: tuple[tuple[int, ...], ...]
     inverse: tuple[int, ...]
     names: tuple[str, ...]
-    associativity_verified: bool = True
     family_generators: tuple[int, ...] = field(default=(), compare=False, repr=False)
     automorphism_candidates: tuple[tuple[int, ...], ...] = field(
         default=(), compare=False, repr=False)
@@ -282,8 +275,10 @@ def construct_group(
 ) -> FiniteGroup:
     """Validate a multiplication table and build the group.
 
-    Element 0 must act as a two-sided identity. Raises InputError naming
-    the violating triple or element.
+    Element 0 must act as a two-sided identity, every element needs a
+    two-sided inverse, and the product must be associative; each is
+    checked exactly, at every order. Raises InputError naming the first
+    violating element, or a violating triple (x, y, z) with z a generator.
     """
     n = len(table)
     if n == 0:
@@ -295,7 +290,7 @@ def construct_group(
         for v in row:
             if not (0 <= v < n):
                 raise InputError(f"entry {v} in row {i} out of range")
-        rows.append(tuple(int(v) for v in row))
+        rows.append(tuple(map(int, row)))
     tbl = tuple(rows)
 
     for x in range(n):
@@ -304,58 +299,44 @@ def construct_group(
 
     # Latin square property: every row and column is a permutation.
     full = frozenset(range(n))
-    for i in range(n):
-        if frozenset(tbl[i]) != full:
-            raise InputError(f"element {i} has no two-sided inverse")
-        if frozenset(tbl[j][i] for j in range(n)) != full:
+    for i, col in enumerate(zip(*tbl)):
+        if frozenset(tbl[i]) != full or frozenset(col) != full:
             raise InputError(f"element {i} has no two-sided inverse")
 
-    inverse = [-1] * n
-    for x in range(n):
-        for y in range(n):
-            if tbl[x][y] == 0 and tbl[y][x] == 0:
-                inverse[x] = y
-                break
-        if inverse[x] < 0:
+    # In a Latin square x y = 0 has the one solution y = row x's 0.
+    inverse = tuple(row.index(0) for row in tbl)
+    for x, y in enumerate(inverse):
+        if tbl[y][x] != 0:
             raise InputError(f"element {x} has no two-sided inverse")
 
-    verified = True
-    if n <= EXHAUSTIVE_ASSOC_LIMIT:
-        for a in range(n):
-            ta = tbl[a]
-            for b in range(n):
-                tab = tbl[ta[b]]
-                tb = tbl[b]
-                for c in range(n):
-                    if tab[c] != ta[tb[c]]:
-                        raise InputError(f"table is not associative on triple ({a}, {b}, {c})")
-    else:
-        rng = random.Random(0xA55)
-        for _ in range(ASSOC_SAMPLES):
-            a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
-            if tbl[tbl[a][b]][c] != tbl[a][tbl[b][c]]:
-                raise InputError(f"table is not associative on triple ({a}, {b}, {c})")
-        verified = False
-
-    if names is None:
-        names = default_names(n)
-    else:
-        if len(names) != n:
-            raise InputError("names length does not match order")
-        names = tuple(str(s) for s in names)
-
-    return FiniteGroup(order=n, table=tbl, inverse=tuple(inverse), names=names,
-                       associativity_verified=verified)
+    names = default_names(n) if names is None else tuple(str(s) for s in names)
+    G = FiniteGroup(order=n, table=tbl, inverse=inverse, names=names)
+    # Light's test. Let Z = {z : (x y) z = x (y z) for all x, y}. Z holds
+    # the identity and is closed under products in any magma:
+    # (x y)(z1 z2) = ((x y) z1) z2 = (x (y z1)) z2 = x ((y z1) z2)
+    # = x (y (z1 z2)). ``generators`` closes {0} under right
+    # multiplication by the generators, so every element is a left-nested
+    # product of them, in this table whether or not it is a group; z over
+    # the generators thus gives Z = G, in O(n^2 log n) for a group.
+    for z in G.generators:
+        right = [row[z] for row in tbl]
+        for x, row in enumerate(tbl):
+            if [right[v] for v in row] != [row[v] for v in right]:
+                y = next(y for y in range(n) if right[row[y]] != row[right[y]])
+                raise InputError(f"table is not associative on triple ({x}, {y}, {z})")
+    if len(names) != n:
+        raise InputError("names length does not match order")
+    return G
 
 
-def trusted_group(table, names=None, verified=True, generators=(),
-                  candidates=()) -> FiniteGroup:
-    """Construct from a structurally correct table: cheap checks only.
+def trusted_group(table, names=None, generators=(), candidates=()) -> FiniteGroup:
+    """Construct from a table known to be a group: cheap checks only.
 
     Used by the target catalog, whose tables come from closed-form group
-    constructions; the Latin-square and identity checks still run.
-    ``generators`` and ``candidates`` become ``family_generators`` and
-    ``automorphism_candidates``.
+    constructions, and for subgroup and quotient tables of a group, which
+    inherit associativity from it; the identity and inverse checks still
+    run. ``generators`` and ``candidates`` become ``family_generators``
+    and ``automorphism_candidates``.
     """
     n = len(table)
     tbl = tuple(tuple(row) for row in table)
@@ -371,8 +352,7 @@ def trusted_group(table, names=None, verified=True, generators=(),
     if names is None:
         names = default_names(n)
     return FiniteGroup(order=n, table=tbl, inverse=tuple(inverse),
-                       names=tuple(names), associativity_verified=verified,
-                       family_generators=tuple(generators),
+                       names=tuple(names), family_generators=tuple(generators),
                        automorphism_candidates=tuple(map(tuple, candidates)))
 
 
@@ -596,20 +576,6 @@ def _compute_normal_lattice(G: FiniteGroup) -> tuple[Subgroup, ...]:
     return tuple(sorted(found.values(), key=lambda s: s.key()))
 
 
-@dataclass(frozen=True)
-class Homomorphism:
-    """A homomorphism between two table groups, given by its mapping. Not
-    checked here: ``quotient_with_projection`` builds its projection onto
-    the coset representatives, a homomorphism by construction."""
-
-    source: FiniteGroup
-    target: FiniteGroup
-    mapping: tuple[int, ...]
-
-    def __call__(self, x: int) -> int:
-        return self.mapping[x]
-
-
 def coset_representatives(G: FiniteGroup, S: Subgroup) -> tuple[int, ...]:
     """The least element index of each right coset S x, listed by x.
 
@@ -624,8 +590,9 @@ def coset_representatives(G: FiniteGroup, S: Subgroup) -> tuple[int, ...]:
     return tuple(rep)
 
 
-def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, Homomorphism]:
-    """Quotient group on canonical coset representatives, with projection.
+def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, tuple[int, ...]]:
+    """Quotient group on canonical coset representatives, with the
+    projection listed by element of G.
 
     Coset representatives are the least element index in each coset; the
     identity coset therefore becomes element 0 of the quotient.
@@ -639,9 +606,7 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
     table = [[index[rep_of[G.table[reps[i]][reps[j]]]] for j in range(m)]
              for i in range(m)]
     names = tuple(G.names[r] + "N" if r != 0 else "e" for r in reps)
-    Q = _derived_group(G, table, names)
-    proj = Homomorphism(G, Q, tuple(index[rep_of[x]] for x in G.elements()))
-    return Q, proj
+    return trusted_group(table, names), tuple(index[rep_of[x]] for x in G.elements())
 
 
 @dataclass(frozen=True)
@@ -704,16 +669,7 @@ def subgroup_as_group(G: FiniteGroup, S: Subgroup) -> tuple[FiniteGroup, tuple[i
     back = {x: i for i, x in enumerate(members)}
     table = [[back[G.table[a][b]] for b in members] for a in members]
     names = tuple(G.names[x] for x in members)
-    return _derived_group(G, table, names), members
-
-
-def _derived_group(G: FiniteGroup, table, names) -> FiniteGroup:
-    """A table derived from G by restriction to a subgroup or by passing
-    to a quotient. Both keep associativity, so a verified parent needs
-    only the cheap checks; an unverified one gets the full validation."""
-    if G.associativity_verified:
-        return trusted_group(table, names)
-    return construct_group(table, names)
+    return trusted_group(table, names), members
 
 
 def separating_core(X: FiniteGroup, Y: Subgroup, F: Subgroup, g: int, p: int) -> Subgroup:

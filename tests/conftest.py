@@ -113,6 +113,65 @@ def relabeled_amalgam(pres: AmalgamPresentation, seed) -> AmalgamPresentation:
 # Oracles
 
 
+def associative_oracle(table) -> bool:
+    """Whether (x y) z = x (y z) for every triple: the full O(n^3) check."""
+    n = len(table)
+    return all(table[table[x][y]][z] == table[x][table[y][z]]
+               for x in range(n) for y in range(n) for z in range(n))
+
+
+def reduced_latin_squares(n: int):
+    """Every n x n Latin square whose first row and first column are
+    0, 1, ..., n-1 (so 0 is a two-sided identity), by backtracking cell by
+    cell; each is yielded as a list of row tuples."""
+    sq = [[i if j == 0 else j if i == 0 else -1 for j in range(n)] for i in range(n)]
+    rows = [set(r) - {-1} for r in sq]
+    cols = [{r[j] for r in sq} - {-1} for j in range(n)]
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            yield [tuple(r) for r in sq]
+            return
+        i, j = cells[k]
+        for v in range(n):
+            if v not in rows[i] and v not in cols[j]:
+                sq[i][j] = v
+                rows[i].add(v)
+                cols[j].add(v)
+                yield from fill(k + 1)
+                rows[i].discard(v)
+                cols[j].discard(v)
+
+    yield from fill(0)
+
+
+def intercalate_swapped(G: FiniteGroup, seed) -> list[list[int]] | None:
+    """G's table with one seeded intercalate swapped away from row and
+    column 0, or None when G has none there. For an involution t and
+    elements a, b, the cells (a, b), (t a, d), with d = a^-1 t a b, hold
+    u = a b, and the cells (a, d), (t a, b) hold v = a d; exchanging u and v
+    keeps a Latin square with identity 0."""
+    rng = random.Random(seed)
+    tab, inv = G.table, G.inverse
+    involutions = [t for t in G.elements() if t and tab[t][t] == 0]
+    if not involutions:
+        return None
+    t = rng.choice(involutions)
+    a_pool = [a for a in range(1, G.order) if a != t]
+    if not a_pool:
+        return None
+    a = rng.choice(a_pool)
+    c, conj = tab[t][a], tab[tab[inv[a]][t]][a]
+    b = rng.choice([b for b in range(1, G.order) if b != inv[conj]])
+    d = tab[conj][b]
+    table = [list(row) for row in tab]
+    u, v = table[a][b], table[a][d]
+    table[a][b] = table[c][d] = v
+    table[a][d] = table[c][b] = u
+    return table
+
+
 def closure_oracle(G: FiniteGroup, gens) -> frozenset[int]:
     """Least subgroup containing ``gens``: breadth-first products of the
     generators and their inverses."""
@@ -586,13 +645,12 @@ def catalog_oracle(max_order: int) -> tuple[CatalogEntry, ...]:
 # row by row, one product and one inverse search at a time.
 
 
-def trusted_group_oracle(table, names=None, verified=True) -> FiniteGroup:
+def trusted_group_oracle(table, names=None) -> FiniteGroup:
     n = len(table)
     inverse = [next(y for y in range(n) if table[x][y] == 0) for x in range(n)]
     return FiniteGroup(order=n, table=tuple(tuple(row) for row in table),
                        inverse=tuple(inverse),
-                       names=tuple(names if names is not None else default_names(n)),
-                       associativity_verified=verified)
+                       names=tuple(names if names is not None else default_names(n)))
 
 
 def metacyclic_group_oracle(m: int, k: int, j: int) -> FiniteGroup:
@@ -611,8 +669,7 @@ def direct_product_oracle(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     for a1, b1, a2, b2 in itertools.product(G1.elements(), G2.elements(),
                                             G1.elements(), G2.elements()):
         table[a1 * n2 + b1][a2 * n2 + b2] = G1.table[a1][a2] * n2 + G2.table[b1][b2]
-    return trusted_group_oracle(table, verified=G1.associativity_verified
-                                and G2.associativity_verified)
+    return trusted_group_oracle(table)
 
 
 def catalog_group_oracle(entry, by_key: dict) -> FiniteGroup:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -266,6 +267,38 @@ sys.exit(main(["--out", "report.json", "witness", "free.json", "A:a B:b^7",
     assert out.stderr.endswith("\ninternal error: AssertionError: restriction kernels differ\n")
 
 
+
+def test_broken_quotient_identification_exits_4_also_under_optimize(workdir):
+    # ``build_amalgam`` checks a map that presentation files supply, so its
+    # failures are input errors; on a map the program built itself, the
+    # same failure is a broken contract. Two values of the free quotient's
+    # identification are swapped, so it is a bijection but no isomorphism.
+    code = """
+import sys
+import amalgsep.compat
+from amalgsep.cli import main
+real = amalgsep.compat.induced_map
+
+def swapped(u, v):
+    iso = real(u, v)
+    if iso is not None and len(iso) > 2:
+        a, b = sorted(iso)[1:3]
+        iso[a], iso[b] = iso[b], iso[a]
+    return iso
+
+amalgsep.compat.induced_map = swapped
+sys.exit(main(["--out", "report.json", "witness", "free.json", "A:a B:b^7",
+               "A:a B:b A:a B:b A:a B:b A:a^2", "--p", "2"]))
+"""
+    out = subprocess.run([sys.executable, "-O", "-c", code], cwd=workdir,
+                         env=dict(os.environ, PYTHONPATH=SRC),
+                         capture_output=True, text=True)
+    assert out.returncode == 4, out.stderr
+    error = "AssertionError: map is not an isomorphism: fails on pair (2, 2)"
+    assert json.loads((workdir / "report.json").read_text()) == {
+        "schema": 1, "command": "witness", "outcome": "internal_error", "error": error}
+    assert out.stderr.endswith(f"\ninternal error: {error}\n")
+
 S3 = {"schema": 1, "order": 6,
       "table": [[0, 1, 2, 3, 4, 5], [1, 0, 4, 5, 2, 3], [2, 3, 0, 1, 5, 4],
                 [3, 2, 5, 4, 0, 1], [4, 5, 1, 0, 3, 2], [5, 4, 3, 2, 1, 0]],
@@ -371,7 +404,7 @@ class TestCase:
 
 
 class TestSchemasAndFlags:
-    def test_large_group_flagged_unverified(self, workdir):
+    def test_large_group_verified_exactly(self, workdir, capsys):
         n = 70
         big = {"schema": 1, "order": n,
                "table": [[(i + j) % n for j in range(n)] for i in range(n)]}
@@ -379,5 +412,25 @@ class TestSchemasAndFlags:
         path.write_text(json.dumps(big))
         code, doc = run(workdir, "group", "check", str(path))
         assert code == 0
-        assert doc["associativity"] == "unverified-associativity"
+        assert doc["associativity"] == "verified"
+        assert capsys.readouterr().out == "group OK: order 70, associativity verified\n"
+
+    def test_nonassociative_order_256_table_exit_2(self, workdir, capsys):
+        # Z256 with one intercalate swapped: cells (5, 1) and (133, 129) hold
+        # 6, cells (5, 129) and (133, 1) hold 134. The result is a Latin
+        # square with identity that fails associativity on (1, 4, 1), and
+        # that no sample of random triples is bound to hit.
+        n = 256
+        table = [[(i + j) % n for j in range(n)] for i in range(n)]
+        for a, b in ((5, 1), (5, 129), (133, 1), (133, 129)):
+            table[a][b] = 134 if table[a][b] == 6 else 6
+        assert table[table[1][4]][1] != table[1][table[4][1]]
+        path = workdir / "z256-swapped.json"
+        path.write_text(json.dumps({"schema": 1, "order": n, "table": table}))
+        code, doc = run(workdir, "group", "check", str(path))
+        assert (code, doc) == (2, None)
+        err = capsys.readouterr().err
+        x, y, z = map(int, re.fullmatch(
+            r"error: table is not associative on triple \((\d+), (\d+), (\d+)\)\n", err).groups())
+        assert table[table[x][y]][z] != table[x][table[y][z]]
 

@@ -118,7 +118,7 @@ class TestInducedIso:
         _, pa = quotient_with_projection(z4a, R)
         _, pb = quotient_with_projection(z4b, S)
         iso = induced_iso(g2, R, S, pa, pb)
-        assert iso == {pa(h): pb(g2.phi[h]) for h in g2.H.members}
+        assert iso == {pa[h]: pb[g2.phi[h]] for h in g2.H.members}
         assert len(iso) == 2
 
     def test_collapsing_pair(self, g2, z4a, z4b):

@@ -30,14 +30,17 @@ from amalgsep.fingrp import (
 )
 from conftest import (
     all_subgroups_oracle,
+    associative_oracle,
     automorphisms_oracle,
     catalog_group_oracle,
     conjugacy_classes_oracle,
     cyclic_table,
     generating_set_oracle,
+    intercalate_swapped,
     is_normal_oracle,
     leaders_oracle,
     normal_subgroups_oracle,
+    reduced_latin_squares,
     relabeled,
     symmetry_group_oracle,
 )
@@ -93,6 +96,50 @@ class TestConstructGroup:
             group_from_json(doc)
 
 
+def _accepts(table) -> bool:
+    """Whether ``construct_group`` accepts the table; a rejection must name
+    a real fault: a failing triple, or an element whose only right inverse
+    is not a left inverse."""
+    try:
+        G = construct_group(table)
+    except InputError as exc:
+        if m := re.fullmatch(r"table is not associative on triple \((\d+), (\d+), (\d+)\)",
+                             str(exc)):
+            x, y, z = map(int, m.groups())
+            assert table[table[x][y]][z] != table[x][table[y][z]]
+        else:
+            x = int(re.fullmatch(r"element (\d+) has no two-sided inverse", str(exc)).group(1))
+            assert table[table[x].index(0)][x] != 0
+        return False
+    assert G.table == tuple(map(tuple, table))
+    return True
+
+
+class TestLightsTest:
+    """Associativity is checked on generators alone; it must agree with the
+    full cubic check on every table it sees."""
+
+    @pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 1), (4, 4), (5, 56), (6, 9408)])
+    def test_reduced_latin_squares(self, n, count):
+        squares = list(reduced_latin_squares(n))
+        assert len(squares) == count
+        for table in squares:
+            assert _accepts(table) == associative_oracle(table), table
+
+    def test_intercalate_swaps_of_catalog_groups(self):
+        # A swapped table keeps the identity and the Latin property; it is
+        # rarely a group again, so most tables here must be rejected.
+        rejected = 0
+        for entry in catalog(64):
+            G, _ = relabeled(entry.build(), entry.name)
+            table = intercalate_swapped(G, entry.name)
+            if table is not None:
+                ok = associative_oracle(table)
+                assert _accepts(table) == ok, entry.name
+                rejected += not ok
+        assert rejected > 200
+
+
 class TestTrustedGroup:
     def test_catalog_matches_entrywise_constructions(self):
         # Every family and product shape up to order 64 (340 entries);
@@ -101,9 +148,8 @@ class TestTrustedGroup:
         by_key = {e.key(): e for e in entries}
         for entry in entries:
             G, want = entry.build(), catalog_group_oracle(entry, by_key)
-            assert ((G.table, G.inverse, G.names, G.associativity_verified)
-                    == (want.table, want.inverse, want.names,
-                        want.associativity_verified)), entry.name
+            assert ((G.table, G.inverse, G.names)
+                    == (want.table, want.inverse, want.names)), entry.name
 
     @pytest.mark.parametrize("table", [
         [[0, 1], [1, 1]],                    # no inverse in row 1
@@ -225,21 +271,7 @@ class TestConjugacyClasses:
 
 
 def _fields(G):
-    return (G.order, G.table, G.inverse, G.names, G.associativity_verified)
-
-
-@pytest.fixture
-def construct_calls(monkeypatch):
-    """Counts calls of ``fingrp.construct_group``, the fully validating path."""
-    calls = []
-    real = fingrp.construct_group
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(fingrp, "construct_group", counting)
-    return calls
+    return (G.order, G.table, G.inverse, G.names)
 
 
 class TestOrbitLeaders:
@@ -297,39 +329,19 @@ class TestOrbitLeaders:
 
 
 class TestDerivedTables:
-    """Subgroup and quotient tables of a verified parent skip the cubic
-    associativity check. They must equal what full validation builds,
-    which an unverified copy of the same parent still goes through."""
+    """Subgroup and quotient tables of a group skip the associativity
+    check, which they inherit from it. They must equal what full
+    validation builds from the same table."""
 
     @pytest.mark.parametrize("name", list(CATALOG_32))
-    def test_trusted_path_matches_validated_path(self, name, construct_calls):
+    def test_trusted_path_matches_validated_path(self, name):
         G = CATALOG_32[name].build()
-        U = dataclasses.replace(G, associativity_verified=False)
-        subgroups = all_subgroups_oracle(G)
-        for ms in subgroups:
-            got, back = subgroup_as_group(G, Subgroup(G, ms))
-            want, back_u = subgroup_as_group(U, Subgroup(U, ms))
-            assert back == back_u and _fields(got) == _fields(want)
-        normals = enumerate_normal_subgroups(G)
-        for N in normals:
-            got, proj = quotient_with_projection(G, N)
-            want, proj_u = quotient_with_projection(U, Subgroup(U, N.members))
-            assert proj.mapping == proj_u.mapping and _fields(got) == _fields(want)
-        assert len(construct_calls) == len(subgroups) + len(normals)
-
-    def test_unverified_parent_is_validated(self, construct_calls):
-        entry = next(e for e in catalog(128) if e.order > 64)
-        T = entry.build()
-        P = construct_group(T.table, T.names)
-        assert not P.associativity_verified
-        N = next(N for N in enumerate_normal_subgroups(P) if 1 < N.order < P.order)
-        construct_calls.clear()
-        sub, _ = subgroup_as_group(P, N)
-        Q, _ = quotient_with_projection(P, N)
-        assert len(construct_calls) == 2
-        assert _fields(sub) == _fields(subgroup_as_group(T, Subgroup(T, N.members))[0])
-        assert _fields(Q) == _fields(quotient_with_projection(T, Subgroup(T, N.members))[0])
-        assert len(construct_calls) == 2
+        for ms in all_subgroups_oracle(G):
+            sub, _ = subgroup_as_group(G, Subgroup(G, ms))
+            assert _fields(construct_group(sub.table, sub.names)) == _fields(sub)
+        for N in enumerate_normal_subgroups(G):
+            Q, _ = quotient_with_projection(G, N)
+            assert _fields(construct_group(Q.table, Q.names)) == _fields(Q)
 
 
 class TestQuotient:
@@ -337,12 +349,12 @@ class TestQuotient:
         N = subgroup_generated(z4a, [2])
         Q, proj = quotient_with_projection(z4a, N)
         assert Q.order == 2
-        assert proj(1) == proj(3) != 0
+        assert proj[1] == proj[3] != 0
 
     def test_full_quotient_is_trivial(self, s3):
         Q, proj = quotient_with_projection(s3, subgroup_generated(s3, list(s3.elements())))
         assert Q.order == 1
-        assert set(proj.mapping) == {0}
+        assert set(proj) == {0}
 
     def test_s3_mod_a3(self, s3):
         A3 = next(S for S in enumerate_normal_subgroups(s3) if S.order == 3)
@@ -350,7 +362,7 @@ class TestQuotient:
         assert Q.order == 2
         # Derived via coset table: rotations map to 0, transpositions to 1.
         for x in s3.elements():
-            assert proj(x) == (0 if x in A3.members else 1)
+            assert proj[x] == (0 if x in A3.members else 1)
 
     def test_not_normal_rejected(self, s3):
         t = next(x for x in s3.elements() if s3.element_order(x) == 2)
@@ -362,7 +374,7 @@ class TestQuotient:
         for G in (z4a, s3):
             for N in enumerate_normal_subgroups(G):
                 Q, proj = quotient_with_projection(G, N)
-                assert respects_generators(G, Q, proj.mapping)
+                assert respects_generators(G, Q, proj)
 
 
 class TestPChains:
