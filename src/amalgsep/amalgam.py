@@ -67,7 +67,8 @@ class AmalgamPresentation:
     @cached_property
     def compat_cache(self) -> dict:
         """Compat's p-chain families, p-pair verdicts and compatible-pair
-        lists, keyed by tuples. It lives and dies with the presentation."""
+        lists, keyed by tuples, and the engine's abelianization data under
+        ``"abelianization"``. It lives and dies with the presentation."""
         return {}
 
 

@@ -61,8 +61,10 @@ Units u are picked by ``fingrp.unit_generators``, at most log2 of them.
              central generator of the       with f(g) = z, f = 1 on the
              other, ord z | ord g           other generators, if it exists
 
-The last needs ord z to divide the order of g modulo the commutator
-subgroup; where it does not (r in D_n, z of order 4), the check drops it.
+f factors through the member's abelianization, so the last is listed only
+when ord z divides the order of g there (``fingrp.abelianization``; not for
+r in D_n with z of order 4). That is necessary, not sufficient: the check
+still drops the candidates whose f does not exist.
 """
 
 from __future__ import annotations
@@ -75,6 +77,7 @@ from typing import Callable, Iterator, Optional
 
 from .fingrp import (
     FiniteGroup,
+    abelianization,
     is_p_power,
     subgroup_generated,
     trusted_group,
@@ -161,15 +164,17 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     candidates += [g1 + [s[b] for b in b_gens] for s in G2._symmetries()]
     if G1 == G2:
         candidates.append(g2 + g1)
-    # g -> g z for a generator g of one member, z central in the other.
+    # g -> g z for a generator g of one member, z central in the other;
+    # ord z must divide the order of g in that member's abelianization.
     c1, c2 = _central_generators(G1), _central_generators(G2)
-    moves = ([(G2, c2, 1, G1.element_orders[a]) for a in a_gens]
-             + [(G1, c1, n2, G2.element_orders[b]) for b in b_gens])
-    for i, (other, centre, scale, order) in enumerate(moves):
+    (q1, p1), (q2, p2) = abelianization(G1), abelianization(G2)
+    moves = ([(G2, c2, 1, G1.element_orders[a], q1.element_order(p1[a])) for a in a_gens]
+             + [(G1, c1, n2, G2.element_orders[b], q2.element_order(p2[b])) for b in b_gens])
+    for i, (other, centre, scale, order, ab_order) in enumerate(moves):
         for c in centre:
             oc = other.element_orders[c]
             z = other.power(c, oc // gcd(oc, order))
-            if z:
+            if z and ab_order % other.element_orders[z] == 0:
                 candidates.append(gens[:i] + [gens[i] + z * scale] + gens[i + 1:])
     return trusted_group(table, generators=gens, candidates=candidates)
 

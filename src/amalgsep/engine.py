@@ -37,6 +37,14 @@ theorem is solvable iff k1 = k2 (mod gcd(o1, o2)). So the product
 separates iff some pair of the members' exponent sets {(o_i, k_i)} breaks
 that congruence, and only then is it probed for its certificate.
 
+An abelian target is ruled out on the amalgam's abelianization. Every
+homomorphism of G = A *_H B into an abelian group kills the commutators
+and identifies x with phi(x), so it factors through
+G^ab = (A^ab x B^ab) / N, N = {(x, phi(x)^-1) : x in H} (images in the
+factors' abelianizations). If the image of h in G^ab is a power of the
+image of g, so is theta(h) of theta(g) for every such theta, and no
+abelian target of any order separates.
+
 Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
 the symbolic normal forms; a non-member is then separated inside a
@@ -84,6 +92,7 @@ from .compat import (
 from .errors import InputError
 from .fingrp import (
     FiniteGroup,
+    abelianization,
     is_prime,
     product_set,
     respects_generators,
@@ -595,6 +604,45 @@ def _exhausted(report: WitnessReport, bound: int, note: Optional[str] = None
     return report
 
 
+def _abelian_member(pres: AmalgamPresentation, hq: AmalgamElement,
+                    gq: AmalgamElement) -> bool:
+    """Whether the image of h in G^ab lies in <image of g>.
+
+    G^ab is (A^ab x B^ab) / N with N = {(x, phi(x)^-1) : x in H}, by the
+    rule of the module docstring; N is the image of H under a
+    homomorphism, so the set is the subgroup. The pair (Qa, pa, Qb, pb, N)
+    is kept in the presentation's cache, and A^ab x B^ab is never tabled:
+    h lies in <g> modulo N iff h g^-k is in N for some k below the order
+    lcm(ord g_A, ord g_B) of g's image.
+    """
+    data = pres.compat_cache.get("abelianization")
+    if data is None:
+        (Qa, pa), (Qb, pb) = abelianization(pres.A), abelianization(pres.B)
+        N = frozenset((pa[x], Qb.inverse[pb[pres.phi[x]]]) for x in pres.H.members)
+        data = pres.compat_cache["abelianization"] = (Qa, pa, Qb, pb, N)
+    Qa, pa, Qb, pb, N = data
+
+    ra, rb = Qa.table, Qb.table
+
+    def image(x: AmalgamElement) -> tuple[int, int]:
+        a, b = pa[x.core], 0
+        for side, t in x.syllables:
+            if side == "A":
+                a = ra[a][pa[t]]
+            else:
+                b = rb[b][pb[t]]
+        return a, b
+
+    (ha, hb), (ga, gb) = image(hq), image(gq)
+    oa, ob = Qa.element_order(ga), Qb.element_order(gb)
+    ia, ib = Qa.inverse[ga], Qb.inverse[gb]
+    for _ in range(oa * ob // gcd(oa, ob)):
+        if (ha, hb) in N:
+            return True
+        ha, hb = ra[ha][ia], rb[hb][ib]
+    return False
+
+
 def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
                  p: Optional[int], max_order: int) -> WitnessReport:
     """Certify the first catalog homomorphism theta with theta(h) outside
@@ -602,27 +650,45 @@ def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
     order (p-groups only in p-mode); the bound is exhausted when there is
     none. Each target is scanned on orbit leaders (``_probe_entry``).
 
+    When the image of h in G^ab lies in <image of g> (``_abelian_member``),
+    no abelian target separates: every entry whose isomorphism key has no
+    nonabelian core is skipped unprobed, and kept in ``skipped`` by key.
+    Otherwise no entry is skipped. Either way the first separating target
+    is the one a scan that probes every target finds.
+
     A product T1 x T2 is decided without a probe, by the rule of the
     module docstring, from the exponent sets E(Ti) = {(o, k)} of its
     members' classes: the order o of theta(g) and the k with
     theta(h) = theta(g)^k, over every homomorphism theta into Ti. The
     members have smaller order, so the entries ``targets`` keeps for their
-    classes, which are base members, were probed earlier in this scan (in
-    p-mode they are p-groups too), and neither separated. Their probes'
-    memos hold E: the pairs they visited are all pairs up to S, and S keeps
-    (o, k). E is read off a memo when a product first needs it, and keyed
-    by ``catalog.iso_key``, because a member may be a twin of the entry
-    probed for its class. Only a product that separates is probed, so
-    certificates are those of a scan that probes every target.
+    classes, which are base members, came earlier in this scan (in p-mode
+    they are p-groups too), and neither separated. A probe's memo holds
+    E: the pairs it visited are all pairs up to S, and S keeps (o, k). E
+    is read off a memo when a product first needs it, and keyed by
+    ``catalog.iso_key``, because a member may be a twin of the entry kept
+    for its class. A skipped member is probed then, once; that probe
+    separating would contradict G^ab, and raises AssertionError. Only a
+    product that separates is probed, so certificates are those of a scan
+    that probes every target.
     """
     probed: dict[tuple, tuple[Sequence[int], dict]] = {}  # key -> (orders, memo)
+    skipped: dict[tuple, CatalogEntry] = {}
 
     @functools.cache
     def spectrum(key: tuple) -> list[tuple[int, int]]:
+        if key in skipped:
+            memo: dict = {}
+            if _probe_entry(pres, hq, gq, skipped[key], memo) is not None:
+                raise AssertionError(f"{skipped[key].name} separates, but G^ab rules it out")
+            probed[key] = (skipped[key].build().element_orders, memo)
         orders, memo = probed[key]
         return list({(orders[tg], k) for (_, tg), k in memo.items()})
 
+    skip_abelian = _abelian_member(pres, hq, gq)
     for entry in targets(max_order, p):
+        if skip_abelian and not iso_key(entry)[1]:
+            skipped[iso_key(entry)] = entry
+            continue
         members = member_keys(entry)
         if members is not None:
             e1, e2 = map(spectrum, members)

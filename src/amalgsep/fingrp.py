@@ -609,6 +609,30 @@ def quotient_with_projection(G: FiniteGroup, N: Subgroup) -> tuple[FiniteGroup, 
     return trusted_group(table, names), tuple(index[rep_of[x]] for x in G.elements())
 
 
+def abelianization(G: FiniteGroup) -> tuple[FiniteGroup, Sequence[int]]:
+    """G / G' with the projection listed by element of G; (G, range) when
+    G is abelian.
+
+    G' is the normal closure of the commutators of ``generators``: modulo
+    it the generators commute, so the quotient is abelian, and every
+    commutator lies in G'. The closure is the subgroup generated by the
+    orbit of those commutators under conjugation by the generators, which
+    generate every inner automorphism.
+    """
+    tab, inv, gens = G.table, G.inverse, G.generators
+    comms = {tab[tab[inv[a]][inv[b]]][tab[a][b]] for a in gens for b in gens} - {0}
+    if not comms:
+        return G, G.elements()
+    orbit = list(comms)
+    for x in orbit:                     # grows while it is walked
+        for g in gens:
+            y = tab[tab[inv[g]][x]][g]
+            if y not in comms:
+                comms.add(y)
+                orbit.append(y)
+    return quotient_with_projection(G, subgroup_generated(G, orbit))
+
+
 @dataclass(frozen=True)
 class NormalChain:
     """An ascending chain of normal subgroups with index-p steps."""

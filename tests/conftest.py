@@ -187,6 +187,13 @@ def closure_oracle(G: FiniteGroup, gens) -> frozenset[int]:
     return frozenset(members)
 
 
+def derived_subgroup_oracle(G: FiniteGroup) -> frozenset[int]:
+    """The subgroup generated by every commutator x^-1 y^-1 x y."""
+    t, inv = G.table, G.inverse
+    return closure_oracle(G, {t[t[inv[x]][inv[y]]][t[x][y]]
+                              for x in G.elements() for y in G.elements()})
+
+
 def all_subgroups_oracle(G: FiniteGroup) -> list[frozenset[int]]:
     """Every subgroup in canonical order: the closures of single elements
     and of pairs, then closure growth by one element at a time until no

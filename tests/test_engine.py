@@ -557,7 +557,10 @@ def test_reverification_needs_the_identity_fixed():
 def test_reverification_failure_raises_under_optimize():
     # In a ``python -O`` process, where asserts are off, the certificate
     # check still rejects a homomorphism that does not separate (h = g)
-    # and a factor map that is not a homomorphism.
+    # and a factor map that is not a homomorphism. And with
+    # ``_abelian_member`` wrongly True, Z4 (which separates y from <x>) is
+    # skipped; D3 does not separate, and the product Z4xD3 then probes Z4
+    # for its exponent set, which raises.
     code = CERTIFY_SETUP + """
 for args in ((x, x, engine.GluedHom(cyclic_group(2), "", (0,) * 4, (0,) * 4)),
              (y, x, tampered)):
@@ -565,6 +568,12 @@ for args in ((x, x, engine.GluedHom(cyclic_group(2), "", (0,) * 4, (0,) * 4)),
         certify(*args)
     except AssertionError as exc:
         print("raised", __debug__, exc)
+engine._abelian_member = lambda *args: True
+engine.targets = lambda n, p=None: (e for e in catalog(n) if e.name in ("Z4", "D3", "Z4xD3"))
+try:
+    engine._finish_scan(engine.WitnessReport("plain", None, "", "", ""), pres, y, x, None, 24)
+except AssertionError as exc:
+    print("raised", __debug__, exc)
 """
     src = os.path.dirname(os.path.dirname(os.path.abspath(amalgsep.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
@@ -573,6 +582,7 @@ for args in ((x, x, engine.GluedHom(cyclic_group(2), "", (0,) * 4, (0,) * 4)),
     assert out.stdout.splitlines() == [
         "raised False certificate failed re-verification",
         "raised False certificate factor map B is not a homomorphism",
+        "raised False Z4 separates, but G^ab rules it out",
     ]
 
 

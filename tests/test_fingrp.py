@@ -12,6 +12,7 @@ from amalgsep.catalog import catalog, targets
 from amalgsep.errors import InputError
 from amalgsep.fingrp import (
     Subgroup,
+    abelianization,
     construct_group,
     enumerate_normal_subgroups,
     group_from_json,
@@ -35,6 +36,7 @@ from conftest import (
     catalog_group_oracle,
     conjugacy_classes_oracle,
     cyclic_table,
+    derived_subgroup_oracle,
     generating_set_oracle,
     intercalate_swapped,
     is_normal_oracle,
@@ -375,6 +377,33 @@ class TestQuotient:
             for N in enumerate_normal_subgroups(G):
                 Q, proj = quotient_with_projection(G, N)
                 assert respects_generators(G, Q, proj)
+
+
+# The factors of the benchmark's finite-witness amalgams.
+WITNESS_FACTORS = ["Z4", "D4", "Z8", "Z2xZ4", "Z9", "Z3xZ3", "MC(9,4,3)", "Z3xZ9", "D3",
+                   "D6", "Z3xD3"]
+
+
+class TestAbelianization:
+    """G/G' against the subgroup generated by every commutator."""
+
+    @staticmethod
+    def check(G):
+        Q, proj = abelianization(G)
+        derived = derived_subgroup_oracle(G)
+        assert frozenset(x for x in G.elements() if proj[x] == 0) == derived
+        assert respects_generators(G, Q, proj)
+        assert Q.order == G.order // len(derived)
+        assert all(row[b] == Q.table[b][a] for a, row in enumerate(Q.table) for b in Q.elements())
+        assert (Q is G) == (len(derived) == 1)
+
+    @pytest.mark.parametrize("entry", list(targets(64)), ids=lambda e: e.name)
+    def test_catalog_classes(self, entry):
+        self.check(entry.build())
+
+    @pytest.mark.parametrize("name,seed", [(n, s) for n in WITNESS_FACTORS for s in (1, 2)])
+    def test_relabeled_witness_factors(self, name, seed):
+        self.check(relabeled_32(name, seed))
 
 
 class TestPChains:

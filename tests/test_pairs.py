@@ -174,7 +174,7 @@ def test_mixed_order_p_mode_skips_the_trivial_pair():
 # p checks
 
 
-def test_p_mode_without_a_prime_is_an_input_error(g2):
+def test_p_mode_without_a_prime_is_a_contract_violation(g2):
     with pytest.raises(AssertionError, match="needs a prime"):
         enumerate_compatible_pairs(g2, "p", None)
     with pytest.raises(AssertionError, match="needs a prime"):
@@ -186,7 +186,7 @@ def test_p_mode_without_a_prime_is_an_input_error(g2):
 
 
 @pytest.mark.parametrize("p", [4, 1, 0, -2, 2.5, 2.0, True])
-def test_p_mode_with_a_non_prime_is_an_input_error(g2, p):
+def test_p_mode_with_a_non_prime_is_a_contract_violation(g2, p):
     with pytest.raises(AssertionError, match=f"{p} is not prime"):
         enumerate_compatible_pairs(g2, "p", p)
     with pytest.raises(AssertionError, match=f"{p} is not prime"):

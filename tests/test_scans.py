@@ -451,12 +451,15 @@ def test_class_scan_matches_the_full_catalog(monkeypatch, seed):
 
 # Direct products are decided from their members' exponent sets; the
 # oracle probes every product. Each query below passes every smaller
-# class up to its bound and separates only at the named product.
+# class up to its bound and separates only at the named product. In the
+# last two, h lies in <g> in G^ab, so the abelian member is skipped and
+# probed only when the product needs its exponent set.
 PRODUCT_QUERIES = [
     (("D4", "Z8", 4), [("B", 5), ("A", 5), ("B", 7), ("A", 5)],
      [("A", 7), ("B", 7), ("A", 7), ("B", 5)], "plain", None, 256, "D8xD8"),
     (("Z9", "Z9", 3), [("B", 5), ("A", 8)], [("A", 5), ("B", 5)], "p", 3, 256,
      "Z9xMC(9,4,3)"),
+    (("D3", "Z6", 2), [("B", 2)], [("A", 4), ("B", 1)], "plain", None, 32, "Z3xD3"),
 ]
 
 
@@ -466,17 +469,33 @@ def _product_queries():
 
 
 def _finish_pairs(monkeypatch, queries):
-    """(library report, oracle report) for every _finish_scan call of the
+    """(library report, oracle report, whether abelian targets were
+    skipped, abelian probes made then) for every _finish_scan call of the
     queries."""
-    finish, pairs = engine._finish_scan, []
+    finish, member, probe, pairs = engine._finish_scan, engine._abelian_member, \
+        engine._probe_entry, []
+    scan: dict = {}
+
+    def member_spy(*args):
+        scan["skip"] = member(*args)
+        return scan["skip"]
+
+    def probe_spy(pres, hq, gq, entry, memo=None):
+        if scan.get("skip") and not iso_key(entry)[1]:
+            scan["late"] = scan.get("late", 0) + 1
+        return probe(pres, hq, gq, entry, memo)
 
     def spy(report, *args):
         want = finish_scan_oracle(copy.deepcopy(report), *args).to_json()
+        scan.clear()
         got = finish(report, *args)
-        pairs.append((got.to_json(), want))
+        pairs.append((got.to_json(), want, scan.get("skip"), scan.get("late", 0)))
+        scan.clear()
         return got
 
     monkeypatch.setattr(engine, "_finish_scan", spy)
+    monkeypatch.setattr(engine, "_abelian_member", member_spy)
+    monkeypatch.setattr(engine, "_probe_entry", probe_spy)
     for query in queries:
         try:
             engine.separate_from_cyclic(*query)
@@ -500,15 +519,25 @@ def test_products_decided_by_exponents_match_probing_them(monkeypatch, reps):
     free = [q for q in _free_queries(rng) if q[0] is PC2][:8]
     products = list(_product_queries()) if reps == "kept" else []
     pairs = _finish_pairs(monkeypatch, [*products, *_finite_queries(rng), *free])
-    for got, want in pairs:
+    for got, want, _, _ in pairs:
         assert got == want
-    docs = [got for got, _ in pairs]
+    docs = [got for got, *_ in pairs]
     if products:
         assert [d["certificate"]["target"] for d in docs[:len(products)]] == \
             [q[-1] for q in PRODUCT_QUERIES]
     modes = {(d["query"]["mode"], d["outcome"], d.get("bound")) for d in docs}
     assert {("plain", "obstructed", 32), ("p", "obstructed", 32)} <= modes
     assert any(d["query"]["g"].startswith("A:((") for d in docs)  # a free query
+    # Abelian targets were skipped in both modes, on finite and free
+    # scans, and there products probed an abelian member for its exponents.
+    late: dict[tuple, int] = {}
+    for d, _, skip, n in pairs:
+        if skip:
+            kind = (d["query"]["mode"], d["query"]["g"].startswith("A:(("))
+            late[kind] = late.get(kind, 0) + n
+    assert set(late) == {(mode, free) for mode in ("plain", "p") for free in (False, True)}
+    if products:
+        assert all(late.values())
 
 
 def test_scans_build_only_the_products_that_separate(monkeypatch):
@@ -528,3 +557,33 @@ def test_scans_build_only_the_products_that_separate(monkeypatch):
     assert built <= certified
     # Exhausted scans passed every product class up to the bound.
     assert sum(d.get("reason") == "bound_exhausted" for d in docs) >= 10
+
+
+def test_abelianization_leaves_fewer_abelian_probes(monkeypatch):
+    """Abelian-target probes on a fixed finite sweep at bound 32, with the
+    abelianization test and with ``_abelian_member`` always False, which
+    probes every abelian target as the scan did without it. The reports
+    are the same; the count is deterministic."""
+    probe, member = engine._probe_entry, engine._abelian_member
+
+    def sweep(skip: bool) -> tuple[int, list]:
+        count = 0
+
+        def spy(pres, hq, gq, entry, memo=None):
+            nonlocal count
+            count += not iso_key(entry)[1]
+            return probe(pres, hq, gq, entry, memo)
+
+        monkeypatch.setattr(engine, "_probe_entry", spy)
+        monkeypatch.setattr(engine, "_abelian_member", member if skip else lambda *a: False)
+        docs = []
+        for query in _finite_queries(random.Random(6)):
+            try:
+                docs.append(engine.separate_from_cyclic(*query).to_json())
+            except InputError:
+                pass
+        return count, docs
+
+    (fewer, docs), (every, want) = sweep(True), sweep(False)
+    assert docs == want
+    assert (fewer, every) == (170, 378)
