@@ -67,7 +67,8 @@ class AmalgamPresentation:
     @cached_property
     def compat_cache(self) -> dict:
         """Compat's p-chain families, p-pair verdicts and compatible-pair
-        lists, keyed by tuples, and the engine's abelianization data under
+        lists, keyed by tuples, the engine's glued factor maps onto T under
+        ``("glued", id(T))`` (holding T) and its abelianization data under
         ``"abelianization"``. It lives and dies with the presentation."""
         return {}
 

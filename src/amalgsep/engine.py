@@ -17,7 +17,7 @@ dropped at the first edge that disagrees, O(|G| r) work per candidate
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The certificate scan glues factor homomorphisms over the amalgamated
 subgroup, but it tests each distinct restriction to the letters of h and
-g once: pairs that agree there give the same verdict. It tries only the
+g once: pairs that agree there give the same verdict. It lists only the
 A-homomorphisms whose image of element 1 is least in its orbit under a
 group S of automorphisms of T: inner automorphisms, or power maps when T
 is abelian, and the checked automorphisms its catalog construction names
@@ -25,7 +25,13 @@ is abelian, and the checked automorphisms its catalog construction names
 pair and <tg> onto <sigma tg>, so all pairs of an S-orbit give the same
 verdict, and canonical order compares images of element 1 first: the
 first separating pair is among those tried, and the certificate does not
-depend on S.
+depend on S. Neither factor's list is built in full: only the A-maps
+with a leader at element 1, and only the B-maps whose restriction to K
+is phi of a listed A-map's restriction to H. A candidate is dropped at
+the Cayley-graph edge that first reaches element 1, or K, when its image
+there is no listed map's. A dropped B-map is glued to no listed A-map,
+so the scan tries the same pairs as on the full lists, and finds the
+same first separating pair and exponent sets.
 
 A direct product T1 x T2 of two catalog members is decided without a
 probe. A homomorphism theta into it is a pair (theta1, theta2) of
@@ -120,28 +126,38 @@ FreeLetter = tuple[str, FreeWord]
 # Homomorphism enumeration for quotient amalgams
 
 
-def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
-    """All homomorphisms G -> T as full mapping tuples, canonical order.
-
-    Cached in ``G.hom_cache``, so the list lives as long as G does.
-    """
-    hit = G.hom_cache.get(id(T))
-    if hit is not None:
-        return hit[1]
+def _factor_homs(G: FiniteGroup, T: FiniteGroup,
+                 allowed: Optional[dict[int, frozenset[int]]] = None) -> list[tuple[int, ...]]:
+    """All homomorphisms G -> T as full mapping tuples, canonical order;
+    with ``allowed`` (non-identity x of G -> set of images), the subsequence
+    of the f with f(x) in allowed[x] for every key x. Only the full list is
+    cached here, in ``G.hom_cache`` under ``id(T)``: it lives as long as G."""
+    if not allowed:
+        hit = G.hom_cache.get(id(T))
+        if hit is not None:
+            return hit[1]
+        allowed = {}
     # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
     # rejected at the first edge whose endpoint already has another value.
     # Every element is a positive word in the generators, so a map that
     # respects every edge is a homomorphism, and each homomorphism is the
     # extension of its generator images. For cyclic G this walks the
-    # powers of the one image.
+    # powers of the one image. An allowed set narrows a generator's pool;
+    # another key y gets a test edge (y, c, 0, False) after the edge that
+    # first reaches y, whose column c is 1 off the set, so f(0) = 0 fails.
     g_orders, t_orders = G.element_orders, T.element_orders
-    pools = [[t for t in T.elements() if g_orders[g] % t_orders[t] == 0]
-             for g in G.generating_tuple]
-    schedule = G.cayley_schedule
     columns = list(zip(*T.table))      # columns[t][a] = a*t
+    gens = G.generating_tuple
+    pools = [[columns[t] for t in allowed.get(g, T.elements()) if g_orders[g] % t_orders[t] == 0]
+             for g in gens]
+    schedule, tests = G.cayley_schedule, allowed.keys() - set(gens)
+    if tests:
+        schedule, ends = list(schedule), list(map(itemgetter(2), schedule))
+        for y in sorted(tests, key=ends.index, reverse=True):
+            schedule.insert(ends.index(y) + 1, (y, len(pools), 0, False))
+            pools.append([[int(t not in allowed[y]) for t in T.elements()]])
     out = []
-    for images in itertools.product(*pools):
-        right = [columns[t] for t in images]
+    for right in itertools.product(*pools):
         f = [0] * G.order
         for x, i, y, new in schedule:
             v = right[i][f[x]]
@@ -152,7 +168,8 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup) -> list[tuple[int, ...]]:
         else:
             out.append(tuple(f))
     out.sort()
-    G.hom_cache[id(T)] = (T, out)
+    if not allowed:
+        G.hom_cache[id(T)] = (T, out)
     return out
 
 
@@ -210,34 +227,53 @@ def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> Optional[int]:
     return None
 
 
+def _probe_lists(pres: AmalgamPresentation, T: FiniteGroup) -> list[tuple[tuple, list]]:
+    """The pairs (ma, bucket) ``_probe_entry`` scans on T, cached in
+    ``pres.compat_cache``: the A-maps that send element 1 into
+    ``T.orbit_leaders`` (cached in ``A.hom_cache``), canonical order, each
+    with the B-maps glued to it, if any. A B-map is not built when its image
+    of k1, the first element of K that B's Cayley graph reaches, is no
+    A-map's image of phi^-1(k1); the bucket lookup is the exact test."""
+    hit = pres.compat_cache.get(("glued", id(T)))
+    if hit is not None:
+        return hit[1]
+    a_maps = pres.A.hom_cache.get((id(T), "leaders"), (T, None))[1]
+    if a_maps is None:  # a trivial A has no element 1, and lists its one map
+        lead = {1: frozenset(T.orbit_leaders)} if pres.A.order > 1 else None
+        a_maps = _factor_homs(pres.A, T, lead)
+        pres.A.hom_cache[(id(T), "leaders")] = (T, a_maps)
+    h_key, k_key = itemgetter(*pres.phi), itemgetter(*pres.phi.values())
+    k1 = next((y for _, _, y, new in pres.B.cayley_schedule if new and y in pres.K.members), 0)
+    allowed = {k1: frozenset(ma[pres.phi_inv[k1]] for ma in a_maps)} if k1 else None
+    buckets: dict[object, list[tuple[int, ...]]] = {}
+    for mb in _factor_homs(pres.B, T, allowed):
+        buckets.setdefault(k_key(mb), []).append(mb)
+    glued = [(ma, bucket) for ma in a_maps if (bucket := buckets.get(h_key(ma)))]
+    pres.compat_cache[("glued", id(T))] = (T, glued)
+    return glued
+
+
 def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamElement,
                  entry: CatalogEntry, memo: Optional[dict] = None) -> Optional[GluedHom]:
     """The first glued homomorphism onto the entry's group, in the order of
     ``enumerate_quotient_homs``, that sends h outside <g>; None if there is none.
+    Only the pairs of ``_probe_lists`` are scanned, which keep the first such
+    pair by the rule of the module docstring.
 
     Whether a pair (ma, mb) separates depends only on its H-key (``ma`` on
     H, which picks the bucket of ``mb``s it is glued to), on ``ma`` restricted
     to the A-letters of h and g (cores included), and on ``mb`` restricted
-    to their B-letters. So each bucket keeps only the first ``mb`` of each
-    B-signature: the first separating ``mb`` is the earliest of its
+    to their B-letters. So only the first ``mb`` of each B-signature in a
+    bucket is tried: the first separating ``mb`` is the earliest of its
     signature. And the first separating ``mb`` for an ``ma`` depends only
     on its probe, the (H-key, A-signature) pair, so it is found once per
     probe and reused for every later ``ma`` with that probe.
 
-    Only the ``ma`` whose image of element 1 is in ``T.orbit_leaders``,
-    least in its orbit under a group S of automorphisms of the target T,
-    are tried. For sigma in S, (sigma ma, sigma mb) is a glued pair
-    whenever (ma, mb) is one, and it separates iff (ma, mb) does, because
-    sigma maps <tg> onto <sigma tg>. Every ``ma`` sends 0 to 0, so the
-    canonical order compares the images of element 1 first: a sigma that
-    lowers that image gives an earlier ``ma`` that separates alike, and the
-    least separating ``ma`` has a leader there. A trivial A has no element
-    1, and its one map is tried.
-
     ``memo``, when given, is filled with the verdict on each image pair
     (th, tg) the scan visited: the k with th = tg^k, or None when th lies
     outside <tg>. When no pair separates, the visited pairs are all pairs
-    up to S, since every ``ma`` is S-equivalent to a tried one, and S keeps
+    up to the group S of automorphisms of T behind ``T.orbit_leaders``,
+    since every ``ma`` is S-equivalent to a tried one, and S keeps
     (order of tg, k).
     """
     T = entry.build()
@@ -247,28 +283,21 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     for x in (hq, gq):
         for side, t in x.syllables:
             letters[side].add(t)
-    h_members = sorted(pres.H.members)
-    h_key = itemgetter(*h_members)
-    k_key = itemgetter(*(pres.phi[h] for h in h_members))
-    a_probe = itemgetter(*h_members, *sorted(letters["A"]))  # H-key and A-signature
+    a_probe = itemgetter(*pres.phi, *sorted(letters["A"]))  # H-key and A-signature
     b_sig = itemgetter(*sorted(letters["B"]))
-    buckets: dict[object, dict[object, tuple[int, ...]]] = {}
-    for mb in _factor_homs(pres.B, T):
-        buckets.setdefault(k_key(mb), {}).setdefault(b_sig(mb), mb)
     if memo is None:
         memo = {}
     found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
-    lead = set(T.orbit_leaders)
-    one = min(1, pres.A.order - 1)     # element 1; the identity, a leader, in a trivial A
-    for ma in _factor_homs(pres.A, T):
-        if ma[one] not in lead:
-            continue
-        reps = buckets.get(h_key(ma))
-        if reps is None:
-            continue
+    firsts: dict[int, dict[object, tuple[int, ...]]] = {}  # id(bucket) -> B-signature -> mb
+    for ma, bucket in _probe_lists(pres, T):
         probe = a_probe(ma)
         if probe not in found:
             found[probe] = None
+            reps = firsts.get(id(bucket))
+            if reps is None:
+                reps = firsts[id(bucket)] = {}
+                for mb in bucket:
+                    reps.setdefault(b_sig(mb), mb)
             for mb in reps.values():
                 pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
                 k = memo.get(pair, -1)

@@ -23,8 +23,8 @@ construction names (``automorphism_candidates``), each checked on the
 Cayley graph before use (``_symmetries``); the normal-subgroup lattice
 (behind ``enumerate_normal_subgroups``), built as joins of the normal
 closures of conjugacy classes; its index-p cover edges, one table per
-prime p (``normal_covers``, for compat's chain families); and the
-homomorphisms from it to each target, one list per target (``hom_cache``).
+prime p (``normal_covers``, for compat's chain families); and homomorphisms
+from it to each target, all or those the certificate scan tries (``hom_cache``).
 The caches sit in the instance ``__dict__``, outside the dataclass
 fields, so equality and hashing ignore them; they live and die with the
 group, and no module-level table keeps a group alive.
@@ -257,11 +257,11 @@ class FiniteGroup:
         return covers
 
     @cached_property
-    def hom_cache(self) -> dict[int, tuple[FiniteGroup, list[tuple[int, ...]]]]:
-        """The homomorphisms from this group to a target, in canonical
-        order, as the engine found them: ``id(target) -> (target,
-        mappings)``. Each entry holds its target, so that id cannot be
-        reused while the entry lives; the lists die with this group."""
+    def hom_cache(self) -> dict[object, tuple[FiniteGroup, list[tuple[int, ...]]]]:
+        """Homomorphisms to a target in canonical order, ``(target, mappings)``:
+        all under ``id(target)``, the certificate scan's A-maps under
+        ``(id(target), "leaders")``. Each entry holds its target, so that id
+        cannot be reused while it lives; the lists die with this group."""
         return {}
 
 

@@ -165,10 +165,22 @@ class TestHomOracles:
     def test_factor_homs_match_brute_force(self, source):
         # Sources up to order 12 against every target up to 32; the larger
         # sources, whose brute force is slow, against targets up to 16.
+        # Each brute-force list also checks two restricted lists, built
+        # before the full one so that a restricted list in the full list's
+        # cache entry shows: element 1 sent to an orbit leader, and the
+        # first generator and the last element that is no generator sent
+        # where every other map sends them.
         S = _catalog_group(source)
+        gens = S.generating_tuple
+        narrowed = (gens[0], *[x for x in S.elements() if x and x not in gens][-1:])
         for entry in catalog(32 if S.order <= 12 else 16):
             T = entry.build()
-            assert engine._factor_homs(S, T) == homs_oracle(S, T), entry.name
+            want = homs_oracle(S, T)
+            for allowed in ({1: frozenset(T.orbit_leaders)},
+                            {x: frozenset(f[x] for f in want[::2]) for x in narrowed}):
+                kept = [f for f in want if all(f[x] in allowed[x] for x in allowed)]
+                assert engine._factor_homs(S, T, allowed) == kept, (entry.name, allowed)
+            assert engine._factor_homs(S, T) == want, entry.name
 
     @pytest.mark.parametrize("rank, target", [(5, cyclic_group(2)), (5, dihedral_group(2)),
                                               (6, cyclic_group(2))],
@@ -196,7 +208,8 @@ class TestHomOracles:
                                        ("D4", "Z8", 4, True, False, 64, 2),
                                        ("D4", "Z8", 4, False, True, 64, 2),
                                        ("Z2xZ4", "D4", 2, 1, False, 24),
-                                       ("D4", "Z4", 2, 6, True, 24)])
+                                       ("D4", "Z4", 2, 6, True, 24),
+                                       ("D4", "D8", 4)])
     def test_probe_matches_a_naive_scan(self, shape):
         # Shapes scan catalog(32), or the targets named after the factors:
         # the 2-groups to order 64 have non-trivial orbits, so the scan
@@ -204,7 +217,8 @@ class TestHomOracles:
         # factor relabeled by order has an element of least order as
         # element 1, which is then not its first generator: the skip must
         # follow element 1, which canonical order compares first, and not
-        # the first generator.
+        # the first generator. In D4 * D8 over Z4, B has two generators and
+        # neither lies in K, so K is checked at edges inside the schedule.
         name_a, name_b, h_order, *rest = shape
         relabel, first_is_one, *bound = rest or [False, True]
         entries = list(targets(*bound)) if bound else catalog(32)

@@ -587,3 +587,37 @@ def test_abelianization_leaves_fewer_abelian_probes(monkeypatch):
     (fewer, docs), (every, want) = sweep(True), sweep(False)
     assert docs == want
     assert (fewer, every) == (170, 378)
+
+
+def test_probe_lists_build_fewer_maps(monkeypatch):
+    """Factor homomorphisms built on cache misses over a fixed finite sweep
+    at bound 32, with the probe lists restricted and with ``_factor_homs``
+    ignoring the restriction, which lists every map. Each sweep builds its
+    factors and targets afresh, so the counts are deterministic; the
+    reports are the same."""
+    factor_homs = engine._factor_homs
+
+    def sweep(restrict: bool) -> tuple[int, list]:
+        built = 0
+
+        def spy(G, T, allowed=None):
+            nonlocal built
+            allowed = allowed if restrict else None
+            miss = bool(allowed) or id(T) not in G.hom_cache
+            out = factor_homs(G, T, allowed)
+            built += miss * len(out)
+            return out
+
+        monkeypatch.setattr(catalog_module, "_BUILD_CACHE", {})
+        monkeypatch.setattr(engine, "_factor_homs", spy)
+        docs = []
+        for query in _finite_queries(random.Random(6)):
+            try:
+                docs.append(engine.separate_from_cyclic(*query).to_json())
+            except InputError:
+                pass
+        return built, docs
+
+    (fewer, docs), (every, want) = sweep(True), sweep(False)
+    assert docs == want
+    assert (fewer, every) == (625, 1223)
