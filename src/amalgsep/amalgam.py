@@ -67,9 +67,10 @@ class AmalgamPresentation:
     @cached_property
     def compat_cache(self) -> dict:
         """Compat's p-chain families, p-pair verdicts and compatible-pair
-        lists, keyed by tuples, the engine's glued factor maps onto T under
-        ``("glued", id(T))`` (holding T) and its abelianization data under
-        ``"abelianization"``. It lives and dies with the presentation."""
+        lists, keyed by tuples, the engine's glued factor maps onto a
+        catalog entry's group under ``("glued", entry.name)`` (no group is
+        held) and its abelianization data under ``"abelianization"``. It
+        lives and dies with the presentation."""
         return {}
 
 
@@ -248,10 +249,6 @@ def element_order(x: AmalgamElement):
     return G.element_order(G.table[pres.core_on(side, y.core)][t])
 
 
-def embed_factor_element(pres: AmalgamPresentation, side: Side, x: int) -> AmalgamElement:
-    return normalize(pres, [(side, x)])
-
-
 def factor_element_of(x: AmalgamElement) -> Optional[tuple[Side, int]]:
     """For l(x) <= 1, the factor element x represents; None when l(x) >= 2.
 
@@ -324,49 +321,35 @@ def cyclic_member(h: AmalgamElement, g: AmalgamElement) -> CyclicMembership:
 
 
 def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:
-    """Some h with h^q = g, or None.
+    """Some h with h^q = g, or None, for g whose cyclic reduction has
+    length n >= 2 (``find_prime_root`` asks only for prime q dividing n).
 
-    For cyclically reduced g of length n >= 2 the root, if any, is
-    cyclically reduced of length n/q, and its syllable skeleton is a
-    cyclic segment of g's; candidates are those segments decorated by all
-    possible amalgamated-part cores. For n <= 1 the ambient finite factor
-    is searched directly (roots realized inside the factor only).
+    The root, if any, is cyclically reduced of length n/q, and its syllable
+    skeleton is a cyclic segment of g's; candidates are those segments
+    decorated by all possible amalgamated-part cores.
     """
     if not is_prime(q):
         raise AssertionError(f"{q} is not prime")
     pres = g.pres
     y, c = cyclically_reduce(g)
     n = syllable_length(y)
-    if n >= 2:
-        if n % q != 0:
-            return None
-        r = n // q
-        if r < 2:
-            # A root of length <= 1 would have q-th power of length <= 1.
-            return None
-        syl = y.syllables
-        for rot in range(n):
-            skeleton = (syl + syl)[rot:rot + r]
-            if skeleton[0][0] == skeleton[-1][0]:
-                continue  # not cyclically reduced, cannot power up to y
-            for d in sorted(pres.H.members):
-                cand = AmalgamElement(pres, d, skeleton)
-                if power(cand, q) == y:
-                    return multiply(multiply(c, cand), invert(c))
+    if n < 2:
+        raise AssertionError(f"no root search at cyclic reduction length {n}")
+    if n % q != 0:
         return None
-    # Short case: search inside the ambient factor(s).
-    sides: list[tuple[Side, int]] = []
-    if n == 0:
-        sides.append(("A", y.core))
-        sides.append(("B", pres.phi[y.core]))
-    else:
-        sides.append(factor_element_of(y))
-    for side, target in sides:
-        G = pres.factor(side)
-        for z in G.elements():
-            if G.power(z, q) == target:
-                root = embed_factor_element(pres, side, z)
-                return multiply(multiply(c, root), invert(c))
+    r = n // q
+    if r < 2:
+        # A root of length <= 1 would have q-th power of length <= 1.
+        return None
+    syl = y.syllables
+    for rot in range(n):
+        skeleton = (syl + syl)[rot:rot + r]
+        if skeleton[0][0] == skeleton[-1][0]:
+            continue  # not cyclically reduced, cannot power up to y
+        for d in sorted(pres.H.members):
+            cand = AmalgamElement(pres, d, skeleton)
+            if power(cand, q) == y:
+                return multiply(multiply(c, cand), invert(c))
     return None
 
 

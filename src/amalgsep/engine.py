@@ -127,35 +127,28 @@ FreeLetter = tuple[str, FreeWord]
 
 
 def _factor_homs(G: FiniteGroup, T: FiniteGroup,
-                 allowed: Optional[dict[int, frozenset[int]]] = None) -> list[tuple[int, ...]]:
+                 only: Optional[tuple[int, frozenset[int]]] = None) -> list[tuple[int, ...]]:
     """All homomorphisms G -> T as full mapping tuples, canonical order;
-    with ``allowed`` (non-identity x of G -> set of images), the subsequence
-    of the f with f(x) in allowed[x] for every key x. Only the full list is
-    cached here, in ``G.hom_cache`` under ``id(T)``: it lives as long as G."""
-    if not allowed:
-        hit = G.hom_cache.get(id(T))
-        if hit is not None:
-            return hit[1]
-        allowed = {}
+    with ``only = (z, Z)``, z a non-identity element of G, the subsequence
+    of the f with f(z) in Z. Nothing is cached here."""
     # Extension along the Cayley graph: f(0) = 0 and f(x*g_i) = f(x)*t_i,
     # rejected at the first edge whose endpoint already has another value.
     # Every element is a positive word in the generators, so a map that
     # respects every edge is a homomorphism, and each homomorphism is the
     # extension of its generator images. For cyclic G this walks the
-    # powers of the one image. An allowed set narrows a generator's pool;
-    # another key y gets a test edge (y, c, 0, False) after the edge that
-    # first reaches y, whose column c is 1 off the set, so f(0) = 0 fails.
+    # powers of the one image. A restricted generator's pool is narrowed;
+    # any other z gets a test edge (z, c, 0, False) after the edge that
+    # first reaches z, whose column c is 1 off Z, so f(0) = 0 fails.
     g_orders, t_orders = G.element_orders, T.element_orders
     columns = list(zip(*T.table))      # columns[t][a] = a*t
-    gens = G.generating_tuple
-    pools = [[columns[t] for t in allowed.get(g, T.elements()) if g_orders[g] % t_orders[t] == 0]
+    gens, schedule = G.generating_tuple, G.cayley_schedule
+    z, Z = only or (None, None)
+    pools = [[columns[t] for t in (Z if g == z else T.elements()) if g_orders[g] % t_orders[t] == 0]
              for g in gens]
-    schedule, tests = G.cayley_schedule, allowed.keys() - set(gens)
-    if tests:
-        schedule, ends = list(schedule), list(map(itemgetter(2), schedule))
-        for y in sorted(tests, key=ends.index, reverse=True):
-            schedule.insert(ends.index(y) + 1, (y, len(pools), 0, False))
-            pools.append([[int(t not in allowed[y]) for t in T.elements()]])
+    if only and z not in gens:
+        at = [y for _, _, y, _ in schedule].index(z) + 1
+        schedule = (*schedule[:at], (z, len(pools), 0, False), *schedule[at:])
+        pools.append([[int(t not in Z) for t in T.elements()]])
     out = []
     for right in itertools.product(*pools):
         f = [0] * G.order
@@ -168,8 +161,6 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup,
         else:
             out.append(tuple(f))
     out.sort()
-    if not allowed:
-        G.hom_cache[id(T)] = (T, out)
     return out
 
 
@@ -199,21 +190,27 @@ def _glued_image(T: FiniteGroup, map_a: tuple[int, ...], map_b: tuple[int, ...],
     return acc
 
 
+def _glue(pres: AmalgamPresentation, a_maps: Sequence[tuple[int, ...]],
+          b_maps: Sequence[tuple[int, ...]]) -> list[tuple[tuple[int, ...], list]]:
+    """The pairs (ma, bucket): each A-map that agrees with some B-map on the
+    amalgamated subgroup, in the order given, with those B-maps (mb on K is
+    phi of ma on H), in the order given."""
+    h_key, k_key = itemgetter(*pres.phi), itemgetter(*pres.phi.values())
+    buckets: dict[object, list[tuple[int, ...]]] = {}
+    for mb in b_maps:
+        buckets.setdefault(k_key(mb), []).append(mb)
+    return [(ma, bucket) for ma in a_maps if (bucket := buckets.get(h_key(ma)))]
+
+
 def enumerate_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup) -> list[GluedHom]:
     """All homomorphisms of the quotient amalgam into the target: pairs of
-    factor homomorphisms agreeing on the amalgamated subgroup, in
-    canonical (map_a, map_b) order."""
+    factor homomorphisms agreeing on the amalgamated subgroup (``_glue``),
+    in canonical (map_a, map_b) order. Nothing is cached."""
     pres = qa.presentation
-    h_members = sorted(pres.H.members)
-    buckets: dict[tuple, list[tuple[int, ...]]] = {}
-    for mb in _factor_homs(pres.B, target):
-        key = tuple(mb[pres.phi[h]] for h in h_members)
-        buckets.setdefault(key, []).append(mb)
-    out = []
-    for ma in _factor_homs(pres.A, target):
-        key = tuple(ma[h] for h in h_members)
-        out.extend(GluedHom(target, "", ma, mb) for mb in buckets.get(key, ()))
-    return out
+    return [GluedHom(target, "", ma, mb)
+            for ma, bucket in _glue(pres, _factor_homs(pres.A, target),
+                                    _factor_homs(pres.B, target))
+            for mb in bucket]
 
 
 def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> Optional[int]:
@@ -227,29 +224,24 @@ def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> Optional[int]:
     return None
 
 
-def _probe_lists(pres: AmalgamPresentation, T: FiniteGroup) -> list[tuple[tuple, list]]:
-    """The pairs (ma, bucket) ``_probe_entry`` scans on T, cached in
-    ``pres.compat_cache``: the A-maps that send element 1 into
-    ``T.orbit_leaders`` (cached in ``A.hom_cache``), canonical order, each
-    with the B-maps glued to it, if any. A B-map is not built when its image
-    of k1, the first element of K that B's Cayley graph reaches, is no
-    A-map's image of phi^-1(k1); the bucket lookup is the exact test."""
-    hit = pres.compat_cache.get(("glued", id(T)))
-    if hit is not None:
-        return hit[1]
-    a_maps = pres.A.hom_cache.get((id(T), "leaders"), (T, None))[1]
-    if a_maps is None:  # a trivial A has no element 1, and lists its one map
-        lead = {1: frozenset(T.orbit_leaders)} if pres.A.order > 1 else None
-        a_maps = _factor_homs(pres.A, T, lead)
-        pres.A.hom_cache[(id(T), "leaders")] = (T, a_maps)
-    h_key, k_key = itemgetter(*pres.phi), itemgetter(*pres.phi.values())
-    k1 = next((y for _, _, y, new in pres.B.cayley_schedule if new and y in pres.K.members), 0)
-    allowed = {k1: frozenset(ma[pres.phi_inv[k1]] for ma in a_maps)} if k1 else None
-    buckets: dict[object, list[tuple[int, ...]]] = {}
-    for mb in _factor_homs(pres.B, T, allowed):
-        buckets.setdefault(k_key(mb), []).append(mb)
-    glued = [(ma, bucket) for ma in a_maps if (bucket := buckets.get(h_key(ma)))]
-    pres.compat_cache[("glued", id(T))] = (T, glued)
+def _probe_lists(pres: AmalgamPresentation, entry: CatalogEntry) -> list[tuple[tuple, list]]:
+    """The pairs (ma, bucket) ``_probe_entry`` scans on the entry's group T,
+    glued by ``_glue``: the A-maps that send element 1 into
+    ``T.orbit_leaders``, canonical order, each with the B-maps glued to it,
+    if any. A B-map is not built when its image of k1, the first element of
+    K that B's Cayley graph reaches, is no A-map's image of phi^-1(k1); the
+    bucket lookup is the exact test. Cached in ``pres.compat_cache`` under
+    ``("glued", entry.name)``: catalog builds are deterministic, so the
+    maps hold for every build of the entry."""
+    key = ("glued", entry.name)
+    glued = pres.compat_cache.get(key)
+    if glued is None:
+        T = entry.build()
+        lead = (1, frozenset(T.orbit_leaders)) if pres.A.order > 1 else None
+        a_maps = _factor_homs(pres.A, T, lead)  # a trivial A lists its one map
+        k1 = next((y for _, _, y, new in pres.B.cayley_schedule if new and y in pres.K.members), 0)
+        only = (k1, frozenset(ma[pres.phi_inv[k1]] for ma in a_maps)) if k1 else None
+        glued = pres.compat_cache[key] = _glue(pres, a_maps, _factor_homs(pres.B, T, only))
     return glued
 
 
@@ -289,7 +281,7 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
         memo = {}
     found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
     firsts: dict[int, dict[object, tuple[int, ...]]] = {}  # id(bucket) -> B-signature -> mb
-    for ma, bucket in _probe_lists(pres, T):
+    for ma, bucket in _probe_lists(pres, entry):
         probe = a_probe(ma)
         if probe not in found:
             found[probe] = None

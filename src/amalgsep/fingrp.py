@@ -22,12 +22,13 @@ power maps of an abelian group, and by the automorphisms a catalog
 construction names (``automorphism_candidates``), each checked on the
 Cayley graph before use (``_symmetries``); the normal-subgroup lattice
 (behind ``enumerate_normal_subgroups``), built as joins of the normal
-closures of conjugacy classes; its index-p cover edges, one table per
-prime p (``normal_covers``, for compat's chain families); and homomorphisms
-from it to each target, all or those the certificate scan tries (``hom_cache``).
-The caches sit in the instance ``__dict__``, outside the dataclass
-fields, so equality and hashing ignore them; they live and die with the
-group, and no module-level table keeps a group alive.
+closures of conjugacy classes; and its index-p cover edges, one table
+per prime p (``normal_covers``, for compat's chain families). Nothing
+that involves a second group is cached here: the certificate scan keeps
+its factor homomorphisms on the presentation, keyed by target name. The
+caches sit in the instance ``__dict__``, outside the dataclass fields, so
+equality and hashing ignore them; they live and die with the group, and
+no module-level table keeps a group alive.
 """
 
 from __future__ import annotations
@@ -255,14 +256,6 @@ class FiniteGroup:
                 N: tuple(U for U in by_order.get(p * len(N), ()) if N < U)
                 for Ns in by_order.values() for N in Ns}
         return covers
-
-    @cached_property
-    def hom_cache(self) -> dict[object, tuple[FiniteGroup, list[tuple[int, ...]]]]:
-        """Homomorphisms to a target in canonical order, ``(target, mappings)``:
-        all under ``id(target)``, the certificate scan's A-maps under
-        ``(id(target), "leaders")``. Each entry holds its target, so that id
-        cannot be reused while it lives; the lists die with this group."""
-        return {}
 
 
 def default_names(order: int) -> tuple[str, ...]:

@@ -9,7 +9,6 @@ from amalgsep.amalgam import (
     cyclic_member,
     cyclically_reduce,
     element_order,
-    embed_factor_element,
     extract_root,
     identity_element,
     invert,
@@ -183,12 +182,12 @@ class TestRoots:
         root = extract_root(power(ab, 2), 2)
         assert root is not None and power(root, 2) == power(ab, 2)
 
-    def test_factor_roots(self, g2):
-        a2 = normalize(g2, [("A", 2)])
-        # Roots of the amalgamated square exist in both factors; any is fine.
-        for q in (2, 3):
-            root = extract_root(a2, q)
-            assert root is not None and power(root, q) == a2
+    def test_short_elements_are_a_contract_violation(self, g2):
+        # find_prime_root asks only for primes dividing a cyclic reduction
+        # length n >= 2; elements of length 0 and 1 have no such prime.
+        for letters in ([], [("A", 2)], [("A", 1)], [("B", 1), ("A", 1), ("B", 3)]):
+            with pytest.raises(AssertionError, match="cyclic reduction length"):
+                extract_root(normalize(g2, letters), 2)
 
     def test_roots_against_enumeration(self, g2):
         # Brute force over all normal forms of the root length.
@@ -297,8 +296,8 @@ class TestPropertySuites:
                 continue
             for q in (2, 3):
                 g = power(h, q)
-                root = extract_root(g, q)
-                if g.is_identity():
+                if syllable_length(cyclically_reduce(g)[0]) < 2:
                     continue
+                root = extract_root(g, q)
                 assert root is not None, (h, q)
                 assert power(root, q) == g

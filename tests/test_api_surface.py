@@ -2,7 +2,9 @@
 in ``src/amalgsep`` is referenced somewhere other than its own definition,
 by the package itself, the benchmark or the acceptance suite. And two
 kinds of error: every ``raise`` in the package is an ``InputError`` (bad
-input, exit 2) or an ``AssertionError`` (a broken contract, exit 4)."""
+input, exit 2) or an ``AssertionError`` (a broken contract, exit 4). And
+no cache keyed by ``id()``: such a key must hold its object alive, or a
+new object can take over the id."""
 
 import ast
 from pathlib import Path
@@ -74,3 +76,32 @@ def test_every_raise_is_an_input_error_or_an_assertion_error():
     assert stray == []
     errors = ast.parse((ROOT / "src" / "amalgsep" / "errors.py").read_text())
     assert [s.name for s in errors.body if isinstance(s, ast.ClassDef)] == ["InputError"]
+
+
+# The id() calls outside the rule, by module and qualified definition: an
+# element's hash, and the buckets of one probe, which the presentation's
+# cache keeps alive while the probe runs.
+ID_CALLS = {("amalgam", "AmalgamElement.__hash__"), ("engine", "_probe_entry")}
+
+
+def definitions(tree: ast.Module):
+    """Each top-level statement, and each statement in a top-level class,
+    with its qualified name ("" for module-level code)."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            for inner in stmt.body:
+                name = inner.name if isinstance(inner, DEFINITIONS) else ""
+                yield f"{stmt.name}.{name}".rstrip("."), inner
+        else:
+            yield stmt.name if isinstance(stmt, DEFINITIONS) else "", stmt
+
+
+def test_no_id_calls_outside_the_two_allowed():
+    stray = []
+    for path in SOURCES:
+        for where, stmt in definitions(ast.parse(path.read_text(), str(path))):
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                        and node.func.id == "id" and (path.stem, where) not in ID_CALLS):
+                    stray.append(f"{path.stem}.py:{node.lineno} calls id() in {where or 'module'}")
+    assert stray == []

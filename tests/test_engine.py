@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import amalgsep
 
+from amalgsep import catalog as catalog_module
 from amalgsep import engine
 from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
 from amalgsep.catalog import (
@@ -165,21 +166,20 @@ class TestHomOracles:
     def test_factor_homs_match_brute_force(self, source):
         # Sources up to order 12 against every target up to 32; the larger
         # sources, whose brute force is slow, against targets up to 16.
-        # Each brute-force list also checks two restricted lists, built
-        # before the full one so that a restricted list in the full list's
-        # cache entry shows: element 1 sent to an orbit leader, and the
-        # first generator and the last element that is no generator sent
-        # where every other map sends them.
+        # Each brute-force list also checks single restrictions: element 1
+        # sent to an orbit leader, then the first generator and the last
+        # element that is no generator, each sent where every other map
+        # sends it.
         S = _catalog_group(source)
         gens = S.generating_tuple
         narrowed = (gens[0], *[x for x in S.elements() if x and x not in gens][-1:])
         for entry in catalog(32 if S.order <= 12 else 16):
             T = entry.build()
             want = homs_oracle(S, T)
-            for allowed in ({1: frozenset(T.orbit_leaders)},
-                            {x: frozenset(f[x] for f in want[::2]) for x in narrowed}):
-                kept = [f for f in want if all(f[x] in allowed[x] for x in allowed)]
-                assert engine._factor_homs(S, T, allowed) == kept, (entry.name, allowed)
+            for z, Z in ((1, frozenset(T.orbit_leaders)),
+                         *((x, frozenset(f[x] for f in want[::2])) for x in narrowed)):
+                kept = [f for f in want if f[z] in Z]
+                assert engine._factor_homs(S, T, (z, Z)) == kept, (entry.name, z, Z)
             assert engine._factor_homs(S, T) == want, entry.name
 
     @pytest.mark.parametrize("rank, target", [(5, cyclic_group(2)), (5, dihedral_group(2)),
@@ -330,11 +330,28 @@ class TestSeparateFinite:
                              subgroup_generated(B, [2]), {0: 0, 2: 2})
         rep = separate_from_cyclic(pres, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
         assert rep.outcome == "separated"
-        assert A.hom_cache
+        assert ("glued", rep.target_name) in pres.compat_cache
         alive = weakref.ref(pres), weakref.ref(A)
         del pres, A, B, rep
         gc.collect()
         assert [ref() for ref in alive] == [None, None]
+
+    def test_glued_lists_outlive_a_catalog_rebuild(self, monkeypatch):
+        # The glued factor maps are keyed by the entry's name, not by the
+        # group object: after the catalog's groups are rebuilt, a second
+        # query on the same presentation builds no factor map.
+        A, B = construct_group(cyclic_table(4)), construct_group(cyclic_table(4))
+        pres = build_amalgam(A, B, subgroup_generated(A, [2]),
+                             subgroup_generated(B, [2]), {0: 0, 2: 2})
+        query = (pres, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
+        first = separate_from_cyclic(*query).to_json()
+        assert first["outcome"] == "separated"
+        monkeypatch.setattr(catalog_module, "_BUILD_CACHE", {})
+        built, factor_homs = [], engine._factor_homs
+        monkeypatch.setattr(engine, "_factor_homs",
+                            lambda *args: built.append(args) or factor_homs(*args))
+        assert separate_from_cyclic(*query).to_json() == first
+        assert built == []
 
     def test_five_generator_factor_is_separated(self):
         A, B = elementary_abelian_2(5), cyclic_group(4)
