@@ -237,16 +237,11 @@ def cyclically_reduce(x: AmalgamElement) -> tuple[AmalgamElement, AmalgamElement
 def element_order(x: AmalgamElement):
     """Order of x: math.inf when the cyclic reduction has length >= 2,
     otherwise the order inside the finite factor containing it."""
-    y, _ = cyclically_reduce(x)
-    n = len(y.syllables)
-    if n >= 2:
+    fac = factor_element_of(cyclically_reduce(x)[0])
+    if fac is None:
         return math.inf
-    pres = x.pres
-    if n == 0:
-        return pres.A.element_order(y.core)
-    side, t = y.syllables[0]
-    G = pres.factor(side)
-    return G.element_order(G.table[pres.core_on(side, y.core)][t])
+    side, t = fac
+    return x.pres.factor(side).element_order(t)
 
 
 def factor_element_of(x: AmalgamElement) -> Optional[tuple[Side, int]]:

@@ -288,9 +288,9 @@ def cmd_isolate(args) -> Outcome:
         "isolated": isolated,
     }
     if isolated:
-        f, j = am.isolated_closure(g, args.p)
-        doc["closure"] = {"generator": am.serialize_element(f), "index": j}
-        return doc, f"isolated: closure generator {am.serialize_element(f)}, index {j}", EXIT_OK
+        # An isolated <g> is its own closure.
+        doc["closure"] = {"generator": am.serialize_element(g), "index": 1}
+        return doc, f"isolated: closure generator {am.serialize_element(g)}, index 1", EXIT_OK
     q, root = am.find_prime_root(g, args.p)
     doc["root"] = {"prime": q, "element": am.serialize_element(root)}
     return doc, f"not isolated: {q}-th root {am.serialize_element(root)}", EXIT_NEGATIVE
@@ -372,13 +372,9 @@ def cmd_witness(args) -> Outcome:
 
 
 def cmd_case(args) -> Outcome:
-    if args.case == "sec3":
-        params = {"p": args.p or 2, "q": args.q or 3, "n": args.n or 2}
-    elif args.case == "thm21":
-        params = {"bound": args.bound}
-    else:
-        params = {"trials": args.trials}
-    report = eng.run_case_study(args.case.replace("-", "_"), **params)
+    options = {"sec3": ("p", "q", "n"), "thm21": ("bound",), "cyclic-remark": ("trials",)}
+    params = {k: getattr(args, k) for k in options[args.case] if getattr(args, k) is not None}
+    report = eng.run_case_study(args.case, **params)
     summary = "\n".join(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})"
                         for name, ok, detail in report.assertions)
     return report.to_json(), summary, EXIT_OK if report.all_passed else EXIT_NEGATIVE
@@ -463,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     case.add_argument("--p", type=int)
     case.add_argument("--q", type=int)
     case.add_argument("--n", type=_positive_int)
-    case.add_argument("--bound", type=_positive_int, default=48)
-    case.add_argument("--trials", type=_positive_int, default=100)
+    case.add_argument("--bound", type=_positive_int)
+    case.add_argument("--trials", type=_positive_int)
     case.set_defaults(handler=cmd_case)
 
     return parser

@@ -53,10 +53,10 @@ abelian target of any order separates.
 
 Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
-the symbolic normal forms; a non-member is then separated inside a
-length-preserving finite quotient amalgam, refined when the quotient
-identifies h with a power of g. The pair scan behind those quotients
-tests each pair of kernels once: the quotient amalgam and every filter
+the symbolic normal forms; a non-member is then separated inside the
+first length-preserving finite quotient amalgam that keeps h outside <g>,
+found by one pair scan. The pair scan behind those quotients
+yields each pair of kernels once: the quotient amalgam and every filter
 depend on the two kernels alone, so a repeated pair could only repeat a
 rejection. That still removes kernels repeated across targets; the
 scanner itself skips images that differ by an automorphism of the
@@ -71,7 +71,7 @@ import random
 from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
@@ -280,14 +280,15 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
     if memo is None:
         memo = {}
     found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
-    firsts: dict[int, dict[object, tuple[int, ...]]] = {}  # id(bucket) -> B-signature -> mb
+    firsts: dict[tuple, dict[object, tuple[int, ...]]] = {}  # H-key -> B-signature -> mb
     for ma, bucket in _probe_lists(pres, entry):
         probe = a_probe(ma)
         if probe not in found:
             found[probe] = None
-            reps = firsts.get(id(bucket))
+            h_key = probe[:len(pres.phi)]  # names the bucket
+            reps = firsts.get(h_key)
             if reps is None:
-                reps = firsts[id(bucket)] = {}
+                reps = firsts[h_key] = {}
                 for mb in bucket:
                     reps.setdefault(b_sig(mb), mb)
             for mb in reps.values():
@@ -471,25 +472,23 @@ def _free_member_exponent(desc: FreeAmalgamDescription, g_red: FreeReducedForm,
 
 def _free_pair_scan(desc: FreeAmalgamDescription,
                     a_chunks: list[FreeWord], b_chunks: list[FreeWord],
-                    p: Optional[int], bound: int,
-                    accept=None) -> Optional[tuple[str, QuotientAmalgam]]:
-    """First pair (u, v) onto a catalog target (one per isomorphism class,
-    ``catalog.targets``) that is compatible, keeps every listed
-    factor chunk outside the amalgamated image (length preservation),
-    lands in p-groups with residually-p quotients in p-mode, and whose
-    quotient amalgam passes the optional ``accept`` predicate.
+                    p: Optional[int], bound: int) -> Iterator[tuple[str, QuotientAmalgam]]:
+    """The pairs (u, v) onto catalog targets (one per isomorphism class,
+    ``catalog.targets``; p-groups in p-mode) that are compatible and keep
+    every listed factor chunk outside the amalgamated image (length
+    preservation), in scan order, each as its text and quotient amalgam.
 
-    Each pair of kernels is tested once: (u, v) is skipped when an earlier
+    Each pair of kernels is yielded once: (u, v) is skipped when an earlier
     pair, on this entry or an earlier one, had the same kernel keys. The
     quotient F_A/ker u *_H F_B/ker v with its projections depends on the
-    two kernels alone up to isomorphism, and every filter (length
-    preservation, ``accept``, ``presentation_residually_p``; in p-mode the
-    targets are p-groups, so every index is a p-power) is an isomorphism
-    invariant. So a repeated pair could only repeat a rejection, and the
-    first passing pair and its text are unchanged. The scanner yields only
-    orbit leaders under automorphisms of the target, among them the first
-    assignment of every kernel, so each kernel pair is still first tested
-    at the pair it was tested at over the full product.
+    two kernels alone up to isomorphism, and so does every filter a caller
+    applies to it (``_refine``'s are isomorphism invariants; in p-mode the
+    targets are p-groups, so every index is a p-power). So a repeated pair
+    could only repeat a rejection, and the first passing pair and its text
+    are unchanged. The scanner yields only orbit leaders under
+    automorphisms of the target, among them the first assignment of every
+    kernel, so each kernel pair is still first yielded at the pair it is
+    first reached at over the full product.
     """
     tried: set[tuple] = set()
     for entry in targets(bound, p):
@@ -513,15 +512,7 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
                 if (ku, kv) in tried:
                     continue
                 tried.add((ku, kv))
-                qa = build_free_quotient_amalgam(desc, u, v)
-                # Both filters are pure, so testing the cheap one first
-                # keeps the first passing pair.
-                if accept is not None and not accept(qa):
-                    continue
-                if p is not None and not presentation_residually_p(qa.presentation, p):
-                    continue
-                return (f"{entry.name}:{u.images}|{v.images}", qa)
-    return None
+                yield f"{entry.name}:{u.images}|{v.images}", build_free_quotient_amalgam(desc, u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -763,7 +754,10 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
     if g.is_identity():
         raise InputError("g must be nontrivial")
 
-    verdict = am.cyclic_member(h, g)
+    gr, c = am.cyclically_reduce(g)
+    ht = am.multiply(am.multiply(am.invert(c), h), c)
+    # h = g^k iff ht = gr^k, with the same k.
+    verdict = am.cyclic_member(ht, gr)
     if verdict.is_member:
         report.outcome = "member"
         report.exponent = verdict.exponent
@@ -776,8 +770,6 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
     # The presentation is its own quotient by the trivial pair, index for
     # index, so the scan runs on it.
     report.pair_desc = "(1,1)"
-    gr, c = am.cyclically_reduce(g)
-    ht = am.multiply(am.multiply(am.invert(c), h), c)
     n = am.syllable_length(gr)
     m = am.syllable_length(ht)
 
@@ -789,12 +781,14 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
         # already holds, so scan for the certifying homomorphism.
         return _finish_scan(report, pres, h, g, None, max_order)
 
-    if not am.is_p_prime_isolated(g, p):
-        q, root = am.find_prime_root(g, p)
+    # n >= 2 in a residually p-finite presentation: <g> is p'-isolated iff
+    # g has no q-th root for a prime q != p (``am.is_p_prime_isolated``).
+    root = am.find_prime_root(g, p)
+    if root is not None:
         report.outcome = "obstructed"
         report.reason = "not_isolated"
-        report.root_prime = q
-        report.root_text = am.serialize_element(root)
+        report.root_prime = root[0]
+        report.root_text = am.serialize_element(root[1])
         return report
 
     if _power_collision(gr, ht, n, m, p) is not None:
@@ -810,11 +804,11 @@ def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
     m: (n', k) when the n'-th power of ht is gr^k or gr^-k, where n' is
     the p'-part of n and k = m n' / n; else None, which includes the case
     that the lengths keep ht outside the isolated closure of <gr>."""
-    f, _ = am.isolated_closure(gr, p)
     n_prime = n // gcd(n, p ** n)
     if (m * n_prime) % n != 0:
         # h cannot lie in the isolated closure: its n'-th power would land
         # in <g> with an impossible syllable length.
+        f, _ = am.isolated_closure(gr, p)
         if am.cyclic_member(ht, f).is_member:
             raise AssertionError("length argument contradicts the isolated closure")
         return None
@@ -874,37 +868,23 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         report.exponent = exponent
         return report
 
-    keeps_apart = _keeps_apart(desc, g_red, h_trans)
-    if n == 0:
-        # The generator is a power of the amalgamated word: refine to a
-        # pair keeping the quotient images apart.
-        step = _refine(report, desc, g_red, h_trans, p, pair_bound, keeps_apart)
-        if step is None:
-            return _exhausted(report, pair_bound)
-        qa, hq, gq = step
-        return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
-
-    step = _refine(report, desc, g_red, h_trans, p, pair_bound, None)
+    step = _refine(report, desc, g_red, h_trans, p, pair_bound,
+                   lambda hq, gq: not am.cyclic_member(hq, gq).is_member)
     if step is None:
-        return _exhausted(report, pair_bound, "no length-preserving pair up to the bound")
+        if n == 0:
+            return _exhausted(report, pair_bound)
+        # Name the first length-preserving pair, if any: it maps h into <g>.
+        if _refine(report, desc, g_red, h_trans, p, pair_bound, None) is None:
+            return _exhausted(report, pair_bound, "no length-preserving pair up to the bound")
+        return _exhausted(report, pair_bound, "h lies outside <g>, but every pair "
+                          "up to the bound maps h into the image of <g>")
     qa, hq, gq = step
     if am.syllable_length(gq) != n or am.syllable_length(hq) != m:
         raise AssertionError("length-preserving pair changed a syllable length")
     if not am.is_cyclically_reduced(gq):
         raise AssertionError("projected generator is not cyclically reduced")
 
-    if am.cyclic_member(hq, gq).is_member:
-        # h lies outside <g>, but this quotient identifies h with a power
-        # of g. For n >= 2 that power is g^(+-m/n) in every
-        # length-preserving quotient, so keeping h outside <g> is keeping
-        # it apart from those two.
-        step = _refine(report, desc, g_red, h_trans, p, pair_bound, keeps_apart)
-        if step is None:
-            return _exhausted(report, pair_bound, "h lies outside <g>, but every pair "
-                              "up to the bound maps h into the image of <g>")
-        qa, hq, gq = step
-
-    if n == 1 or p is None:
+    if n <= 1 or p is None:
         # Non-membership now holds in a length-preserving quotient; the
         # certificate scan realizes the length or factor argument.
         return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
@@ -912,25 +892,22 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
     # p-mode, n >= 2: work with the isolated closure inside the quotient.
     # n' and k depend on n, m and p alone, which a length-preserving pair
     # keeps, so one refinement keeping h^n' apart from g^k and g^-k ends
-    # the collision.
-    def collision(hq, gq):
-        gr, c = am.cyclically_reduce(gq)
-        return _power_collision(gr, am.multiply(am.multiply(am.invert(c), hq), c), n, m, p)
-
-    found = collision(hq, gq)
+    # the collision. gq is cyclically reduced, as checked above.
+    found = _power_collision(gq, hq, n, m, p)
     if found is not None:
         n_prime, k = found
-        h_pow = _free_power_letters(h_trans.letters(desc), -n_prime)
-        g_letters_full = list(g_red.letters(desc))
-        survivors = [h_pow + _free_power_letters(g_letters_full, k),
-                     h_pow + _free_power_letters(g_letters_full, -k)]
-        step = _refine(report, desc, g_red, h_trans, p, pair_bound,
-                       lambda q: all(not q.project(sv).is_identity() for sv in survivors))
+
+        def apart(hq, gq):
+            hn, gk = am.power(hq, n_prime), am.power(gq, k)
+            return hn != gk and hn != am.invert(gk)
+
+        step = _refine(report, desc, g_red, h_trans, p, pair_bound, apart)
         if step is None:
             return _exhausted(report, pair_bound,
                               "no refining pair distinguishes the power collision")
         qa, hq, gq = step
-        if collision(hq, gq) is not None:
+        # This pair preserves lengths too, so its gq is cyclically reduced.
+        if _power_collision(gq, hq, n, m, p) is not None:
             raise AssertionError("refined pair still collides")
     return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
 
@@ -941,28 +918,25 @@ def _free_power_letters(letters, k: int) -> list[FreeLetter]:
     return _free_letters_inverse(letters) * (-k)
 
 
-def _keeps_apart(desc, g_red, h_trans):
-    """Quotient filter: the image of h lies outside the image of <g>."""
-    h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
-    return lambda q: not am.cyclic_member(q.project(h_letters),
-                                          q.project(g_letters)).is_member
-
-
 def _refine(report, desc, g_red, h_trans, p, pair_bound, accept):
-    """The first pair keeping the chunks of g and h at their lengths whose
-    quotient passes ``accept`` (any quotient when it is None), named in the
-    report: (qa, hq, gq) with the images of h and g, or None when no pair up
-    to the bound passes."""
+    """The first pair of ``_free_pair_scan`` keeping the chunks of g and h
+    at their lengths whose images (hq, gq) of h and g pass ``accept`` (any
+    images when it is None) and, in p-mode, whose quotient is residually p,
+    named in the report: (qa, hq, gq), or None when no pair up to the bound
+    passes. Both filters are pure, so testing the cheap one first keeps the
+    first passing pair."""
     chunks = g_red.chunks + h_trans.chunks
-    found = _free_pair_scan(
-        desc,
-        [w for s, w in chunks if s == "A"],
-        [w for s, w in chunks if s == "B"],
-        p, pair_bound, accept=accept)
-    if found is None:
-        return None
-    report.pair_desc, qa = found
-    return qa, qa.project(h_trans.letters(desc)), qa.project(g_red.letters(desc))
+    h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+    for text, qa in _free_pair_scan(desc, [w for s, w in chunks if s == "A"],
+                                    [w for s, w in chunks if s == "B"], p, pair_bound):
+        hq, gq = qa.project(h_letters), qa.project(g_letters)
+        if accept is not None and not accept(hq, gq):
+            continue
+        if p is not None and not presentation_residually_p(qa.presentation, p):
+            continue
+        report.pair_desc = text
+        return qa, hq, gq
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1006,7 +980,7 @@ def power_congruence_description(p: int) -> FreeAmalgamDescription:
     )
 
 
-def _sec3_case(p: int, q: int, n: int) -> CaseStudyReport:
+def _sec3_case(p: int = 2, q: int = 3, n: int = 2) -> CaseStudyReport:
     """Counterexample family in the quotient of <a,b ; a^p = b^p> by the
     p^n-th power pair: h stays outside <g> while its q-th power falls in,
     so the image subgroup is not p'-isolated."""
@@ -1084,7 +1058,7 @@ def conjugation_doubling_description() -> FreeAmalgamDescription:
     )
 
 
-def _thm21_case(bound: int) -> CaseStudyReport:
+def _thm21_case(bound: int = 48) -> CaseStudyReport:
     """Catalog scan of compatible generator-image pairs for the doubling
     amalgam: every a-image has odd order (hence lies in the subgroup its
     square generates), a metacyclic pair realizes a-image order 7, and the
@@ -1144,7 +1118,7 @@ def _thm21_case(bound: int) -> CaseStudyReport:
     )
 
 
-def _cyclic_remark_case(trials: int, seed: int = 20260810) -> CaseStudyReport:
+def _cyclic_remark_case(trials: int = 100, seed: int = 20260810) -> CaseStudyReport:
     """Random finite p-group amalgams with cyclic amalgamated subgroups:
     every plain-compatible pair must carry a p-chain certificate."""
     rng = random.Random(seed)
@@ -1201,13 +1175,13 @@ def _cyclic_remark_case(trials: int, seed: int = 20260810) -> CaseStudyReport:
     )
 
 
+_CASE_STUDIES = {"sec3": _sec3_case, "thm21": _thm21_case, "cyclic_remark": _cyclic_remark_case}
+
+
 def run_case_study(case: str, **params) -> CaseStudyReport:
-    """Dispatch a named case study; see the CLI for the parameter surface."""
-    if case == "sec3":
-        return _sec3_case(params.get("p", 2), params.get("q", 3), params.get("n", 2))
-    if case == "thm21":
-        return _thm21_case(params.get("bound", 48))
-    if case in ("cyclic_remark", "cyclic-remark"):
-        return _cyclic_remark_case(params.get("trials", 100),
-                                   params.get("seed", 20260810))
-    raise AssertionError(f"unknown case {case!r}")
+    """Run a named case study (``-`` and ``_`` alike); parameters not given
+    keep the case's defaults. See the CLI for the parameter surface."""
+    study = _CASE_STUDIES.get(case.replace("-", "_"))
+    if study is None:
+        raise AssertionError(f"unknown case {case!r}")
+    return study(**params)

@@ -3,8 +3,8 @@ in ``src/amalgsep`` is referenced somewhere other than its own definition,
 by the package itself, the benchmark or the acceptance suite. And two
 kinds of error: every ``raise`` in the package is an ``InputError`` (bad
 input, exit 2) or an ``AssertionError`` (a broken contract, exit 4). And
-no cache keyed by ``id()``: such a key must hold its object alive, or a
-new object can take over the id."""
+no ``id()`` call but an element's hash: a key made of an ``id()`` must hold
+its object alive, or a new object can take over the id."""
 
 import ast
 from pathlib import Path
@@ -78,10 +78,9 @@ def test_every_raise_is_an_input_error_or_an_assertion_error():
     assert [s.name for s in errors.body if isinstance(s, ast.ClassDef)] == ["InputError"]
 
 
-# The id() calls outside the rule, by module and qualified definition: an
-# element's hash, and the buckets of one probe, which the presentation's
-# cache keeps alive while the probe runs.
-ID_CALLS = {("amalgam", "AmalgamElement.__hash__"), ("engine", "_probe_entry")}
+# The one id() call outside the rule, by module and qualified definition:
+# an element's hash of its presentation, which the element keeps alive.
+ID_CALLS = {("amalgam", "AmalgamElement.__hash__")}
 
 
 def definitions(tree: ast.Module):
@@ -96,7 +95,7 @@ def definitions(tree: ast.Module):
             yield stmt.name if isinstance(stmt, DEFINITIONS) else "", stmt
 
 
-def test_no_id_calls_outside_the_two_allowed():
+def test_no_id_calls_outside_element_hash():
     stray = []
     for path in SOURCES:
         for where, stmt in definitions(ast.parse(path.read_text(), str(path))):

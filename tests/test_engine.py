@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import amalgsep
 
+from amalgsep import amalgam
 from amalgsep import catalog as catalog_module
 from amalgsep import engine
 from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
@@ -261,9 +262,9 @@ def length_preserving_quotient(desc, *forms):
     """The quotient of the first catalog pair keeping every chunk of the
     reduced forms outside the amalgamated image."""
     chunks = [c for form in forms for c in form.chunks]
-    found = engine._free_pair_scan(desc, [w for s, w in chunks if s == "A"],
-                                   [w for s, w in chunks if s == "B"],
-                                   None, engine.DEFAULT_PAIR_BOUND)
+    found = next(engine._free_pair_scan(desc, [w for s, w in chunks if s == "A"],
+                                        [w for s, w in chunks if s == "B"],
+                                        None, engine.DEFAULT_PAIR_BOUND), None)
     assert found is not None
     return found[1]
 
@@ -380,6 +381,19 @@ class TestSeparateFinite:
         assert rep.outcome == "separated"
         assert is_p_power(rep.image_order, 2)
 
+    @pytest.mark.parametrize("k,outcome", [(2, "separated"), (3, "obstructed")])
+    def test_p_mode_searches_for_roots_once(self, g2, monkeypatch, k, outcome):
+        # g = (ab)^2 has no odd prime root, g = (ab)^3 has the cube root ab;
+        # one root search decides isolation and gives the root. h has a
+        # length that keeps the isolated closure out of the power collision.
+        calls, find = [], amalgam.find_prime_root
+        monkeypatch.setattr(amalgam, "find_prime_root",
+                            lambda *args: calls.append(args) or find(*args))
+        h = [("A", 1), ("B", 1), ("A", 1), ("B", 3)]
+        rep = separate_from_cyclic(g2, h, [("A", 1), ("B", 1)] * k, mode="p", p=2)
+        assert rep.outcome == outcome
+        assert len(calls) == 1
+
     def test_soundness_against_word_engine(self, g2):
         # All pairs with up to three syllables: the engine never separates
         # a genuine member and never claims membership that powers refute.
@@ -443,6 +457,25 @@ class TestSeparateFree:
                                    [("A", parse_word("a^3", ["a"]))])
         assert rep.outcome == "separated" and rep.reverified
         assert rep.target_name == "Z3"
+
+    def test_one_pair_scan_past_a_quotient_that_maps_h_into_g(self, monkeypatch):
+        # h = a b^-3 lies outside <a b^3>, but the pair Z2:(1,)|(1,) maps h
+        # onto the image of g. The scan goes on past it to the first pair
+        # that keeps h outside <g>, and builds no quotient twice.
+        desc = power_congruence_description(2)
+        built, build = [], engine.build_free_quotient_amalgam
+
+        def spy(desc, u, v):
+            built.append((u.target.table, u.images, v.images))
+            return build(desc, u, v)
+
+        monkeypatch.setattr(engine, "build_free_quotient_amalgam", spy)
+        a = ("A", parse_word("a", ["a"]))
+        rep = separate_from_cyclic(desc, [a, ("B", parse_word("b^-3", ["b"]))],
+                                   [a, ("B", parse_word("b^3", ["b"]))])
+        assert rep.outcome == "separated" and rep.reverified
+        assert rep.pair_desc == "Z4:(1,)|(1,)"
+        assert len(built) > 1 and len(set(built)) == len(built)
 
 
 def _letters(draw, p, sides, nonzero_mod_p):

@@ -270,28 +270,39 @@ PAIR_QUERIES = [
 ]
 
 
+def _first_pair(desc, a_chunks, b_chunks, p, bound, accept=None):
+    """The text of the first pair ``_free_pair_scan`` yields whose quotient
+    passes ``accept`` and, in p-mode, is residually p, or None."""
+    return next((text for text, qa in engine._free_pair_scan(desc, a_chunks, b_chunks, p, bound)
+                 if (accept is None or accept(qa))
+                 and (p is None or compat.presentation_residually_p(qa.presentation, p))), None)
+
+
 class TestFreePairScan:
     def test_first_pair_matches_oracle(self, monkeypatch):
         calls = []
-        real = engine._free_pair_scan
+        real = engine._refine
 
-        def spy(*args, **kwargs):
-            out = real(*args, **kwargs)
-            calls.append((args, kwargs, out))
+        def spy(report, desc, g_red, h_trans, p, bound, accept):
+            out = real(report, desc, g_red, h_trans, p, bound, accept)
+            calls.append((desc, g_red, h_trans, p, bound, accept, out and report.pair_desc))
             return out
 
-        monkeypatch.setattr(engine, "_free_pair_scan", spy)
+        monkeypatch.setattr(engine, "_refine", spy)
         for desc, h, g, mode, p, bound in PAIR_QUERIES:
             n = len(calls)
             engine.separate_from_cyclic(desc, _letters(desc, h), _letters(desc, g),
                                         mode=mode, p=p, max_order=32, pair_bound=bound)
             assert len(calls) > n, (h, g)
-        assert any(kw.get("accept") is not None for _, kw, _ in calls)
-        for args, kwargs, got in calls:
-            want = free_pair_scan_oracle(*args, **kwargs)
-            assert (got is None) == (want is None)
-            if got is not None:
-                assert got[0] == want[0]
+        assert {accept is None for *_, accept, _ in calls} == {False, True}
+        for desc, g_red, h_trans, p, bound, accept, got in calls:
+            chunks = g_red.chunks + h_trans.chunks
+            h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+            want = free_pair_scan_oracle(
+                desc, [w for s, w in chunks if s == "A"], [w for s, w in chunks if s == "B"],
+                p, bound, accept=accept and (
+                    lambda qa: accept(qa.project(h_letters), qa.project(g_letters))))
+            assert got == (want and want[0])
 
     @pytest.mark.parametrize("desc,orders", [
         (PC2, (6, 3)), (PC2, (3, 6)), (PC2, (9, 9)), (PC3, (6, 2)), (PC3, (4, 4)),
@@ -303,10 +314,10 @@ class TestFreePairScan:
         def accept(qa):
             return (qa.presentation.A.order, qa.presentation.B.order) == orders
 
-        got = engine._free_pair_scan(desc, [], [], None, 16, accept=accept)
+        got = _first_pair(desc, [], [], None, 16, accept)
         want = free_pair_scan_oracle(desc, [], [], None, 16, accept=accept)
         assert want is not None
-        assert got[0] == want[0]
+        assert got == want[0]
 
     @pytest.mark.parametrize("desc,a_chunks,b_chunks,p", [
         (PC2, [], [], None), (PC2, ["a"], ["b^2"], None), (PC2, [], [], 2),
@@ -332,12 +343,10 @@ class TestFreePairScan:
                                and qa.presentation.A.order != qa.presentation.B.order),
                    lambda qa: qa.presentation.H.order == 4 and qa.presentation.A.order > 4,
                    lambda qa: False]
-        got = [engine._free_pair_scan(desc, a_chunks, b_chunks, p, 16, accept=f)
-               for f in accepts]
+        got = [_first_pair(desc, a_chunks, b_chunks, p, 16, f) for f in accepts]
         monkeypatch.setattr(engine, "scan_gen_images", scan_gen_images_oracle)
-        want = [engine._free_pair_scan(desc, a_chunks, b_chunks, p, 16, accept=f)
-                for f in accepts]
-        assert [r and r[0] for r in got] == [r and r[0] for r in want]
+        want = [_first_pair(desc, a_chunks, b_chunks, p, 16, f) for f in accepts]
+        assert got == want
         assert got[-1] is None
 
 
@@ -402,26 +411,26 @@ def _free_queries(rng):
 
 
 def _scan_record(monkeypatch, slow, seed):
-    """What every _finish_scan and _free_pair_scan call of a seeded sweep
-    returned, and the free class scans, on the class scan or the slow path."""
+    """What every _finish_scan and _refine call of a seeded sweep returned,
+    and the free class scans, on the class scan or the slow path."""
     if slow:
         monkeypatch.setattr(engine, "targets", all_targets)
         monkeypatch.setattr(compat, "targets", all_targets)
     record = []
-    finish, pair_scan = engine._finish_scan, engine._free_pair_scan
+    finish, refine = engine._finish_scan, engine._refine
 
     def finish_spy(*args):
         out = finish(*args)
         record.append(("finish", out.to_json()))
         return out
 
-    def pair_spy(*args, **kwargs):
-        out = pair_scan(*args, **kwargs)
-        record.append(("pair", args[3:5], out and out[0]))
+    def refine_spy(*args):
+        out = refine(*args)
+        record.append(("pair", args[4:6], out and args[0].pair_desc))
         return out
 
     monkeypatch.setattr(engine, "_finish_scan", finish_spy)
-    monkeypatch.setattr(engine, "_free_pair_scan", pair_spy)
+    monkeypatch.setattr(engine, "_refine", refine_spy)
     rng = random.Random(seed)
     for query in [*_finite_queries(rng), *_free_queries(rng)]:
         try:
