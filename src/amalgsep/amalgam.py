@@ -9,7 +9,8 @@ A factor) and the t_i are non-identity right-coset transversal
 representatives, strictly alternating between the two factors. The
 transversal picks the least element index in each coset, hence the
 identity on H and K. Multiplication works letter by letter from the
-right (prepending), which touches at most two syllables per letter.
+right (prepending), which touches at most two syllables per letter; a
+product, conjugate or cyclic-reduction step is reduced in one such pass.
 """
 
 from __future__ import annotations
@@ -192,16 +193,24 @@ def invert(x: AmalgamElement) -> AmalgamElement:
     return normalize(pres, letters)
 
 
+def conjugate(x: AmalgamElement, c: AmalgamElement) -> AmalgamElement:
+    """c^-1 x c; x itself when c is the identity."""
+    if c.is_identity():
+        return x
+    return multiply(multiply(invert(c), x), c)
+
+
 def power(x: AmalgamElement, k: int) -> AmalgamElement:
+    """x^k by binary powering: popcount(|k|) + floor(log2 |k|) products."""
     if k < 0:
         x, k = invert(x), -k
     acc = identity_element(x.pres)
-    base = x
     while k:
         if k & 1:
-            acc = multiply(acc, base)
-        base = multiply(base, base)
+            acc = multiply(acc, x)
         k >>= 1
+        if k:
+            x = multiply(x, x)
     return acc
 
 
@@ -217,16 +226,16 @@ def is_cyclically_reduced(x: AmalgamElement) -> bool:
 def cyclically_reduce(x: AmalgamElement) -> tuple[AmalgamElement, AmalgamElement]:
     """Return (y, c) with x = c * y * c^-1 and y cyclically reduced.
 
-    Each step conjugates away the leading syllable (together with the
-    core), so the syllable length strictly drops until the first and last
-    syllables lie in different factors or at most one syllable remains.
+    Each step rotates the leading syllable (with the core) to the end and
+    renormalizes, so the syllable length strictly drops until the first
+    and last syllables lie in different factors or at most one remains.
     """
     pres = x.pres
     y = x
     c = identity_element(pres)
     while len(y.syllables) >= 2 and y.syllables[0][0] == y.syllables[-1][0]:
         step = AmalgamElement(pres, y.core, (y.syllables[0],))
-        y_next = multiply(multiply(invert(step), y), step)
+        y_next = normalize(pres, y.syllables[1:] + tuple(step.letters()))
         if syllable_length(y_next) >= syllable_length(y):
             raise AssertionError("cyclic reduction made no progress")
         y = y_next
@@ -289,7 +298,7 @@ def cyclic_member(h: AmalgamElement, g: AmalgamElement) -> CyclicMembership:
     if h.pres is not g.pres:
         raise AssertionError("elements live in different presentations")
     gr, c = cyclically_reduce(g)
-    ht = multiply(multiply(invert(c), h), c)
+    ht = conjugate(h, c)
     n = syllable_length(gr)
     if n >= 2:
         m = syllable_length(ht)
@@ -344,29 +353,26 @@ def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:
         for d in sorted(pres.H.members):
             cand = AmalgamElement(pres, d, skeleton)
             if power(cand, q) == y:
-                return multiply(multiply(c, cand), invert(c))
+                return conjugate(cand, invert(c))
     return None
-
-
-def _require_infinite_and_certified(g: AmalgamElement, p: int) -> None:
-    if not is_prime(p):
-        raise AssertionError(f"{p} is not prime")
-    if element_order(g) != math.inf:
-        raise InputError("precondition violated: infinite-order (element has finite order)")
-    from .compat import presentation_residually_p  # local import: compat builds on this module
-    if not presentation_residually_p(g.pres, p):
-        raise InputError("precondition violated: residually-p-ambient "
-                         f"(presentation admits no index-{p} chain certificate)")
 
 
 def find_prime_root(g: AmalgamElement, p: int) -> Optional[tuple[int, AmalgamElement]]:
     """A pair (q, h) with h^q = g for some prime q != p, or None.
 
-    Only primes dividing the cyclic-reduction length can occur for
-    infinite-order elements.
+    Requires g of infinite order, read off the cyclic reduction (length
+    >= 2), in a presentation certified residually p-finite. Only primes
+    dividing the cyclic-reduction length can occur.
     """
-    y, _ = cyclically_reduce(g)
-    n = syllable_length(y)
+    if not is_prime(p):
+        raise AssertionError(f"{p} is not prime")
+    n = syllable_length(cyclically_reduce(g)[0])
+    if n < 2:
+        raise InputError("precondition violated: infinite-order (element has finite order)")
+    from .compat import presentation_residually_p  # local import: compat builds on this module
+    if not presentation_residually_p(g.pres, p):
+        raise InputError("precondition violated: residually-p-ambient "
+                         f"(presentation admits no index-{p} chain certificate)")
     for q in prime_factors(n):
         if q == p:
             continue
@@ -382,7 +388,6 @@ def is_p_prime_isolated(g: AmalgamElement, p: int) -> bool:
     Requires g of infinite order in a presentation certified residually
     p-finite, where the criterion is exact.
     """
-    _require_infinite_and_certified(g, p)
     return find_prime_root(g, p) is None
 
 
@@ -392,7 +397,6 @@ def isolated_closure(g: AmalgamElement, p: int) -> tuple[AmalgamElement, int]:
     Extracts q-th roots for primes q != p until none remains; each
     extraction divides the syllable length, so this terminates.
     """
-    _require_infinite_and_certified(g, p)
     f, j = g, 1
     while True:
         found = find_prime_root(f, p)

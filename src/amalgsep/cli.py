@@ -281,17 +281,17 @@ def cmd_amalgam_member(args) -> Outcome:
 def cmd_isolate(args) -> Outcome:
     pres = _load_finite(args.presentation, "isolate")
     g = am.normalize(pres, am.parse_letters(pres, args.g))
-    isolated = am.is_p_prime_isolated(g, args.p)
+    found = am.find_prime_root(g, args.p)
     doc = {
         "g": args.g,
         "p": args.p,
-        "isolated": isolated,
+        "isolated": found is None,
     }
-    if isolated:
+    if found is None:
         # An isolated <g> is its own closure.
         doc["closure"] = {"generator": am.serialize_element(g), "index": 1}
         return doc, f"isolated: closure generator {am.serialize_element(g)}, index 1", EXIT_OK
-    q, root = am.find_prime_root(g, args.p)
+    q, root = found
     doc["root"] = {"prime": q, "element": am.serialize_element(root)}
     return doc, f"not isolated: {q}-th root {am.serialize_element(root)}", EXIT_NEGATIVE
 

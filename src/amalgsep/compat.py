@@ -246,31 +246,6 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
     return list(pairs)
 
 
-def induced_iso(pres: AmalgamPresentation, R: Subgroup, S: Subgroup,
-                proj_a: tuple[int, ...], proj_b: tuple[int, ...]) -> dict:
-    """The map h.R -> (h phi).S on the quotient images of H and K, with the
-    projections listed by element as ``quotient_with_projection`` gives them.
-
-    Well-definedness and bijectivity are exactly compatibility of (R, S);
-    AssertionError is raised otherwise.
-    """
-    mapping: dict[int, int] = {}
-    for h in pres.H.members:
-        u = proj_a[h]
-        v = proj_b[pres.phi[h]]
-        if u in mapping:
-            if mapping[u] != v:
-                raise AssertionError("induced map on H-image is ill defined")
-        else:
-            mapping[u] = v
-    values = set(mapping.values())
-    if len(values) != len(mapping):
-        raise AssertionError("induced map on H-image is not injective")
-    if values != {proj_b[k] for k in pres.K.members}:
-        raise AssertionError("induced map does not cover the K-image")
-    return mapping
-
-
 @dataclass(frozen=True, eq=False)
 class QuotientAmalgam:
     """An amalgam of quotient (or image) factors plus projection data.
@@ -293,7 +268,9 @@ class QuotientAmalgam:
 
 def build_quotient_amalgam(pres: AmalgamPresentation,
                            pair: CompatiblePair) -> QuotientAmalgam:
-    """Amalgam over A/R and B/S with the induced identification.
+    """Amalgam over A/R and B/S glued by hR -> (h phi)S. The compatibility
+    equation is exactly that this map is well defined and injective;
+    ``build_amalgam`` checks that it is onto the image of K and a homomorphism.
 
     Projecting a letter sequence and normalizing commutes with
     normalizing and then projecting.
@@ -303,7 +280,7 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
         raise AssertionError("pair fails the compatibility equation")
     Qa, proj_a = quotient_with_projection(pres.A, R)
     Qb, proj_b = quotient_with_projection(pres.B, S)
-    phi_bar = induced_iso(pres, R, S, proj_a, proj_b)
+    phi_bar = {proj_a[h]: proj_b[pres.phi[h]] for h in pres.H.members}
     return _glue(Qa, Qb, phi_bar, proj_a.__getitem__, proj_b.__getitem__)
 
 

@@ -44,7 +44,21 @@ from amalgsep.fingrp import (
     is_p_power,
     subgroup_generated,
 )
-from amalgsep.freegrp import GenImages, kernel_key
+from amalgsep.freegrp import (
+    GenImages,
+    kernel_key,
+    reduce_word,
+    word_mul,
+    word_pow,
+    word_power_exponent,
+)
+
+
+def spy_calls(monkeypatch, module, name) -> list[tuple]:
+    """The argument tuples of every call of ``module.<name>`` from now on."""
+    calls, real = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
 
 
 def cyclic_table(n):
@@ -600,6 +614,44 @@ def free_pair_scan_oracle(desc, a_chunks, b_chunks, p, bound, accept=None):
                     continue
                 return (f"{entry.name}:{u}|{v}", qa)
     return None
+
+
+def free_reduced_form_oracle(desc, letters) -> engine.FreeReducedForm:
+    """The reduced form by merge and restart: merge every run of same-side
+    chunks, rewrite the leftmost chunk lying in the amalgamated subgroup as
+    the other side's power, and start again from the left until no chunk
+    lies in it."""
+    wh, wk = desc.h_words[0], desc.k_words[0]
+    chunks = [(side, reduce_word(word)) for side, word in letters]
+    chunks = [(side, word) for side, word in chunks if word]
+
+    def merge(seq):
+        out = []
+        for side, word in seq:
+            if out and out[-1][0] == side:
+                merged = word_mul(out.pop()[1], word)
+                if merged:
+                    out.append((side, merged))
+            else:
+                out.append((side, word))
+        return out
+
+    chunks = merge(chunks)
+    changed = True
+    while changed:
+        changed = False
+        for i, (side, word) in enumerate(chunks):
+            w_own, w_other, other = (wh, wk, "B") if side == "A" else (wk, wh, "A")
+            t = word_power_exponent(word, w_own)
+            if t is None:
+                continue
+            if len(chunks) == 1:
+                return engine.FreeReducedForm((), t)
+            replacement = [(other, word_pow(w_other, t))] if t else []
+            chunks = merge(chunks[:i] + replacement + chunks[i + 1:])
+            changed = True
+            break
+    return engine.FreeReducedForm(tuple(chunks))
 
 
 # ---------------------------------------------------------------------------

@@ -3,13 +3,16 @@ import random
 
 import pytest
 
+from amalgsep import amalgam
 from amalgsep.amalgam import (
     AmalgamElement,
     build_amalgam,
+    conjugate,
     cyclic_member,
     cyclically_reduce,
     element_order,
     extract_root,
+    find_prime_root,
     identity_element,
     invert,
     is_cyclically_reduced,
@@ -24,7 +27,7 @@ from amalgsep.amalgam import (
 )
 from amalgsep.errors import InputError
 from amalgsep.fingrp import subgroup_generated
-from conftest import elements_of_length, elements_up_to_length
+from conftest import elements_of_length, elements_up_to_length, spy_calls
 
 
 class TestBuild:
@@ -231,6 +234,47 @@ class TestIsolation:
     def test_closure_trivial_for_ab(self, g2):
         ab = normalize(g2, [("A", 1), ("B", 1)])
         assert isolated_closure(ab, 2) == (ab, 1)
+
+    def test_root_search_checks_its_preconditions(self, g2):
+        ab = normalize(g2, [("A", 1), ("B", 1)])
+        with pytest.raises(AssertionError, match="4 is not prime"):
+            find_prime_root(ab, 4)
+        with pytest.raises(InputError, match=r"infinite-order \(element has finite order\)"):
+            find_prime_root(normalize(g2, [("B", 1), ("A", 1), ("B", 1)]), 2)
+        with pytest.raises(InputError, match="residually-p-ambient"):
+            find_prime_root(ab, 3)
+
+
+class TestWorkCounts:
+    """The word engine makes no product whose result it does not use."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7, 8, 13])
+    def test_power_multiplies_popcount_plus_log2(self, g2, monkeypatch, k):
+        x = normalize(g2, [("A", 1), ("B", 1), ("A", 2), ("B", 3)])
+        want = identity_element(g2)
+        for _ in range(k):
+            want = multiply(want, x)
+        calls = spy_calls(monkeypatch, amalgam, "multiply")
+        assert power(x, k) == want
+        assert len(calls) == bin(k).count("1") + k.bit_length() - 1
+
+    def test_cyclic_member_of_a_reduced_generator_never_inverts(self, g2, monkeypatch):
+        gens = [g for g in elements_up_to_length(g2, 3)
+                if not g.is_identity() and is_cyclically_reduced(g)]
+        queries = [(power(g, k), g, k) for g in gens for k in (1, 2, 3)]
+        calls = spy_calls(monkeypatch, amalgam, "invert")
+        verdicts = [(cyclic_member(h, g), g, k) for h, g, k in queries]
+        assert calls == []
+        assert all(v.is_member for v, _, _ in verdicts)
+        assert all(v.exponent == k for v, g, k in verdicts if syllable_length(g) >= 2)
+
+    def test_conjugate_by_the_identity_is_the_element(self, g2, monkeypatch):
+        x = normalize(g2, [("B", 1), ("A", 1), ("B", 1)])
+        c = normalize(g2, [("B", 1)])
+        assert conjugate(x, c) == multiply(multiply(invert(c), x), c) == normalize(g2, [("A", 3)])
+        calls = spy_calls(monkeypatch, amalgam, "multiply")
+        assert conjugate(x, identity_element(g2)) is x
+        assert calls == []
 
 
 def random_letters(pres, rng, max_len=8):

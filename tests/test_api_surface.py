@@ -4,7 +4,9 @@ by the package itself, the benchmark or the acceptance suite. And two
 kinds of error: every ``raise`` in the package is an ``InputError`` (bad
 input, exit 2) or an ``AssertionError`` (a broken contract, exit 4). And
 no ``id()`` call but an element's hash: a key made of an ``id()`` must hold
-its object alive, or a new object can take over the id."""
+its object alive, or a new object can take over the id. And one
+conjugation: ``multiply(multiply(invert(c), x), c)`` is spelt only in
+``amalgam.conjugate``, which skips the identity conjugator."""
 
 import ast
 from pathlib import Path
@@ -103,4 +105,25 @@ def test_no_id_calls_outside_element_hash():
                 if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                         and node.func.id == "id" and (path.stem, where) not in ID_CALLS):
                     stray.append(f"{path.stem}.py:{node.lineno} calls id() in {where or 'module'}")
+    assert stray == []
+
+
+def called_name(node) -> str | None:
+    """The name a call calls, bare or as a module attribute."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_conjugation_is_spelt_only_in_amalgam_conjugate():
+    stray = []
+    for path in SOURCES:
+        for where, stmt in definitions(ast.parse(path.read_text(), str(path))):
+            for node in ast.walk(stmt):
+                if (called_name(node) == "multiply" and node.args
+                        and called_name(node.args[0]) == "multiply" and node.args[0].args
+                        and called_name(node.args[0].args[0]) == "invert"
+                        and (path.stem, where) != ("amalgam", "conjugate")):
+                    stray.append(f"{path.stem}.py:{node.lineno} conjugates in {where}")
     assert stray == []

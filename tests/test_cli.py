@@ -7,7 +7,9 @@ import sys
 import pytest
 
 import amalgsep
+from amalgsep import amalgam
 from amalgsep.cli import main
+from conftest import spy_calls
 
 Z4A = {"schema": 1, "order": 4,
        "table": [[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]],
@@ -122,6 +124,13 @@ class TestIsolate:
         assert code == 1
         assert doc["isolated"] is False
         assert doc["root"]["prime"] == 3
+
+    def test_not_isolated_searches_for_roots_once(self, workdir, monkeypatch):
+        calls = spy_calls(monkeypatch, amalgam, "find_prime_root")
+        code, doc = run(workdir, "isolate", str(workdir / "g2.json"),
+                        "A:a B:b A:a B:b A:a B:b A:a2", "--p", "2")
+        assert (code, doc["root"]["prime"]) == (1, 3)
+        assert len(calls) == 1
 
     def test_isolated_with_closure(self, workdir):
         code, doc = run(workdir, "isolate", str(workdir / "g2.json"),
@@ -385,6 +394,12 @@ class TestCase:
         assert code == 0
         assert doc["all_passed"] is True
         assert len(doc["assertions"]) == 3
+
+    def test_sec3_searches_for_roots_once(self, workdir, monkeypatch):
+        calls = spy_calls(monkeypatch, amalgam, "find_prime_root")
+        code, doc = run(workdir, "case", "sec3")
+        assert code == 0 and doc["artifacts"]["root"] is not None
+        assert len(calls) == 1
 
     def test_cyclic_remark_smoke(self, workdir):
         code, doc = run(workdir, "case", "cyclic-remark", "--trials", "5")

@@ -5,6 +5,7 @@ import pytest
 from amalgsep.amalgam import build_amalgam, multiply, normalize, syllable_length
 from amalgsep.catalog import cyclic_group, symmetric_group
 from amalgsep.compat import (
+    CompatiblePair,
     FreeAmalgamDescription,
     build_free_quotient_amalgam,
     build_quotient_amalgam,
@@ -12,7 +13,6 @@ from amalgsep.compat import (
     enumerate_free_compatible_classes,
     family_separability,
     free_family_separability,
-    induced_iso,
     is_compatible,
     is_p_compatible,
     presentation_residually_p,
@@ -113,29 +113,22 @@ class TestEnumerate:
 
 
 class TestInducedIso:
+    """The identification hR -> (h phi)S of the quotient amalgam; an
+    incompatible pair is rejected (``TestQuotientAmalgam``)."""
+
     def test_faithful_pair_copies_phi(self, g2, z4a, z4b):
         R, S = trivial_subgroup(z4a), trivial_subgroup(z4b)
         _, pa = quotient_with_projection(z4a, R)
         _, pb = quotient_with_projection(z4b, S)
-        iso = induced_iso(g2, R, S, pa, pb)
+        iso = build_quotient_amalgam(g2, CompatiblePair("plain", None, R, S)).presentation.phi
         assert iso == {pa[h]: pb[g2.phi[h]] for h in g2.H.members}
         assert len(iso) == 2
 
     def test_collapsing_pair(self, g2, z4a, z4b):
         R = subgroup_generated(z4a, [2])
         S = subgroup_generated(z4b, [2])
-        _, pa = quotient_with_projection(z4a, R)
-        _, pb = quotient_with_projection(z4b, S)
-        iso = induced_iso(g2, R, S, pa, pb)
+        iso = build_quotient_amalgam(g2, CompatiblePair("plain", None, R, S)).presentation.phi
         assert iso == {0: 0}
-
-    def test_incompatible_pair_rejected(self, g2, z4a, z4b):
-        R = trivial_subgroup(z4a)
-        S = subgroup_generated(z4b, [2])
-        _, pa = quotient_with_projection(z4a, R)
-        _, pb = quotient_with_projection(z4b, S)
-        with pytest.raises(AssertionError, match="induced map on H-image is not injective"):
-            induced_iso(g2, R, S, pa, pb)
 
 
 class TestQuotientAmalgam:
@@ -147,7 +140,6 @@ class TestQuotientAmalgam:
         assert qa.presentation.H.order == 1
 
     def test_incompatible_rejected(self, g2, z4a, z4b):
-        from amalgsep.compat import CompatiblePair
         bad = CompatiblePair("plain", None, trivial_subgroup(z4a),
                              subgroup_generated(z4b, [2]))
         with pytest.raises(AssertionError, match="pair fails the compatibility equation"):

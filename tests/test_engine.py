@@ -24,7 +24,11 @@ from amalgsep.catalog import (
     entry_is_p_group,
     targets,
 )
-from amalgsep.compat import build_quotient_amalgam, enumerate_compatible_pairs
+from amalgsep.compat import (
+    FreeAmalgamDescription,
+    build_quotient_amalgam,
+    enumerate_compatible_pairs,
+)
 from amalgsep.engine import (
     WitnessReport,
     _free_member_exponent,
@@ -38,12 +42,14 @@ from amalgsep.engine import (
 )
 from amalgsep.errors import InputError
 from amalgsep.fingrp import construct_group, is_p_power, respects_generators, subgroup_generated
-from amalgsep.freegrp import parse_word
+from amalgsep.freegrp import parse_word, word_inv, word_pow
 from conftest import (
     cyclic_table,
     elements_up_to_length,
     first_separating_hom_oracle,
+    free_reduced_form_oracle,
     homs_oracle,
+    spy_calls,
 )
 
 
@@ -309,6 +315,56 @@ class TestFreeReducedForms:
         assert red.length <= form.length
 
 
+def _rank2_description() -> FreeAmalgamDescription:
+    return FreeAmalgamDescription(
+        rank_a=2, rank_b=2, gen_names_a=("a", "b"), gen_names_b=("c", "d"),
+        h_words=(parse_word("a b a b^-1", ["a", "b"]),),
+        k_words=(parse_word("c^2 d^2", ["c", "d"]),))
+
+
+FORM_DESCRIPTIONS = {"pc2": power_congruence_description(2),
+                     "pc3": power_congruence_description(3),
+                     "rank2": _rank2_description()}
+
+
+@st.composite
+def free_product_letters(draw):
+    """A description and letters whose chunks are powers of the amalgamated
+    word next to (or conjugated by) short free words, so that chunks fall
+    into the amalgam, merge, fold into the chunk below or into the core."""
+    desc = FORM_DESCRIPTIONS[draw(st.sampled_from(sorted(FORM_DESCRIPTIONS)))]
+    rank = {"A": desc.rank_a, "B": desc.rank_b}
+    amalgam_word = {"A": desc.h_words[0], "B": desc.k_words[0]}
+    letters = []
+    for side in draw(st.lists(st.sampled_from("AB"), max_size=8)):
+        word = draw(st.lists(st.tuples(st.integers(0, rank[side] - 1), st.sampled_from((1, -1))),
+                             max_size=3))
+        k = draw(st.integers(-2, 2))
+        around = draw(st.booleans())
+        power = word_pow(amalgam_word[side], k)
+        word = (tuple(word) + power + word_inv(tuple(word))) if around else power + tuple(word)
+        letters.append((side, word))
+    return desc, letters
+
+
+class TestFreeReducedFormOracle:
+    """The one-pass stack form against the merge-and-restart oracle: both
+    are reduced forms of the same element, so they have the same length
+    and core exponent, and differ by the identity."""
+
+    @given(free_product_letters())
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_matches_merge_and_restart(self, query):
+        desc, letters = query
+        form = free_reduced_form(desc, letters)
+        oracle = free_reduced_form_oracle(desc, letters)
+        assert form.length == oracle.length
+        if not form.length:
+            assert form.core_exponent == oracle.core_exponent
+        quotient = _inverse(oracle.letters(desc)) + form.letters(desc)
+        assert free_reduced_form_oracle(desc, quotient).is_identity()
+
+
 class TestSeparateFinite:
     def test_member_detected(self, g2):
         ab = [("A", 1), ("B", 1)]
@@ -386,9 +442,7 @@ class TestSeparateFinite:
         # g = (ab)^2 has no odd prime root, g = (ab)^3 has the cube root ab;
         # one root search decides isolation and gives the root. h has a
         # length that keeps the isolated closure out of the power collision.
-        calls, find = [], amalgam.find_prime_root
-        monkeypatch.setattr(amalgam, "find_prime_root",
-                            lambda *args: calls.append(args) or find(*args))
+        calls = spy_calls(monkeypatch, amalgam, "find_prime_root")
         h = [("A", 1), ("B", 1), ("A", 1), ("B", 3)]
         rep = separate_from_cyclic(g2, h, [("A", 1), ("B", 1)] * k, mode="p", p=2)
         assert rep.outcome == outcome
