@@ -23,8 +23,8 @@ isomorphism, so entries with equal keys are isomorphic:
    j2 = j/j1, so o | j2. Then <y> = <y^j2> x <y^j1>, and y^j2 acts as
    k^j2 = 1, so MC(m2,k,j) = Z_j1 x MC(m2, k^j1, j2).
 4. Cyclic pieces split into their prime powers (Z_ab = Z_a x Z_b for
-   coprime a, b); the abelian part is their sorted multiset, which is the
-   primary decomposition.
+   coprime a, b; ``fingrp.prime_powers``); the abelian part is their
+   sorted multiset, which is the primary decomposition.
 5. MC(m2,k',j2) = MC(m2,k'^r,j2) for gcd(r, o) = 1: y^r generates <y>,
    since j2 has the primes of o, and acts as x -> x^(k'^r). The core's
    twist is min{k^r mod m2 : gcd(r, o) = 1}, and k^j1 gives the same
@@ -78,8 +78,9 @@ from typing import Callable, Iterator, Optional
 from .fingrp import (
     FiniteGroup,
     abelianization,
+    greedy_generators,
     is_p_power,
-    subgroup_generated,
+    prime_powers,
     trusted_group,
     unit_generators,
 )
@@ -182,13 +183,7 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
 def _central_generators(G: FiniteGroup) -> list[int]:
     """Generators of the centre of G, picked greedily in index order."""
     tab = G.table
-    gens: list[int] = []
-    span = {0}
-    for z in G.elements():
-        if z not in span and all(tab[z][g] == tab[g][z] for g in G.generators):
-            gens.append(z)
-            span = subgroup_generated(G, gens).members
-    return gens
+    return greedy_generators(G, lambda z: all(tab[z][g] == tab[g][z] for g in G.generators))
 
 
 @dataclass(frozen=True)
@@ -301,26 +296,15 @@ def entry_is_p_group(entry: CatalogEntry, p: int) -> bool:
     return is_p_power(entry.order, p)
 
 
-def _prime_powers(n: int) -> dict[int, int]:
-    """{q: q^a} for the prime powers q^a exactly dividing n."""
-    out, q = {}, 2
-    while n > 1:
-        while n % q == 0:
-            n //= q
-            out[q] = out.get(q, 1) * q
-        q += 1
-    return out
-
-
 def _metacyclic_pieces(m: int, k: int, j: int) -> tuple[list[int], list[tuple]]:
     """Abelian prime powers and the core of MC(m,k,j), by steps 2-5 of the
     module docstring."""
-    abelian = [qa for qa in _prime_powers(m).values() if (k - 1) % qa == 0]
+    abelian = [qa for qa in prime_powers(m).values() if (k - 1) % qa == 0]
     m2 = m // prod(abelian)
     if m2 == 1:
-        return abelian + list(_prime_powers(j).values()), []
+        return abelian + list(prime_powers(j).values()), []
     o = _mult_order(k, m2)
-    j1 = [qa for q, qa in _prime_powers(j).items() if o % q]
+    j1 = [qa for q, qa in prime_powers(j).items() if o % q]
     twist = min(pow(k, r, m2) for r in range(1, o) if gcd(r, o) == 1)
     return abelian + j1, [("MC", m2, twist, j // prod(j1))]
 
@@ -328,7 +312,7 @@ def _metacyclic_pieces(m: int, k: int, j: int) -> tuple[list[int], list[tuple]]:
 def _pieces(rank: int, params: tuple) -> tuple[list[int], list[tuple]]:
     """Abelian prime powers and cores of a base member, by steps 1-5."""
     if rank == 0:
-        return list(_prime_powers(params[0]).values()), []
+        return list(prime_powers(params[0]).values()), []
     if rank == 1:
         return _metacyclic_pieces(params[0], params[0] - 1, 2)
     if rank == 2:

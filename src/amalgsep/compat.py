@@ -476,19 +476,18 @@ def free_family_separability(desc: FreeAmalgamDescription, side: str,
 
     classes = enumerate_free_compatible_classes(desc, bound,
                                                 p if mode == "p" else None)
-    members = [(na if side == "A" else nb, u if side == "A" else v)
-               for _, na, u, nb, v in classes]
+    members = [(na, u) if side == "A" else (nb, v) for _, na, u, nb, v in classes]
     if not members:
         return FamilyVerdict(subject, fam_name, "inconclusive", bound=bound,
                              structural_note=structural_note)
 
+    image_cycs = [subgroup_generated(u.target, [u.evaluate(g_word)]).members
+                  for _, u in members]
     witnesses = {}
     for x in candidates:
         hit = None
-        for name, u in members:
-            gu = u.evaluate(g_word)
-            image_cyc = subgroup_generated(u.target, [gu])
-            if u.evaluate(x) not in image_cyc.members:
+        for (name, u), image_cyc in zip(members, image_cycs):
+            if u.evaluate(x) not in image_cyc:
                 hit = (name, u.images)
                 break
         if hit is None:

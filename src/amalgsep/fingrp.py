@@ -5,7 +5,9 @@ results come back in a canonical deterministic order (sorted by order, then
 by sorted member list). The practical working range is order <= 48 for
 amalgam factors; tables up to a few hundred elements are still fine as
 homomorphism targets. Associativity is checked exactly at every order,
-by Light's test on the greedy generators (``construct_group``).
+by Light's test on the greedy generators (``construct_group``, which then
+builds through ``trusted_group``). Factorization (``prime_powers``) and
+the greedy span (``greedy_generators``) live here for every module.
 
 A group computes some derived data lazily and caches it on itself: a
 greedy generating set (``generators``, used by ``construct_group`` and
@@ -53,19 +55,24 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n, ascending."""
-    out = []
+def prime_powers(n: int) -> dict[int, int]:
+    """{q: q^a} for the prime powers q^a exactly dividing n, ascending in q,
+    by trial division while d^2 is at most what is left of n."""
+    out = {}
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
+        while n % d == 0:
+            n //= d
+            out[d] = out.get(d, 1) * d
         d += 1
     if n > 1:
-        out.append(n)
+        out[n] = n
     return out
+
+
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime divisors of n, ascending."""
+    return list(prime_powers(n))
 
 
 def is_p_power(n: int, p: int) -> bool:
@@ -134,16 +141,8 @@ class FiniteGroup:
 
     @cached_property
     def generators(self) -> tuple[int, ...]:
-        """A generating set, chosen greedily in index order: each generator
-        lies outside the subgroup the earlier ones generate, so every one
-        at least doubles it and there are at most log2(order) of them."""
-        gens: list[int] = []
-        span: frozenset[int] = frozenset({0})
-        for x in self.elements():
-            if x not in span:
-                gens.append(x)
-                span = _grow(self, span, gens)
-        return tuple(gens)
+        """A generating set, chosen greedily (``greedy_generators``)."""
+        return tuple(greedy_generators(self))
 
     @cached_property
     def element_orders(self) -> tuple[int, ...]:
@@ -297,13 +296,12 @@ def construct_group(
             raise InputError(f"element {i} has no two-sided inverse")
 
     # In a Latin square x y = 0 has the one solution y = row x's 0.
-    inverse = tuple(row.index(0) for row in tbl)
-    for x, y in enumerate(inverse):
-        if tbl[y][x] != 0:
+    for x, row in enumerate(tbl):
+        if tbl[row.index(0)][x] != 0:
             raise InputError(f"element {x} has no two-sided inverse")
 
     names = default_names(n) if names is None else tuple(str(s) for s in names)
-    G = FiniteGroup(order=n, table=tbl, inverse=inverse, names=names)
+    G = trusted_group(tbl, names)
     # Light's test. Let Z = {z : (x y) z = x (y z) for all x, y}. Z holds
     # the identity and is closed under products in any magma:
     # (x y)(z1 z2) = ((x y) z1) z2 = (x (y z1)) z2 = x ((y z1) z2)
@@ -413,6 +411,20 @@ def unit_generators(e: int, keep: Callable[[int], bool] = lambda k: True) -> lis
             ks.append(k)
             span = _unit_span(span, k, e)
     return ks
+
+
+def greedy_generators(G: FiniteGroup, keep: Callable[[int], bool] = lambda x: True) -> list[int]:
+    """Elements of G that ``keep`` accepts, picked greedily in index order,
+    each outside the subgroup the earlier ones generate (only those are put
+    to ``keep``). They generate what the accepted elements generate, and
+    each at least doubles the span: there are at most log2(order)."""
+    gens: list[int] = []
+    span: frozenset[int] = frozenset({0})
+    for x in G.elements():
+        if x not in span and keep(x):
+            gens.append(x)
+            span = _grow(G, span, gens)
+    return gens
 
 
 def _grow(G: FiniteGroup, seed: frozenset[int], gens: Sequence[int]) -> frozenset[int]:

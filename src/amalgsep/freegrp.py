@@ -8,8 +8,10 @@ through ``scan_gen_images``, which yields only orbit leaders under the
 target's automorphism group S (``FiniteGroup._symmetries``: inner
 automorphisms or power maps, and the checked automorphisms the catalog
 construction names): an ordered subsequence of the full product that
-holds the first assignment of every kernel. Membership of a word in a
-cyclic subgroup <w> is decided by comparing it with the powers of w
+holds the first assignment of every kernel. ``kernel_key`` and
+``induced_map`` read one breadth-first labelling of the marked image.
+Membership of a word x in a cyclic subgroup <w> is decided by length: the
+length of x fixes the one exponent t with |w^t| = |x|, up to sign
 (``word_power_exponent``; Lyndon and Schupp, Combinatorial Group Theory,
 ch. I).
 """
@@ -51,10 +53,7 @@ def word_inv(u: FreeWord) -> FreeWord:
 def word_pow(u: FreeWord, k: int) -> FreeWord:
     if k < 0:
         u, k = word_inv(u), -k
-    out: FreeWord = ()
-    for _ in range(k):
-        out = word_mul(out, u)
-    return out
+    return reduce_word(u * k)
 
 
 def parse_word(text: str, gen_names: Sequence[str]) -> FreeWord:
@@ -94,28 +93,33 @@ def format_word(w: FreeWord, gen_names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
+def _cyclic_core(w: FreeWord) -> tuple[FreeWord, FreeWord]:
+    """(c, u) with w = c u c^-1 and u cyclically reduced, for reduced w."""
+    i, j = 0, len(w)
+    while j - i >= 2 and w[i] == (w[j - 1][0], -w[j - 1][1]):
+        i, j = i + 1, j - 1
+    return w[:i], w[i:j]
+
+
 def word_power_exponent(x: FreeWord, w: FreeWord) -> Optional[int]:
     """The exponent t with x = w^t, or None; decides x in <w> in a free group.
 
     x and w are reduced words. Write w = c u c^-1 with u cyclically
-    reduced and nonempty. For t >= 1, w^t = c u^t c^-1 is reduced and has
-    length 2|c| + t|u|, which is at least t and grows strictly with t. So
-    x = w^(+-t) forces t <= |x|, within the loop's range, and once a power
-    is longer than x no later one can equal it, so the length break loses
-    nothing.
+    reduced, nonempty when w is. For t != 0, w^t = c u^t c^-1 is reduced
+    and has length 2|c| + |t||u|, so the length of x fixes |t|, and x is
+    in <w> iff it equals w^t or w^-t for that t.
     """
     if not x:
         return 0
     if not w:
         return None
-    for base, sign in ((w, 1), (word_inv(w), -1)):
-        acc: FreeWord = ()
-        for t in range(1, len(x) + 2):
-            acc = word_mul(acc, base)
-            if acc == x:
-                return sign * t
-            if len(acc) > len(x) + 2 * len(w):
-                break
+    c, u = _cyclic_core(w)
+    t, rest = divmod(len(x) - 2 * len(c), len(u))
+    if t < 1 or rest:
+        return None
+    for e in (t, -t):
+        if word_pow(w, e) == x:
+            return e
     return None
 
 
@@ -124,23 +128,14 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
 
     Handles non-cyclically-reduced words by conjugating the root back.
     """
-    if not w:
-        return ((), 1)
-    # Cyclic reduction: w = c u c^-1 with u cyclically reduced.
-    c: list[Letter] = []
-    u = list(w)
-    while len(u) >= 2 and u[0] == (u[-1][0], -u[-1][1]):
-        c.append(u[0])
-        u = u[1:-1]
-    u = tuple(u)
+    c, u = _cyclic_core(w)
     n = len(u)
     for d in range(1, n + 1):
         if n % d:
             continue
         if word_pow(u[:d], n // d) == u:
-            root = tuple(c) + u[:d] + word_inv(tuple(c))
-            return (reduce_word(root), n // d)
-    return (w, 1)
+            return (reduce_word(c + u[:d] + word_inv(c)), n // d)
+    return (w, 1)                   # w is empty: for n >= 1, d = n matches
 
 
 @dataclass(frozen=True)
@@ -251,27 +246,17 @@ def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:
     """The map u(w) -> v(w) over the free words w, from the image of u onto
     the image of v, when ker u = ker v; None when the kernels differ.
 
-    Closes the diagonal subgroup of target(u) x target(v) generated by the
-    paired generator images. The kernels are equal iff it meets both axis
-    factors trivially, and then it is the graph of the map.
+    The labelled tables of ``_labelled_walk`` are equal iff the kernels
+    are (``kernel_key``), and then the same words reach the element
+    labelled i in both images, so it maps to its namesake.
     """
     if u.rank != v.rank:
         raise AssertionError(f"ranks {u.rank} and {v.rank} differ")
-    Tu, Tv = u.target, v.target
-    gen_pairs = list(zip(u.images, v.images))
-    gen_pairs += [(Tu.inverse[a], Tv.inverse[b]) for a, b in gen_pairs]
-    seen = {(0, 0)}
-    frontier = [(0, 0)]
-    while frontier:
-        a, b = frontier.pop()
-        for ga, gb in gen_pairs:
-            p = (Tu.table[a][ga], Tv.table[b][gb])
-            if p not in seen:
-                seen.add(p)
-                frontier.append(p)
-    if any((a == 0) != (b == 0) for a, b in seen):
+    elems_u, table_u = _labelled_walk(u)
+    elems_v, table_v = _labelled_walk(v)
+    if table_u != table_v:
         return None
-    return dict(seen)
+    return dict(zip(elems_u, elems_v))
 
 
 def restriction(u: GenImages, words: Sequence[FreeWord]) -> GenImages:
@@ -283,10 +268,10 @@ def restriction(u: GenImages, words: Sequence[FreeWord]) -> GenImages:
     return GenImages(len(words), u.target, tuple(u.evaluate(w) for w in words))
 
 
-def kernel_key(u: GenImages) -> tuple:
-    """Canonical fingerprint of ker(u): BFS normal form of the image group
-    with its marked generator tuple. Two GenImages of the same rank have
-    equal kernels iff their keys coincide."""
+def _labelled_walk(u: GenImages) -> tuple[list[int], tuple]:
+    """Breadth-first walk of the image of u from the identity, stepping by
+    the generator images and then their inverses: the elements in the order
+    they are labelled, and per label the labels its steps reach."""
     T = u.target
     step = list(u.images) + [T.inverse[g] for g in u.images]
     label = {0: 0}
@@ -303,4 +288,11 @@ def kernel_key(u: GenImages) -> tuple:
                 order_seen.append(b)
             out.append(lb)
         table.append(tuple(out))
-    return (u.rank, tuple(table))
+    return order_seen, tuple(table)
+
+
+def kernel_key(u: GenImages) -> tuple:
+    """Canonical fingerprint of ker(u): BFS normal form of the image group
+    with its marked generator tuple. Two GenImages of the same rank have
+    equal kernels iff their keys coincide."""
+    return (u.rank, _labelled_walk(u)[1])

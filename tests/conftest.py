@@ -489,6 +489,28 @@ def kernel_key_oracle(T: FiniteGroup, images) -> tuple:
     return (len(images), table)
 
 
+def induced_map_oracle(u: GenImages, v: GenImages) -> dict[int, int] | None:
+    """``freegrp.induced_map`` as it was before it read the labelled walk:
+    the closure of the diagonal subgroup of target(u) x target(v) generated
+    by the paired generator images. The kernels are equal iff it meets both
+    axis factors trivially, and then it is the graph of the map."""
+    Tu, Tv = u.target, v.target
+    gen_pairs = list(zip(u.images, v.images))
+    gen_pairs += [(Tu.inverse[a], Tv.inverse[b]) for a, b in gen_pairs]
+    seen = {(0, 0)}
+    frontier = [(0, 0)]
+    while frontier:
+        a, b = frontier.pop()
+        for ga, gb in gen_pairs:
+            p = (Tu.table[a][ga], Tv.table[b][gb])
+            if p not in seen:
+                seen.add(p)
+                frontier.append(p)
+    if any((a == 0) != (b == 0) for a, b in seen):
+        return None
+    return dict(seen)
+
+
 def _restricted_key(T, images, words):
     return kernel_key_oracle(T, [evaluate_oracle(T, images, w) for w in words])
 

@@ -15,10 +15,14 @@ from amalgsep.fingrp import (
     abelianization,
     construct_group,
     enumerate_normal_subgroups,
+    greedy_generators,
     group_from_json,
     is_normal,
     is_p_power,
+    is_prime,
     is_p_prime_isolated_cyclic_finite,
+    prime_factors,
+    prime_powers,
     product_set,
     quotient_with_projection,
     respects_generators,
@@ -46,6 +50,33 @@ from conftest import (
     relabeled,
     symmetry_group_oracle,
 )
+
+
+class TestIntegers:
+    @staticmethod
+    def prime_powers_oracle(n):
+        """{q: q^a} by testing every q <= n for primality and division."""
+        out = {}
+        for q in range(2, n + 1):
+            if n % q == 0 and all(q % d for d in range(2, q)):
+                out[q] = q
+                while n % (out[q] * q) == 0:
+                    out[q] *= q
+        return out
+
+    def test_prime_powers_against_brute_force(self):
+        for n in range(1, 2001):
+            want = self.prime_powers_oracle(n)
+            assert prime_powers(n) == want, n
+            assert prime_factors(n) == sorted(want), n
+            assert is_prime(n) == (want == {n: n}), n
+
+    def test_large_prime_stops_at_square_root(self):
+        # A loop that steps q up to n would not return here.
+        p = 1_000_000_007
+        assert is_prime(p)
+        assert prime_factors(2 * p) == [2, p]
+        assert prime_powers(4 * p) == {2: 4, p: p}
 
 
 class TestConstructGroup:
@@ -181,6 +212,35 @@ class TestSubgroups:
         subgroup_from_members(z4a, {0, 2})
         with pytest.raises(AssertionError, match="inverse of 1 missing"):
             subgroup_from_members(z4a, {0, 1})
+
+
+class TestGreedyGenerators:
+    def test_central_generators_span_the_centre(self, monkeypatch):
+        # The centre test is put only to elements outside the span of the
+        # generators picked before them.
+        from amalgsep import catalog as cat
+        asked, real = [], cat.greedy_generators
+
+        def recording(G, keep):
+            def spy(z):
+                asked.append((z, keep(z)))
+                return asked[-1][1]
+            return real(G, spy)
+
+        monkeypatch.setattr(cat, "greedy_generators", recording)
+        for entry in catalog(32):
+            G = entry.build()
+            asked.clear()
+            gens = cat._central_generators(G)
+            centre = {z for z in G.elements()
+                      if all(G.table[z][g] == G.table[g][z] for g in G.elements())}
+            assert subgroup_generated(G, gens).members == centre, entry.name
+            picked = []
+            for z, central in asked:
+                assert z not in subgroup_generated(G, picked).members, entry.name
+                if central:
+                    picked.append(z)
+            assert picked == gens, entry.name
 
 
 class TestNormalSubgroups:

@@ -2,11 +2,12 @@ import itertools
 import random
 
 import pytest
-from conftest import scan_gen_images_oracle
+from conftest import induced_map_oracle, scan_gen_images_oracle, spy_calls
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgsep.catalog import cyclic_group, symmetric_group
+from amalgsep import freegrp
+from amalgsep.catalog import cyclic_group, dihedral_group, symmetric_group
 from amalgsep.freegrp import (
     GenImages,
     format_word,
@@ -84,23 +85,30 @@ class TestWordPowerExponent:
                 return t
         return None
 
-    def test_against_brute_force_powers(self):
+    @staticmethod
+    def cases():
+        """(x, w) pairs over two letters: 300 random w, about a third of
+        them conjugated, each with a random x and with a power of w."""
         rng = random.Random(20)
 
         def word(n):
             return reduce_word([(rng.randrange(2), rng.choice([1, -1])) for _ in range(n)])
 
-        signs = set()
         for _ in range(300):
             w = word(rng.randrange(6))
             if rng.random() < 0.3:      # conjugate, so w is not cyclically reduced
                 c = word(rng.randrange(1, 3))
                 w = word_mul(word_mul(c, w), word_inv(c))
-            for x in (word(rng.randrange(10)), word_pow(w, rng.randrange(-4, 5))):
-                want = self.brute_force(x, w)
-                assert word_power_exponent(x, w) == want, (x, w)
-                if x and want is not None:
-                    signs.add(want > 0)
+            yield word(rng.randrange(10)), w
+            yield word_pow(w, rng.randrange(-4, 5)), w
+
+    def test_against_brute_force_powers(self):
+        signs = set()
+        for x, w in self.cases():
+            want = self.brute_force(x, w)
+            assert word_power_exponent(x, w) == want, (x, w)
+            if x and want is not None:
+                signs.add(want > 0)
         assert signs == {True, False}
 
     def test_conjugated_generator(self):
@@ -127,6 +135,29 @@ class TestWordPowerExponent:
         w = parse_word("a^2", ["a"])
         assert word_power_exponent(w, w) == 1
         assert word_power_exponent(parse_word("a", ["a"]), w) is None
+
+
+class TestWorkCounts:
+    def test_membership_builds_at_most_two_powers(self, monkeypatch):
+        # |w^t| = 2|c| + |t||u| fixes |t|, so x is compared with w^t and
+        # w^-t only, and neither is built one product at a time.
+        muls = spy_calls(monkeypatch, freegrp, "word_mul")
+        pows = spy_calls(monkeypatch, freegrp, "word_pow")
+        for x, w in TestWordPowerExponent.cases():
+            muls.clear()
+            pows.clear()
+            word_power_exponent(x, w)
+            assert muls == [] and len(pows) <= 2, (x, w)
+
+    def test_word_pow_is_one_reduction(self, monkeypatch):
+        muls = spy_calls(monkeypatch, freegrp, "word_mul")
+        for _, w in TestWordPowerExponent.cases():
+            for k in (-3, -1, 0, 2, 5):
+                want = ()
+                for _ in range(abs(k)):
+                    want = word_mul(want, w if k > 0 else word_inv(w))
+                assert word_pow(w, k) == want, (w, k)
+        assert muls == []
 
 
 class TestGenImages:
@@ -161,7 +192,7 @@ class TestGenImages:
         assert u.evaluate(parse_word("a^-1", ["a", "b"])) == 3
 
 
-class TestKernelsEqual:
+class TestInducedMap:
     def test_identical_maps(self):
         u = GenImages(1, cyclic_group(4), (1,))
         assert induced_map(u, u) is not None
@@ -208,4 +239,17 @@ class TestKernelsEqual:
         maps = [GenImages(1, T, (i,)) for T in targets for i in T.elements()]
         for u in maps:
             for v in maps:
-                assert (kernel_key(u) == kernel_key(v)) == (induced_map(u, v) is not None)
+                assert (kernel_key(u) == kernel_key(v)) == (induced_map_oracle(u, v) is not None)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_matches_diagonal_closure(self, rank):
+        targets = [cyclic_group(4), cyclic_group(6), symmetric_group(3), dihedral_group(4)]
+        maps = [GenImages(rank, T, images) for T in targets
+                for images in itertools.product(T.elements(), repeat=rank)]
+        found = 0
+        for u in maps:
+            for v in maps:
+                got = induced_map(u, v)
+                assert got == induced_map_oracle(u, v), (u, v)
+                found += got is not None
+        assert found > len(maps)
