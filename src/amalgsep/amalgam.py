@@ -16,35 +16,35 @@ product, conjugate or cyclic-reduction step is reduced in one such pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional
 
 from .errors import InputError
-from .fingrp import FiniteGroup, Subgroup, coset_representatives, is_prime, prime_factors
+from .fingrp import (FiniteGroup, Record, Subgroup, coset_representatives, is_prime,
+                     prime_factors)
 
 Side = str  # 'A' or 'B'
 Letter = tuple[Side, int]
 
 
-@dataclass(frozen=True, eq=False)
-class AmalgamPresentation:
+class AmalgamPresentation(Record):
     """Two finite factors with amalgamated subgroups H <= A and K <= B.
 
     ``phi``/``phi_inv`` give the identifying isomorphism on element
     indices; ``transversal_a[x]`` is the canonical representative of the
     right coset Hx (likewise for B), so every factor element splits
-    uniquely as (amalgamated part) * (representative).
+    uniquely as (amalgamated part) * (representative). A presentation
+    equals only itself and hashes by identity; ``compat_cache`` lives in
+    its ``__dict__``.
     """
 
-    A: FiniteGroup
-    B: FiniteGroup
-    H: Subgroup
-    K: Subgroup
-    phi: dict
-    phi_inv: dict
-    transversal_a: tuple[int, ...]
-    transversal_b: tuple[int, ...]
+    _fields = ("A", "B", "H", "K", "phi", "phi_inv", "transversal_a", "transversal_b")
+    __slots__ = (*_fields, "__dict__", "__weakref__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, A: FiniteGroup, B: FiniteGroup, H: Subgroup, K: Subgroup, phi: dict,
+                 phi_inv: dict, transversal_a: tuple[int, ...], transversal_b: tuple[int, ...]):
+        self._fill(A, B, H, K, phi, phi_inv, transversal_a, transversal_b)
 
     def factor(self, side: Side) -> FiniteGroup:
         return self.A if side == "A" else self.B
@@ -105,22 +105,16 @@ def build_amalgam(A: FiniteGroup, B: FiniteGroup, H: Subgroup, K: Subgroup,
     )
 
 
-@dataclass(frozen=True, eq=False)
-class AmalgamElement:
-    """Normal form: H-core (as an A-element) plus alternating syllables."""
+class AmalgamElement(Record):
+    """Normal form: H-core (as an A-element) plus alternating syllables;
+    elements of different presentations never compare equal."""
 
-    pres: AmalgamPresentation
-    core: int
-    syllables: tuple[Letter, ...]
+    __slots__ = _fields = ("pres", "core", "syllables")
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, AmalgamElement)
-                and self.pres is other.pres
-                and self.core == other.core
-                and self.syllables == other.syllables)
-
-    def __hash__(self) -> int:
-        return hash((id(self.pres), self.core, self.syllables))
+    def __init__(self, pres: AmalgamPresentation, core: int, syllables: tuple[Letter, ...]):
+        object.__setattr__(self, "pres", pres)
+        object.__setattr__(self, "core", core)
+        object.__setattr__(self, "syllables", syllables)
 
     def is_identity(self) -> bool:
         return self.core == 0 and not self.syllables
@@ -268,11 +262,12 @@ def factor_element_of(x: AmalgamElement) -> Optional[tuple[Side, int]]:
     return (side, G.table[pres.core_on(side, x.core)][t])
 
 
-@dataclass(frozen=True)
-class CyclicMembership:
-    verdict: str                      # 'member' | 'nonmember'
-    exponent: Optional[int] = None
-    reason: Optional[str] = None
+class CyclicMembership(Record):
+    __slots__ = _fields = ("verdict", "exponent", "reason")
+
+    def __init__(self, verdict: str, exponent: Optional[int] = None,
+                 reason: Optional[str] = None):
+        self._fill(verdict, exponent, reason)    # verdict: 'member' | 'nonmember'
 
     @property
     def is_member(self) -> bool:

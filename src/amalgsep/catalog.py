@@ -71,12 +71,12 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 from math import factorial, gcd, isqrt, prod
 from typing import Callable, Iterator, Optional
 
 from .fingrp import (
     FiniteGroup,
+    Record,
     abelianization,
     greedy_generators,
     is_p_power,
@@ -186,13 +186,13 @@ def _central_generators(G: FiniteGroup) -> list[int]:
     return greedy_generators(G, lambda z: all(tab[z][g] == tab[g][z] for g in G.generators))
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    order: int
-    family_rank: int
-    params: tuple
-    _builder: Callable[[], FiniteGroup] = field(compare=False, repr=False)
+class CatalogEntry(Record):
+    _fields = ("name", "order", "family_rank", "params")
+    __slots__ = (*_fields, "_builder")
+
+    def __init__(self, name: str, order: int, family_rank: int, params: tuple,
+                 _builder: Callable[[], FiniteGroup]):
+        self._fill(name, order, family_rank, params, _builder)
 
     def key(self):
         return (self.order, self.family_rank, self.params)

@@ -21,7 +21,6 @@ import functools
 import json
 import os
 import sys
-import traceback
 from importlib import resources
 
 from . import amalgam as am
@@ -481,7 +480,9 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     except Exception as exc:
         # A crash is neither a verdict nor bad input: say so, in the report
-        # too, after the traceback that locates it.
+        # too, after the traceback that locates it. Only a crash imports
+        # ``traceback``, which a normal run would pay for at start-up.
+        import traceback
         error = f"{type(exc).__name__}: {exc}"
         traceback.print_exc()
         print(f"internal error: {error}", file=sys.stderr)

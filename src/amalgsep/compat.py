@@ -33,7 +33,6 @@ kernel, so the first assignment of each class is unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from .amalgam import (
@@ -47,6 +46,7 @@ from .errors import InputError
 from .fingrp import (
     FiniteGroup,
     NormalChain,
+    Record,
     Subgroup,
     enumerate_normal_subgroups,
     is_normal,
@@ -71,25 +71,31 @@ from .freegrp import (
 )
 
 
-@dataclass(frozen=True)
-class PChainCertificate:
+class PChainCertificate(Record):
     """Witness for p-compatibility: chains on both sides plus the matched
     correspondence of H/K-intersection sets."""
 
-    chain_a: NormalChain
-    chain_b: NormalChain
-    matching: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    __slots__ = _fields = ("chain_a", "chain_b", "matching")
+
+    def __init__(self, chain_a: NormalChain, chain_b: NormalChain,
+                 matching: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]):
+        object.__setattr__(self, "chain_a", chain_a)
+        object.__setattr__(self, "chain_b", chain_b)
+        object.__setattr__(self, "matching", matching)
 
 
-@dataclass(frozen=True)
-class CompatiblePair:
+class CompatiblePair(Record):
     """A compatible pair of normal subgroups of the two factors."""
 
-    mode: str                                  # 'plain' | 'p'
-    prime: Optional[int]
-    r_side: Subgroup
-    s_side: Subgroup
-    certificate: Optional[PChainCertificate] = None
+    __slots__ = _fields = ("mode", "prime", "r_side", "s_side", "certificate")
+
+    def __init__(self, mode: str, prime: Optional[int], r_side: Subgroup, s_side: Subgroup,
+                 certificate: Optional[PChainCertificate] = None):
+        object.__setattr__(self, "mode", mode)      # 'plain' | 'p'
+        object.__setattr__(self, "prime", prime)
+        object.__setattr__(self, "r_side", r_side)
+        object.__setattr__(self, "s_side", s_side)
+        object.__setattr__(self, "certificate", certificate)
 
     def key(self):
         return (self.r_side.key(), self.s_side.key())
@@ -246,19 +252,21 @@ def enumerate_compatible_pairs(pres: AmalgamPresentation, mode: str = "plain",
     return list(pairs)
 
 
-@dataclass(frozen=True, eq=False)
-class QuotientAmalgam:
+class QuotientAmalgam(Record):
     """An amalgam of quotient (or image) factors plus projection data.
 
     ``proj_a`` and ``proj_b`` send a letter's payload on each side to its
     quotient factor element: a factor element under the quotient map for
     finite parents, a free word through its generator images for free
-    ones.
+    ones. A quotient amalgam equals only itself.
     """
 
-    presentation: AmalgamPresentation
-    proj_a: Callable[[Any], int]
-    proj_b: Callable[[Any], int]
+    __slots__ = _fields = ("presentation", "proj_a", "proj_b")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, presentation: AmalgamPresentation, proj_a: Callable[[Any], int],
+                 proj_b: Callable[[Any], int]):
+        self._fill(presentation, proj_a, proj_b)
 
     def project(self, letters) -> AmalgamElement:
         return normalize(self.presentation, [
@@ -298,26 +306,24 @@ def _glue(Qa: FiniteGroup, Qb: FiniteGroup, phi_bar: dict,
     return QuotientAmalgam(qpres, proj_a, proj_b)
 
 
-@dataclass(frozen=True)
-class FreeAmalgamDescription:
+class FreeAmalgamDescription(Record):
     """An amalgam of two free groups along finitely generated subgroups.
 
     ``h_words[i]`` and ``k_words[i]`` are corresponding free bases of the
     amalgamated subgroups (the identification maps one onto the other).
     """
 
-    rank_a: int
-    rank_b: int
-    gen_names_a: tuple[str, ...]
-    gen_names_b: tuple[str, ...]
-    h_words: tuple[FreeWord, ...]
-    k_words: tuple[FreeWord, ...]
+    __slots__ = _fields = ("rank_a", "rank_b", "gen_names_a", "gen_names_b",
+                           "h_words", "k_words")
 
-    def __post_init__(self):
-        if len(self.h_words) != len(self.k_words):
+    def __init__(self, rank_a: int, rank_b: int, gen_names_a: tuple[str, ...],
+                 gen_names_b: tuple[str, ...], h_words: tuple[FreeWord, ...],
+                 k_words: tuple[FreeWord, ...]):
+        if len(h_words) != len(k_words):
             raise InputError("amalgamated bases must have equal length")
-        if len(self.gen_names_a) != self.rank_a or len(self.gen_names_b) != self.rank_b:
+        if len(gen_names_a) != rank_a or len(gen_names_b) != rank_b:
             raise InputError("generator name lists must match ranks")
+        self._fill(rank_a, rank_b, gen_names_a, gen_names_b, h_words, k_words)
 
 
 def _image_projection(u: GenImages) -> tuple[FiniteGroup, dict, Callable]:
@@ -389,17 +395,18 @@ def enumerate_free_compatible_classes(desc: FreeAmalgamDescription, bound: int,
     return out
 
 
-@dataclass(frozen=True)
-class FamilyVerdict:
-    """Separability of a cyclic subgroup by one side's compatible family."""
+class FamilyVerdict(Record):
+    """Separability of a cyclic subgroup by one side's compatible family.
+    ``family`` is one of 'Omega_A', 'Omega_B', 'Omega_A^p' and 'Omega_B^p';
+    ``verdict`` one of 'separable', 'not_separated' and 'inconclusive'."""
 
-    subject: str
-    family: str                     # 'Omega_A' | 'Omega_B' | 'Omega_A^p' | 'Omega_B^p'
-    verdict: str                    # 'separable' | 'not_separated' | 'inconclusive'
-    witnesses: Optional[dict] = None
-    certifying: Optional[object] = None
-    bound: Optional[int] = None
-    structural_note: Optional[str] = None
+    __slots__ = _fields = ("subject", "family", "verdict", "witnesses", "certifying",
+                           "bound", "structural_note")
+
+    def __init__(self, subject: str, family: str, verdict: str,
+                 witnesses: Optional[dict] = None, certifying: Optional[object] = None,
+                 bound: Optional[int] = None, structural_note: Optional[str] = None):
+        self._fill(subject, family, verdict, witnesses, certifying, bound, structural_note)
 
 
 def family_separability(pres: AmalgamPresentation, side: str, g: int,

@@ -69,7 +69,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from dataclasses import dataclass, field
 from math import gcd
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -99,6 +98,7 @@ from .compat import (
 from .errors import InputError
 from .fingrp import (
     FiniteGroup,
+    Record,
     abelianization,
     is_prime,
     product_set,
@@ -165,15 +165,18 @@ def _factor_homs(G: FiniteGroup, T: FiniteGroup,
     return out
 
 
-@dataclass(frozen=True)
-class GluedHom:
+class GluedHom(Record):
     """A homomorphism of a quotient amalgam into a finite target,
     given by its two factor restrictions (which agree on the amalgam)."""
 
-    target: FiniteGroup
-    target_name: str
-    map_a: tuple[int, ...]
-    map_b: tuple[int, ...]
+    __slots__ = _fields = ("target", "target_name", "map_a", "map_b")
+
+    def __init__(self, target: FiniteGroup, target_name: str, map_a: tuple[int, ...],
+                 map_b: tuple[int, ...]):
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "target_name", target_name)
+        object.__setattr__(self, "map_a", map_a)
+        object.__setattr__(self, "map_b", map_b)
 
     def apply(self, x: AmalgamElement) -> int:
         return _glued_image(self.target, self.map_a, self.map_b, x)
@@ -309,14 +312,15 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
 # Symbolic reduced forms for free descriptions with cyclic amalgamation
 
 
-@dataclass(frozen=True)
-class FreeReducedForm:
+class FreeReducedForm(Record):
     """Reduced form of a free-amalgam element with cyclic amalgamation:
     either a power of the amalgamated generator (length 0) or an
     alternating chunk sequence with no chunk inside the amalgam."""
 
-    chunks: tuple[FreeLetter, ...]
-    core_exponent: int = 0         # meaningful only when chunks is empty
+    __slots__ = _fields = ("chunks", "core_exponent")
+
+    def __init__(self, chunks: tuple[FreeLetter, ...], core_exponent: int = 0):
+        self._fill(chunks, core_exponent)    # core_exponent: meaningful only when chunks is empty
 
     @property
     def length(self) -> int:
@@ -500,29 +504,33 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
 # Witness reports
 
 
-@dataclass
-class WitnessReport:
-    """Outcome of a separation query, with a re-verified certificate."""
+class WitnessReport(Record):
+    """Outcome of a separation query, with a re-verified certificate:
+    ``outcome`` is 'separated', 'member' or 'obstructed', ``reason`` the
+    obstruction tag. The query fills it in, so it is mutable and unhashable."""
 
-    mode: str
-    prime: Optional[int]
-    h_text: str
-    g_text: str
-    outcome: str                      # 'separated' | 'member' | 'obstructed'
-    exponent: Optional[int] = None
-    reason: Optional[str] = None      # obstruction tag
-    target_name: Optional[str] = None
-    target_order: Optional[int] = None
-    image_order: Optional[int] = None
-    hom_map_a: Optional[tuple[int, ...]] = None
-    hom_map_b: Optional[tuple[int, ...]] = None
-    root_prime: Optional[int] = None
-    root_text: Optional[str] = None
-    lambda_side: Optional[str] = None
-    bound: Optional[int] = None
-    pair_desc: Optional[str] = None
-    reverified: Optional[bool] = None
-    notes: list[str] = field(default_factory=list)
+    __slots__ = _fields = (
+        "mode", "prime", "h_text", "g_text", "outcome", "exponent", "reason", "target_name",
+        "target_order", "image_order", "hom_map_a", "hom_map_b", "root_prime", "root_text",
+        "lambda_side", "bound", "pair_desc", "reverified", "notes")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, mode: str, prime: Optional[int], h_text: str, g_text: str, outcome: str,
+                 exponent: Optional[int] = None, reason: Optional[str] = None,
+                 target_name: Optional[str] = None, target_order: Optional[int] = None,
+                 image_order: Optional[int] = None,
+                 hom_map_a: Optional[tuple[int, ...]] = None,
+                 hom_map_b: Optional[tuple[int, ...]] = None, root_prime: Optional[int] = None,
+                 root_text: Optional[str] = None, lambda_side: Optional[str] = None,
+                 bound: Optional[int] = None, pair_desc: Optional[str] = None,
+                 reverified: Optional[bool] = None, notes: Optional[list[str]] = None):
+        self.mode, self.prime, self.h_text, self.g_text = mode, prime, h_text, g_text
+        self.outcome, self.exponent, self.reason = outcome, exponent, reason
+        self.target_name, self.target_order = target_name, target_order
+        self.image_order, self.hom_map_a, self.hom_map_b = image_order, hom_map_a, hom_map_b
+        self.root_prime, self.root_text, self.lambda_side = root_prime, root_text, lambda_side
+        self.bound, self.pair_desc, self.reverified = bound, pair_desc, reverified
+        self.notes = [] if notes is None else notes
 
     def to_json(self) -> dict:
         doc = {
@@ -923,14 +931,17 @@ def _refine(report, desc, g_red, h_trans, p, pair_bound, accept):
 # Case studies
 
 
-@dataclass
-class CaseStudyReport:
-    """Pass/fail record of one scripted case study."""
+class CaseStudyReport(Record):
+    """Pass/fail record of one scripted case study, with (name, passed,
+    detail) triples in ``assertions``; mutable and unhashable, like a
+    ``WitnessReport``."""
 
-    case: str
-    parameters: dict
-    assertions: list  # (name, passed: bool, detail)
-    artifacts: dict = field(default_factory=dict)
+    __slots__ = _fields = ("case", "parameters", "assertions", "artifacts")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, case: str, parameters: dict, assertions: list,
+                 artifacts: Optional[dict] = None):
+        self._fill(case, parameters, assertions, {} if artifacts is None else artifacts)
 
     @property
     def all_passed(self) -> bool:

@@ -28,17 +28,18 @@ closures of conjugacy classes; and its index-p cover edges, one table
 per prime p (``normal_covers``, for compat's chain families). Nothing
 that involves a second group is cached here: the certificate scan keeps
 its factor homomorphisms on the presentation, keyed by target name. The
-caches sit in the instance ``__dict__``, outside the dataclass fields, so
-equality and hashing ignore them; they live and die with the group, and
-no module-level table keeps a group alive.
+caches sit in the instance ``__dict__``, outside ``FiniteGroup._fields``,
+so equality and hashing ignore them; they live and die with the group,
+and no module-level table keeps a group alive. ``Record``, the base of
+every record class in the package, lives here too.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from math import gcd
+from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
 from .errors import InputError
@@ -81,24 +82,90 @@ def is_p_power(n: int, p: int) -> bool:
     return n == 1
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class _DataclassFields:
+    """``Record.__dataclass_fields__``, by which ``dataclasses`` knows a
+    dataclass: the record's ``__init__`` parameters as ``Field`` objects, so
+    ``dataclasses.replace``, ``fields`` and ``asdict`` take a record. Only
+    such a call imports ``dataclasses``."""
+
+    def __get__(self, obj, cls):
+        import dataclasses
+        defaults = dict(zip(reversed(cls._params()), reversed(cls.__init__.__defaults__ or ())))
+        return dataclasses.make_dataclass(cls.__name__, [
+            (name, object, dataclasses.field(default=defaults.get(name, dataclasses.MISSING)))
+            for name in cls._params()]).__dataclass_fields__
+
+
+class Record:
+    """Base of the package's record classes. A subclass sets its fields in
+    ``__init__``, by ``object.__setattr__`` if it is built in a loop, else
+    by the shorter but slower ``_fill``; assigning to a field afterwards
+    raises AssertionError, unless the subclass restores ``__setattr__``.
+    Two records are equal when they have the same class and equal
+    ``_fields`` (which may leave fields out); a record hashes as the tuple
+    of those fields and shows them in its repr. ``copy`` and ``pickle``
+    rebuild a record by calling its class."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+    __dataclass_fields__ = _DataclassFields()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    @classmethod
+    def _params(cls) -> tuple[str, ...]:
+        """The parameters of ``__init__``: every field, in order."""
+        code = cls.__init__.__code__
+        return code.co_varnames[1:code.co_argcount]
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self._params())
+
+    def _fill(self, *values) -> None:
+        """Set the fields from ``values``, in ``__slots__`` order."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AssertionError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AssertionError(f"cannot delete field {name!r}")
+
+
+class FiniteGroup(Record):
     """A finite group given by its full multiplication table.
 
     ``table[i][j]`` is the index of the product of elements i and j;
     element 0 is the identity and ``inverse[i]`` the two-sided inverse.
     A group built from a closed-form construction may carry candidate
     automorphisms, each given as the images of ``family_generators``;
-    ``_symmetries`` checks them before use. Equality ignores both.
+    ``_symmetries`` checks them before use. Equality and hashing ignore
+    both, and the derived data cached in the instance ``__dict__`` (see
+    the module docstring).
     """
 
-    order: int
-    table: tuple[tuple[int, ...], ...]
-    inverse: tuple[int, ...]
-    names: tuple[str, ...]
-    family_generators: tuple[int, ...] = field(default=(), compare=False, repr=False)
-    automorphism_candidates: tuple[tuple[int, ...], ...] = field(
-        default=(), compare=False, repr=False)
+    _fields = ("order", "table", "inverse", "names")
+    __slots__ = (*_fields, "family_generators", "automorphism_candidates",
+                 "__dict__", "__weakref__")
+
+    def __init__(self, order: int, table: tuple[tuple[int, ...], ...], inverse: tuple[int, ...],
+                 names: tuple[str, ...], family_generators: tuple[int, ...] = (),
+                 automorphism_candidates: tuple[tuple[int, ...], ...] = ()):
+        self._fill(order, table, inverse, names, family_generators, automorphism_candidates)
 
     def elements(self) -> range:
         return range(self.order)
@@ -347,12 +414,14 @@ def trusted_group(table, names=None, generators=(), candidates=()) -> FiniteGrou
                        automorphism_candidates=tuple(map(tuple, candidates)))
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup of a table group, stored as its set of element indices."""
 
-    parent: FiniteGroup
-    members: frozenset[int]
+    __slots__ = _fields = ("parent", "members")
+
+    def __init__(self, parent: FiniteGroup, members: frozenset[int]):
+        object.__setattr__(self, "parent", parent)
+        object.__setattr__(self, "members", members)
 
     @property
     def order(self) -> int:
@@ -638,13 +707,15 @@ def abelianization(G: FiniteGroup) -> tuple[FiniteGroup, Sequence[int]]:
     return quotient_with_projection(G, subgroup_generated(G, orbit))
 
 
-@dataclass(frozen=True)
-class NormalChain:
+class NormalChain(Record):
     """An ascending chain of normal subgroups with index-p steps."""
 
-    group: FiniteGroup
-    links: tuple[Subgroup, ...]
-    prime: int
+    __slots__ = _fields = ("group", "links", "prime")
+
+    def __init__(self, group: FiniteGroup, links: tuple[Subgroup, ...], prime: int):
+        object.__setattr__(self, "group", group)
+        object.__setattr__(self, "links", links)
+        object.__setattr__(self, "prime", prime)
 
     def validate(self) -> None:
         """Raise AssertionError unless the chain is what it claims; the

@@ -19,11 +19,10 @@ ch. I).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
-from .fingrp import FiniteGroup, subgroup_generated
+from .fingrp import FiniteGroup, Record, subgroup_generated
 
 Letter = tuple[int, int]          # (generator index, sign +1/-1)
 FreeWord = tuple[Letter, ...]
@@ -138,21 +137,21 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
     return (w, 1)                   # w is empty: for n >= 1, d = n matches
 
 
-@dataclass(frozen=True)
-class GenImages:
+class GenImages(Record):
     """Images of the free generators in a finite target group.
 
     Represents the normal subgroup ker(induced map) of the free group;
     its index is the order of the subgroup the images generate.
     """
 
-    rank: int
-    target: FiniteGroup
-    images: tuple[int, ...]
+    __slots__ = _fields = ("rank", "target", "images")
 
-    def __post_init__(self):
-        if len(self.images) != self.rank:
+    def __init__(self, rank: int, target: FiniteGroup, images: tuple[int, ...]):
+        if len(images) != rank:
             raise AssertionError("images length must equal rank")
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "images", images)
 
     def evaluate(self, w: FreeWord) -> int:
         T = self.target

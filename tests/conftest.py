@@ -114,6 +114,13 @@ def relabeled(G: FiniteGroup, seed) -> tuple[FiniteGroup, list[int]]:
                             for i in range(n)]), perm
 
 
+def with_candidates(G: FiniteGroup, candidates) -> FiniteGroup:
+    """A new group with G's table and ``family_generators`` but the given
+    ``automorphism_candidates``; it equals G."""
+    return FiniteGroup(G.order, G.table, G.inverse, G.names, G.family_generators,
+                       tuple(candidates))
+
+
 def relabeled_amalgam(pres: AmalgamPresentation, seed) -> AmalgamPresentation:
     """The amalgam carried over to ``relabeled`` copies of both factors."""
     A, pa = relabeled(pres.A, f"A:{seed}")

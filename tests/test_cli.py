@@ -273,6 +273,8 @@ sys.exit(main(["--out", "report.json", "witness", "free.json", "A:a B:b^7",
     assert json.loads((workdir / "report.json").read_text()) == {
         "schema": 1, "command": "witness", "outcome": "internal_error",
         "error": "AssertionError: restriction kernels differ"}
+    # A fresh process imports ``traceback`` only here, in the crash path.
+    assert out.stderr.startswith("Traceback")
     assert out.stderr.endswith("\ninternal error: AssertionError: restriction kernels differ\n")
 
 
@@ -306,6 +308,7 @@ sys.exit(main(["--out", "report.json", "witness", "free.json", "A:a B:b^7",
     error = "AssertionError: map is not an isomorphism: fails on pair (2, 2)"
     assert json.loads((workdir / "report.json").read_text()) == {
         "schema": 1, "command": "witness", "outcome": "internal_error", "error": error}
+    assert out.stderr.startswith("Traceback")
     assert out.stderr.endswith(f"\ninternal error: {error}\n")
 
 S3 = {"schema": 1, "order": 6,

@@ -634,7 +634,6 @@ class TestExactFreeMembership:
 
 
 CERTIFY_SETUP = """
-import dataclasses
 from amalgsep import engine
 from amalgsep.amalgam import build_amalgam, normalize
 from amalgsep.catalog import catalog, cyclic_group
@@ -647,7 +646,7 @@ T = cyclic_group(4)
 hom = engine._probe_entry(pres, y, x, next(e for e in catalog(4) if e.name == "Z4"))
 bad = list(hom.map_b)
 bad[1] = T.table[bad[1]][1]
-tampered = dataclasses.replace(hom, map_b=tuple(bad))
+tampered = engine.GluedHom(hom.target, hom.target_name, hom.map_a, tuple(bad))
 
 
 def certify(h, g, hom):

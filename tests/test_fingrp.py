@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import os
 import re
@@ -49,6 +48,7 @@ from conftest import (
     reduced_latin_squares,
     relabeled,
     symmetry_group_oracle,
+    with_candidates,
 )
 
 
@@ -380,9 +380,8 @@ class TestOrbitLeaders:
         # D6: r -> r^2, s -> s with 2 not a unit mod 6. Z2xZ4: the swap of
         # the generators (1, 0) and (0, 1), of orders 2 and 4.
         G = CATALOG_32[name].build()
-        bare = dataclasses.replace(G, automorphism_candidates=())
-        bad = dataclasses.replace(
-            G, automorphism_candidates=G.automorphism_candidates + (candidate,))
+        bare = with_candidates(G, ())
+        bad = with_candidates(G, G.automorphism_candidates + (candidate,))
         images = fingrp._extend(G, G.family_generators, candidate)
         assert not fingrp._is_automorphism(G, images)
         assert bad._symmetries() == G._symmetries() != bare._symmetries()

@@ -10,7 +10,6 @@ homomorphisms between the tables themselves.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import itertools
 import random
 import subprocess
@@ -31,6 +30,7 @@ from conftest import (
     kernel_key_oracle,
     scan_gen_images_oracle,
     shuffled_targets,
+    with_candidates,
 )
 
 from amalgsep import catalog as catalog_module
@@ -75,9 +75,9 @@ class TestCatalog:
         assert isinstance(entries, tuple)
         with pytest.raises(TypeError):
             entries[0] = entries[1]
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AssertionError):
             entries[0].name = "Z1"
-        assert catalog(16)[0].name == "Z2"
+        assert entries[0].name == catalog(16)[0].name == "Z2"
 
 
 class TestTargets:
@@ -178,12 +178,10 @@ class TestScanGenImages:
         D6 = next(e for e in targets(12) if e.name == "D6").build()
         candidates = D6.automorphism_candidates + ((2, 6),)
         basis = [((0, 1),), ((1, 1),)]
-        _assert_scan_matches_full_product(
-            2, dataclasses.replace(D6, automorphism_candidates=candidates), basis, [])
+        _assert_scan_matches_full_product(2, with_candidates(D6, candidates), basis, [])
         monkeypatch.setattr(fingrp, "_is_automorphism", lambda G, f: True)
         with pytest.raises(AssertionError):
-            _assert_scan_matches_full_product(
-                2, dataclasses.replace(D6, automorphism_candidates=candidates), basis, [])
+            _assert_scan_matches_full_product(2, with_candidates(D6, candidates), basis, [])
 
 
 def _assert_scan_matches_full_product(rank, T, basis, chunks):
