@@ -116,6 +116,16 @@ class AmalgamElement(Record):
         object.__setattr__(self, "core", core)
         object.__setattr__(self, "syllables", syllables)
 
+    # Record's comparison, without building key tuples.
+    def __eq__(self, other):
+        if other.__class__ is not AmalgamElement:
+            return NotImplemented
+        return (self.pres is other.pres and self.core == other.core
+                and self.syllables == other.syllables)
+
+    def __hash__(self) -> int:
+        return hash((self.pres, self.core, self.syllables))
+
     def is_identity(self) -> bool:
         return self.core == 0 and not self.syllables
 

@@ -473,7 +473,9 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     are unchanged. The scanner yields only orbit leaders under
     automorphisms of the target, among them the first assignment of every
     kernel, so each kernel pair is still first yielded at the pair it is
-    first reached at over the full product.
+    first reached at over the full product. Every kernel key is read from
+    the target's walk cache (``freegrp._labelled_walk``), which the scans
+    of this query and of earlier ones have mostly filled already.
     """
     tried: set[tuple] = set()
     for entry in targets(bound, p):
@@ -484,16 +486,13 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
         buckets: dict[tuple, list[GenImages]] = {}
         for v, key in scan_gen_images(desc.rank_b, T, desc.k_words, b_chunks):
             buckets.setdefault(key, []).append(v)
-        v_kernels: dict[tuple[int, ...], tuple] = {}
         for u, key in good_u:
             vs = buckets.get(key)
             if not vs:
                 continue
             ku = kernel_key(u)
             for v in vs:
-                kv = v_kernels.get(v.images)
-                if kv is None:
-                    kv = v_kernels[v.images] = kernel_key(v)
+                kv = kernel_key(v)
                 if (ku, kv) in tried:
                     continue
                 tried.add((ku, kv))

@@ -24,8 +24,11 @@ power maps of an abelian group, and by the automorphisms a catalog
 construction names (``automorphism_candidates``), each checked on the
 Cayley graph before use (``_symmetries``); the normal-subgroup lattice
 (behind ``enumerate_normal_subgroups``), built as joins of the normal
-closures of conjugacy classes; and its index-p cover edges, one table
-per prime p (``normal_covers``, for compat's chain families). Nothing
+closures of conjugacy classes; its index-p cover edges, one table
+per prime p (``normal_covers``, for compat's chain families); and the
+labelled walks of the subgroups that tuples of its elements generate
+(``_walk_cache``, filled by ``freegrp``'s kernel fingerprints), at most
+one entry per distinct image tuple scanned on the group. Nothing
 that involves a second group is cached here: the certificate scan keeps
 its factor homomorphisms on the presentation, keyed by target name. The
 caches sit in the instance ``__dict__``, outside ``FiniteGroup._fields``,
@@ -308,6 +311,12 @@ class FiniteGroup(Record):
     @cached_property
     def _cover_cache(self) -> dict[int, dict[frozenset[int], tuple[frozenset[int], ...]]]:
         return {}
+
+    @cached_property
+    def _walk_cache(self) -> tuple[dict[tuple[int, ...], tuple], dict[tuple, tuple]]:
+        """(walks by image tuple, labelled tables by value), kept and read by
+        ``freegrp._labelled_walk``."""
+        return {}, {}
 
     def normal_covers(self, p: int) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
         """The index-p cover edges of the normal-subgroup lattice: for each

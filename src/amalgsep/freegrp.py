@@ -1,15 +1,22 @@
 """Free-group words, cyclic membership, and finite-quotient images.
 
 Finite-index normal subgroups of free factors are never materialized as
-element sets; they are carried around as ``GenImages`` (the images of the
+element sets; they are carried around as ``GenImages``: the images of the
 free generators in a finite target group, the subgroup being the kernel
-of the induced map). Every walk over the assignments of a target goes
+of the induced map. Every walk over the assignments of a target goes
 through ``scan_gen_images``, which yields only orbit leaders under the
 target's automorphism group S (``FiniteGroup._symmetries``: inner
 automorphisms or power maps, and the checked automorphisms the catalog
 construction names): an ordered subsequence of the full product that
-holds the first assignment of every kernel. ``kernel_key`` and
-``induced_map`` read one breadth-first labelling of the marked image.
+holds the first assignment of every kernel.
+
+A kernel is known by one breadth-first labelling of the image group from
+its marked generators (``_labelled_walk``). ``kernel_key``,
+``induced_map``, ``GenImages.image_members`` and the scanner's keys and
+chunk filter all read it. Each labelling is made once per target and
+image tuple and kept on the target (``FiniteGroup._walk_cache``), so a
+scan walks nothing that an earlier scan on the same group walked.
+
 Membership of a word x in a cyclic subgroup <w> is decided by length: the
 length of x fixes the one exponent t with |w^t| = |x|, up to sign
 (``word_power_exponent``; Lyndon and Schupp, Combinatorial Group Theory,
@@ -22,7 +29,7 @@ import itertools
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import InputError
-from .fingrp import FiniteGroup, Record, subgroup_generated
+from .fingrp import FiniteGroup, Record
 
 Letter = tuple[int, int]          # (generator index, sign +1/-1)
 FreeWord = tuple[Letter, ...]
@@ -162,7 +169,8 @@ class GenImages(Record):
         return acc
 
     def image_members(self) -> frozenset[int]:
-        return subgroup_generated(self.target, self.images).members
+        """The subgroup the images generate: the elements of their walk."""
+        return frozenset(_labelled_walk(self.target, self.images)[0])
 
 
 def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = (),
@@ -193,8 +201,8 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
     when an earlier assignment was yielded with the same key. Words are
     evaluated by table lookups, and a GenImages is built only for an
     assignment that is yielded. The key and the basis-image subgroup are
-    computed once per distinct tuple of basis images, in a memo that lives
-    as long as the scan.
+    both read off the labelled walk of the basis images, which the target
+    keeps for every later scan (``_labelled_walk``).
     """
     table, inverse = target.table, target.inverse
 
@@ -210,9 +218,6 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
 
     basis_progs = [program(w) for w in basis]
     chunk_progs = [program(w) for w in chunks]
-    # basis images -> (key, serial number of the key, basis-image subgroup)
-    memo: dict[tuple[int, ...], tuple[tuple, int, frozenset[int]]] = {}
-    serials: dict[tuple, int] = {}
     seen: set[int] = set()
     if rank == 0:
         assignments = [()]
@@ -224,21 +229,15 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
         assignments = ((x, y) + r for x, ys in target.pair_leaders for y in ys for r in rest)
     for images in assignments:
         ext = images + tuple([inverse[x] for x in images])
-        restricted = tuple([value(prog, ext) for prog in basis_progs])
-        hit = memo.get(restricted)
-        if hit is None:
-            r = GenImages(len(basis), target, restricted)
-            key = kernel_key(r)
-            hit = memo[restricted] = (key, serials.setdefault(key, len(serials)),
-                                      r.image_members() if chunk_progs else frozenset())
-        key, serial, sub = hit
+        sub, labelled, number = _labelled_walk(
+            target, tuple([value(prog, ext) for prog in basis_progs]))
         if chunk_progs and any(value(prog, ext) in sub for prog in chunk_progs):
             continue
         if distinct:
-            if serial in seen:
+            if number in seen:
                 continue
-            seen.add(serial)
-        yield GenImages(rank, target, images), key
+            seen.add(number)
+        yield GenImages(rank, target, images), (len(basis), labelled)
 
 
 def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:
@@ -251,8 +250,8 @@ def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:
     """
     if u.rank != v.rank:
         raise AssertionError(f"ranks {u.rank} and {v.rank} differ")
-    elems_u, table_u = _labelled_walk(u)
-    elems_v, table_v = _labelled_walk(v)
+    elems_u, table_u, _ = _labelled_walk(u.target, u.images)
+    elems_v, table_v, _ = _labelled_walk(v.target, v.images)
     if table_u != table_v:
         return None
     return dict(zip(elems_u, elems_v))
@@ -267,12 +266,25 @@ def restriction(u: GenImages, words: Sequence[FreeWord]) -> GenImages:
     return GenImages(len(words), u.target, tuple(u.evaluate(w) for w in words))
 
 
-def _labelled_walk(u: GenImages) -> tuple[list[int], tuple]:
-    """Breadth-first walk of the image of u from the identity, stepping by
-    the generator images and then their inverses: the elements in the order
-    they are labelled, and per label the labels its steps reach."""
-    T = u.target
-    step = list(u.images) + [T.inverse[g] for g in u.images]
+def _labelled_walk(T: FiniteGroup, images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, int]:
+    """The walk of ``images`` on T (``_walk``), made once and then read from
+    T's walk cache (``FiniteGroup._walk_cache``)."""
+    walk = T._walk_cache[0].get(images)
+    return _walk(T, images) if walk is None else walk
+
+
+def _walk(T: FiniteGroup, images: tuple[int, ...]) -> tuple[tuple[int, ...], tuple, int]:
+    """Breadth-first walk of the subgroup of T that ``images`` generate,
+    from the identity, stepping by the images and then their inverses: the
+    elements in the order they are labelled, per label the labels its steps
+    reach, and the number of that labelled table among T's.
+
+    The walk is kept in T's walk cache by image tuple. Equal labelled
+    tables are kept once and numbered in the order they are first seen, so
+    on T a number stands for its table.
+    """
+    walks, tables = T._walk_cache
+    step = list(images) + [T.inverse[g] for g in images]
     label = {0: 0}
     order_seen = [0]
     table = []
@@ -287,11 +299,14 @@ def _labelled_walk(u: GenImages) -> tuple[list[int], tuple]:
                 order_seen.append(b)
             out.append(lb)
         table.append(tuple(out))
-    return order_seen, tuple(table)
+    labelled = tuple(table)
+    labelled, number = tables.setdefault(labelled, (labelled, len(tables)))
+    walks[images] = walk = (tuple(order_seen), labelled, number)
+    return walk
 
 
 def kernel_key(u: GenImages) -> tuple:
     """Canonical fingerprint of ker(u): BFS normal form of the image group
     with its marked generator tuple. Two GenImages of the same rank have
     equal kernels iff their keys coincide."""
-    return (u.rank, _labelled_walk(u)[1])
+    return (u.rank, _labelled_walk(u.target, u.images)[1])

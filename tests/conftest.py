@@ -18,6 +18,7 @@ from math import gcd
 import jsonschema
 import pytest
 
+from amalgsep import catalog as catalog_module
 from amalgsep import engine
 from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam
 from amalgsep.catalog import (
@@ -46,7 +47,6 @@ from amalgsep.fingrp import (
 )
 from amalgsep.freegrp import (
     GenImages,
-    kernel_key,
     reduce_word,
     word_mul,
     word_pow,
@@ -59,6 +59,22 @@ def spy_calls(monkeypatch, module, name) -> list[tuple]:
     calls, real = [], getattr(module, name)
     monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
     return calls
+
+
+def cold_group(G: FiniteGroup) -> FiniteGroup:
+    """A group equal to G with none of G's derived data cached yet: G
+    rebuilt from its fields, by ``Record.__reduce__``."""
+    cls, args = G.__reduce__()
+    return cls(*args)
+
+
+def cold_catalog(monkeypatch) -> None:
+    """Until the test ends, ``CatalogEntry.build`` hands out cold groups:
+    each table built so far is swapped for its ``cold_group``, and any
+    other is built afresh. Work counted on catalog groups then does not
+    depend on which tests ran before in the same process."""
+    monkeypatch.setattr(catalog_module, "_BUILD_CACHE", {
+        name: cold_group(G) for name, G in catalog_module._BUILD_CACHE.items()})
 
 
 def cyclic_table(n):
@@ -525,7 +541,8 @@ def _restricted_key(T, images, words):
 def scan_gen_images_oracle(rank, target, basis=(), chunks=(), distinct=False):
     """``freegrp.scan_gen_images`` as it was before it skipped automorphic
     images: every assignment of ``target^rank`` in lexicographic order,
-    with the same chunk filter, key memo and ``distinct`` rule."""
+    with the same chunk filter and ``distinct`` rule, and keys and
+    basis-image subgroups from the oracles in a memo of its own."""
     table, inverse = target.table, target.inverse
 
     def program(w):
@@ -547,10 +564,9 @@ def scan_gen_images_oracle(rank, target, basis=(), chunks=(), distinct=False):
         restricted = tuple([value(prog, ext) for prog in basis_progs])
         hit = memo.get(restricted)
         if hit is None:
-            r = GenImages(len(basis), target, restricted)
-            key = kernel_key(r)
+            key = kernel_key_oracle(target, restricted)
             hit = memo[restricted] = (key, serials.setdefault(key, len(serials)),
-                                      r.image_members() if chunk_progs else frozenset())
+                                      closure_oracle(target, restricted))
         key, serial, sub = hit
         if chunk_progs and any(value(prog, ext) in sub for prog in chunk_progs):
             continue

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 import amalgsep
 
 from amalgsep import amalgam
-from amalgsep import catalog as catalog_module
 from amalgsep import engine
 from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
 from amalgsep.catalog import (
@@ -44,6 +43,7 @@ from amalgsep.errors import InputError
 from amalgsep.fingrp import construct_group, is_p_power, respects_generators, subgroup_generated
 from amalgsep.freegrp import parse_word, word_inv, word_pow
 from conftest import (
+    cold_catalog,
     cyclic_table,
     elements_up_to_length,
     first_separating_hom_oracle,
@@ -403,7 +403,7 @@ class TestSeparateFinite:
         query = (pres, [("A", 1), ("B", 3)], [("A", 1), ("B", 1)])
         first = separate_from_cyclic(*query).to_json()
         assert first["outcome"] == "separated"
-        monkeypatch.setattr(catalog_module, "_BUILD_CACHE", {})
+        cold_catalog(monkeypatch)
         built, factor_homs = [], engine._factor_homs
         monkeypatch.setattr(engine, "_factor_homs",
                             lambda *args: built.append(args) or factor_homs(*args))

@@ -2,12 +2,22 @@ import itertools
 import random
 
 import pytest
-from conftest import induced_map_oracle, scan_gen_images_oracle, spy_calls
+from conftest import (
+    cold_catalog,
+    cold_group,
+    induced_map_oracle,
+    kernel_key_oracle,
+    scan_gen_images_oracle,
+    spy_calls,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from amalgsep import freegrp
+from amalgsep import catalog as catalog_module
+from amalgsep import engine, freegrp
 from amalgsep.catalog import cyclic_group, dihedral_group, symmetric_group
+from amalgsep.compat import enumerate_free_compatible_classes
+from amalgsep.fingrp import subgroup_generated
 from amalgsep.freegrp import (
     GenImages,
     format_word,
@@ -159,6 +169,39 @@ class TestWorkCounts:
                 assert word_pow(w, k) == want, (w, k)
         assert muls == []
 
+    @pytest.mark.parametrize("scan", ["classes", "pairs"])
+    def test_each_target_and_images_is_walked_once(self, monkeypatch, scan):
+        # On cold catalog groups a scan walks each (target, images) pair it
+        # reads once. Repeating it on an equal fresh description walks
+        # nothing, gives the same output and leaves the caches as they were.
+        cold_catalog(monkeypatch)
+        reads = spy_calls(monkeypatch, freegrp, "_labelled_walk")
+        walks = spy_calls(monkeypatch, freegrp, "_walk")
+        a, c = ["a", "b"], ["c", "d"]
+
+        def run():
+            desc = engine.conjugation_doubling_description()
+            if scan == "classes":
+                return [(key, na, u.images, nb, v.images)
+                        for key, na, u, nb, v in enumerate_free_compatible_classes(desc, 12)]
+            chunks = [parse_word("b", a)], [parse_word("d", c), parse_word("c d", c)]
+            return [text for text, _ in engine._free_pair_scan(desc, *chunks, None, 12)]
+
+        first = run()
+        assert first and walks and len(walks) == len(set(walks)) == len(set(reads))
+        sizes = walk_cache_sizes()
+        assert sum(sizes.values()) == len(walks)
+        walks.clear()
+        assert [run() for _ in range(3)] == [first] * 3
+        assert walks == []
+        assert walk_cache_sizes() == sizes
+
+
+def walk_cache_sizes() -> dict[str, int]:
+    """The number of walks each catalog group keeps, by entry name."""
+    return {name: len(G._walk_cache[0]) for name, G in catalog_module._BUILD_CACHE.items()
+            if "_walk_cache" in vars(G)}
+
 
 class TestGenImages:
     def test_rank1_z4_counts(self):
@@ -241,15 +284,32 @@ class TestInducedMap:
             for v in maps:
                 assert (kernel_key(u) == kernel_key(v)) == (induced_map_oracle(u, v) is not None)
 
+    # Each test below gets cold targets and calls the function twice per
+    # argument: the first call walks the images, the second reads the walk
+    # the target kept.
     @pytest.mark.parametrize("rank", [1, 2])
     def test_matches_diagonal_closure(self, rank):
-        targets = [cyclic_group(4), cyclic_group(6), symmetric_group(3), dihedral_group(4)]
-        maps = [GenImages(rank, T, images) for T in targets
-                for images in itertools.product(T.elements(), repeat=rank)]
+        maps = cold_maps(rank)
         found = 0
         for u in maps:
             for v in maps:
-                got = induced_map(u, v)
-                assert got == induced_map_oracle(u, v), (u, v)
-                found += got is not None
+                want = induced_map_oracle(u, v)
+                assert induced_map(u, v) == want == induced_map(u, v), (u, v)
+                found += want is not None
         assert found > len(maps)
+
+    @pytest.mark.parametrize("rank", [1, 2])
+    def test_kernel_key_and_image_match_the_oracles(self, rank):
+        for u in cold_maps(rank):
+            want = kernel_key_oracle(u.target, u.images)
+            assert kernel_key(u) == want == kernel_key(u), u
+        for u in cold_maps(rank):
+            want = subgroup_generated(u.target, u.images).members
+            assert u.image_members() == want == u.image_members(), u
+
+
+def cold_maps(rank: int) -> list[GenImages]:
+    """Every map of the given rank into cold copies of Z4, Z6, S3 and D4."""
+    targets = [cyclic_group(4), cyclic_group(6), symmetric_group(3), dihedral_group(4)]
+    return [GenImages(rank, T, images) for T in map(cold_group, targets)
+            for images in itertools.product(T.elements(), repeat=rank)]

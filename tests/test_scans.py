@@ -22,6 +22,7 @@ from conftest import (
     catalog_oracle,
     catalog_twins_oracle,
     closure_oracle,
+    cold_catalog,
     evaluate_oracle,
     finish_scan_oracle,
     free_classes_oracle,
@@ -599,9 +600,9 @@ def test_abelianization_leaves_fewer_abelian_probes(monkeypatch):
 def test_probe_lists_build_fewer_maps(monkeypatch):
     """Factor homomorphisms built over a fixed finite sweep at bound 32,
     with the probe lists restricted and with ``_factor_homs`` ignoring the
-    restriction, which lists every map. Each sweep builds its factors and
-    targets afresh, so the counts are deterministic; the reports are the
-    same."""
+    restriction, which lists every map. Each sweep builds its factors
+    afresh and gets cold targets, so the counts are deterministic; the
+    reports are the same."""
     factor_homs = engine._factor_homs
 
     def sweep(restrict: bool) -> tuple[int, list]:
@@ -613,7 +614,7 @@ def test_probe_lists_build_fewer_maps(monkeypatch):
             built += len(out)
             return out
 
-        monkeypatch.setattr(catalog_module, "_BUILD_CACHE", {})
+        cold_catalog(monkeypatch)
         monkeypatch.setattr(engine, "_factor_homs", spy)
         docs = []
         for query in _finite_queries(random.Random(6)):
