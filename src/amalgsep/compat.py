@@ -6,7 +6,10 @@ additionally both subgroups connect to their factors by chains of normal
 subgroups with index-p steps whose H/K-intersection sets correspond.
 Compatible pairs induce an amalgam of the quotient factors together with
 a projection; the p-compatibility of the trivial pair is exactly the
-residual p-finiteness certificate for an amalgam of finite groups.
+residual p-finiteness certificate for an amalgam of finite groups. Each
+quotient is built once, a finite one per pair in the presentation's
+cache, a free one per targets, images and gluing on u's target, so what
+is cached on it serves every later query that reaches it.
 
 Pairs are enumerated as a join: N(B) is bucketed by S n K, and each R
 meets only the S with S n K = phi(R n H). That is compatibility itself,
@@ -279,6 +282,8 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     """Amalgam over A/R and B/S glued by hR -> (h phi)S. The compatibility
     equation is exactly that this map is well defined and injective;
     ``build_amalgam`` checks that it is onto the image of K and a homomorphism.
+    The quotient depends on the pair alone, so it is built once per
+    (R, S) and kept in the presentation's cache.
 
     Projecting a letter sequence and normalizing commutes with
     normalizing and then projecting.
@@ -286,24 +291,27 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     R, S = pair.r_side, pair.s_side
     if {pres.phi[x] for x in R.members & pres.H.members} != S.members & pres.K.members:
         raise AssertionError("pair fails the compatibility equation")
-    Qa, proj_a = quotient_with_projection(pres.A, R)
-    Qb, proj_b = quotient_with_projection(pres.B, S)
-    phi_bar = {proj_a[h]: proj_b[pres.phi[h]] for h in pres.H.members}
-    return _glue(Qa, Qb, phi_bar, proj_a.__getitem__, proj_b.__getitem__)
+    key = ("quotient", R.members, S.members)
+    qa = pres.compat_cache.get(key)
+    if qa is None:
+        Qa, proj_a = quotient_with_projection(pres.A, R)
+        Qb, proj_b = quotient_with_projection(pres.B, S)
+        phi_bar = {proj_a[h]: proj_b[pres.phi[h]] for h in pres.H.members}
+        qa = pres.compat_cache[key] = QuotientAmalgam(
+            _glue(Qa, Qb, phi_bar), proj_a.__getitem__, proj_b.__getitem__)
+    return qa
 
 
-def _glue(Qa: FiniteGroup, Qb: FiniteGroup, phi_bar: dict,
-          proj_a: Callable[[Any], int], proj_b: Callable[[Any], int]) -> QuotientAmalgam:
-    """The quotient amalgam of Qa and Qb glued along ``phi_bar``, whose keys
-    and values are the images of H and K. The map was built by the
-    program, so a failed ``build_amalgam`` check is a broken contract."""
+def _glue(Qa: FiniteGroup, Qb: FiniteGroup, phi_bar: dict) -> AmalgamPresentation:
+    """The amalgam of Qa and Qb glued along ``phi_bar``, whose keys and
+    values are the images of H and K. The map was built by the program,
+    so a failed ``build_amalgam`` check is a broken contract."""
     Hbar = subgroup_generated(Qa, sorted(phi_bar.keys()))
     Kbar = subgroup_generated(Qb, sorted(phi_bar.values()))
     try:
-        qpres = build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
+        return build_amalgam(Qa, Qb, Hbar, Kbar, phi_bar)
     except InputError as exc:
         raise AssertionError(str(exc)) from exc
-    return QuotientAmalgam(qpres, proj_a, proj_b)
 
 
 class FreeAmalgamDescription(Record):
@@ -326,19 +334,23 @@ class FreeAmalgamDescription(Record):
         self._fill(rank_a, rank_b, gen_names_a, gen_names_b, h_words, k_words)
 
 
-def _image_projection(u: GenImages) -> tuple[FiniteGroup, dict, Callable]:
-    """The subgroup generated by the images, re-indexed as a table group,
-    with the embedding of its members and the projection of free words."""
-    T = u.target
-    grp, member_list = subgroup_as_group(T, Subgroup(T, u.image_members()))
-    embed = {x: i for i, x in enumerate(member_list)}
-    return grp, embed, lambda w: embed[u.evaluate(w)]
+def _image_group(T: FiniteGroup, members: frozenset[int]) -> tuple[FiniteGroup, dict]:
+    """The subgroup of T with the given members, re-indexed as a table
+    group, with the embedding of its members."""
+    grp, member_list = subgroup_as_group(T, Subgroup(T, members))
+    return grp, {x: i for i, x in enumerate(member_list)}
 
 
 def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
                                 v: GenImages) -> QuotientAmalgam:
     """Quotient amalgam for free factors: image groups glued along the
-    images of the amalgamated subgroups."""
+    images of the amalgamated subgroups.
+
+    Its presentation is fixed by u's target and image, v's target and
+    image, and the gluing, so it is built once per such key and kept on
+    u's target (``FiniteGroup._quotient_cache``). Each call wraps it with
+    the projections of its own u and v. Everything cached on the
+    presentation depends on the presentation alone."""
     if u.rank != desc.rank_a or v.rank != desc.rank_b:
         raise AssertionError("generator images do not match the description ranks")
     # The identification is the induced map between the images of the
@@ -346,9 +358,17 @@ def build_free_quotient_amalgam(desc: FreeAmalgamDescription, u: GenImages,
     iso = induced_map(restriction(u, desc.h_words), restriction(v, desc.k_words))
     if iso is None:
         raise AssertionError("restriction kernels differ")
-    Qa, embed_a, proj_a = _image_projection(u)
-    Qb, embed_b, proj_b = _image_projection(v)
-    return _glue(Qa, Qb, {embed_a[a]: embed_b[b] for a, b in iso.items()}, proj_a, proj_b)
+    image_a, image_b = u.image_members(), v.image_members()
+    key = (image_a, v.target, image_b, frozenset(iso.items()))
+    built = u.target._quotient_cache.get(key)
+    if built is None:
+        Qa, embed_a = _image_group(u.target, image_a)
+        Qb, embed_b = _image_group(v.target, image_b)
+        phi_bar = {embed_a[a]: embed_b[b] for a, b in iso.items()}
+        built = u.target._quotient_cache[key] = (_glue(Qa, Qb, phi_bar), embed_a, embed_b)
+    qpres, embed_a, embed_b = built
+    return QuotientAmalgam(qpres, lambda w: embed_a[u.evaluate(w)],
+                           lambda w: embed_b[v.evaluate(w)])
 
 
 def presentation_residually_p(pres: AmalgamPresentation, p: int) -> bool:

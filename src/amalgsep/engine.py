@@ -56,12 +56,16 @@ are cyclic (one basis word per side). Membership is decided exactly on
 the symbolic normal forms, each built in one left-to-right pass
 (``free_reduced_form``); a non-member is then separated inside the
 first length-preserving finite quotient amalgam that keeps h outside <g>,
-found by one pair scan. The pair scan behind those quotients
+found by one pair scan, which also names the first length-preserving pair
+when none keeps h outside. The pair scan behind those quotients
 yields each pair of kernels once: the quotient amalgam and every filter
 depend on the two kernels alone, so a repeated pair could only repeat a
 rejection. That still removes kernels repeated across targets; the
 scanner itself skips images that differ by an automorphism of the
-target before any word is evaluated.
+target before any word is evaluated. Each quotient presentation is
+built once per targets, images and gluing and kept on the target
+(``compat.build_free_quotient_amalgam``), for every later scan, of any
+description, that reaches it.
 """
 
 from __future__ import annotations
@@ -474,8 +478,10 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     automorphisms of the target, among them the first assignment of every
     kernel, so each kernel pair is still first yielded at the pair it is
     first reached at over the full product. Every kernel key is read from
-    the target's walk cache (``freegrp._labelled_walk``), which the scans
-    of this query and of earlier ones have mostly filled already.
+    the target's walk cache (``freegrp._labelled_walk``), and every
+    quotient presentation from the target's quotient memo
+    (``compat.build_free_quotient_amalgam``), which the scans of this
+    query and of earlier ones have mostly filled already.
     """
     tried: set[tuple] = set()
     for entry in targets(bound, p):
@@ -855,13 +861,14 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         report.exponent = exponent
         return report
 
-    step = _refine(report, desc, g_red, h_trans, p, pair_bound,
-                   lambda hq, gq: not am.cyclic_member(hq, gq).is_member)
+    step, first = _refine(report, desc, g_red, h_trans, p, pair_bound,
+                          lambda hq, gq: not am.cyclic_member(hq, gq).is_member)
     if step is None:
         if n == 0:
             return _exhausted(report, pair_bound)
         # Name the first length-preserving pair, if any: it maps h into <g>.
-        if _refine(report, desc, g_red, h_trans, p, pair_bound, None) is None:
+        report.pair_desc = first
+        if first is None:
             return _exhausted(report, pair_bound, "no length-preserving pair up to the bound")
         return _exhausted(report, pair_bound, "h lies outside <g>, but every pair "
                           "up to the bound maps h into the image of <g>")
@@ -888,7 +895,7 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
             hn, gk = am.power(hq, n_prime), am.power(gq, k)
             return hn != gk and hn != am.invert(gk)
 
-        step = _refine(report, desc, g_red, h_trans, p, pair_bound, apart)
+        step, _ = _refine(report, desc, g_red, h_trans, p, pair_bound, apart)
         if step is None:
             return _exhausted(report, pair_bound,
                               "no refining pair distinguishes the power collision")
@@ -907,23 +914,30 @@ def _free_power_letters(letters, k: int) -> list[FreeLetter]:
 
 def _refine(report, desc, g_red, h_trans, p, pair_bound, accept):
     """The first pair of ``_free_pair_scan`` keeping the chunks of g and h
-    at their lengths whose images (hq, gq) of h and g pass ``accept`` (any
-    images when it is None) and, in p-mode, whose quotient is residually p,
-    named in the report: (qa, hq, gq), or None when no pair up to the bound
-    passes. Both filters are pure, so testing the cheap one first keeps the
-    first passing pair."""
+    at their lengths whose images (hq, gq) of h and g pass ``accept`` and,
+    in p-mode, whose quotient is residually p, named in the report, as
+    (qa, hq, gq) or None; and the text of the first pair that passes all
+    but ``accept``, or None. Both filters are pure, so testing the cheap
+    one first keeps the first passing pair, and the second is tested on a
+    rejected pair only until that first text is found. A second call in
+    the same query reads each quotient that the first built, with its
+    residual-p verdict, from the targets' quotient memo."""
     chunks = g_red.chunks + h_trans.chunks
     h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+    first = None
     for text, qa in _free_pair_scan(desc, [w for s, w in chunks if s == "A"],
                                     [w for s, w in chunks if s == "B"], p, pair_bound):
         hq, gq = qa.project(h_letters), qa.project(g_letters)
-        if accept is not None and not accept(hq, gq):
+        passed = accept(hq, gq)
+        if not passed and first is not None:
             continue
         if p is not None and not presentation_residually_p(qa.presentation, p):
             continue
-        report.pair_desc = text
-        return qa, hq, gq
-    return None
+        first = first or text
+        if passed:
+            report.pair_desc = text
+            return (qa, hq, gq), first
+    return None, first
 
 
 # ---------------------------------------------------------------------------

@@ -28,13 +28,19 @@ closures of conjugacy classes; its index-p cover edges, one table
 per prime p (``normal_covers``, for compat's chain families); and the
 labelled walks of the subgroups that tuples of its elements generate
 (``_walk_cache``, filled by ``freegrp``'s kernel fingerprints), at most
-one entry per distinct image tuple scanned on the group. Nothing
-that involves a second group is cached here: the certificate scan keeps
-its factor homomorphisms on the presentation, keyed by target name. The
-caches sit in the instance ``__dict__``, outside ``FiniteGroup._fields``,
-so equality and hashing ignore them; they live and die with the group,
-and no module-level table keeps a group alive. ``Record``, the base of
-every record class in the package, lives here too.
+one entry per distinct image tuple scanned on the group. One cache
+involves a second group: the presentations of the free quotient
+amalgams whose A factor is a subgroup of this group (``_quotient_cache``,
+filled by ``compat.build_free_quotient_amalgam``), one per (subgroup,
+partner group and subgroup, gluing). It is bounded: the group has
+finitely many subgroups, each glues onto a subgroup of a partner in
+finitely many ways, and the library's scans take their partners from the
+finite catalog. The certificate scan keeps its factor homomorphisms on
+the presentation, keyed by target name. The caches sit in the instance
+``__dict__``, outside ``FiniteGroup._fields``, so equality and hashing
+ignore them; they live and die with the group, and no module-level table
+keeps a group alive. ``Record``, the base of every record class in the
+package, lives here too.
 """
 
 from __future__ import annotations
@@ -209,6 +215,14 @@ class FiniteGroup(Record):
     def __repr__(self) -> str:
         return f"FiniteGroup(order={self.order})"
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The hash of the fields, computed once: the table is large."""
+        return hash(self._key(self))
+
     @cached_property
     def generators(self) -> tuple[int, ...]:
         """A generating set, chosen greedily (``greedy_generators``)."""
@@ -317,6 +331,12 @@ class FiniteGroup(Record):
         """(walks by image tuple, labelled tables by value), kept and read by
         ``freegrp._labelled_walk``."""
         return {}, {}
+
+    @cached_property
+    def _quotient_cache(self) -> dict[tuple, tuple]:
+        """Free quotient presentations with their embeddings, kept and read
+        by ``compat.build_free_quotient_amalgam``."""
+        return {}
 
     def normal_covers(self, p: int) -> dict[frozenset[int], tuple[frozenset[int], ...]]:
         """The index-p cover edges of the normal-subgroup lattice: for each

@@ -77,6 +77,25 @@ def cold_catalog(monkeypatch) -> None:
         name: cold_group(G) for name, G in catalog_module._BUILD_CACHE.items()})
 
 
+def cold_presentation(pres: AmalgamPresentation) -> AmalgamPresentation:
+    """A presentation equal to ``pres`` on ``cold_group`` copies of its
+    factors, so nothing derived from either is cached yet."""
+    A, B = cold_group(pres.A), cold_group(pres.B)
+    return build_amalgam(A, B, Subgroup(A, pres.H.members), Subgroup(B, pres.K.members),
+                         dict(pres.phi))
+
+
+def quotient_view(qa, letter_lists) -> tuple:
+    """A quotient amalgam by value: its factor tables and names, its
+    amalgamated subgroups and gluing, and the normal forms it projects
+    each letter list to. A memoized quotient and a fresh build of the
+    same pair agree on it."""
+    q = qa.presentation
+    forms = [(x.core, x.syllables) for x in map(qa.project, letter_lists)]
+    return (q.A.table, q.A.names, q.B.table, q.B.names, q.H.members, q.K.members, q.phi,
+            forms)
+
+
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 

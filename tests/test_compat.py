@@ -1,9 +1,20 @@
+import itertools
+import json
 import random
 
 import pytest
+from conftest import (
+    cold_catalog,
+    cold_group,
+    cold_presentation,
+    quotient_view,
+    spy_calls,
+)
+from test_scans import FINITE_AMALGAMS, _finite_amalgam, _finite_queries, _free_queries
 
+from amalgsep import compat, engine
 from amalgsep.amalgam import build_amalgam, multiply, normalize, syllable_length
-from amalgsep.catalog import cyclic_group, symmetric_group
+from amalgsep.catalog import catalog, cyclic_group, symmetric_group
 from amalgsep.compat import (
     CompatiblePair,
     FreeAmalgamDescription,
@@ -17,7 +28,10 @@ from amalgsep.compat import (
     is_p_compatible,
     presentation_residually_p,
 )
+from amalgsep.engine import conjugation_doubling_description, power_congruence_description
+from amalgsep.errors import InputError
 from amalgsep.fingrp import (
+    Subgroup,
     quotient_with_projection,
     subgroup_generated,
     trivial_subgroup,
@@ -294,3 +308,136 @@ class TestCyclicCollapseExhaustive:
                 for pair in enumerate_compatible_pairs(pres, "plain"):
                     assert is_p_compatible(pres, pair.r_side, pair.s_side, p) \
                         is not None, (n, d, j, pair.key())
+
+
+def _free_letter_lists(desc, rng, n=8) -> list[list]:
+    """n lists of letters (side, free word) with random words."""
+    out = []
+    for _ in range(n):
+        letters = []
+        for side in rng.choice(["A", "B", "AB", "BA", "ABA"]):
+            rank = desc.rank_a if side == "A" else desc.rank_b
+            letters.append((side, tuple((rng.randrange(rank), rng.choice((1, -1)))
+                                        for _ in range(rng.randint(1, 4)))))
+        out.append(letters)
+    return out
+
+
+def _finite_letter_lists(pres, rng, n=8) -> list[list]:
+    """n lists of letters (side, factor element) with random elements."""
+    return [[(side, rng.randrange(pres.factor(side).order))
+             for side in rng.choice(["A", "B", "AB", "BAB"])] for _ in range(n)]
+
+
+class TestQuotientMemo:
+    """A memoized quotient amalgam equals a fresh build of the same pair on
+    cold groups, whose memos are empty (``conftest.quotient_view``)."""
+
+    @pytest.mark.parametrize("desc,name", [
+        (power_congruence_description(3), "Z9"),
+        (power_congruence_description(2), "Z8"),
+        (conjugation_doubling_description(), "S3")])
+    def test_free_pairs_on_one_target(self, desc, name):
+        # Every compatible pair of assignments, not only the scan's
+        # leaders, so that many pairs share a memo entry, and some pairs
+        # share both images but not the gluing.
+        T = next(e for e in catalog(16) if e.name == name).build()
+        words = _free_letter_lists(desc, random.Random(name))
+        keys = set()
+        for images_a in itertools.product(T.elements(), repeat=desc.rank_a):
+            u = GenImages(desc.rank_a, T, images_a)
+            for images_b in itertools.product(T.elements(), repeat=desc.rank_b):
+                v = GenImages(desc.rank_b, T, images_b)
+                iso = induced_map(restriction(u, desc.h_words), restriction(v, desc.k_words))
+                if iso is None:
+                    continue
+                keys.add((u.image_members(), v.image_members(), frozenset(iso.items())))
+                cold = cold_group(T)
+                want = build_free_quotient_amalgam(desc, GenImages(desc.rank_a, cold, images_a),
+                                                   GenImages(desc.rank_b, cold, images_b))
+                got = build_free_quotient_amalgam(desc, u, v)
+                assert quotient_view(got, words) == quotient_view(want, words), (
+                    images_a, images_b)
+        assert len({key[:2] for key in keys}) < len(keys)
+
+    @pytest.mark.parametrize("h_word,k_word,bound", [("a^2", "b^4", 32), ("a^2", "b^2", 32),
+                                                     ("a^3", "b^3", 27)])
+    def test_free_pairs_on_two_targets(self, h_word, k_word, bound):
+        # In p-mode each side of a class keeps its own first target: a^2
+        # has an image of order 2 first on Z4, b^4 first on Z8. The class
+        # scan has built every quotient already.
+        p = 3 if "3" in h_word else 2
+        desc = FreeAmalgamDescription(1, 1, ("a",), ("b",), (parse_word(h_word, ["a"]),),
+                                      (parse_word(k_word, ["b"]),))
+        words = _free_letter_lists(desc, random.Random(h_word + k_word))
+        classes = enumerate_free_compatible_classes(desc, bound, p)
+        assert classes
+        for _, _, u, _, v in classes:
+            want = build_free_quotient_amalgam(desc, GenImages(1, cold_group(u.target), u.images),
+                                               GenImages(1, cold_group(v.target), v.images))
+            got = build_free_quotient_amalgam(desc, u, v)
+            assert quotient_view(got, words) == quotient_view(want, words)
+        assert (k_word == "b^4") == any(u.target != v.target for *_, u, _, v in classes)
+
+    @pytest.mark.parametrize("amalgam", FINITE_AMALGAMS, ids=lambda a: "-".join(map(str, a)))
+    def test_finite_pairs(self, amalgam):
+        # Plain and p-mode pairs with equal sides share one quotient.
+        pres = _finite_amalgam(*amalgam)
+        words = _finite_letter_lists(pres, random.Random(repr(amalgam)))
+        for mode, p in (("plain", None), ("p", 2), ("p", 3)):
+            for pair in enumerate_compatible_pairs(pres, mode, p):
+                got = build_quotient_amalgam(pres, pair)
+                assert build_quotient_amalgam(pres, pair) is got
+                cold = cold_presentation(pres)
+                want = build_quotient_amalgam(cold, CompatiblePair(
+                    mode, p, Subgroup(cold.A, pair.r_side.members),
+                    Subgroup(cold.B, pair.s_side.members)))
+                assert quotient_view(got, words) == quotient_view(want, words)
+
+    def test_a_repeated_finite_query_builds_each_quotient_once(self, monkeypatch):
+        # Queries inside one factor separate in the quotient of their
+        # factor pair; repeated, in either mode, they build it no more.
+        pres = _finite_amalgam("D4", "Z8", 2)
+        builds = spy_calls(monkeypatch, compat, "build_amalgam")
+
+        def run():
+            return [engine.separate_from_cyclic(pres, [(side, h)], [(side, g)], mode, p,
+                                                32).to_json()
+                    for side, h, g in (("A", 4, 1), ("B", 1, 2), ("B", 3, 2))
+                    for mode, p in (("plain", None), ("p", 2))]
+
+        first = run()
+        pairs = {doc["pair"] for doc in first}
+        assert all("factor pair" in pair for pair in pairs)
+        assert len(builds) == len(pairs)
+        builds.clear()
+        assert [run() for _ in range(2)] == [first] * 2
+        assert builds == []
+
+
+@pytest.mark.parametrize("sweep", ["finite", "free"])
+def test_reports_match_with_a_cold_and_a_warm_memo(monkeypatch, sweep):
+    # Cold: each query on a cold catalog, and for finite factors on a cold
+    # copy of its presentation, so that no quotient is memoized yet. Warm:
+    # the sweep twice on one catalog and the same presentations, so the
+    # second pass reads every quotient from the memos.
+    def queries():
+        rng = random.Random(5)
+        return list(_finite_queries(rng) if sweep == "finite" else _free_queries(rng))
+
+    def report(query):
+        try:
+            return json.dumps(engine.separate_from_cyclic(*query).to_json(), sort_keys=True)
+        except InputError as exc:  # g = 1
+            return str(exc)
+
+    cold = []
+    for target, *rest in queries():
+        cold_catalog(monkeypatch)
+        if sweep == "finite":
+            target = cold_presentation(target)
+        cold.append(report((target, *rest)))
+    cold_catalog(monkeypatch)
+    warm = queries()
+    assert [report(query) for query in warm] == cold
+    assert [report(query) for query in warm] == cold

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import pytest
@@ -27,6 +28,7 @@ from amalgsep.compat import (
     FreeAmalgamDescription,
     build_quotient_amalgam,
     enumerate_compatible_pairs,
+    enumerate_free_compatible_classes,
 )
 from amalgsep.engine import (
     WitnessReport,
@@ -49,6 +51,7 @@ from conftest import (
     first_separating_hom_oracle,
     free_reduced_form_oracle,
     homs_oracle,
+    relabeled_amalgam,
     spy_calls,
 )
 
@@ -769,3 +772,62 @@ class TestNonResiduallyP:
         assert rep.outcome == "obstructed"
         assert rep.reason == "bound_exhausted"
         assert any("residually" in note for note in rep.notes)
+
+
+class TestLongLivedProcess:
+    # Fresh relabelled finite presentations, and fresh free descriptions
+    # equal to earlier ones up to b -> b^-1 and d -> d^-1, queried through
+    # conjugators. Each free variant recurs every four rounds.
+    CONJUGATORS = ([("A", ((0, 1),)), ("B", ((0, -1),))], [("B", ((0, 1),)), ("A", ((0, 1),))])
+    SLACK = 2048                # bytes; these rounds keep 32
+
+    @staticmethod
+    def one_round(i: int, skeletons) -> None:
+        rng = random.Random(i)
+        for k, skel in enumerate(skeletons):
+            pres = relabeled_amalgam(skel, f"{i}:{k}")
+            xa = [x for x in pres.A.elements() if x not in pres.H.members]
+            xb = [x for x in pres.B.elements() if x not in pres.K.members]
+            for mode, p in (("plain", None), ("p", (2, 3)[k])):
+                enumerate_compatible_pairs(pres, mode, p)
+                for _ in range(3):
+                    h = [("A", rng.choice(xa)), ("B", rng.choice(xb))][:rng.randint(1, 2)]
+                    g = [("B", rng.choice(xb)), ("A", rng.choice(xa))]
+                    separate_from_cyclic(pres, h, g, mode, p, 16)
+        c = TestLongLivedProcess.CONJUGATORS[i % 2]
+        c_inv = [(side, word_inv(w)) for side, w in reversed(c)]
+        for p in (2, 3):
+            desc = power_congruence_description(p)
+            h = [("A", ((0, 1),)), ("B", ((0, -1),) * 3)]
+            g = [("A", ((0, 1),)), ("B", ((0, 1),) * 3)]
+            for mode, prime in (("plain", None), ("p", p)):
+                separate_from_cyclic(desc, c + h + c_inv, c + g + c_inv, mode, prime, 16, 16)
+        sb, sd = (1, -1)[i % 2], (1, -1)[i // 2 % 2]
+        desc = FreeAmalgamDescription(
+            2, 2, ("a", "b"), ("c", "d"), (((0, 1),), ((1, -sb), (0, 1), (1, sb))),
+            (((0, 1),), ((1, -sd), (0, 1), (0, 1), (1, sd))))
+        for prime in (None, 2):
+            enumerate_free_compatible_classes(desc, 8, prime)
+
+    def test_traced_memory_stays_flat(self):
+        # Every cache is bounded: the presentations' caches die with them,
+        # and the catalog targets keep at most one walk and one quotient
+        # presentation per key. So after a warm-up round per free variant,
+        # k more rounds keep no more memory than the first k did.
+        skeletons = [_cyclic_amalgam("D4", "Z8", 2), _cyclic_amalgam("Z9", "Z9", 3)]
+        for i in range(4):
+            self.one_round(i, skeletons)
+        k = 8
+        tracemalloc.start()
+        try:
+            for i in range(100, 100 + k):
+                self.one_round(i, skeletons)
+            gc.collect()
+            first = tracemalloc.get_traced_memory()[0]
+            for i in range(200, 200 + k):
+                self.one_round(i, skeletons)
+            gc.collect()
+            second = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert second - first <= self.SLACK, (first, second)

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amalgsep import catalog as catalog_module
-from amalgsep import engine, freegrp
+from amalgsep import compat, engine, freegrp
 from amalgsep.catalog import cyclic_group, dihedral_group, symmetric_group
 from amalgsep.compat import enumerate_free_compatible_classes
 from amalgsep.fingrp import subgroup_generated
@@ -195,6 +195,37 @@ class TestWorkCounts:
         assert [run() for _ in range(3)] == [first] * 3
         assert walks == []
         assert walk_cache_sizes() == sizes
+
+    def test_a_repeated_free_separation_builds_no_quotient(self, monkeypatch):
+        # The catalog targets keep every quotient presentation, and each
+        # presentation its factor maps, so the same separation on an equal
+        # fresh description builds neither and reports the same. The
+        # queries pass past rejected pairs, end exhausted after naming the
+        # first length-preserving pair, and refine a power collision.
+        cold_catalog(monkeypatch)
+        builds = spy_calls(monkeypatch, compat, "build_amalgam")
+        lists = spy_calls(monkeypatch, engine, "_factor_homs")
+        queries = [(2, "A:a B:b^-3", "A:a B:b^3", "plain", None, 48),
+                   (2, "A:a B:b A:a B:b^17", "A:a B:b", "p", 2, 16),
+                   (2, "A:a B:b", "A:a B:b A:a B:b A:a B:b", "p", 2, 16),
+                   (3, "A:a^2 B:b", "A:a B:b", "plain", None, 48)]
+
+        def letters(text):
+            return [(side, parse_word(word, ["a"] if side == "A" else ["b"]))
+                    for side, word in (token.split(":") for token in text.split())]
+
+        def run(p, h, g, mode, prime, bound):
+            desc = engine.power_congruence_description(p)
+            return engine.separate_from_cyclic(desc, letters(h), letters(g), mode, prime,
+                                               pair_bound=bound).to_json()
+
+        first = [run(*query) for query in queries]
+        assert builds and lists
+        assert {doc["outcome"] for doc in first} == {"separated", "obstructed"}
+        builds.clear()
+        lists.clear()
+        assert [[run(*query) for query in queries] for _ in range(2)] == [first] * 2
+        assert builds == [] and lists == []
 
 
 def walk_cache_sizes() -> dict[str, int]:

@@ -283,9 +283,10 @@ class TestFreePairScan:
         real = engine._refine
 
         def spy(report, desc, g_red, h_trans, p, bound, accept):
-            out = real(report, desc, g_red, h_trans, p, bound, accept)
-            calls.append((desc, g_red, h_trans, p, bound, accept, out and report.pair_desc))
-            return out
+            step, first = real(report, desc, g_red, h_trans, p, bound, accept)
+            calls.append((desc, g_red, h_trans, p, bound, accept,
+                          step and report.pair_desc, first))
+            return step, first
 
         monkeypatch.setattr(engine, "_refine", spy)
         for desc, h, g, mode, p, bound in PAIR_QUERIES:
@@ -293,15 +294,19 @@ class TestFreePairScan:
             engine.separate_from_cyclic(desc, _letters(desc, h), _letters(desc, g),
                                         mode=mode, p=p, max_order=32, pair_bound=bound)
             assert len(calls) > n, (h, g)
-        assert {accept is None for *_, accept, _ in calls} == {False, True}
-        for desc, g_red, h_trans, p, bound, accept, got in calls:
+        # Some scans pass no pair, so their first length-preserving pair
+        # names the report; the oracle checks both texts of every scan.
+        assert {got is None and first is not None for *_, got, first in calls} == {False, True}
+        for desc, g_red, h_trans, p, bound, accept, got, first in calls:
             chunks = g_red.chunks + h_trans.chunks
             h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
-            want = free_pair_scan_oracle(
-                desc, [w for s, w in chunks if s == "A"], [w for s, w in chunks if s == "B"],
-                p, bound, accept=accept and (
-                    lambda qa: accept(qa.project(h_letters), qa.project(g_letters))))
+            scan = ([w for s, w in chunks if s == "A"], [w for s, w in chunks if s == "B"],
+                    p, bound)
+            want = free_pair_scan_oracle(desc, *scan, accept=lambda qa: accept(
+                qa.project(h_letters), qa.project(g_letters)))
             assert got == (want and want[0])
+            want_first = free_pair_scan_oracle(desc, *scan)
+            assert first == (want_first and want_first[0])
 
     @pytest.mark.parametrize("desc,orders", [
         (PC2, (6, 3)), (PC2, (3, 6)), (PC2, (9, 9)), (PC3, (6, 2)), (PC3, (4, 4)),
@@ -424,9 +429,9 @@ def _scan_record(monkeypatch, slow, seed):
         return out
 
     def refine_spy(*args):
-        out = refine(*args)
-        record.append(("pair", args[4:6], out and args[0].pair_desc))
-        return out
+        step, first = refine(*args)
+        record.append(("pair", args[4:6], step and args[0].pair_desc, first))
+        return step, first
 
     monkeypatch.setattr(engine, "_finish_scan", finish_spy)
     monkeypatch.setattr(engine, "_refine", refine_spy)
@@ -452,7 +457,7 @@ def test_class_scan_matches_the_full_catalog(monkeypatch, seed):
         outcomes = {(doc["outcome"], doc.get("bound")) for doc in finished
                     if doc["query"]["mode"] == mode}
         assert ("obstructed", 32) in outcomes and any(o == "separated" for o, _ in outcomes)
-    pairs = [(p, out) for tag, (p, _), out in (r for r in fast if r[0] == "pair")]
+    pairs = [(p, out) for tag, (p, _), out, _ in (r for r in fast if r[0] == "pair")]
     assert {p is None for p, _ in pairs} == {True, False}
     assert any(out is None for _, out in pairs) and any(out is not None for _, out in pairs)
 
