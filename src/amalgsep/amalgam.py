@@ -68,12 +68,10 @@ class AmalgamPresentation(Record):
     @cached_property
     def compat_cache(self) -> dict:
         """Compat's p-chain families, p-pair verdicts and compatible-pair
-        lists, keyed by tuples, and its quotient amalgam of each compatible
-        pair (R, S) under ``("quotient", R.members, S.members)``; the
-        engine's glued factor maps onto a catalog entry's group under
-        ``("glued", entry.name)`` (no group is held) and its
-        abelianization data under ``"abelianization"``. It lives and dies
-        with the presentation."""
+        lists, keyed by tuples; the engine's glued factor maps onto a
+        catalog entry's group under ``("glued", entry.name)`` (no group is
+        held) and its abelianization data under ``"abelianization"``. It
+        lives and dies with the presentation."""
         return {}
 
 

@@ -7,9 +7,9 @@ subgroups with index-p steps whose H/K-intersection sets correspond.
 Compatible pairs induce an amalgam of the quotient factors together with
 a projection; the p-compatibility of the trivial pair is exactly the
 residual p-finiteness certificate for an amalgam of finite groups. Each
-quotient is built once, a finite one per pair in the presentation's
-cache, a free one per targets, images and gluing on u's target, so what
-is cached on it serves every later query that reaches it.
+free quotient is built once per targets, images and gluing, and kept on
+u's target, so what is cached on it serves every later query that
+reaches it.
 
 Pairs are enumerated as a join: N(B) is bucketed by S n K, and each R
 meets only the S with S n K = phi(R n H). That is compatibility itself,
@@ -282,8 +282,6 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     """Amalgam over A/R and B/S glued by hR -> (h phi)S. The compatibility
     equation is exactly that this map is well defined and injective;
     ``build_amalgam`` checks that it is onto the image of K and a homomorphism.
-    The quotient depends on the pair alone, so it is built once per
-    (R, S) and kept in the presentation's cache.
 
     Projecting a letter sequence and normalizing commutes with
     normalizing and then projecting.
@@ -291,15 +289,10 @@ def build_quotient_amalgam(pres: AmalgamPresentation,
     R, S = pair.r_side, pair.s_side
     if {pres.phi[x] for x in R.members & pres.H.members} != S.members & pres.K.members:
         raise AssertionError("pair fails the compatibility equation")
-    key = ("quotient", R.members, S.members)
-    qa = pres.compat_cache.get(key)
-    if qa is None:
-        Qa, proj_a = quotient_with_projection(pres.A, R)
-        Qb, proj_b = quotient_with_projection(pres.B, S)
-        phi_bar = {proj_a[h]: proj_b[pres.phi[h]] for h in pres.H.members}
-        qa = pres.compat_cache[key] = QuotientAmalgam(
-            _glue(Qa, Qb, phi_bar), proj_a.__getitem__, proj_b.__getitem__)
-    return qa
+    Qa, proj_a = quotient_with_projection(pres.A, R)
+    Qb, proj_b = quotient_with_projection(pres.B, S)
+    phi_bar = {proj_a[h]: proj_b[pres.phi[h]] for h in pres.H.members}
+    return QuotientAmalgam(_glue(Qa, Qb, phi_bar), proj_a.__getitem__, proj_b.__getitem__)
 
 
 def _glue(Qa: FiniteGroup, Qb: FiniteGroup, phi_bar: dict) -> AmalgamPresentation:

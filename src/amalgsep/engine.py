@@ -3,12 +3,12 @@
 ``separate_from_cyclic`` runs the constructive separation procedure: the
 generator is cyclically reduced (conjugating the candidate along), exact
 cyclic membership is decided, and the case split on syllable lengths
-selects either the length-divisibility argument, a factor-level family
-scan, or (in p-mode) the isolated-closure argument. Final certificates
-are always homomorphisms onto catalog finite groups, re-verified in the
-target group before being reported: both factor maps respect every edge
-of the Cayley graph of their group's generators, agree on the amalgamated
-subgroup, and send h outside <g>.
+selects either the length-divisibility argument or (in p-mode) the
+isolated-closure argument. Final certificates are always homomorphisms
+onto catalog finite groups, re-verified in the target group before being
+reported: both factor maps respect every edge of the Cayley graph of their
+group's generators, agree on the amalgamated subgroup, and send h outside
+<g>.
 
 Homomorphisms from a factor G to a target T are found by extension along
 the Cayley graph of a least generating tuple of G: each candidate tuple
@@ -92,7 +92,6 @@ from .compat import (
     FreeAmalgamDescription,
     QuotientAmalgam,
     build_free_quotient_amalgam,
-    build_quotient_amalgam,
     enumerate_compatible_pairs,
     enumerate_free_compatible_classes,
     free_family_separability,
@@ -105,7 +104,6 @@ from .fingrp import (
     Record,
     abelianization,
     is_prime,
-    product_set,
     respects_generators,
     subgroup_generated,
 )
@@ -123,6 +121,8 @@ from .freegrp import (
 
 DEFAULT_TARGET_BOUND = 256
 DEFAULT_PAIR_BOUND = 48
+# The trivial pair's ``CompatiblePair.key``: in-factor reports name it, and readers parse it.
+IN_FACTOR_PAIR = " -> factor pair ((1, (0,)), (1, (0,)))"
 
 FreeLetter = tuple[str, FreeWord]
 
@@ -517,7 +517,7 @@ class WitnessReport(Record):
     __slots__ = _fields = (
         "mode", "prime", "h_text", "g_text", "outcome", "exponent", "reason", "target_name",
         "target_order", "image_order", "hom_map_a", "hom_map_b", "root_prime", "root_text",
-        "lambda_side", "bound", "pair_desc", "reverified", "notes")
+        "bound", "pair_desc", "reverified", "notes")
     __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
 
     def __init__(self, mode: str, prime: Optional[int], h_text: str, g_text: str, outcome: str,
@@ -526,14 +526,14 @@ class WitnessReport(Record):
                  image_order: Optional[int] = None,
                  hom_map_a: Optional[tuple[int, ...]] = None,
                  hom_map_b: Optional[tuple[int, ...]] = None, root_prime: Optional[int] = None,
-                 root_text: Optional[str] = None, lambda_side: Optional[str] = None,
-                 bound: Optional[int] = None, pair_desc: Optional[str] = None,
+                 root_text: Optional[str] = None, bound: Optional[int] = None,
+                 pair_desc: Optional[str] = None,
                  reverified: Optional[bool] = None, notes: Optional[list[str]] = None):
         self.mode, self.prime, self.h_text, self.g_text = mode, prime, h_text, g_text
         self.outcome, self.exponent, self.reason = outcome, exponent, reason
         self.target_name, self.target_order = target_name, target_order
         self.image_order, self.hom_map_a, self.hom_map_b = image_order, hom_map_a, hom_map_b
-        self.root_prime, self.root_text, self.lambda_side = root_prime, root_text, lambda_side
+        self.root_prime, self.root_text = root_prime, root_text
         self.bound, self.pair_desc, self.reverified = bound, pair_desc, reverified
         self.notes = [] if notes is None else notes
 
@@ -559,8 +559,6 @@ class WitnessReport(Record):
             doc["reason"] = self.reason
             if self.reason == "not_isolated":
                 doc["root"] = {"prime": self.root_prime, "element": self.root_text}
-            if self.reason == "lambda_family":
-                doc["side"] = self.lambda_side
             if self.reason == "bound_exhausted":
                 doc["bound"] = self.bound
         if self.pair_desc:
@@ -724,8 +722,7 @@ def separate_from_cyclic(
     Outcomes: ``separated`` with a homomorphism onto a catalog finite
     (p-)group, re-verified in the target; ``member`` with the exponent;
     ``obstructed`` with a reason (a root certificate when the cyclic
-    subgroup is not p'-isolated, a family obstruction at factor level, or
-    an exhausted search bound).
+    subgroup is not p'-isolated, or an exhausted search bound).
     """
     if mode not in ("plain", "p"):
         raise AssertionError(f"unknown mode {mode!r}")
@@ -768,7 +765,12 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
     m = am.syllable_length(ht)
 
     if n <= 1:
-        return _short_generator_case(report, pres, h, g, gr, ht, p, max_order)
+        # All powers of g stay in one factor; the pair text names the trivial
+        # pair when h lies in that factor or in the amalgamated subgroup.
+        h_fac = am.factor_element_of(ht)
+        if h_fac is not None and (m == 0 or h_fac[0] == am.factor_element_of(gr)[0]):
+            report.pair_desc += IN_FACTOR_PAIR
+        return _finish_scan(report, pres, h, g, p, max_order)
 
     if p is None:
         # Non-membership is exact here; the length or exponent argument
@@ -811,42 +813,6 @@ def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
     if hn == am.power(gr, k) or hn == am.power(gr, -k):
         return n_prime, k
     return None
-
-
-def _short_generator_case(report, pres, h, g, gr, ht, p, max_order) -> WitnessReport:
-    """Generator lies in a factor after cyclic reduction (length <= 1)."""
-    g_fac = am.factor_element_of(gr)
-    h_fac = am.factor_element_of(ht)
-    if h_fac is None:
-        # h keeps length >= 2 while all powers of g stay in one factor.
-        return _finish_scan(report, pres, h, g, p, max_order)
-    g_side, g_elem = g_fac
-    h_side, h_elem = h_fac
-    if h_side != g_side:
-        if am.syllable_length(ht) == 0:
-            # Amalgam elements are visible from either side.
-            h_side, h_elem = g_side, pres.core_on(g_side, ht.core)
-        else:
-            # Genuinely different factors, so h cannot meet <g>.
-            return _finish_scan(report, pres, h, g, p, max_order)
-    factor = pres.factor(g_side)
-    cyc = subgroup_generated(factor, [g_elem])
-    pairs = enumerate_compatible_pairs(pres, "p" if p is not None else "plain", p)
-    chosen = None
-    for pair in pairs:
-        R = pair.r_side if g_side == "A" else pair.s_side
-        if h_elem not in product_set(factor, cyc.members, R.members):
-            chosen = pair
-            break
-    if chosen is None:
-        report.outcome = "obstructed"
-        report.reason = "lambda_family"
-        report.lambda_side = g_side
-        return report
-    qa = build_quotient_amalgam(pres, chosen)
-    report.pair_desc = (report.pair_desc or "") + f" -> factor pair {chosen.key()}"
-    return _finish_scan(report, qa.presentation, qa.project(h.letters()),
-                        qa.project(g.letters()), p, max_order)
 
 
 def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letters,

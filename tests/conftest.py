@@ -18,9 +18,10 @@ from math import gcd
 import jsonschema
 import pytest
 
+from amalgsep import amalgam as am
 from amalgsep import catalog as catalog_module
 from amalgsep import engine
-from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam
+from amalgsep.amalgam import AmalgamElement, AmalgamPresentation, build_amalgam, normalize
 from amalgsep.catalog import (
     CYCLIC_MAX,
     DIHEDRAL_MAX,
@@ -35,7 +36,12 @@ from amalgsep.catalog import (
     metacyclic_group,
     symmetric_group,
 )
-from amalgsep.compat import build_free_quotient_amalgam, presentation_residually_p
+from amalgsep.compat import (
+    build_free_quotient_amalgam,
+    build_quotient_amalgam,
+    enumerate_compatible_pairs,
+    presentation_residually_p,
+)
 from amalgsep.fingrp import (
     FiniteGroup,
     Subgroup,
@@ -43,6 +49,7 @@ from amalgsep.fingrp import (
     default_names,
     enumerate_normal_subgroups,
     is_p_power,
+    product_set,
     subgroup_generated,
 )
 from amalgsep.freegrp import (
@@ -936,6 +943,44 @@ def finish_scan_oracle(report, pres, hq, gq, p, max_order):
         if hom is not None:
             return engine._certify(report, pres, hq, gq, hom)
     return engine._exhausted(report, max_order)
+
+
+def in_factor_scan_oracle(pres: AmalgamPresentation, h_letters, g_letters, mode: str, p,
+                          max_order: int):
+    """The report of a query whose generator has length <= 1 once
+    cyclically reduced, by the quotient path: when h lies in g's factor or
+    in the amalgamated subgroup, the scan runs on the quotient amalgam by
+    the first compatible pair (R, S) with h outside <g>R in that factor,
+    on projected h and g, else on the presentation. Returns the report's
+    JSON and that pair (None when none was chosen); None when the query
+    does not reach that case (g = 1, a generator of length >= 2, a member,
+    or p-mode on a presentation that is not residually p). No pair keeping
+    h outside raises StopIteration."""
+    g, h = normalize(pres, g_letters), normalize(pres, h_letters)
+    gr, c = am.cyclically_reduce(g)
+    ht = am.conjugate(h, c)
+    if (g.is_identity() or am.syllable_length(gr) > 1 or am.cyclic_member(ht, gr).is_member
+            or (p is not None and not presentation_residually_p(pres, p))):
+        return None
+    report = engine.WitnessReport(mode, p, engine._letters_text(h_letters),
+                                  engine._letters_text(g_letters), "", pair_desc="(1,1)")
+    (g_side, g_elem), h_fac = am.factor_element_of(gr), am.factor_element_of(ht)
+    chosen = None
+    if h_fac is not None and (h_fac[0] == g_side or not ht.syllables):
+        h_elem = pres.core_on(g_side, ht.core) if not ht.syllables else h_fac[1]
+        factor = pres.factor(g_side)
+        cyc = subgroup_generated(factor, [g_elem])
+        chosen = next(pair for pair in enumerate_compatible_pairs(pres, mode, p)
+                      if h_elem not in product_set(factor, cyc.members, (
+                          pair.r_side if g_side == "A" else pair.s_side).members))
+    if chosen is None:
+        engine._finish_scan(report, pres, h, g, p, max_order)
+    else:
+        qa = build_quotient_amalgam(pres, chosen)
+        report.pair_desc += f" -> factor pair {chosen.key()}"
+        engine._finish_scan(report, qa.presentation, qa.project(h.letters()),
+                            qa.project(g.letters()), p, max_order)
+    return report.to_json(), chosen
 
 
 # ---------------------------------------------------------------------------

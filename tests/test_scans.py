@@ -27,6 +27,7 @@ from conftest import (
     finish_scan_oracle,
     free_classes_oracle,
     free_pair_scan_oracle,
+    in_factor_scan_oracle,
     isomorphism_oracle,
     kernel_key_oracle,
     scan_gen_images_oracle,
@@ -631,4 +632,39 @@ def test_probe_lists_build_fewer_maps(monkeypatch):
 
     (fewer, docs), (every, want) = sweep(True), sweep(False)
     assert docs == want
-    assert (fewer, every) == (636, 1300)
+    assert (fewer, every) == (576, 1214)
+
+
+def _in_factor_queries(rng):
+    """Per amalgam and mode, g one letter and h one element of g's factor,
+    in the amalgamated subgroup or not."""
+    for name_a, name_b, d in FINITE_AMALGAMS:
+        pres = _finite_amalgam(name_a, name_b, d)
+        for mode, p in (("plain", None), ("p", 2), ("p", 3)):
+            for _ in range(4):
+                side = rng.choice("AB")
+                factor = pres.factor(side)
+                yield (pres, [(side, rng.randrange(factor.order))],
+                       [(side, rng.randrange(1, factor.order))], mode, p, 32)
+
+
+@pytest.mark.parametrize("seed", [5, 6])
+def test_short_generators_match_the_quotient_path(seed):
+    """A query whose generator has length <= 1 once cyclically reduced is
+    scanned on the presentation itself. Its report equals the scan on the
+    quotient by the first compatible pair that keeps h outside <g>R in g's
+    factor (``in_factor_scan_oracle``), and that pair is always the
+    trivial one: h lies outside <g>, and the trivial pair comes first."""
+    chosen = {"plain": 0, "p": 0}
+    rng = random.Random(seed)
+    for pres, h, g, mode, p, bound in [*_finite_queries(rng), *_in_factor_queries(rng)]:
+        want = in_factor_scan_oracle(pres, h, g, mode, p, bound)
+        if want is None:
+            continue
+        doc, pair = want
+        assert engine.separate_from_cyclic(pres, h, g, mode, p, bound).to_json() == doc
+        if pair is not None:
+            assert pair.r_side.order == pair.s_side.order == 1
+            assert engine.IN_FACTOR_PAIR == f" -> factor pair {pair.key()}"
+            chosen[mode] += 1
+    assert min(chosen.values()) >= 10, chosen
