@@ -396,21 +396,6 @@ def is_p_prime_isolated(g: AmalgamElement, p: int) -> bool:
     return find_prime_root(g, p) is None
 
 
-def isolated_closure(g: AmalgamElement, p: int) -> tuple[AmalgamElement, int]:
-    """Minimal p'-isolated cyclic overgroup: (f, j) with g = f^j, gcd(j, p) = 1.
-
-    Extracts q-th roots for primes q != p until none remains; each
-    extraction divides the syllable length, so this terminates.
-    """
-    f, j = g, 1
-    while True:
-        found = find_prime_root(f, p)
-        if found is None:
-            return f, j
-        q, f = found
-        j *= q
-
-
 def serialize_element(x: AmalgamElement) -> str:
     pres = x.pres
     parts = []

@@ -3,8 +3,8 @@
 ``separate_from_cyclic`` runs the constructive separation procedure: the
 generator is cyclically reduced (conjugating the candidate along), exact
 cyclic membership is decided, and the case split on syllable lengths
-selects either the length-divisibility argument or (in p-mode) the
-isolated-closure argument. Final certificates are always homomorphisms
+selects either the length-divisibility argument or (in p-mode) the root
+and power-collision argument. Final certificates are always homomorphisms
 onto catalog finite groups, re-verified in the target group before being
 reported: both factor maps respect every edge of the Cayley graph of their
 group's generators, agree on the amalgamated subgroup, and send h outside
@@ -55,15 +55,17 @@ Free factors are supported for presentations whose amalgamated subgroups
 are cyclic (one basis word per side). Membership is decided exactly on
 the symbolic normal forms, each built in one left-to-right pass
 (``free_reduced_form``); a non-member is then separated inside the
-first length-preserving finite quotient amalgam that keeps h outside <g>,
-found by one pair scan, which also names the first length-preserving pair
-when none keeps h outside. The pair scan behind those quotients
-yields each pair of kernels once: the quotient amalgam and every filter
-depend on the two kernels alone, so a repeated pair could only repeat a
-rejection. That still removes kernels repeated across targets; the
-scanner itself skips images that differ by an automorphism of the
-target before any word is evaluated. Each quotient presentation is
-built once per targets, images and gluing and kept on the target
+first length-preserving finite quotient amalgam that keeps h outside <g>
+and, in p-mode, keeps h^n' apart from g^k and g^-k when the syllable
+lengths allow that power collision. One pass over the pairs applies both
+filters, and also names the first length-preserving pair, or the first
+that keeps h outside, when none passes. The pair scan behind those
+quotients yields each pair of kernels once: the quotient amalgam and
+every filter depend on the two kernels alone, so a repeated pair could
+only repeat a rejection. That still removes kernels repeated across
+targets; the scanner itself skips images that differ by an automorphism
+of the target before any word is evaluated. Each quotient presentation
+is built once per targets, images and gluing and kept on the target
 (``compat.build_free_quotient_amalgam``), for every later scan, of any
 description, that reaches it.
 """
@@ -471,8 +473,9 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
     pair, on this entry or an earlier one, had the same kernel keys. The
     quotient F_A/ker u *_H F_B/ker v with its projections depends on the
     two kernels alone up to isomorphism, and so does every filter a caller
-    applies to it (``_refine``'s are isomorphism invariants; in p-mode the
-    targets are p-groups, so every index is a p-power). So a repeated pair
+    applies to it (membership of h in <g>, the power collision and residual
+    p-finiteness are isomorphism invariants; in p-mode the targets are
+    p-groups, so every index is a p-power). So a repeated pair
     could only repeat a rejection, and the first passing pair and its text
     are unchanged. The scanner yields only orbit leaders under
     automorphisms of the target, among them the first assignment of every
@@ -787,32 +790,30 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
         report.root_text = am.serialize_element(root[1])
         return report
 
-    if _power_collision(gr, ht, n, m, p) is not None:
+    nk = _collision(n, m, p)
+    if nk is not None and _collides(ht, gr, nk):
         # Contradicts p'-isolation plus non-membership in an exact
         # presentation; unreachable when the preconditions hold.
         raise AssertionError("isolation certificate inconsistent with power collision")
     return _finish_scan(report, pres, h, g, p, max_order)
 
 
-def _power_collision(gr: AmalgamElement, ht: AmalgamElement, n: int, m: int,
-                     p: int) -> Optional[tuple[int, int]]:
-    """p-mode, for gr cyclically reduced of length n >= 2 and ht of length
-    m: (n', k) when the n'-th power of ht is gr^k or gr^-k, where n' is
-    the p'-part of n and k = m n' / n; else None, which includes the case
-    that the lengths keep ht outside the isolated closure of <gr>."""
+def _collision(n: int, m: int, p: int) -> Optional[tuple[int, int]]:
+    """p-mode, for g cyclically reduced of syllable length n >= 2 and h of
+    length m: (n', k), where n' is the p'-part of n and k = m n' / n, the
+    only exponents with h^n' = g^k or g^-k possible; None when m n' / n is
+    not an integer, so that the lengths rule out a collision."""
     n_prime = n // gcd(n, p ** n)
-    if (m * n_prime) % n != 0:
-        # h cannot lie in the isolated closure: its n'-th power would land
-        # in <g> with an impossible syllable length.
-        f, _ = am.isolated_closure(gr, p)
-        if am.cyclic_member(ht, f).is_member:
-            raise AssertionError("length argument contradicts the isolated closure")
+    if (m * n_prime) % n:
         return None
-    k = m * n_prime // n
-    hn = am.power(ht, n_prime)
-    if hn == am.power(gr, k) or hn == am.power(gr, -k):
-        return n_prime, k
-    return None
+    return n_prime, m * n_prime // n
+
+
+def _collides(hq: AmalgamElement, gq: AmalgamElement, nk: tuple[int, int]) -> bool:
+    """Whether hq^n' is gq^k or gq^-k, for ``nk = (n', k)``."""
+    n_prime, k = nk
+    hn, gk = am.power(hq, n_prime), am.power(gq, k)
+    return hn == gk or hn == am.invert(gk)
 
 
 def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letters,
@@ -827,48 +828,47 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         report.exponent = exponent
         return report
 
-    step, first = _refine(report, desc, g_red, h_trans, p, pair_bound,
-                          lambda hq, gq: not am.cyclic_member(hq, gq).is_member)
-    if step is None:
+    # p-mode, n >= 2: no p-group image of a quotient with h^n' = g^k or
+    # g^-k separates h from <g>. n' and k depend on n, m and p alone, which
+    # a length-preserving pair keeps; a pair mapping h into <g> collides.
+    nk = _collision(n, m, p) if p is not None and n >= 2 else None
+    chunks = g_red.chunks + h_trans.chunks
+    h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+    # The first residually-p pair, and the first keeping h outside <g>, name
+    # the exhausted reports; the pure residual-p test is skipped on a
+    # rejected pair that could only repeat a text already found.
+    first = outside = None
+    for text, qa in _free_pair_scan(desc, [w for s, w in chunks if s == "A"],
+                                    [w for s, w in chunks if s == "B"], p, pair_bound):
+        hq, gq = qa.project(h_letters), qa.project(g_letters)
+        is_outside = not am.cyclic_member(hq, gq).is_member
+        accepted = is_outside and not (nk and _collides(hq, gq, nk))
+        if not accepted and (outside if is_outside else first) is not None:
+            continue
+        if p is not None and not presentation_residually_p(qa.presentation, p):
+            continue
+        first = first or text
+        if is_outside:
+            outside = outside or text
+        if accepted:
+            break
+    else:
         if n == 0:
             return _exhausted(report, pair_bound)
-        # Name the first length-preserving pair, if any: it maps h into <g>.
-        report.pair_desc = first
+        report.pair_desc = outside or first
+        if outside is not None:
+            return _exhausted(report, pair_bound,
+                              "no refining pair distinguishes the power collision")
         if first is None:
             return _exhausted(report, pair_bound, "no length-preserving pair up to the bound")
         return _exhausted(report, pair_bound, "h lies outside <g>, but every pair "
                           "up to the bound maps h into the image of <g>")
-    qa, hq, gq = step
+    report.pair_desc = text
     if am.syllable_length(gq) != n or am.syllable_length(hq) != m:
         raise AssertionError("length-preserving pair changed a syllable length")
     if not am.is_cyclically_reduced(gq):
         raise AssertionError("projected generator is not cyclically reduced")
-
-    if n <= 1 or p is None:
-        # Non-membership now holds in a length-preserving quotient; the
-        # certificate scan realizes the length or factor argument.
-        return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
-
-    # p-mode, n >= 2: work with the isolated closure inside the quotient.
-    # n' and k depend on n, m and p alone, which a length-preserving pair
-    # keeps, so one refinement keeping h^n' apart from g^k and g^-k ends
-    # the collision. gq is cyclically reduced, as checked above.
-    found = _power_collision(gq, hq, n, m, p)
-    if found is not None:
-        n_prime, k = found
-
-        def apart(hq, gq):
-            hn, gk = am.power(hq, n_prime), am.power(gq, k)
-            return hn != gk and hn != am.invert(gk)
-
-        step, _ = _refine(report, desc, g_red, h_trans, p, pair_bound, apart)
-        if step is None:
-            return _exhausted(report, pair_bound,
-                              "no refining pair distinguishes the power collision")
-        qa, hq, gq = step
-        # This pair preserves lengths too, so its gq is cyclically reduced.
-        if _power_collision(gq, hq, n, m, p) is not None:
-            raise AssertionError("refined pair still collides")
+    # The certificate scan realizes the length or factor argument in the quotient.
     return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
 
 
@@ -876,34 +876,6 @@ def _free_power_letters(letters, k: int) -> list[FreeLetter]:
     if k >= 0:
         return list(letters) * k
     return _free_letters_inverse(letters) * (-k)
-
-
-def _refine(report, desc, g_red, h_trans, p, pair_bound, accept):
-    """The first pair of ``_free_pair_scan`` keeping the chunks of g and h
-    at their lengths whose images (hq, gq) of h and g pass ``accept`` and,
-    in p-mode, whose quotient is residually p, named in the report, as
-    (qa, hq, gq) or None; and the text of the first pair that passes all
-    but ``accept``, or None. Both filters are pure, so testing the cheap
-    one first keeps the first passing pair, and the second is tested on a
-    rejected pair only until that first text is found. A second call in
-    the same query reads each quotient that the first built, with its
-    residual-p verdict, from the targets' quotient memo."""
-    chunks = g_red.chunks + h_trans.chunks
-    h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
-    first = None
-    for text, qa in _free_pair_scan(desc, [w for s, w in chunks if s == "A"],
-                                    [w for s, w in chunks if s == "B"], p, pair_bound):
-        hq, gq = qa.project(h_letters), qa.project(g_letters)
-        passed = accept(hq, gq)
-        if not passed and first is not None:
-            continue
-        if p is not None and not presentation_residually_p(qa.presentation, p):
-            continue
-        first = first or text
-        if passed:
-            report.pair_desc = text
-            return (qa, hq, gq), first
-    return None, first
 
 
 # ---------------------------------------------------------------------------

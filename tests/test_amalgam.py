@@ -17,7 +17,6 @@ from amalgsep.amalgam import (
     invert,
     is_cyclically_reduced,
     is_p_prime_isolated,
-    isolated_closure,
     multiply,
     normalize,
     parse_letters,
@@ -219,21 +218,6 @@ class TestIsolation:
     def test_finite_order_rejected(self, g2):
         with pytest.raises(InputError, match=r"infinite-order \(element has finite order\)"):
             is_p_prime_isolated(normalize(g2, [("A", 1)]), 2)
-
-    def test_closure_of_cube(self, g2):
-        ab = normalize(g2, [("A", 1), ("B", 1)])
-        f, j = isolated_closure(power(ab, 3), 2)
-        assert j == 3 and power(f, 3) == power(ab, 3)
-
-    def test_closure_of_square_stays(self, g2):
-        ab = normalize(g2, [("A", 1), ("B", 1)])
-        g = power(ab, 2)
-        f, j = isolated_closure(g, 2)
-        assert (f, j) == (g, 1)
-
-    def test_closure_trivial_for_ab(self, g2):
-        ab = normalize(g2, [("A", 1), ("B", 1)])
-        assert isolated_closure(ab, 2) == (ab, 1)
 
     def test_root_search_checks_its_preconditions(self, g2):
         ab = normalize(g2, [("A", 1), ("B", 1)])

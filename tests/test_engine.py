@@ -443,8 +443,8 @@ class TestSeparateFinite:
     @pytest.mark.parametrize("k,outcome", [(2, "separated"), (3, "obstructed")])
     def test_p_mode_searches_for_roots_once(self, g2, monkeypatch, k, outcome):
         # g = (ab)^2 has no odd prime root, g = (ab)^3 has the cube root ab;
-        # one root search decides isolation and gives the root. h has a
-        # length that keeps the isolated closure out of the power collision.
+        # one root search decides isolation and gives the root, and the
+        # power-collision check searches for none.
         calls = spy_calls(monkeypatch, amalgam, "find_prime_root")
         h = [("A", 1), ("B", 1), ("A", 1), ("B", 3)]
         rep = separate_from_cyclic(g2, h, [("A", 1), ("B", 1)] * k, mode="p", p=2)

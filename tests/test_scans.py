@@ -32,11 +32,12 @@ from conftest import (
     kernel_key_oracle,
     scan_gen_images_oracle,
     shuffled_targets,
+    spy_calls,
     with_candidates,
 )
 
 from amalgsep import catalog as catalog_module
-from amalgsep import compat, engine, fingrp
+from amalgsep import amalgam, compat, engine, fingrp
 from amalgsep.amalgam import build_amalgam
 from amalgsep.catalog import catalog, iso_key, member_keys, targets
 from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_classes
@@ -253,7 +254,8 @@ def _letters(desc, text):
 PC2, PC3 = power_congruence_description(2), power_congruence_description(3)
 # (description, h, g, mode, p, pair bound). The false-member queries
 # h = g^2 b^16 and h = g^2 b^32, and h = ab with h^3 = g in p-mode (the
-# power-collision filter), run a refining scan through the whole catalog.
+# power-collision filter), run their scan through the whole catalog; for
+# h = a^-3 b^-1 the first pair keeping h outside <g> collides.
 PAIR_QUERIES = [
     (PC2, "A:a B:b A:a B:b^33", "A:a B:b", "p", 2, 48),
     (PC2, "A:a B:b A:a B:b^17", "A:a B:b", "p", 2, 16),
@@ -262,6 +264,7 @@ PAIR_QUERIES = [
     (PC2, "B:b", "A:a^2", "plain", None, 48),
     (PC2, "A:a^3 B:b", "A:a B:b^-1", "plain", None, 16),
     (PC2, "A:a B:b", "A:a B:b A:a B:b A:a B:b", "p", 2, 16),
+    (PC2, "A:a^-3 B:b^-1", "A:a B:b A:a B:b A:a B:b", "p", 2, 48),
     (PC3, "A:a^2 B:b", "A:a B:b", "plain", None, 48),
     (PC3, "A:a B:b^2 A:a", "A:a^-1 B:b", "p", 3, 48),
     (PC3, "B:b^3", "A:a^6", "p", 3, 27),
@@ -279,35 +282,62 @@ def _first_pair(desc, a_chunks, b_chunks, p, bound, accept=None):
 
 
 class TestFreePairScan:
-    def test_first_pair_matches_oracle(self, monkeypatch):
-        calls = []
-        real = engine._refine
+    @staticmethod
+    def _oracle_pairs(desc, h, g, p, bound):
+        """The oracle's first pair texts (or None) under no filter, with h
+        outside <g>, and with h outside and h^n' apart from g^k and g^-k,
+        where n' is the p'-part of n = l(g) and k = l(h) n' / n (p-mode,
+        n >= 2 and k whole; else the third is the second)."""
+        g_red, h_trans = engine._free_query_forms(desc, _letters(desc, h), _letters(desc, g))
+        chunks = g_red.chunks + h_trans.chunks
+        h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+        scan = ([w for s, w in chunks if s == "A"], [w for s, w in chunks if s == "B"],
+                p, bound)
+        n, m = g_red.length, h_trans.length
+        n_prime = n
+        while p is not None and n_prime and n_prime % p == 0:
+            n_prime //= p
 
-        def spy(report, desc, g_red, h_trans, p, bound, accept):
-            step, first = real(report, desc, g_red, h_trans, p, bound, accept)
-            calls.append((desc, g_red, h_trans, p, bound, accept,
-                          step and report.pair_desc, first))
-            return step, first
+        def outside(qa):
+            return not amalgam.cyclic_member(qa.project(h_letters),
+                                             qa.project(g_letters)).is_member
 
-        monkeypatch.setattr(engine, "_refine", spy)
+        def apart(qa):
+            if p is None or n < 2 or m * n_prime % n:
+                return outside(qa)
+            hn = amalgam.power(qa.project(h_letters), n_prime)
+            gk = amalgam.power(qa.project(g_letters), m * n_prime // n)
+            return outside(qa) and hn != gk and hn != amalgam.invert(gk)
+
+        texts = [free_pair_scan_oracle(desc, *scan, accept=f) for f in (None, outside, apart)]
+        return n, [t and t[0] for t in texts]
+
+    def test_first_pair_matches_oracle(self):
+        # An accepted pair names the report; else the first pair keeping h
+        # outside <g> (which collided), else the first length-preserving
+        # one, except that a generator of length 0 names none.
+        named_first = 0
         for desc, h, g, mode, p, bound in PAIR_QUERIES:
-            n = len(calls)
+            rep = engine.separate_from_cyclic(desc, _letters(desc, h), _letters(desc, g),
+                                              mode=mode, p=p, max_order=32, pair_bound=bound)
+            n, (first, outside, accepted) = self._oracle_pairs(desc, h, g, p, bound)
+            if accepted is not None:
+                assert rep.outcome != "member" and rep.pair_desc == accepted, (h, g)
+            else:
+                assert rep.reason == "bound_exhausted", (h, g)
+                assert rep.pair_desc == (None if n == 0 else outside or first), (h, g)
+                named_first += outside is None and first is not None
+        # Some scans pass no pair, so their first length-preserving pair
+        # names the report.
+        assert named_first
+
+    def test_each_query_scans_the_pairs_once(self, monkeypatch):
+        scans = spy_calls(monkeypatch, engine, "_free_pair_scan")
+        for desc, h, g, mode, p, bound in PAIR_QUERIES:
+            del scans[:]
             engine.separate_from_cyclic(desc, _letters(desc, h), _letters(desc, g),
                                         mode=mode, p=p, max_order=32, pair_bound=bound)
-            assert len(calls) > n, (h, g)
-        # Some scans pass no pair, so their first length-preserving pair
-        # names the report; the oracle checks both texts of every scan.
-        assert {got is None and first is not None for *_, got, first in calls} == {False, True}
-        for desc, g_red, h_trans, p, bound, accept, got, first in calls:
-            chunks = g_red.chunks + h_trans.chunks
-            h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
-            scan = ([w for s, w in chunks if s == "A"], [w for s, w in chunks if s == "B"],
-                    p, bound)
-            want = free_pair_scan_oracle(desc, *scan, accept=lambda qa: accept(
-                qa.project(h_letters), qa.project(g_letters)))
-            assert got == (want and want[0])
-            want_first = free_pair_scan_oracle(desc, *scan)
-            assert first == (want_first and want_first[0])
+            assert len(scans) == 1, (h, g)
 
     @pytest.mark.parametrize("desc,orders", [
         (PC2, (6, 3)), (PC2, (3, 6)), (PC2, (9, 9)), (PC3, (6, 2)), (PC3, (4, 4)),
@@ -405,7 +435,7 @@ def _free_text(desc, rng):
 
 def _free_queries(rng):
     # h = g^2 b^16 lies outside <g>, and every pair up to order 32 keeps
-    # it inside: its refining scans run through the whole catalog.
+    # it inside: its pair scans run through the whole catalog.
     for mode, p in (("plain", None), ("p", 2)):
         yield (PC2, _letters(PC2, "A:a B:b A:a B:b^17"), _letters(PC2, "A:a B:b"),
                mode, p, 32, 32)
@@ -416,32 +446,29 @@ def _free_queries(rng):
 
 
 def _scan_record(monkeypatch, slow, seed):
-    """What every _finish_scan and _refine call of a seeded sweep returned,
-    and the free class scans, on the class scan or the slow path."""
+    """What every _finish_scan call of a seeded sweep returned, every free
+    report, and the free class scans, on the class scan or the slow path."""
     if slow:
         monkeypatch.setattr(engine, "targets", all_targets)
         monkeypatch.setattr(compat, "targets", all_targets)
     record = []
-    finish, refine = engine._finish_scan, engine._refine
+    finish = engine._finish_scan
 
     def finish_spy(*args):
         out = finish(*args)
         record.append(("finish", out.to_json()))
         return out
 
-    def refine_spy(*args):
-        step, first = refine(*args)
-        record.append(("pair", args[4:6], step and args[0].pair_desc, first))
-        return step, first
-
     monkeypatch.setattr(engine, "_finish_scan", finish_spy)
-    monkeypatch.setattr(engine, "_refine", refine_spy)
     rng = random.Random(seed)
     for query in [*_finite_queries(rng), *_free_queries(rng)]:
         try:
-            engine.separate_from_cyclic(*query)
+            out = engine.separate_from_cyclic(*query)
         except InputError as exc:  # g = 1; the same on both paths
             record.append(("error", str(exc)))
+            continue
+        if isinstance(query[0], FreeAmalgamDescription):
+            record.append(("free", out.to_json()))
     for desc, bound, p in ((_doubling(1, 1), 24, None), (PC2, 32, 2), (PC3, 27, 3),
                            (PC3, 32, None), (_rank2(), 8, None)):
         record.append(("classes", _classes(desc, bound, p)))
@@ -458,9 +485,11 @@ def test_class_scan_matches_the_full_catalog(monkeypatch, seed):
         outcomes = {(doc["outcome"], doc.get("bound")) for doc in finished
                     if doc["query"]["mode"] == mode}
         assert ("obstructed", 32) in outcomes and any(o == "separated" for o, _ in outcomes)
-    pairs = [(p, out) for tag, (p, _), out, _ in (r for r in fast if r[0] == "pair")]
-    assert {p is None for p, _ in pairs} == {True, False}
-    assert any(out is None for _, out in pairs) and any(out is not None for _, out in pairs)
+    free = [doc for tag, doc in fast if tag == "free" and doc["outcome"] != "member"]
+    assert {doc["query"]["prime"] is None for doc in free} == {True, False}
+    # Some scans pass no pair (their reports carry a note), and some separate.
+    assert any(doc.get("notes") for doc in free)
+    assert any(doc["outcome"] == "separated" for doc in free)
 
 
 # Direct products are decided from their members' exponent sets; the
