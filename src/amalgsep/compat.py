@@ -25,13 +25,16 @@ family's phi-image and certificate parts are built once per (R, p).
 
 Free factors are handled through GenImages kernels: a pair of assignments
 is compatible when the induced maps on the amalgamated subgroup's free
-basis have equal kernels. The class scan keeps one assignment per kernel
-class and target, and computes each kernel key once per distinct tuple of
-restricted images. The scanner skips images that differ by an element of
-the target's automorphism group S (``FiniteGroup._symmetries``: inner
-automorphisms or power maps, and the checked automorphisms the catalog
-construction names) before any word is evaluated; they have the same
-kernel, so the first assignment of each class is unchanged.
+basis have equal kernels. The class scan keeps the first assignment of
+each kernel class and side, over the targets in catalog order, and wraps
+only that one in a ``GenImages``: the scanner yields bare image tuples
+and reads each kernel key from the target's walk cache. Only the classes
+both sides reach are sorted and returned. The scanner skips images that
+differ by an element of the target's automorphism group S
+(``FiniteGroup._symmetries``: inner automorphisms or power maps, and the
+checked automorphisms the catalog construction names) before any word is
+evaluated; they have the same kernel, so the first assignment of each
+class is unchanged.
 """
 
 from __future__ import annotations
@@ -312,6 +315,9 @@ class FreeAmalgamDescription(Record):
 
     ``h_words[i]`` and ``k_words[i]`` are corresponding free bases of the
     amalgamated subgroups (the identification maps one onto the other).
+    Each side's generator names must be distinct, as a repeated name could
+    never be read back, and no basis word may reduce to the identity, which
+    no free basis holds.
     """
 
     __slots__ = _fields = ("rank_a", "rank_b", "gen_names_a", "gen_names_b",
@@ -324,6 +330,12 @@ class FreeAmalgamDescription(Record):
             raise InputError("amalgamated bases must have equal length")
         if len(gen_names_a) != rank_a or len(gen_names_b) != rank_b:
             raise InputError("generator name lists must match ranks")
+        for side, names, words in (("A", gen_names_a, h_words), ("B", gen_names_b, k_words)):
+            if len(set(names)) != len(names):
+                raise InputError(f"generator names of side {side} repeat: {list(names)}")
+            if () in words:
+                raise InputError(f"basis word {words.index(()) + 1} of side {side} "
+                                 "reduces to the identity, so the basis is not free")
         self._fill(rank_a, rank_b, gen_names_a, gen_names_b, h_words, k_words)
 
 
@@ -383,23 +395,23 @@ def enumerate_free_compatible_classes(desc: FreeAmalgamDescription, bound: int,
     and the induced quotient amalgam must carry a residual-p certificate;
     the targets are then p-groups, so every index is a p-power. Each side
     keeps the first assignment of each class, so the scan asks for one per
-    class and target. Returns (key, name_a, u, name_b, v) tuples in
-    canonical order.
+    class and target, and a ``GenImages`` is built only for an assignment
+    that fills an empty (class, side) slot. Returns (key, name_a, u,
+    name_b, v) tuples for the classes of both sides, in the order of the
+    keys' reprs; only those keys are sorted.
     """
     rec: dict[tuple, list] = {}
     for side_idx, rank, words in ((0, desc.rank_a, desc.h_words),
                                   (1, desc.rank_b, desc.k_words)):
         for entry in targets(bound, p):
-            for u, key in scan_gen_images(rank, entry.build(), words, distinct=True):
+            T = entry.build()
+            for images, key in scan_gen_images(rank, T, words, distinct=True):
                 slot = rec.setdefault(key, [None, None])
                 if slot[side_idx] is None:
-                    slot[side_idx] = (entry.name, u)
+                    slot[side_idx] = (entry.name, GenImages(rank, T, images))
     out = []
-    for key in sorted(rec, key=repr):
-        slot = rec[key]
-        if slot[0] is None or slot[1] is None:
-            continue
-        (name_a, u), (name_b, v) = slot
+    for key in sorted((key for key, slot in rec.items() if None not in slot), key=repr):
+        (name_a, u), (name_b, v) = rec[key]
         if p is not None:
             qa = build_free_quotient_amalgam(desc, u, v)
             if not presentation_residually_p(qa.presentation, p):

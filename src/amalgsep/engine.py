@@ -492,15 +492,17 @@ def _free_pair_scan(desc: FreeAmalgamDescription,
         good_u = list(scan_gen_images(desc.rank_a, T, desc.h_words, a_chunks))
         if not good_u:
             continue
-        buckets: dict[tuple, list[GenImages]] = {}
-        for v, key in scan_gen_images(desc.rank_b, T, desc.k_words, b_chunks):
-            buckets.setdefault(key, []).append(v)
-        for u, key in good_u:
+        buckets: dict[tuple, list[tuple[int, ...]]] = {}
+        for b_images, key in scan_gen_images(desc.rank_b, T, desc.k_words, b_chunks):
+            buckets.setdefault(key, []).append(b_images)
+        for a_images, key in good_u:
             vs = buckets.get(key)
             if not vs:
                 continue
+            u = GenImages(desc.rank_a, T, a_images)
             ku = kernel_key(u)
-            for v in vs:
+            for b_images in vs:
+                v = GenImages(desc.rank_b, T, b_images)
                 kv = kernel_key(v)
                 if (ku, kv) in tried:
                     continue

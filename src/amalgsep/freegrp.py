@@ -8,7 +8,10 @@ through ``scan_gen_images``, which yields only orbit leaders under the
 target's automorphism group S (``FiniteGroup._symmetries``: inner
 automorphisms or power maps, and the checked automorphisms the catalog
 construction names): an ordered subsequence of the full product that
-holds the first assignment of every kernel.
+holds the first assignment of every kernel. It compiles its words once
+into (coordinate, inverted) steps, evaluates them inline on each image
+tuple, and yields the bare tuples; callers wrap in a ``GenImages`` only
+the assignments they keep.
 
 A kernel is known by one breadth-first labelling of the image group from
 its marked generators (``_labelled_walk``). ``kernel_key``,
@@ -175,9 +178,10 @@ class GenImages(Record):
 
 def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = (),
                     chunks: Sequence[FreeWord] = (), distinct: bool = False
-                    ) -> Iterator[tuple[GenImages, tuple]]:
+                    ) -> Iterator[tuple[tuple[int, ...], tuple]]:
     """The orbit leaders among the assignments of ``target^rank``, in
-    lexicographic order, each with ``kernel_key(restriction(u, basis))``.
+    lexicographic order, each as its image tuple with
+    ``kernel_key(restriction(u, basis))``.
 
     Rank 1 takes the first element of each element order. Higher ranks
     take (x, y) from ``target.pair_leaders``, the pairs least in their
@@ -198,26 +202,23 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
 
     An assignment is skipped when some word of ``chunks`` maps into the
     subgroup generated by the images of ``basis``, and with ``distinct``
-    when an earlier assignment was yielded with the same key. Words are
-    evaluated by table lookups, and a GenImages is built only for an
-    assignment that is yielded. The key and the basis-image subgroup are
-    both read off the labelled walk of the basis images, which the target
-    keeps for every later scan (``_labelled_walk``).
+    when an earlier assignment was yielded with the same key. Each word is
+    compiled once per scan into (coordinate, inverted) steps and evaluated
+    inline by table lookups on the images and their inverses; its first
+    step is the image itself, as 0 is the identity. The scan yields image
+    tuples, so a caller builds a ``GenImages`` only for those it keeps.
+    The key and the basis-image subgroup are both read off the labelled
+    walk of the basis images, which the target keeps for every later scan
+    (``_labelled_walk``).
     """
     table, inverse = target.table, target.inverse
-
-    def program(w: FreeWord) -> list[int]:
-        # Indices into the images followed by their inverses.
-        return [gen if sign > 0 else rank + gen for gen, sign in w]
-
-    def value(prog: list[int], ext: tuple[int, ...]) -> int:
-        acc = 0
-        for i in prog:
-            acc = table[acc][ext[i]]
-        return acc
-
-    basis_progs = [program(w) for w in basis]
-    chunk_progs = [program(w) for w in chunks]
+    # Each word as its first step and the rest. The empty word is compiled
+    # as x^-1 x, which is its value, so a scan with words needs rank >= 1.
+    compiled = []
+    for w in (*basis, *chunks):
+        steps = [(gen, sign < 0) for gen, sign in w] or [(0, True), (0, False)]
+        compiled.append((*steps[0], steps[1:]))
+    n_basis = len(basis)
     seen: set[int] = set()
     if rank == 0:
         assignments = [()]
@@ -228,16 +229,21 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
         rest = list(itertools.product(range(target.order), repeat=rank - 2))
         assignments = ((x, y) + r for x, ys in target.pair_leaders for y in ys for r in rest)
     for images in assignments:
-        ext = images + tuple([inverse[x] for x in images])
-        sub, labelled, number = _labelled_walk(
-            target, tuple([value(prog, ext) for prog in basis_progs]))
-        if chunk_progs and any(value(prog, ext) in sub for prog in chunk_progs):
+        values = []
+        for c, inverted, steps in compiled:
+            acc = inverse[images[c]] if inverted else images[c]
+            for c, inverted in steps:
+                x = images[c]
+                acc = table[acc][inverse[x] if inverted else x]
+            values.append(acc)
+        sub, labelled, number = _labelled_walk(target, tuple(values[:n_basis]))
+        if chunks and any(map(sub.__contains__, values[n_basis:])):
             continue
         if distinct:
             if number in seen:
                 continue
             seen.add(number)
-        yield GenImages(rank, target, images), (len(basis), labelled)
+        yield images, (n_basis, labelled)
 
 
 def induced_map(u: GenImages, v: GenImages) -> Optional[dict[int, int]]:

@@ -600,7 +600,7 @@ def scan_gen_images_oracle(rank, target, basis=(), chunks=(), distinct=False):
             if serial in seen:
                 continue
             seen.add(serial)
-        yield GenImages(rank, target, images), key
+        yield images, key
 
 
 def assert_leaders_of(got, want, T, rank):

@@ -326,6 +326,10 @@ BAD_INPUTS = {
                        "h_words": ["a^2", "a^3"], "k_words": ["b^2", "b^3"]},
     "unequal.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
                      "h_words": ["a^2"], "k_words": ["b^2", "b^3"]},
+    "repeated-gen.json": {"schema": 1, "kind": "free", "gens_a": ["a", "a"], "gens_b": ["b"],
+                          "h_words": ["a^2"], "k_words": ["b^2"]},
+    "trivial-word.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
+                          "h_words": ["a^2"], "k_words": ["b b^-1"]},
 }
 
 
@@ -340,8 +344,12 @@ BAD_INPUTS = {
      "free-side separation supports cyclic amalgamated subgroups "
      "(exactly one basis word per side)"),
     (["amalgam", "build", "unequal.json"], "amalgamated bases must have equal length"),
+    (["amalgam", "build", "repeated-gen.json"], "generator names of side A repeat: ['a', 'a']"),
+    (["witness", "trivial-word.json", "A:a", "A:a^2"],
+     "basis word 1 of side B reduces to the identity, so the basis is not free"),
 ], ids=["finite-order", "non-normal-r", "phi-not-homomorphism", "equal-primes",
-        "trivial-g", "two-basis-words", "unequal-bases"])
+        "trivial-g", "two-basis-words", "unequal-bases", "repeated-generator",
+        "trivial-basis-word"])
 def test_user_reachable_check_is_an_input_error(workdir, monkeypatch, capsys, argv, message):
     # Checks made on the user's behalf below the CLI: exit 2, one line, no report.
     for name, doc in BAD_INPUTS.items():

@@ -196,6 +196,26 @@ class TestWorkCounts:
         assert walks == []
         assert walk_cache_sizes() == sizes
 
+    def test_class_scan_wraps_and_sorts_only_what_it_keeps(self, monkeypatch):
+        # The scanner yields image tuples, so the class scan builds one
+        # GenImages per (key, side) slot that it fills, and sorts (by repr)
+        # only the keys that both sides reach. On the doubling amalgam at
+        # 24 the scans yield 519 assignments with 94 keys, 13 on both sides.
+        desc = engine.conjugation_doubling_description()
+        keys = [{key for entry in catalog_module.targets(24)
+                 for _, key in scan_gen_images(rank, entry.build(), words, distinct=True)}
+                for rank, words in ((desc.rank_a, desc.h_words), (desc.rank_b, desc.k_words))]
+        matched = keys[0] & keys[1]
+        builds = spy_calls(monkeypatch, GenImages, "__init__")
+        reprs: list = []
+        monkeypatch.setattr(compat, "repr", lambda key: reprs.append(key) or repr(key),
+                            raising=False)
+        out = enumerate_free_compatible_classes(desc, 24)
+        assert len(keys[0] | keys[1]) == 94 and len(matched) == 13
+        assert len(builds) == len(keys[0]) + len(keys[1])
+        assert len(reprs) == len(matched) and set(reprs) == matched
+        assert [key for key, *_ in out] == sorted(matched, key=repr)
+
     def test_a_repeated_free_separation_builds_no_quotient(self, monkeypatch):
         # The catalog targets keep every quotient presentation, and each
         # presentation its factor maps, so the same separation on an equal
@@ -239,21 +259,21 @@ class TestGenImages:
         # The image of x is cyclic of order ord(x), so the kernel depends
         # on that order alone: the first element of each order stands for
         # all four assignments.
-        got = [u.images for u, _ in scan_gen_images(1, cyclic_group(4))]
+        got = [images for images, _ in scan_gen_images(1, cyclic_group(4))]
         assert got == [(0,), (1,), (2,)]
         assert len(list(scan_gen_images_oracle(1, cyclic_group(4)))) == 4
 
     def test_rank2_z2_counts(self):
         # Z2 has no nontrivial power map or inner automorphism.
-        got = [u.images for u, _ in scan_gen_images(2, cyclic_group(2))]
+        got = [images for images, _ in scan_gen_images(2, cyclic_group(2))]
         assert got == list(itertools.product(range(2), repeat=2))
 
     def test_s3_generating_pairs(self, s3):
         # Exhaustive oracle: the 18 pairs whose closure is all of S3 fall
         # into 3 conjugacy orbits of 6, and the scan keeps one of each.
         from amalgsep.fingrp import subgroup_generated
-        gens = [u.images for u, _ in scan_gen_images(2, s3)
-                if len(u.image_members()) == 6]
+        gens = [images for images, _ in scan_gen_images(2, s3)
+                if len(GenImages(2, s3, images).image_members()) == 6]
         want = {(x, y) for x in s3.elements() for y in s3.elements()
                 if subgroup_generated(s3, [x, y]).order == 6}
         assert len(gens) == 3 and len(want) == 18

@@ -139,7 +139,7 @@ class TestScanGenImages:
         chunks = [parse_word("a", names), parse_word("a b^2", names)]
         for entry in catalog(12):
             T = entry.build()
-            got = [(u.images, key) for u, key in scan_gen_images(2, T, basis, chunks)]
+            got = list(scan_gen_images(2, T, basis, chunks))
             want = []
             for images in itertools.product(T.elements(), repeat=2):
                 him = evaluate_oracle(T, images, basis[0])
@@ -152,7 +152,7 @@ class TestScanGenImages:
         words = [parse_word("a^2", ["a"])]
         for entry in catalog(16):
             T = entry.build()
-            got = [(u.images, key) for u, key in scan_gen_images(1, T, words, distinct=True)]
+            got = list(scan_gen_images(1, T, words, distinct=True))
             want, seen = [], set()
             for x in T.elements():
                 key = kernel_key_oracle(T, (T.table[x][x],))
@@ -191,9 +191,8 @@ def _assert_scan_matches_full_product(rank, T, basis, chunks):
     """``scan_gen_images`` on T keeps the first assignment of every kernel
     of the full product, and with ``distinct`` yields what it yields."""
     for distinct in (False, True):
-        got = [(u.images, key) for u, key in scan_gen_images(rank, T, basis, chunks, distinct)]
-        want = [(u.images, key)
-                for u, key in scan_gen_images_oracle(rank, T, basis, chunks, distinct)]
+        got = list(scan_gen_images(rank, T, basis, chunks, distinct))
+        want = list(scan_gen_images_oracle(rank, T, basis, chunks, distinct))
         if distinct:
             assert got == want
         else:
