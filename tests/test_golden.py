@@ -6,16 +6,24 @@ Each command in ``golden/commands.json`` runs as ``python -m amalgsep
 recorded ``golden/<name>.report``, ``.stdout``, ``.stderr`` and the
 manifest's ``exit_code``, byte for byte.
 
-``python tests/test_golden.py [name ...]`` records the named commands (all
-of them when none is named) again with the amalgsep found on
-``PYTHONPATH``; do that only for a new command or an intended change of
-output, and say why in the change description.
+``golden/sweep-digests.json`` holds one entry per query of the finite and
+free sweeps of ``test_scans`` at seeds 5 and 6: the sha256 of the report's
+JSON with sorted keys, or the ``InputError`` text when g = 1. Every
+report of those sweeps must hash the same again.
+
+``python tests/test_golden.py [name ...]`` records the named commands, or
+the sweep digests under the name ``sweep-digests`` (everything when none is
+named), again with the amalgsep found on ``PYTHONPATH``; do that only for
+a new command or an intended change of output, and say why in the change
+description.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -24,9 +32,13 @@ from pathlib import Path
 import pytest
 
 import amalgsep
+from amalgsep import engine
+from amalgsep.errors import InputError
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 COMMANDS = json.loads((GOLDEN / "commands.json").read_text())
+SWEEP = GOLDEN / "sweep-digests.json"
+SWEEP_SEEDS = (5, 6)
 SRC = str(Path(amalgsep.__file__).resolve().parent.parent)
 
 
@@ -62,10 +74,36 @@ def test_golden_output_under_another_hash_seed(cmd, tmp_path):
     check_golden(cmd, run_command(cmd["argv"], tmp_path, SRC, hash_seed="1"))
 
 
+def sweep_digests(seed: int) -> list[str]:
+    """The digest of every report of ``test_scans``' finite and free sweeps
+    at the seed, in query order; the error text for a query with g = 1."""
+    from test_scans import _finite_queries, _free_queries
+
+    rng = random.Random(seed)
+    out = []
+    for query in [*_finite_queries(rng), *_free_queries(rng)]:
+        try:
+            doc = engine.separate_from_cyclic(*query).to_json()
+        except InputError as exc:
+            out.append(str(exc))
+            continue
+        out.append(hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest())
+    return out
+
+
+@pytest.mark.parametrize("seed", SWEEP_SEEDS)
+def test_sweep_report_digests(seed):
+    assert sweep_digests(seed) == json.loads(SWEEP.read_text())[str(seed)]
+
+
 if __name__ == "__main__":
     import tempfile
 
     names = set(sys.argv[1:])
+    if not names or "sweep-digests" in names:
+        digests = {str(seed): sweep_digests(seed) for seed in SWEEP_SEEDS}
+        SWEEP.write_text(json.dumps(digests, indent=1) + "\n")
+        print(f"sweep-digests: {sum(map(len, digests.values()))} queries")
     for cmd in COMMANDS:
         if names and cmd["name"] not in names:
             continue
