@@ -315,9 +315,10 @@ class FreeAmalgamDescription(Record):
 
     ``h_words[i]`` and ``k_words[i]`` are corresponding free bases of the
     amalgamated subgroups (the identification maps one onto the other).
-    Each side's generator names must be distinct, as a repeated name could
-    never be read back, and no basis word may reduce to the identity, which
-    no free basis holds.
+    Each side needs a generator, and its basis words may name only its own
+    generators, ``0..rank-1``. Each side's generator names must be
+    distinct, as a repeated name could never be read back, and no basis
+    word may reduce to the identity, which no free basis holds.
     """
 
     __slots__ = _fields = ("rank_a", "rank_b", "gen_names_a", "gen_names_b",
@@ -330,7 +331,13 @@ class FreeAmalgamDescription(Record):
             raise InputError("amalgamated bases must have equal length")
         if len(gen_names_a) != rank_a or len(gen_names_b) != rank_b:
             raise InputError("generator name lists must match ranks")
-        for side, names, words in (("A", gen_names_a, h_words), ("B", gen_names_b, k_words)):
+        for side, rank, names, words in (("A", rank_a, gen_names_a, h_words),
+                                         ("B", rank_b, gen_names_b, k_words)):
+            if rank < 1:
+                raise InputError(f"side {side} has no generators")
+            if any(not 0 <= gen < rank for word in words for gen, _ in word):
+                raise InputError(f"a basis word of side {side} names a generator "
+                                 f"outside 0..{rank - 1}")
             if len(set(names)) != len(names):
                 raise InputError(f"generator names of side {side} repeat: {list(names)}")
             if () in words:

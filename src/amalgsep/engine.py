@@ -16,22 +16,26 @@ of generator images is spread breadth-first by f(x*g_i) = f(x)*t_i and
 dropped at the first edge that disagrees, O(|G| r) work per candidate
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
 The certificate scan glues factor homomorphisms over the amalgamated
-subgroup, but it tests each distinct restriction to the letters of h and
-g once: pairs that agree there give the same verdict. It lists only the
-A-homomorphisms whose image of element 1 is least in its orbit under a
-group S of automorphisms of T: inner automorphisms, or power maps when T
-is abelian, and the checked automorphisms its catalog construction names
-(``FiniteGroup._symmetries``). Sigma in S maps a glued pair to a glued
-pair and <tg> onto <sigma tg>, so all pairs of an S-orbit give the same
-verdict, and canonical order compares images of element 1 first: the
-first separating pair is among those tried, and the certificate does not
-depend on S. Neither factor's list is built in full: only the A-maps
-with a leader at element 1, and only the B-maps whose restriction to K
-is phi of a listed A-map's restriction to H. A candidate is dropped at
-the Cayley-graph edge that first reaches element 1, or K, when its image
-there is no listed map's. A dropped B-map is glued to no listed A-map,
-so the scan tries the same pairs as on the full lists, and finds the
-same first separating pair and exponent sets.
+subgroup (``_glue``). Whether a glued pair (ma, mb) separates, and its
+image pair (theta(h), theta(g)), depend only on mb and on the probe of ma:
+its restriction to H, which picks the B-maps glued to it, and to the
+A-letters of h and g. So each probe is tried once, on every B-map glued
+to it. The scan lists only the A-homomorphisms whose image of element 1
+is least in its orbit under a group S of automorphisms of T: inner
+automorphisms, or power maps when T is abelian, and the checked
+automorphisms its catalog construction names (``FiniteGroup._symmetries``).
+Sigma in S maps a glued pair to a glued pair and <tg> onto <sigma tg>, so
+all pairs of an S-orbit give the same verdict and the same order of tg
+and k with th = tg^k; and canonical order compares images of element 1
+first. So the first separating pair is among those tried, the
+certificate does not depend on S, and when no pair separates, the pairs
+tried have the exponent set of all pairs. Neither factor's list is built
+in full: only the A-maps with a leader at element 1, and only the B-maps
+whose restriction to K is phi of a listed A-map's restriction to H. A
+candidate is dropped at the Cayley-graph edge that first reaches element
+1, or K, when its image there is no listed map's. A dropped B-map is
+glued to no listed A-map, so the scan tries the same pairs as on the
+full lists.
 
 A direct product T1 x T2 of two catalog members is decided without a
 probe. A homomorphism theta into it is a pair (theta1, theta2) of
@@ -72,7 +76,6 @@ description, that reaches it.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from math import gcd
@@ -256,62 +259,34 @@ def _probe_lists(pres: AmalgamPresentation, entry: CatalogEntry) -> list[tuple[t
 
 
 def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamElement,
-                 entry: CatalogEntry, memo: Optional[dict] = None) -> Optional[GluedHom]:
-    """The first glued homomorphism onto the entry's group, in the order of
-    ``enumerate_quotient_homs``, that sends h outside <g>; None if there is none.
-    Only the pairs of ``_probe_lists`` are scanned, which keep the first such
-    pair by the rule of the module docstring.
-
-    Whether a pair (ma, mb) separates depends only on its H-key (``ma`` on
-    H, which picks the bucket of ``mb``s it is glued to), on ``ma`` restricted
-    to the A-letters of h and g (cores included), and on ``mb`` restricted
-    to their B-letters. So only the first ``mb`` of each B-signature in a
-    bucket is tried: the first separating ``mb`` is the earliest of its
-    signature. And the first separating ``mb`` for an ``ma`` depends only
-    on its probe, the (H-key, A-signature) pair, so it is found once per
-    probe and reused for every later ``ma`` with that probe.
-
-    ``memo``, when given, is filled with the verdict on each image pair
-    (th, tg) the scan visited: the k with th = tg^k, or None when th lies
-    outside <tg>. When no pair separates, the visited pairs are all pairs
-    up to the group S of automorphisms of T behind ``T.orbit_leaders``,
-    since every ``ma`` is S-equivalent to a tried one, and S keeps
-    (order of tg, k).
-    """
+                 entry: CatalogEntry) -> tuple[Optional[GluedHom], set[tuple[int, int]]]:
+    """(hom, E) on the entry's group T. hom is the first glued homomorphism,
+    in the order of ``enumerate_quotient_homs``, that sends h outside <g>,
+    and E is empty; or hom is None, and E is the exponent set
+    {(order of theta(g), k) : theta(h) = theta(g)^k} over every glued theta.
+    Each probe of the pairs of ``_probe_lists`` is tried once, on its whole
+    bucket, which keeps both by the rule of the module docstring."""
     T = entry.build()
-    # The letters whose images decide the verdict; the identity keeps every
-    # getter below non-empty.
-    letters: dict[str, set[int]] = {"A": {0, hq.core, gq.core}, "B": {0}}
+    letters = {hq.core, gq.core}
     for x in (hq, gq):
-        for side, t in x.syllables:
-            letters[side].add(t)
-    a_probe = itemgetter(*pres.phi, *sorted(letters["A"]))  # H-key and A-signature
-    b_sig = itemgetter(*sorted(letters["B"]))
-    if memo is None:
-        memo = {}
-    found: dict[object, Optional[tuple[int, ...]]] = {}  # probe -> first separating mb
-    firsts: dict[tuple, dict[object, tuple[int, ...]]] = {}  # H-key -> B-signature -> mb
+        letters.update(t for side, t in x.syllables if side == "A")
+    a_probe = itemgetter(*pres.phi, *sorted(letters))  # H-key and A-signature
+    tried: set = set()
+    ks: dict[tuple[int, int], Optional[int]] = {}  # (th, tg) -> k, or None outside <tg>
     for ma, bucket in _probe_lists(pres, entry):
         probe = a_probe(ma)
-        if probe not in found:
-            found[probe] = None
-            h_key = probe[:len(pres.phi)]  # names the bucket
-            reps = firsts.get(h_key)
-            if reps is None:
-                reps = firsts[h_key] = {}
-                for mb in bucket:
-                    reps.setdefault(b_sig(mb), mb)
-            for mb in reps.values():
-                pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
-                k = memo.get(pair, -1)
-                if k == -1:
-                    k = memo[pair] = _cyclic_member_in_table(T, *pair)
-                if k is None:
-                    found[probe] = mb
-                    break
-        if found[probe] is not None:
-            return GluedHom(T, entry.name, ma, found[probe])
-    return None
+        if probe in tried:
+            continue
+        tried.add(probe)
+        for mb in bucket:
+            pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
+            k = ks.get(pair, -1)
+            if k == -1:
+                k = ks[pair] = _cyclic_member_in_table(T, *pair)
+            if k is None:
+                return GluedHom(T, entry.name, ma, mb), set()
+    orders = T.element_orders
+    return None, {(orders[tg], k) for (_, tg), k in ks.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -660,56 +635,46 @@ def _finish_scan(report: WitnessReport, pres: AmalgamPresentation, hq, gq,
     none. Each target is scanned on orbit leaders (``_probe_entry``).
 
     When the image of h in G^ab lies in <image of g> (``_abelian_member``),
-    no abelian target separates: every entry whose isomorphism key has no
-    nonabelian core is skipped unprobed, and kept in ``skipped`` by key.
-    Otherwise no entry is skipped. Either way the first separating target
-    is the one a scan that probes every target finds.
+    no abelian target separates, by the abelian rule of the module
+    docstring: every entry whose isomorphism key has no nonabelian core is
+    skipped unprobed, and kept in ``skipped`` by key.
 
-    A product T1 x T2 is decided without a probe, by the rule of the
-    module docstring, from the exponent sets E(Ti) = {(o, k)} of its
-    members' classes: the order o of theta(g) and the k with
-    theta(h) = theta(g)^k, over every homomorphism theta into Ti. The
-    members have smaller order, so the entries ``targets`` keeps for their
+    A product T1 x T2 is decided by the product rule of the module
+    docstring, from the exponent sets that ``_probe_entry`` returned for
+    its members' classes, kept in ``spectra`` by ``catalog.iso_key``: a
+    member may be a twin of the entry kept for its class. The members
+    have smaller order, so the entries ``targets`` keeps for their
     classes, which are base members, came earlier in this scan (in p-mode
-    they are p-groups too), and neither separated. A probe's memo holds
-    E: the pairs it visited are all pairs up to S, and S keeps (o, k). E
-    is read off a memo when a product first needs it, and keyed by
-    ``catalog.iso_key``, because a member may be a twin of the entry kept
-    for its class. A skipped member is probed then, once; that probe
-    separating would contradict G^ab, and raises AssertionError. Only a
-    product that separates is probed, so certificates are those of a scan
-    that probes every target.
+    they are p-groups too), and neither separated. A skipped member is
+    probed when a product first needs it; that probe separating would
+    contradict G^ab, and raises AssertionError. So the first separating
+    target, and its certificate, are those of a scan that probes every
+    target.
     """
-    probed: dict[tuple, tuple[Sequence[int], dict]] = {}  # key -> (orders, memo)
+    spectra: dict[tuple, set[tuple[int, int]]] = {}  # iso_key -> E of a probe that failed
     skipped: dict[tuple, CatalogEntry] = {}
-
-    @functools.cache
-    def spectrum(key: tuple) -> list[tuple[int, int]]:
-        if key in skipped:
-            memo: dict = {}
-            if _probe_entry(pres, hq, gq, skipped[key], memo) is not None:
-                raise AssertionError(f"{skipped[key].name} separates, but G^ab rules it out")
-            probed[key] = (skipped[key].build().element_orders, memo)
-        orders, memo = probed[key]
-        return list({(orders[tg], k) for (_, tg), k in memo.items()})
-
     skip_abelian = _abelian_member(pres, hq, gq)
     for entry in targets(max_order, p):
-        if skip_abelian and not iso_key(entry)[1]:
-            skipped[iso_key(entry)] = entry
+        key = iso_key(entry)
+        if skip_abelian and not key[1]:
+            skipped[key] = entry
             continue
         members = member_keys(entry)
         if members is not None:
-            e1, e2 = map(spectrum, members)
+            for member in members:
+                if member not in spectra:
+                    hom, spectra[member] = _probe_entry(pres, hq, gq, skipped[member])
+                    if hom is not None:
+                        raise AssertionError(
+                            f"{skipped[member].name} separates, but G^ab rules it out")
+            e1, e2 = (spectra[member] for member in members)
             if not any((k1 - k2) % gcd(o1, o2) for o1, k1 in e1 for o2, k2 in e2):
                 continue
-        memo: dict = {}
-        hom = _probe_entry(pres, hq, gq, entry, memo)
+        hom, spectra[key] = _probe_entry(pres, hq, gq, entry)
         if hom is not None:
             return _certify(report, pres, hq, gq, hom)
         if members is not None:
             raise AssertionError(f"the exponent sets separate, but {entry.name} does not")
-        probed[iso_key(entry)] = (entry.build().element_orders, memo)
     return _exhausted(report, max_order)
 
 

@@ -179,8 +179,8 @@ class GenImages(Record):
 def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = (),
                     chunks: Sequence[FreeWord] = (), distinct: bool = False
                     ) -> Iterator[tuple[tuple[int, ...], tuple]]:
-    """The orbit leaders among the assignments of ``target^rank``, in
-    lexicographic order, each as its image tuple with
+    """The orbit leaders among the assignments of ``target^rank``, rank >= 1,
+    in lexicographic order, each as its image tuple with
     ``kernel_key(restriction(u, basis))``.
 
     Rank 1 takes the first element of each element order. Higher ranks
@@ -212,17 +212,15 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
     (``_labelled_walk``).
     """
     table, inverse = target.table, target.inverse
-    # Each word as its first step and the rest. The empty word is compiled
-    # as x^-1 x, which is its value, so a scan with words needs rank >= 1.
+    # Each word as its first step and the rest; the empty word is compiled
+    # as x^-1 x, which is its value.
     compiled = []
     for w in (*basis, *chunks):
         steps = [(gen, sign < 0) for gen, sign in w] or [(0, True), (0, False)]
         compiled.append((*steps[0], steps[1:]))
     n_basis = len(basis)
     seen: set[int] = set()
-    if rank == 0:
-        assignments = [()]
-    elif rank == 1:
+    if rank == 1:
         orders = target.element_orders
         assignments = [(x,) for x in sorted(map(orders.index, set(orders)))]
     else:

@@ -509,6 +509,24 @@ def first_separating_hom_oracle(homs, h, g):
     return None
 
 
+def exponent_set_oracle(pres: AmalgamPresentation, h, g, T: FiniteGroup) -> set:
+    """{(order of theta(g), k) : theta(h) = theta(g)^k} over every glued
+    homomorphism theta into T, from the unrestricted factor lists, with k
+    found by listing the powers of theta(g)."""
+    out = set()
+    for ma, bucket in engine._glue(pres, engine._factor_homs(pres.A, T),
+                                   engine._factor_homs(pres.B, T)):
+        for mb in bucket:
+            hom = engine.GluedHom(T, "", ma, mb)
+            th, tg = hom.apply(h), hom.apply(g)
+            powers = [0]
+            while (x := T.table[powers[-1]][tg]) != 0:
+                powers.append(x)
+            if th in powers:
+                out.add((len(powers), powers.index(th)))
+    return out
+
+
 def evaluate_oracle(T: FiniteGroup, images, word) -> int:
     """The image of a free word under the generator images, letter by letter."""
     acc = 0
@@ -939,7 +957,7 @@ def finish_scan_oracle(report, pres, hq, gq, p, max_order):
     """``engine._finish_scan`` with every target probed by ``_probe_entry``,
     direct products included, on the scan's own ``targets``."""
     for entry in engine.targets(max_order, p):
-        hom = engine._probe_entry(pres, hq, gq, entry)
+        hom, _ = engine._probe_entry(pres, hq, gq, entry)
         if hom is not None:
             return engine._certify(report, pres, hq, gq, hom)
     return engine._exhausted(report, max_order)

@@ -217,6 +217,26 @@ class TestFreeQuotients:
             build_free_quotient_amalgam(desc, u, v)
 
 
+A_WORD = (((0, 1),),)
+
+
+@pytest.mark.parametrize("args,message", [
+    ((1, 1, ("a",), ("b",), (((1, 1),),), A_WORD), "side A names a generator outside 0..0"),
+    ((1, 1, ("a",), ("b",), A_WORD, (((0, 1), (-1, 1)),)),
+     "side B names a generator outside 0..0"),
+    ((2, 1, ("a", "b"), ("c",), (((0, 1), (2, -1)),), A_WORD),
+     "side A names a generator outside 0..1"),
+    ((0, 1, (), ("b",), ((),), A_WORD), "side A has no generators"),
+    ((1, 0, ("a",), (), A_WORD, ((),)), "side B has no generators"),
+])
+def test_free_descriptions_the_scanner_cannot_take_are_rejected(args, message):
+    # A basis word over a generator the side lacks once crashed the class
+    # scan and the witness query with IndexError; a side with no generators
+    # is one the presentation schema forbids.
+    with pytest.raises(InputError, match=message):
+        FreeAmalgamDescription(*args)
+
+
 class TestResiduallyP:
     def test_z4_amalgam_is_residually_2(self, g2):
         assert presentation_residually_p(g2, 2)

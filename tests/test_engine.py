@@ -159,7 +159,7 @@ def _assert_probe_is_naive(qa, queries, entries):
     separated = pruned = 0
     for hq, gq in queries:
         for entry in entries:
-            hom = engine._probe_entry(qa.presentation, hq, gq, entry)
+            hom, _ = engine._probe_entry(qa.presentation, hq, gq, entry)
             naive = first_separating_hom_oracle(
                 enumerate_quotient_homs(qa, entry.build()), hq, gq)
             if naive is None:
@@ -646,7 +646,7 @@ pres = build_amalgam(A, B, subgroup_generated(A, [2]), subgroup_generated(B, [2]
 x = normalize(pres, [("A", 1), ("B", 1)])
 y = normalize(pres, [("A", 1), ("B", 3)])
 T = cyclic_group(4)
-hom = engine._probe_entry(pres, y, x, next(e for e in catalog(4) if e.name == "Z4"))
+hom, _ = engine._probe_entry(pres, y, x, next(e for e in catalog(4) if e.name == "Z4"))
 bad = list(hom.map_b)
 bad[1] = T.table[bad[1]][1]
 tampered = engine.GluedHom(hom.target, hom.target_name, hom.map_a, tuple(bad))

@@ -24,6 +24,7 @@ from conftest import (
     closure_oracle,
     cold_catalog,
     evaluate_oracle,
+    exponent_set_oracle,
     finish_scan_oracle,
     free_classes_oracle,
     free_pair_scan_oracle,
@@ -38,7 +39,7 @@ from conftest import (
 
 from amalgsep import catalog as catalog_module
 from amalgsep import amalgam, compat, engine, fingrp
-from amalgsep.amalgam import build_amalgam
+from amalgsep.amalgam import build_amalgam, normalize
 from amalgsep.catalog import catalog, iso_key, member_keys, targets
 from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_classes
 from amalgsep.engine import conjugation_doubling_description, power_congruence_description
@@ -522,10 +523,10 @@ def _finish_pairs(monkeypatch, queries):
         scan["skip"] = member(*args)
         return scan["skip"]
 
-    def probe_spy(pres, hq, gq, entry, memo=None):
+    def probe_spy(pres, hq, gq, entry):
         if scan.get("skip") and not iso_key(entry)[1]:
             scan["late"] = scan.get("late", 0) + 1
-        return probe(pres, hq, gq, entry, memo)
+        return probe(pres, hq, gq, entry)
 
     def spy(report, *args):
         want = finish_scan_oracle(copy.deepcopy(report), *args).to_json()
@@ -601,6 +602,24 @@ def test_scans_build_only_the_products_that_separate(monkeypatch):
     assert sum(d.get("reason") == "bound_exhausted" for d in docs) >= 10
 
 
+def test_probe_exponent_sets_match_every_glued_hom():
+    """The exponent set ``_probe_entry`` returns, from the orbit leaders and
+    probes it tried, is that of every glued homomorphism, the S-invariance
+    the product rule rests on; it is empty when the entry separates."""
+    failed = separated = 0
+    for pres, h_letters, g_letters, _, p, _ in _finite_queries(random.Random(5)):
+        h, g = normalize(pres, h_letters), normalize(pres, g_letters)
+        for entry in targets(16, p):
+            hom, spectrum = engine._probe_entry(pres, h, g, entry)
+            if hom is None:
+                assert spectrum == exponent_set_oracle(pres, h, g, entry.build()), entry.name
+                failed += 1
+            else:
+                assert spectrum == set(), entry.name
+                separated += 1
+    assert failed and separated
+
+
 def test_abelianization_leaves_fewer_abelian_probes(monkeypatch):
     """Abelian-target probes on a fixed finite sweep at bound 32, with the
     abelianization test and with ``_abelian_member`` always False, which
@@ -611,10 +630,10 @@ def test_abelianization_leaves_fewer_abelian_probes(monkeypatch):
     def sweep(skip: bool) -> tuple[int, list]:
         count = 0
 
-        def spy(pres, hq, gq, entry, memo=None):
+        def spy(pres, hq, gq, entry):
             nonlocal count
             count += not iso_key(entry)[1]
-            return probe(pres, hq, gq, entry, memo)
+            return probe(pres, hq, gq, entry)
 
         monkeypatch.setattr(engine, "_probe_entry", spy)
         monkeypatch.setattr(engine, "_abelian_member", member if skip else lambda *a: False)
