@@ -1,16 +1,35 @@
-"""Exact arithmetic in an amalgamated free product of two finite groups.
+"""Exact arithmetic in an amalgamated free product A *_H B.
 
 Elements are kept in the unique normal form
 
     core . t1 t2 ... tn
 
-where core lies in the amalgamated subgroup H (stored as an element of the
-A factor) and the t_i are non-identity right-coset transversal
-representatives, strictly alternating between the two factors. The
-transversal picks the least element index in each coset, hence the
-identity on H and K. Multiplication works letter by letter from the
+where core lies in the amalgamated subgroup H and the t_i are
+non-identity right-coset transversal representatives, strictly
+alternating between the two factors (Lyndon and Schupp, Combinatorial
+Group Theory, ch. IV.2). Multiplication works letter by letter from the
 right (prepending), which touches at most two syllables per letter; a
 product, conjugate or cyclic-reduction step is reduced in one such pass.
+
+The engine reaches the factors through the presentation alone: ``mul``
+and ``inv`` in a factor; ``split(side, x)``, which writes x = h t with h
+in H, as a core, and t the representative of Hx; ``core_on(side, core)``,
+the core in that factor; ``power_exponent(side, x, g)``, the k with
+x = g^k, or None; and ``element``, which checks a letter for
+``normalize``. The identity is falsy in both kinds of factor (index 0,
+the empty word), and so is the core 0 of the identity.
+
+``AmalgamPresentation`` has finite factors given by tables, an index of A
+as its core, and the least index of each coset as its representative.
+``FreeAmalgamPresentation`` has free factors amalgamated along
+<w_A> = <w_B>, the exponent s of w^s as its core, and the shortest word
+w^s x, the least tuple among those as short, as the representative of
+<w>x; so x lies in <w> iff that is the empty word. |w^s x| is the
+distance from w^-s to x in the Cayley tree, and the points w^-s lie at
+one distance from the axis of w, above evenly spaced points of it. So
+the length falls strictly to its minimum, stays there for at most two
+values of s, and then rises strictly: a walk from s = 0 each way, while
+the length does not grow, finds the representative.
 """
 
 from __future__ import annotations
@@ -22,6 +41,8 @@ from typing import Callable, Iterable, Optional
 from .errors import InputError
 from .fingrp import (FiniteGroup, Record, Subgroup, coset_representatives, is_prime,
                      prime_factors)
+from .freegrp import (FreeWord, reduce_word, word_inv, word_mul, word_pow,
+                      word_power_exponent)
 
 Side = str  # 'A' or 'B'
 Letter = tuple[Side, int]
@@ -33,9 +54,10 @@ class AmalgamPresentation(Record):
     ``phi``/``phi_inv`` give the identifying isomorphism on element
     indices; ``transversal_a[x]`` is the canonical representative of the
     right coset Hx (likewise for B), so every factor element splits
-    uniquely as (amalgamated part) * (representative). A presentation
-    equals only itself and hashes by identity; ``compat_cache`` lives in
-    its ``__dict__``.
+    uniquely as (amalgamated part) * (representative). The core is an
+    element of H, as an index of A. A presentation equals only itself and
+    hashes by identity; ``compat_cache`` and the split tables live in its
+    ``__dict__``.
     """
 
     _fields = ("A", "B", "H", "K", "phi", "phi_inv", "transversal_a", "transversal_b")
@@ -49,21 +71,37 @@ class AmalgamPresentation(Record):
     def factor(self, side: Side) -> FiniteGroup:
         return self.A if side == "A" else self.B
 
-    def transversal(self, side: Side) -> tuple[int, ...]:
-        return self.transversal_a if side == "A" else self.transversal_b
+    def element(self, side: Side, x: int) -> int:
+        if not 0 <= x < self.factor(side).order:
+            raise AssertionError(f"element index {x} out of range for factor {side}")
+        return x
 
-    def core_on(self, side: Side, core_a: int) -> int:
+    def mul(self, side: Side, x: int, y: int) -> int:
+        return (self.A if side == "A" else self.B).table[x][y]
+
+    def inv(self, side: Side, x: int) -> int:
+        return (self.A if side == "A" else self.B).inverse[x]
+
+    def core_on(self, side: Side, core: int) -> int:
         """The H-core as an element of the given factor."""
-        return core_a if side == "A" else self.phi[core_a]
-
-    def core_to_a(self, side: Side, x: int) -> int:
-        return x if side == "A" else self.phi_inv[x]
+        return core if side == "A" else self.phi[core]
 
     def split(self, side: Side, x: int) -> tuple[int, int]:
-        """x = h * t with h in the amalgamated subgroup, t the coset representative."""
-        t = self.transversal(side)[x]
-        G = self.factor(side)
-        return G.table[x][G.inverse[t]], t
+        """(core, t) with x = core_on(side, core) * t, t the coset representative."""
+        return self._splits[side][x]
+
+    def power_exponent(self, side: Side, x: int, g: int) -> Optional[int]:
+        return self.factor(side).power_exponent(x, g)
+
+    @cached_property
+    def _splits(self) -> dict[Side, tuple[tuple[int, int], ...]]:
+        """``split`` of every element of each factor, by side."""
+        out = {}
+        for side, rep in (("A", self.transversal_a), ("B", self.transversal_b)):
+            G = self.factor(side)
+            hs = [G.table[x][G.inverse[t]] for x, t in enumerate(rep)]
+            out[side] = tuple(zip(hs if side == "A" else map(self.phi_inv.__getitem__, hs), rep))
+        return out
 
     @cached_property
     def compat_cache(self) -> dict:
@@ -105,26 +143,96 @@ def build_amalgam(A: FiniteGroup, B: FiniteGroup, H: Subgroup, K: Subgroup,
     )
 
 
+# Bound of a free presentation's table. A benchmark free-scan round puts
+# 24 to 54 entries in each table and finds 81-87% of its calls there.
+FREE_TABLE_LIMIT = 1 << 14
+
+
+class FreeAmalgamPresentation(Record):
+    """Two free factors, of ranks ``rank_a`` and ``rank_b``, amalgamated
+    along the cyclic subgroups that the nontrivial reduced words ``word_a``
+    and ``word_b`` generate, with word_a = word_b. Factor elements are
+    reduced words; the core is the exponent s of word_a^s = word_b^s. A
+    presentation equals only itself and hashes by identity; the table of
+    ``split`` and ``core_on``, which fills as they are met, lives in its
+    ``__dict__``."""
+
+    _fields = ("rank_a", "rank_b", "word_a", "word_b")
+    __slots__ = (*_fields, "__dict__")
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, rank_a: int, rank_b: int, word_a: FreeWord, word_b: FreeWord):
+        self._fill(rank_a, rank_b, word_a, word_b)
+
+    def element(self, side: Side, x: FreeWord) -> FreeWord:
+        """The reduced word of x; its letters must name the side's generators."""
+        rank = self.rank_a if side == "A" else self.rank_b
+        if x and not (min(x)[0] >= 0 and max(x)[0] < rank):   # letters order by generator
+            raise AssertionError(f"{x!r} names a generator outside factor {side}")
+        return reduce_word(x)
+
+    def mul(self, side: Side, x: FreeWord, y: FreeWord) -> FreeWord:
+        return word_mul(x, y)
+
+    def inv(self, side: Side, x: FreeWord) -> FreeWord:
+        return word_inv(x)
+
+    def core_on(self, side: Side, core: int) -> FreeWord:
+        found = self._table.get((side, core))
+        if found is None:
+            w = self.word_a if side == "A" else self.word_b
+            found = self._remember((side, core), word_pow(w, core))
+        return found
+
+    def split(self, side: Side, x: FreeWord) -> tuple[int, FreeWord]:
+        """(s, t) with x = w^s t for the reduced word x, t the shortest
+        w^-s x and the least tuple among those as short (module docstring)."""
+        found = self._table.get((side, x))
+        if found is None:
+            w = self.word_a if side == "A" else self.word_b
+            w_inv = word_inv(w)
+            best = (len(x), x, 0)
+            # t becomes step t and s grows by ds; step t drops a leading
+            # copy of step^-1, and is no longer than t only if it cancels
+            # into t, so only if t starts as the copy does.
+            for step, copy, ds in ((w_inv, w, 1), (w, w_inv, -1)):
+                t, s, n = x, 0, len(copy)
+                while t[:n] == copy:
+                    t, s = t[n:], s + ds
+                best = min(best, (len(t), t, s))
+                while t[:1] == copy[:1] and len(nxt := word_mul(step, t)) <= len(t):
+                    t, s = nxt, s + ds
+                    best = min(best, (len(t), t, s))
+            found = self._remember((side, x), (best[2], best[1]))
+        return found
+
+    def power_exponent(self, side: Side, x: FreeWord, g: FreeWord) -> Optional[int]:
+        return word_power_exponent(x, g)
+
+    @cached_property
+    def _table(self) -> dict[tuple, object]:
+        """``split`` of each (side, word) and ``core_on`` of each (side,
+        core) met since ``_remember`` last emptied the table, which it does
+        at ``FREE_TABLE_LIMIT`` entries."""
+        return {}
+
+    def _remember(self, key: tuple, value):
+        if len(self._table) >= FREE_TABLE_LIMIT:
+            self._table.clear()
+        self._table[key] = value
+        return value
+
+
 class AmalgamElement(Record):
-    """Normal form: H-core (as an A-element) plus alternating syllables;
-    elements of different presentations never compare equal."""
+    """Normal form: H-core plus alternating syllables; elements of
+    different presentations never compare equal."""
 
     __slots__ = _fields = ("pres", "core", "syllables")
 
     def __init__(self, pres: AmalgamPresentation, core: int, syllables: tuple[Letter, ...]):
-        object.__setattr__(self, "pres", pres)
-        object.__setattr__(self, "core", core)
-        object.__setattr__(self, "syllables", syllables)
-
-    # Record's comparison, without building key tuples.
-    def __eq__(self, other):
-        if other.__class__ is not AmalgamElement:
-            return NotImplemented
-        return (self.pres is other.pres and self.core == other.core
-                and self.syllables == other.syllables)
-
-    def __hash__(self) -> int:
-        return hash((self.pres, self.core, self.syllables))
+        _set_pres(self, pres)
+        _set_core(self, core)
+        _set_syllables(self, syllables)
 
     def is_identity(self) -> bool:
         return self.core == 0 and not self.syllables
@@ -132,7 +240,7 @@ class AmalgamElement(Record):
     def letters(self) -> list[Letter]:
         out: list[Letter] = []
         if self.core != 0:
-            out.append(("A", self.core))
+            out.append(("A", self.pres.core_on("A", self.core)))
         out.extend(self.syllables)
         return out
 
@@ -140,41 +248,46 @@ class AmalgamElement(Record):
         return f"AmalgamElement(core={self.core}, syllables={self.syllables})"
 
 
+# The slots' own setters: Record's __setattr__ refuses, and these are the
+# fastest way past it.
+_set_pres, _set_core, _set_syllables = (
+    AmalgamElement.pres.__set__, AmalgamElement.core.__set__, AmalgamElement.syllables.__set__)
+
+
 def identity_element(pres: AmalgamPresentation) -> AmalgamElement:
     return AmalgamElement(pres, 0, ())
 
 
-def _prepend(pres: AmalgamPresentation, side: Side, elem: int,
-             x: AmalgamElement) -> AmalgamElement:
+def _prepend(pres: AmalgamPresentation, side: Side, elem, x: AmalgamElement) -> AmalgamElement:
     """Normal form of (side:elem) * x; touches at most the first syllable."""
-    G = pres.factor(side)
-    u = G.table[elem][pres.core_on(side, x.core)]
-    h, t = pres.split(side, u)
-    if t == 0:
-        # The whole letter folds into the amalgamated part.
-        return AmalgamElement(pres, pres.core_to_a(side, u), x.syllables)
+    # A core of 0 is the identity, which leaves the letter as it is.
+    u = pres.mul(side, elem, pres.core_on(side, x.core)) if x.core else elem
     syls = x.syllables
     if syls and syls[0][0] == side:
-        # Merge the fresh representative with the first syllable.
-        v = G.table[t][syls[0][1]]
-        h2, t2 = pres.split(side, v)
-        core = pres.core_to_a(side, G.table[h][h2])
-        if t2 == 0:
-            # The merged pair collapsed into the amalgamated subgroup.
-            return AmalgamElement(pres, core, syls[1:])
-        return AmalgamElement(pres, core, ((side, t2),) + syls[1:])
-    return AmalgamElement(pres, pres.core_to_a(side, h), ((side, t),) + syls)
+        # Merge with the first syllable s: u s splits as the core times the
+        # merged representative, which is s itself when u lies in H.
+        core, t = pres.split(side, pres.mul(side, u, syls[0][1]))
+        syls = syls[1:]
+    else:
+        core, t = pres.split(side, u)
+    # With t the identity, the letter (or the merged pair) folded into the
+    # amalgamated part.
+    return AmalgamElement(pres, core, ((side, t),) + syls if t else syls)
 
 
 def normalize(pres: AmalgamPresentation, letters: Iterable[Letter]) -> AmalgamElement:
     """Unique normal form of a product of tagged factor elements."""
-    letters = list(letters)
+    checked = []
     for side, elem in letters:
         if side not in ("A", "B"):
             raise AssertionError(f"letter side must be 'A' or 'B', got {side!r}")
-        if not (0 <= elem < pres.factor(side).order):
-            raise AssertionError(f"element index {elem} out of range for factor {side}")
-    x = identity_element(pres)
+        checked.append((side, pres.element(side, elem)))
+    return _product(pres, checked, identity_element(pres))
+
+
+def _product(pres: AmalgamPresentation, letters: list[Letter], x: AmalgamElement
+             ) -> AmalgamElement:
+    """Normal form of the product of checked letters, times x."""
     for side, elem in reversed(letters):
         x = _prepend(pres, side, elem, x)
     return x
@@ -183,25 +296,26 @@ def normalize(pres: AmalgamPresentation, letters: Iterable[Letter]) -> AmalgamEl
 def multiply(x: AmalgamElement, y: AmalgamElement) -> AmalgamElement:
     if x.pres is not y.pres:
         raise AssertionError("elements live in different presentations")
-    out = y
-    for side, elem in reversed(x.letters()):
-        out = _prepend(x.pres, side, elem, out)
-    return out
+    return _product(x.pres, x.letters(), y)
+
+
+def _inverse_letters(x: AmalgamElement) -> list[Letter]:
+    pres = x.pres
+    return [(side, pres.inv(side, elem)) for side, elem in reversed(x.letters())]
 
 
 def invert(x: AmalgamElement) -> AmalgamElement:
-    pres = x.pres
-    letters = []
-    for side, elem in reversed(x.letters()):
-        letters.append((side, pres.factor(side).inverse[elem]))
-    return normalize(pres, letters)
+    return _product(x.pres, _inverse_letters(x), identity_element(x.pres))
 
 
 def conjugate(x: AmalgamElement, c: AmalgamElement) -> AmalgamElement:
-    """c^-1 x c; x itself when c is the identity."""
+    """c^-1 x c, as the letters of c^-1 and of x prepended onto c; x itself
+    when c is the identity."""
     if c.is_identity():
         return x
-    return multiply(multiply(invert(c), x), c)
+    if x.pres is not c.pres:
+        raise AssertionError("elements live in different presentations")
+    return _product(c.pres, _inverse_letters(c) + x.letters(), c)
 
 
 def power(x: AmalgamElement, k: int) -> AmalgamElement:
@@ -239,7 +353,7 @@ def cyclically_reduce(x: AmalgamElement) -> tuple[AmalgamElement, AmalgamElement
     c = identity_element(pres)
     while len(y.syllables) >= 2 and y.syllables[0][0] == y.syllables[-1][0]:
         step = AmalgamElement(pres, y.core, (y.syllables[0],))
-        y_next = normalize(pres, y.syllables[1:] + tuple(step.letters()))
+        y_next = _product(pres, [*y.syllables[1:], *step.letters()], identity_element(pres))
         if syllable_length(y_next) >= syllable_length(y):
             raise AssertionError("cyclic reduction made no progress")
         y = y_next
@@ -248,8 +362,8 @@ def cyclically_reduce(x: AmalgamElement) -> tuple[AmalgamElement, AmalgamElement
 
 
 def element_order(x: AmalgamElement):
-    """Order of x: math.inf when the cyclic reduction has length >= 2,
-    otherwise the order inside the finite factor containing it."""
+    """Order of x, for finite factors: math.inf when the cyclic reduction
+    has length >= 2, otherwise the order inside the factor containing it."""
     fac = factor_element_of(cyclically_reduce(x)[0])
     if fac is None:
         return math.inf
@@ -266,10 +380,9 @@ def factor_element_of(x: AmalgamElement) -> Optional[tuple[Side, int]]:
         return None
     pres = x.pres
     if not x.syllables:
-        return ("A", x.core)
+        return ("A", pres.core_on("A", x.core))
     side, t = x.syllables[0]
-    G = pres.factor(side)
-    return (side, G.table[pres.core_on(side, x.core)][t])
+    return (side, pres.mul(side, pres.core_on(side, x.core), t))
 
 
 class CyclicMembership(Record):
@@ -297,16 +410,16 @@ def cyclic_member(h: AmalgamElement, g: AmalgamElement) -> CyclicMembership:
 
     The generator is cyclically reduced first (transporting h by the same
     conjugator). For l >= 2 the power-length law pins down the only two
-    candidate exponents; for l <= 1 the finite cyclic subgroup of the
-    ambient factor is enumerated.
+    candidate exponents; for l <= 1, <g> lies in one factor, which embeds
+    in the amalgam, and the factor decides (``power_exponent``).
     """
-    if h.pres is not g.pres:
+    pres = g.pres
+    if h.pres is not pres:
         raise AssertionError("elements live in different presentations")
     gr, c = cyclically_reduce(g)
     ht = conjugate(h, c)
-    n = syllable_length(gr)
+    n, m = syllable_length(gr), syllable_length(ht)
     if n >= 2:
-        m = syllable_length(ht)
         if m == 0:
             if ht.is_identity():
                 return _member(0)
@@ -319,14 +432,13 @@ def cyclic_member(h: AmalgamElement, g: AmalgamElement) -> CyclicMembership:
         if power(gr, -k) == ht:
             return _member(-k)
         return _nonmember("length-compatible exponents fail")
-    # Finite cyclic subgroup <g>.
-    order = element_order(gr)
-    cur = identity_element(g.pres)
-    for k in range(order):
-        if cur == ht:
-            return _member(k)
-        cur = multiply(cur, gr)
-    return _nonmember("not in the finite cyclic subgroup")
+    # <g> lies in the factor of gr (A when n = 0); so must h.
+    side, t = factor_element_of(gr)
+    k = None
+    if m == 0 or (m == 1 and ht.syllables[0][0] == side):
+        x = factor_element_of(ht)[1] if m else pres.core_on(side, ht.core)
+        k = pres.power_exponent(side, x, t)
+    return _nonmember("not in the finite cyclic subgroup") if k is None else _member(k)
 
 
 def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:
@@ -335,7 +447,7 @@ def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:
 
     The root, if any, is cyclically reduced of length n/q, and its syllable
     skeleton is a cyclic segment of g's; candidates are those segments
-    decorated by all possible amalgamated-part cores.
+    decorated by all possible amalgamated-part cores (finite factors).
     """
     if not is_prime(q):
         raise AssertionError(f"{q} is not prime")

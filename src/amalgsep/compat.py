@@ -39,11 +39,13 @@ class is unchanged.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from .amalgam import (
     AmalgamElement,
     AmalgamPresentation,
+    FreeAmalgamPresentation,
     build_amalgam,
     normalize,
 )
@@ -72,6 +74,7 @@ from .freegrp import (
     primitive_root,
     restriction,
     scan_gen_images,
+    subgroup_rank,
     word_pow,
     word_power_exponent,
 )
@@ -317,12 +320,16 @@ class FreeAmalgamDescription(Record):
     amalgamated subgroups (the identification maps one onto the other).
     Each side needs a generator, and its basis words may name only its own
     generators, ``0..rank-1``. Each side's generator names must be
-    distinct, as a repeated name could never be read back, and no basis
-    word may reduce to the identity, which no free basis holds.
+    distinct, as a repeated name could never be read back. Each side's
+    words must be freely reduced, as the word engine takes them as they
+    stand, and a free basis (``freegrp.subgroup_rank``), else the
+    identification is no isomorphism; a word that reduces to the identity
+    is named. The word engine's presentation is built once and kept in the
+    ``__dict__``.
     """
 
-    __slots__ = _fields = ("rank_a", "rank_b", "gen_names_a", "gen_names_b",
-                           "h_words", "k_words")
+    _fields = ("rank_a", "rank_b", "gen_names_a", "gen_names_b", "h_words", "k_words")
+    __slots__ = (*_fields, "__dict__")
 
     def __init__(self, rank_a: int, rank_b: int, gen_names_a: tuple[str, ...],
                  gen_names_b: tuple[str, ...], h_words: tuple[FreeWord, ...],
@@ -343,7 +350,25 @@ class FreeAmalgamDescription(Record):
             if () in words:
                 raise InputError(f"basis word {words.index(()) + 1} of side {side} "
                                  "reduces to the identity, so the basis is not free")
+            for i, word in enumerate(words, 1):
+                if any(y == (gen, -e) for (gen, e), y in zip(word, word[1:])):
+                    raise InputError(f"basis word {i} of side {side} is not freely reduced")
+            rank = subgroup_rank(words)
+            if rank != len(words):
+                raise InputError(f"the basis words of side {side} generate a subgroup of "
+                                 f"rank {rank}, not {len(words)}, so the basis is not free")
         self._fill(rank_a, rank_b, gen_names_a, gen_names_b, h_words, k_words)
+
+    @cached_property
+    def presentation(self) -> FreeAmalgamPresentation:
+        """The amalgam for the word engine, which takes a cyclic amalgamated
+        subgroup only."""
+        if len(self.h_words) != 1:
+            raise InputError(
+                "free-side separation supports cyclic amalgamated subgroups "
+                "(exactly one basis word per side)")
+        return FreeAmalgamPresentation(self.rank_a, self.rank_b, self.h_words[0],
+                                       self.k_words[0])
 
 
 def _image_group(T: FiniteGroup, members: frozenset[int]) -> tuple[FiniteGroup, dict]:

@@ -56,14 +56,15 @@ image of g, so is theta(h) of theta(g) for every such theta, and no
 abelian target of any order separates.
 
 Free factors are supported for presentations whose amalgamated subgroups
-are cyclic (one basis word per side). Membership is decided exactly on
-the symbolic normal forms, each built in one left-to-right pass
-(``free_reduced_form``); a non-member is then separated inside the
-first length-preserving finite quotient amalgam that keeps h outside <g>
-and, in p-mode, keeps h^n' apart from g^k and g^-k when the syllable
-lengths allow that power collision. One pass over the pairs applies both
-filters, and also names the first length-preserving pair, or the first
-that keeps h outside, when none passes. The pair scan behind those
+are cyclic (one basis word per side). Their queries run through the same
+word engine as finite ones (``amalgam.FreeAmalgamPresentation``), so
+membership is decided exactly on the normal forms; a non-member is then
+separated inside the first length-preserving finite quotient amalgam
+that keeps h outside <g> and, in p-mode, keeps h^n' apart from g^k and
+g^-k when the syllable lengths allow that power collision. One pass over
+the pairs applies both filters, and also names the first
+length-preserving pair, or the first that keeps h outside, when none
+passes. The pair scan behind those
 quotients yields each pair of kernels once: the quotient amalgam and
 every filter depend on the two kernels alone, so a repeated pair could
 only repeat a rejection. That still removes kernels repeated across
@@ -80,7 +81,7 @@ import itertools
 import random
 from math import gcd
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from . import amalgam as am
 from .amalgam import AmalgamElement, AmalgamPresentation
@@ -112,24 +113,12 @@ from .fingrp import (
     respects_generators,
     subgroup_generated,
 )
-from .freegrp import (
-    FreeWord,
-    GenImages,
-    kernel_key,
-    reduce_word,
-    scan_gen_images,
-    word_inv,
-    word_mul,
-    word_pow,
-    word_power_exponent,
-)
+from .freegrp import FreeWord, GenImages, kernel_key, scan_gen_images
 
 DEFAULT_TARGET_BOUND = 256
 DEFAULT_PAIR_BOUND = 48
 # The trivial pair's ``CompatiblePair.key``: in-factor reports name it, and readers parse it.
 IN_FACTOR_PAIR = " -> factor pair ((1, (0,)), (1, (0,)))"
-
-FreeLetter = tuple[str, FreeWord]
 
 
 # ---------------------------------------------------------------------------
@@ -226,17 +215,6 @@ def enumerate_quotient_homs(qa: QuotientAmalgam, target: FiniteGroup) -> list[Gl
             for mb in bucket]
 
 
-def _cyclic_member_in_table(T: FiniteGroup, th: int, tg: int) -> Optional[int]:
-    """The k in [0, o) with th = tg^k, where o is the order of tg; None
-    when th lies outside <tg>."""
-    x = 0
-    for k in range(T.element_orders[tg]):
-        if x == th:
-            return k
-        x = T.table[x][tg]
-    return None
-
-
 def _probe_lists(pres: AmalgamPresentation, entry: CatalogEntry) -> list[tuple[tuple, list]]:
     """The pairs (ma, bucket) ``_probe_entry`` scans on the entry's group T,
     glued by ``_glue``: the A-maps that send element 1 into
@@ -282,154 +260,11 @@ def _probe_entry(pres: AmalgamPresentation, hq: AmalgamElement, gq: AmalgamEleme
             pair = (_glued_image(T, ma, mb, hq), _glued_image(T, ma, mb, gq))
             k = ks.get(pair, -1)
             if k == -1:
-                k = ks[pair] = _cyclic_member_in_table(T, *pair)
+                k = ks[pair] = T.power_exponent(*pair)
             if k is None:
                 return GluedHom(T, entry.name, ma, mb), set()
     orders = T.element_orders
     return None, {(orders[tg], k) for (_, tg), k in ks.items()}
-
-
-# ---------------------------------------------------------------------------
-# Symbolic reduced forms for free descriptions with cyclic amalgamation
-
-
-class FreeReducedForm(Record):
-    """Reduced form of a free-amalgam element with cyclic amalgamation:
-    either a power of the amalgamated generator (length 0) or an
-    alternating chunk sequence with no chunk inside the amalgam."""
-
-    __slots__ = _fields = ("chunks", "core_exponent")
-
-    def __init__(self, chunks: tuple[FreeLetter, ...], core_exponent: int = 0):
-        self._fill(chunks, core_exponent)    # core_exponent: meaningful only when chunks is empty
-
-    @property
-    def length(self) -> int:
-        return len(self.chunks)
-
-    def is_identity(self) -> bool:
-        return not self.chunks and self.core_exponent == 0
-
-    def letters(self, desc: FreeAmalgamDescription) -> list[FreeLetter]:
-        if self.chunks:
-            return list(self.chunks)
-        if self.core_exponent == 0:
-            return []
-        return [("A", word_pow(desc.h_words[0], self.core_exponent))]
-
-
-def _amalgam_words(desc: FreeAmalgamDescription) -> dict[str, FreeWord]:
-    """The amalgamated generator's word on each side."""
-    if len(desc.h_words) != 1:
-        raise InputError(
-            "free-side separation supports cyclic amalgamated subgroups "
-            "(exactly one basis word per side)")
-    return {"A": desc.h_words[0], "B": desc.k_words[0]}
-
-
-def free_reduced_form(desc: FreeAmalgamDescription,
-                      letters: Iterable[FreeLetter]) -> FreeReducedForm:
-    """Alternating reduced form over the free factors, in one left-to-right
-    pass on a stack of chunks, none inside the amalgamated subgroup. Each
-    run of same-side letters is reduced as one word and merged into a top
-    chunk on its side; identity chunks are dropped. A merged chunk inside
-    the amalgam is rewritten as the other side's power (the identification
-    is exact) and merged into the chunk below, which stays outside it:
-    x w^t lies in <w> only if x does. With no chunk below, it becomes the
-    core exponent, which the next run absorbs."""
-    words = _amalgam_words(desc)
-    stack: list[FreeLetter] = []
-    core = 0
-    for side, run in itertools.groupby(letters, itemgetter(0)):
-        if side not in ("A", "B"):
-            raise AssertionError(f"letter side must be 'A' or 'B', got {side!r}")
-        word = reduce_word(itertools.chain.from_iterable(w for _, w in run))
-        if stack and stack[-1][0] == side:
-            word = word_mul(stack.pop()[1], word)
-        elif core:
-            word, core = word_mul(word_pow(words[side], core), word), 0
-        if not word:
-            continue
-        t = word_power_exponent(word, words[side])
-        if t is None:
-            stack.append((side, word))
-        elif stack:
-            below, chunk = stack.pop()
-            stack.append((below, word_mul(chunk, word_pow(words[below], t))))
-        else:
-            core = t
-    return FreeReducedForm(tuple(stack), core)
-
-
-def free_cyclically_reduce(desc: FreeAmalgamDescription, form: FreeReducedForm
-                           ) -> tuple[FreeReducedForm, list[FreeLetter]]:
-    """(reduced rotation y, conjugator letters c) with the original
-    element equal to c * y * c^-1."""
-    conj: list[FreeLetter] = []
-    cur = form
-    while cur.length >= 2 and cur.chunks[0][0] == cur.chunks[-1][0]:
-        head = cur.chunks[0]
-        conj.append(head)
-        rotated = list(cur.chunks[1:]) + [head]
-        nxt = free_reduced_form(desc, rotated)
-        if nxt.length >= cur.length:
-            raise AssertionError("cyclic reduction made no progress")
-        cur = nxt
-    return cur, conj
-
-
-def _free_letters_inverse(letters: Sequence[FreeLetter]) -> list[FreeLetter]:
-    return [(side, word_inv(w)) for side, w in reversed(letters)]
-
-
-def _free_query_forms(desc: FreeAmalgamDescription, h_letters, g_letters
-                      ) -> tuple[FreeReducedForm, FreeReducedForm]:
-    """(g_red, h_trans): g cyclically reduced symbolically, and h
-    transported by the same conjugator, so h in <g> iff h_trans in <g_red>
-    with the same exponent."""
-    g_form = free_reduced_form(desc, g_letters)
-    if g_form.is_identity():
-        raise InputError("g must be nontrivial")
-    h_form = free_reduced_form(desc, h_letters)
-    g_red, conj = free_cyclically_reduce(desc, g_form)
-    h_trans = free_reduced_form(
-        desc, _free_letters_inverse(conj) + list(h_form.letters(desc)) + list(conj))
-    return g_red, h_trans
-
-
-def _free_member_exponent(desc: FreeAmalgamDescription, g_red: FreeReducedForm,
-                          h_trans: FreeReducedForm) -> Optional[int]:
-    """The exponent k with h = g^k, or None when h lies outside <g>.
-
-    Exact, by the normal form theorem for amalgamated products (Lyndon and
-    Schupp, ch. IV.2): a reduced form is the identity iff it is empty with
-    core exponent 0. ``g_red`` is cyclically reduced. For n = l(g) >= 2 the
-    forms of g^k are concatenations, so l(g^k) = |k| n and only k = +-m/n
-    can work, m = l(h). For n <= 1, <g> lies in one free factor F_S (in A
-    when n = 0), which embeds in the amalgam: h is a member only if it lies
-    in F_S, and then iff its word is a power of g's word in F_S.
-    """
-    n, m = g_red.length, h_trans.length
-    g_letters = list(g_red.letters(desc))
-    if n >= 2:
-        if m % n:
-            return None
-        k = m // n
-        h_inv = _free_letters_inverse(h_trans.letters(desc))
-        for e in (k, -k) if k else (0,):
-            if free_reduced_form(desc, h_inv + _free_power_letters(g_letters, e)).is_identity():
-                return e
-        return None
-    (side, g_word), = g_letters
-    if m >= 2:
-        return None
-    if m == 1:
-        h_side, word = h_trans.chunks[0]
-        if h_side != side:
-            return None
-    else:
-        word = word_pow(_amalgam_words(desc)[side], h_trans.core_exponent)
-    return word_power_exponent(word, g_word)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +401,7 @@ def _certify(report: WitnessReport, pres: AmalgamPresentation, hq: AmalgamElemen
             raise AssertionError(f"certificate factor map {side} is not a homomorphism")
     if any(hom.map_a[h] != hom.map_b[pres.phi[h]] for h in pres.H.members):
         raise AssertionError("certificate factor maps disagree on the amalgamated subgroup")
-    ok = _cyclic_member_in_table(T, hom.apply(hq), hom.apply(gq)) is None
+    ok = T.power_exponent(hom.apply(hq), hom.apply(gq)) is None
     image = hom.image_members()
     report.outcome = "separated"
     report.target_name = hom.target_name
@@ -702,14 +537,8 @@ def separate_from_cyclic(
     h_letters, g_letters = list(h_letters), list(g_letters)
     report = WitnessReport(mode=mode, prime=pmode, h_text=_letters_text(h_letters),
                            g_text=_letters_text(g_letters), outcome="")
-    if isinstance(target, AmalgamPresentation):
-        return _separate_finite(report, target, h_letters, g_letters, pmode, max_order)
-    return _separate_free(report, target, h_letters, g_letters, pmode, max_order,
-                          pair_bound)
-
-
-def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters,
-                     g_letters, p, max_order) -> WitnessReport:
+    finite = isinstance(target, AmalgamPresentation)
+    pres = target if finite else target.presentation
     g = am.normalize(pres, g_letters)
     h = am.normalize(pres, h_letters)
     if g.is_identity():
@@ -723,7 +552,13 @@ def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h_letters
         report.outcome = "member"
         report.exponent = verdict.exponent
         return report
+    if finite:
+        return _separate_finite(report, pres, h, g, ht, gr, pmode, max_order)
+    return _separate_free(report, target, ht, gr, pmode, max_order, pair_bound)
 
+
+def _separate_finite(report: WitnessReport, pres: AmalgamPresentation, h, g, ht, gr,
+                     p, max_order) -> WitnessReport:
     if p is not None and not presentation_residually_p(pres, p):
         return _exhausted(report, max_order, "presentation is not residually "
                           "p-finite; p-mode machinery does not apply")
@@ -783,24 +618,19 @@ def _collides(hq: AmalgamElement, gq: AmalgamElement, nk: tuple[int, int]) -> bo
     return hn == gk or hn == am.invert(gk)
 
 
-def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letters,
-                   g_letters, p, max_order, pair_bound) -> WitnessReport:
-    g_red, h_trans = _free_query_forms(desc, h_letters, g_letters)
-    n = g_red.length
-    m = h_trans.length
-
-    exponent = _free_member_exponent(desc, g_red, h_trans)
-    if exponent is not None:
-        report.outcome = "member"
-        report.exponent = exponent
-        return report
-
+def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, ht, gr,
+                   p, max_order, pair_bound) -> WitnessReport:
+    """Separate ht from <gr>, the query after cyclic reduction, with h
+    outside <g>, in the first finite quotient amalgam that keeps every
+    syllable outside the amalgamated image and passes the filters of the
+    module docstring."""
+    n, m = am.syllable_length(gr), am.syllable_length(ht)
     # p-mode, n >= 2: no p-group image of a quotient with h^n' = g^k or
     # g^-k separates h from <g>. n' and k depend on n, m and p alone, which
     # a length-preserving pair keeps; a pair mapping h into <g> collides.
     nk = _collision(n, m, p) if p is not None and n >= 2 else None
-    chunks = g_red.chunks + h_trans.chunks
-    h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+    chunks = gr.syllables + ht.syllables
+    h_letters, g_letters = ht.letters(), gr.letters()
     # The first residually-p pair, and the first keeping h outside <g>, name
     # the exhausted reports; the pure residual-p test is skipped on a
     # rejected pair that could only repeat a text already found.
@@ -837,12 +667,6 @@ def _separate_free(report: WitnessReport, desc: FreeAmalgamDescription, h_letter
         raise AssertionError("projected generator is not cyclically reduced")
     # The certificate scan realizes the length or factor argument in the quotient.
     return _finish_scan(report, qa.presentation, hq, gq, p, max_order)
-
-
-def _free_power_letters(letters, k: int) -> list[FreeLetter]:
-    if k >= 0:
-        return list(letters) * k
-    return _free_letters_inverse(letters) * (-k)
 
 
 # ---------------------------------------------------------------------------

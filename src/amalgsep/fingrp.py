@@ -197,6 +197,16 @@ class FiniteGroup(Record):
             n += 1
         return n
 
+    def power_exponent(self, x: int, g: int) -> Optional[int]:
+        """The k in [0, o) with x = g^k, where o is the order of g; None
+        when x lies outside <g>."""
+        y = 0
+        for k in range(self.element_orders[g]):
+            if y == x:
+                return k
+            y = self.table[y][g]
+        return None
+
     def exponent(self) -> int:
         e = 1
         for o in self.element_orders:

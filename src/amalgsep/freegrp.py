@@ -52,7 +52,12 @@ def reduce_word(raw: Iterable[Letter]) -> FreeWord:
 
 
 def word_mul(u: FreeWord, v: FreeWord) -> FreeWord:
-    return reduce_word(u + v)
+    """The reduced product of the reduced words u and v, whose letters
+    cancel only at the junction."""
+    k, n = 0, min(len(u), len(v))
+    while k < n and u[-1 - k] == (v[k][0], -v[k][1]):
+        k += 1
+    return u[:len(u) - k] + v[k:]
 
 
 def word_inv(u: FreeWord) -> FreeWord:
@@ -60,9 +65,14 @@ def word_inv(u: FreeWord) -> FreeWord:
 
 
 def word_pow(u: FreeWord, k: int) -> FreeWord:
+    """u^k for the reduced word u = c v c^-1, v cyclically reduced: the
+    word c v^k c^-1, which is reduced for k != 0."""
     if k < 0:
         u, k = word_inv(u), -k
-    return reduce_word(u * k)
+    if not k:
+        return ()
+    c, v = _cyclic_core(u)
+    return c + v * k + u[len(c) + len(v):]
 
 
 def parse_word(text: str, gen_names: Sequence[str]) -> FreeWord:
@@ -145,6 +155,43 @@ def primitive_root(w: FreeWord) -> tuple[FreeWord, int]:
         if word_pow(u[:d], n // d) == u:
             return (reduce_word(c + u[:d] + word_inv(c)), n // d)
     return (w, 1)                   # w is empty: for n >= 1, d = n matches
+
+
+def subgroup_rank(words: Sequence[FreeWord]) -> int:
+    """The rank of the (free) subgroup the words generate: the bouquet of
+    their loops at one vertex is folded, two edges with one label leaving
+    one vertex identified until none are (an edge u -x-> v leaves v as
+    x^-1), into the Stallings graph, whose rank edges - vertices + 1 is
+    the subgroup's (J. Stallings, Topology of finite graphs, Invent. Math.
+    71, 1983). k words are a free basis iff the rank is k, free groups of
+    finite rank being Hopfian."""
+    parent = [0]                    # union-find forest over the vertices
+    edges = []                      # (u, gen, v): u reads gen to v
+    for word in words:
+        u = 0
+        for i, (gen, sign) in enumerate(word):
+            v = 0 if i == len(word) - 1 else len(parent)
+            if v:
+                parent.append(v)
+            edges.append((u, gen, v) if sign > 0 else (v, gen, u))
+            u = v
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    folded = True
+    while folded:                   # a pass without a fold saw current roots only
+        folded = False
+        ends: dict[tuple, int] = {}
+        for u, gen, v in edges:
+            for start, sign, end in ((u, 1, v), (v, -1, u)):
+                x, y = find(ends.setdefault((find(start), gen, sign), end)), find(end)
+                if x != y:
+                    parent[x], folded = y, True
+    vertices = {find(x) for x in range(len(parent))}
+    return len({(find(u), gen, find(v)) for u, gen, v in edges}) - len(vertices) + 1
 
 
 class GenImages(Record):

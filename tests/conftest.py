@@ -705,8 +705,9 @@ def free_pair_scan_oracle(desc, a_chunks, b_chunks, p, bound, accept=None):
     return None
 
 
-def free_reduced_form_oracle(desc, letters) -> engine.FreeReducedForm:
-    """The reduced form by merge and restart: merge every run of same-side
+def free_reduced_form_oracle(desc, letters) -> tuple[tuple, int]:
+    """The reduced form by merge and restart, as (chunks, core exponent t)
+    with t = 0 unless there are no chunks: merge every run of same-side
     chunks, rewrite the leftmost chunk lying in the amalgamated subgroup as
     the other side's power, and start again from the left until no chunk
     lies in it."""
@@ -735,12 +736,30 @@ def free_reduced_form_oracle(desc, letters) -> engine.FreeReducedForm:
             if t is None:
                 continue
             if len(chunks) == 1:
-                return engine.FreeReducedForm((), t)
+                return (), t
             replacement = [(other, word_pow(w_other, t))] if t else []
             chunks = merge(chunks[:i] + replacement + chunks[i + 1:])
             changed = True
             break
-    return engine.FreeReducedForm(tuple(chunks))
+    return tuple(chunks), 0
+
+
+def free_query_forms(desc, h_letters, g_letters) -> tuple[AmalgamElement, AmalgamElement]:
+    """(gr, ht): g cyclically reduced and h conjugated along, as
+    ``engine.separate_from_cyclic`` does, so that h = g^k iff ht = gr^k."""
+    pres = desc.presentation
+    gr, c = am.cyclically_reduce(normalize(pres, g_letters))
+    return gr, am.conjugate(normalize(pres, h_letters), c)
+
+
+def coset_rep_oracle(w, x) -> tuple[int, tuple]:
+    """(s, t) with x = w^s t and t the shortest word w^-s x, the least
+    tuple among those as short, found by trying every |s| <= 2|x| + 8. The
+    window is wide enough: |w^s| >= |s| for a nontrivial w, so outside it
+    |w^-s x| >= |s| - |x| > |x|, the length at s = 0."""
+    return min(((s, word_mul(word_pow(w, -s), x)) for s in range(-2 * len(x) - 8,
+                                                                  2 * len(x) + 9)),
+               key=lambda st: (len(st[1]), st[1]))
 
 
 # ---------------------------------------------------------------------------

@@ -189,6 +189,8 @@ fields = {
     amalgam.AmalgamPresentation: dict(
         A=Z4, B=Z4, H=H, K=H, phi=pres.phi, phi_inv=pres.phi_inv,
         transversal_a=pres.transversal_a, transversal_b=pres.transversal_b),
+    amalgam.FreeAmalgamPresentation: dict(rank_a=1, rank_b=1, word_a=((0, 1), (0, 1)),
+                                          word_b=((0, 1),)),
     amalgam.AmalgamElement: dict(pres=pres, core=2, syllables=(("B", 1),)),
     amalgam.CyclicMembership: dict(verdict="member", exponent=3, reason=None),
     catalog.CatalogEntry: dict(name="Z4", order=4, family_rank=0, params=(4,),
@@ -204,10 +206,10 @@ fields = {
                                witnesses=None, certifying=None, bound=None,
                                structural_note=None),
     engine.GluedHom: dict(target=Z4, target_name="Z4", map_a=(0, 1, 2, 3), map_b=(0, 3, 2, 1)),
-    engine.FreeReducedForm: dict(chunks=(), core_exponent=2),
     freegrp.GenImages: dict(rank=1, target=Z4, images=(1,)),
 }
-by_identity = (amalgam.AmalgamPresentation, compat.QuotientAmalgam)
+by_identity = (amalgam.AmalgamPresentation, amalgam.FreeAmalgamPresentation,
+               compat.QuotientAmalgam)
 for cls, kwargs in fields.items():
     name = cls.__name__
     one, other = cls(**kwargs), cls(**kwargs)
@@ -247,8 +249,6 @@ check("replace keeps the defaults", dataclasses.replace(bare, family_generators=
 check("GenImages checks its length", raises(freegrp.GenImages, 2, Z4, (1,)))
 check("CatalogEntry repr", repr(catalog.CatalogEntry(**fields[catalog.CatalogEntry]))
       == "CatalogEntry(name='Z4', order=4, family_rank=0, params=(4,))")
-check("FreeReducedForm repr", repr(engine.FreeReducedForm((), 2))
-      == "FreeReducedForm(chunks=(), core_exponent=2)")
 one, other = (engine.WitnessReport("plain", None, "", "", "") for _ in range(2))
 one.notes.append("note")
 one.outcome = "member"

@@ -322,8 +322,13 @@ BAD_INPUTS = {
     "nonhom.json": {"schema": 1, "kind": "finite", "group_a": "z4a.json",
                     "group_b": "z4b.json", "h": ["a"], "k": ["b"],
                     "phi": {"e": "e", "a": "b", "a2": "b3", "a3": "b2"}},
-    "two-words.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
-                       "h_words": ["a^2", "a^3"], "k_words": ["b^2", "b^3"]},
+    "two-words.json": {"schema": 1, "kind": "free", "gens_a": ["a", "c"],
+                       "gens_b": ["b", "d"], "h_words": ["a", "c^2"], "k_words": ["b", "d^2"]},
+    "powers.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
+                    "h_words": ["a^2", "a^3"], "k_words": ["b^2", "b^3"]},
+    "repeated-word.json": {"schema": 1, "kind": "free", "gens_a": ["a", "c"],
+                           "gens_b": ["b", "d"], "h_words": ["a", "c"],
+                           "k_words": ["b d", "b d"]},
     "unequal.json": {"schema": 1, "kind": "free", "gens_a": ["a"], "gens_b": ["b"],
                      "h_words": ["a^2"], "k_words": ["b^2", "b^3"]},
     "repeated-gen.json": {"schema": 1, "kind": "free", "gens_a": ["a", "a"], "gens_b": ["b"],
@@ -347,9 +352,13 @@ BAD_INPUTS = {
     (["amalgam", "build", "repeated-gen.json"], "generator names of side A repeat: ['a', 'a']"),
     (["witness", "trivial-word.json", "A:a", "A:a^2"],
      "basis word 1 of side B reduces to the identity, so the basis is not free"),
+    (["amalgam", "build", "powers.json"], "the basis words of side A generate a subgroup "
+     "of rank 1, not 2, so the basis is not free"),
+    (["amalgam", "build", "repeated-word.json"], "the basis words of side B generate a "
+     "subgroup of rank 1, not 2, so the basis is not free"),
 ], ids=["finite-order", "non-normal-r", "phi-not-homomorphism", "equal-primes",
         "trivial-g", "two-basis-words", "unequal-bases", "repeated-generator",
-        "trivial-basis-word"])
+        "trivial-basis-word", "non-free-powers", "non-free-repeated-word"])
 def test_user_reachable_check_is_an_input_error(workdir, monkeypatch, capsys, argv, message):
     # Checks made on the user's behalf below the CLI: exit 2, one line, no report.
     for name, doc in BAD_INPUTS.items():

@@ -228,6 +228,9 @@ A_WORD = (((0, 1),),)
      "side A names a generator outside 0..1"),
     ((0, 1, (), ("b",), ((),), A_WORD), "side A has no generators"),
     ((1, 0, ("a",), (), A_WORD, ((),)), "side B has no generators"),
+    # a a a^-1 a reduces to a^2; read as it stands, a^2 = w would be no member of <w>.
+    ((1, 1, ("a",), ("b",), (((0, 1), (0, 1), (0, -1), (0, 1)),), (((0, 1), (0, 1)),)),
+     "basis word 1 of side A is not freely reduced"),
 ])
 def test_free_descriptions_the_scanner_cannot_take_are_rejected(args, message):
     # A basis word over a generator the side lacks once crashed the class

@@ -15,7 +15,15 @@ import amalgsep
 
 from amalgsep import amalgam
 from amalgsep import engine
-from amalgsep.amalgam import build_amalgam, cyclic_member, normalize, power, serialize_element
+from amalgsep.amalgam import (
+    build_amalgam,
+    cyclic_member,
+    cyclically_reduce,
+    normalize,
+    power,
+    serialize_element,
+    syllable_length,
+)
 from amalgsep.catalog import (
     catalog,
     cyclic_group,
@@ -32,23 +40,21 @@ from amalgsep.compat import (
 )
 from amalgsep.engine import (
     WitnessReport,
-    _free_member_exponent,
-    _free_query_forms,
     enumerate_quotient_homs,
-    free_cyclically_reduce,
-    free_reduced_form,
     power_congruence_description,
     run_case_study,
     separate_from_cyclic,
 )
 from amalgsep.errors import InputError
 from amalgsep.fingrp import construct_group, is_p_power, respects_generators, subgroup_generated
-from amalgsep.freegrp import parse_word, word_inv, word_pow
+from amalgsep.freegrp import parse_word, reduce_word, word_inv, word_mul, word_pow
 from conftest import (
     cold_catalog,
+    coset_rep_oracle,
     cyclic_table,
     elements_up_to_length,
     first_separating_hom_oracle,
+    free_query_forms,
     free_reduced_form_oracle,
     homs_oracle,
     relabeled_amalgam,
@@ -267,10 +273,10 @@ class TestHomOracles:
         _assert_probe_is_naive(qa, queries, catalog(16))
 
 
-def length_preserving_quotient(desc, *forms):
-    """The quotient of the first catalog pair keeping every chunk of the
-    reduced forms outside the amalgamated image."""
-    chunks = [c for form in forms for c in form.chunks]
+def length_preserving_quotient(desc, *elements):
+    """The quotient of the first catalog pair keeping every syllable of the
+    elements outside the amalgamated image."""
+    chunks = [c for x in elements for c in x.syllables]
     found = next(engine._free_pair_scan(desc, [w for s, w in chunks if s == "A"],
                                         [w for s, w in chunks if s == "B"],
                                         None, engine.DEFAULT_PAIR_BOUND), None)
@@ -282,7 +288,7 @@ class TestLengthPreservingPair:
     def test_free_square_identification(self):
         desc = power_congruence_description(2)
         ab = [("A", parse_word("a", ["a"])), ("B", parse_word("b", ["b"]))]
-        qa = length_preserving_quotient(desc, free_reduced_form(desc, ab))
+        qa = length_preserving_quotient(desc, normalize(desc.presentation, ab))
         img = qa.project(ab)
         assert len(img.syllables) == 2
 
@@ -293,18 +299,18 @@ class TestFreeReducedForms:
         # (ab)^3 a^2: the trailing square migrates into the last b-chunk.
         letters = ([("A", parse_word("a", ["a"])), ("B", parse_word("b", ["b"]))] * 3
                    + [("A", parse_word("a^2", ["a"]))])
-        form = free_reduced_form(desc, letters)
-        assert form.length == 6
+        form = normalize(desc.presentation, letters)
+        assert syllable_length(form) == 6
 
     def test_pure_amalgam_power(self):
         desc = power_congruence_description(2)
-        form = free_reduced_form(desc, [("A", parse_word("a^6", ["a"]))])
-        assert form.length == 0 and form.core_exponent == 3
+        form = normalize(desc.presentation, [("A", parse_word("a^6", ["a"]))])
+        assert syllable_length(form) == 0 and form.core == 3
 
     def test_identity(self):
         desc = power_congruence_description(2)
-        form = free_reduced_form(
-            desc, [("A", parse_word("a", ["a"])), ("A", parse_word("a^-1", ["a"]))])
+        form = normalize(desc.presentation,
+                         [("A", parse_word("a", ["a"])), ("A", parse_word("a^-1", ["a"]))])
         assert form.is_identity()
 
     def test_cyclic_reduction(self):
@@ -312,22 +318,25 @@ class TestFreeReducedForms:
         a = ("A", parse_word("a", ["a"]))
         b = ("B", parse_word("b", ["b"]))
         a_inv = ("A", parse_word("a^-1", ["a"]))
-        form = free_reduced_form(desc, [a_inv, a, b, ("A", parse_word("a", ["a"]))])
-        red, conj = free_cyclically_reduce(desc, form)
+        form = normalize(desc.presentation, [a_inv, a, b, ("A", parse_word("a", ["a"]))])
+        red, conj = cyclically_reduce(form)
         # a^-1 (ab) a is cyclically reduced only after one rotation.
-        assert red.length <= form.length
+        assert syllable_length(red) <= syllable_length(form)
 
 
-def _rank2_description() -> FreeAmalgamDescription:
+def _rank2_description(h_word: str, k_word: str) -> FreeAmalgamDescription:
     return FreeAmalgamDescription(
         rank_a=2, rank_b=2, gen_names_a=("a", "b"), gen_names_b=("c", "d"),
-        h_words=(parse_word("a b a b^-1", ["a", "b"]),),
-        k_words=(parse_word("c^2 d^2", ["c", "d"]),))
+        h_words=(parse_word(h_word, ["a", "b"]),),
+        k_words=(parse_word(k_word, ["c", "d"]),))
 
 
+# "conjugated" amalgamates a word that is not cyclically reduced, whose
+# powers w^-s lie off the axis of w.
 FORM_DESCRIPTIONS = {"pc2": power_congruence_description(2),
                      "pc3": power_congruence_description(3),
-                     "rank2": _rank2_description()}
+                     "rank2": _rank2_description("a b a b^-1", "c^2 d^2"),
+                     "conjugated": _rank2_description("b a b^-1", "c^2")}
 
 
 @st.composite
@@ -350,8 +359,14 @@ def free_product_letters(draw):
     return desc, letters
 
 
+def _oracle_letters(desc, form):
+    """The letters of a ``free_reduced_form_oracle`` form."""
+    chunks, t = form
+    return list(chunks) or ([("A", word_pow(desc.h_words[0], t))] if t else [])
+
+
 class TestFreeReducedFormOracle:
-    """The one-pass stack form against the merge-and-restart oracle: both
+    """The engine's normal form against the merge-and-restart oracle: both
     are reduced forms of the same element, so they have the same length
     and core exponent, and differ by the identity."""
 
@@ -359,13 +374,56 @@ class TestFreeReducedFormOracle:
     @settings(max_examples=300, deadline=None)
     def test_one_pass_matches_merge_and_restart(self, query):
         desc, letters = query
-        form = free_reduced_form(desc, letters)
+        form = normalize(desc.presentation, letters)
         oracle = free_reduced_form_oracle(desc, letters)
-        assert form.length == oracle.length
-        if not form.length:
-            assert form.core_exponent == oracle.core_exponent
-        quotient = _inverse(oracle.letters(desc)) + form.letters(desc)
-        assert free_reduced_form_oracle(desc, quotient).is_identity()
+        assert syllable_length(form) == len(oracle[0])
+        if not syllable_length(form):
+            assert form.core == oracle[1]
+        quotient = _inverse(_oracle_letters(desc, oracle)) + form.letters()
+        assert free_reduced_form_oracle(desc, quotient) == ((), 0)
+
+
+@st.composite
+def coset_queries(draw):
+    """A description, a side and a word x made of powers of the side's
+    amalgamated word w and short free words, so that x is often near <w>
+    and w^s x has ties and long falls."""
+    desc = FORM_DESCRIPTIONS[draw(st.sampled_from(sorted(FORM_DESCRIPTIONS)))]
+    side = draw(st.sampled_from("AB"))
+    rank, w = (desc.rank_a, desc.h_words[0]) if side == "A" else (desc.rank_b, desc.k_words[0])
+    x = ()
+    for _ in range(draw(st.integers(0, 5))):
+        if draw(st.booleans()):
+            piece = word_pow(w, draw(st.integers(-3, 3)))
+        else:
+            piece = reduce_word(draw(st.lists(st.tuples(st.integers(0, rank - 1),
+                                                        st.sampled_from((1, -1))), max_size=2)))
+        x = word_mul(x, piece)
+    return desc, side, w, x
+
+
+@given(coset_queries())
+@settings(max_examples=400, deadline=None)
+def test_free_split_picks_the_shortest_coset_word(query):
+    # The walk from s = 0 against a scan of a window that provably holds
+    # the shortest w^-s x, ties broken by tuple order.
+    desc, side, w, x = query
+    pres = desc.presentation
+    s, t = pres.split(side, x)
+    assert (s, t) == coset_rep_oracle(w, x)
+    assert word_mul(pres.core_on(side, s), t) == x
+
+
+def test_free_table_stays_bounded_and_answers_alike(monkeypatch):
+    monkeypatch.setattr(amalgam, "FREE_TABLE_LIMIT", 4)
+    desc = FORM_DESCRIPTIONS["conjugated"]
+    pres = amalgam.FreeAmalgamPresentation(2, 2, desc.h_words[0], desc.k_words[0])
+    w = desc.h_words[0]
+    for k in range(-6, 7):
+        x = word_mul(word_pow(w, k), parse_word("a b", ["a", "b"]))
+        assert pres.split("A", x) == coset_rep_oracle(w, x)
+        assert pres.core_on("B", k) == word_pow(desc.k_words[0], k)
+        assert len(pres._table) <= 4
 
 
 class TestSeparateFinite:
@@ -567,7 +625,8 @@ def _inverse(letters):
 
 
 def _exact_exponent(desc, h, g):
-    return _free_member_exponent(desc, *_free_query_forms(desc, h, g))
+    pres = desc.presentation
+    return cyclic_member(normalize(pres, h), normalize(pres, g)).exponent
 
 
 class TestExactFreeMembership:
@@ -578,7 +637,7 @@ class TestExactFreeMembership:
     def test_conjugated_powers_are_members_with_their_exponent(self, query, k):
         p, g, c = query
         desc = power_congruence_description(p)
-        assume(not free_reduced_form(desc, g).is_identity())
+        assume(not normalize(desc.presentation, g).is_identity())
         cg = c + g + _inverse(c)
         g_pow = g * k if k >= 0 else _inverse(g) * -k
         # Small bounds: a member is decided before any catalog scan.
@@ -609,20 +668,20 @@ class TestExactFreeMembership:
         # the exponent unique too.
         p, g, c = gq
         desc = power_congruence_description(p)
-        assume(not free_reduced_form(desc, g).is_identity())
+        assume(not normalize(desc.presentation, g).is_identity())
         h = hq[1] + hq[2]
-        g_red, h_trans = _free_query_forms(desc, h, c + g + _inverse(c))
-        assume(g_red.length >= 1)
+        g_red, h_trans = free_query_forms(desc, h, c + g + _inverse(c))
+        assume(syllable_length(g_red) >= 1)
         qa = length_preserving_quotient(desc, g_red, h_trans)
-        image_h = qa.project(h_trans.letters(desc))
-        image_g = qa.project(g_red.letters(desc))
+        image_h = qa.project(h_trans.letters())
+        image_g = qa.project(g_red.letters())
         verdict = cyclic_member(image_h, image_g)
-        exact = _free_member_exponent(desc, g_red, h_trans)
+        exact = cyclic_member(h_trans, g_red).exponent
         if not verdict.is_member:
             assert exact is None
         if exact is not None:
             assert power(image_g, exact) == image_h
-            if g_red.length >= 2:
+            if syllable_length(g_red) >= 2:
                 assert verdict.exponent == exact
 
     def test_false_member_is_bound_exhausted(self):

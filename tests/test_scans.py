@@ -28,6 +28,7 @@ from conftest import (
     finish_scan_oracle,
     free_classes_oracle,
     free_pair_scan_oracle,
+    free_query_forms,
     in_factor_scan_oracle,
     isomorphism_oracle,
     kernel_key_oracle,
@@ -288,12 +289,12 @@ class TestFreePairScan:
         outside <g>, and with h outside and h^n' apart from g^k and g^-k,
         where n' is the p'-part of n = l(g) and k = l(h) n' / n (p-mode,
         n >= 2 and k whole; else the third is the second)."""
-        g_red, h_trans = engine._free_query_forms(desc, _letters(desc, h), _letters(desc, g))
-        chunks = g_red.chunks + h_trans.chunks
-        h_letters, g_letters = h_trans.letters(desc), g_red.letters(desc)
+        g_red, h_trans = free_query_forms(desc, _letters(desc, h), _letters(desc, g))
+        chunks = g_red.syllables + h_trans.syllables
+        h_letters, g_letters = h_trans.letters(), g_red.letters()
         scan = ([w for s, w in chunks if s == "A"], [w for s, w in chunks if s == "B"],
                 p, bound)
-        n, m = g_red.length, h_trans.length
+        n, m = amalgam.syllable_length(g_red), amalgam.syllable_length(h_trans)
         n_prime = n
         while p is not None and n_prime and n_prime % p == 0:
             n_prime //= p
