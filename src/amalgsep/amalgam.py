@@ -438,7 +438,11 @@ def cyclic_member(h: AmalgamElement, g: AmalgamElement) -> CyclicMembership:
     if m == 0 or (m == 1 and ht.syllables[0][0] == side):
         x = factor_element_of(ht)[1] if m else pres.core_on(side, ht.core)
         k = pres.power_exponent(side, x, t)
-    return _nonmember("not in the finite cyclic subgroup") if k is None else _member(k)
+    if k is not None:
+        return _member(k)
+    if isinstance(pres, FreeAmalgamPresentation):     # <g> is infinite unless g = 1
+        return _nonmember("not in the cyclic subgroup of the free factor")
+    return _nonmember("not in the finite cyclic subgroup")
 
 
 def extract_root(g: AmalgamElement, q: int) -> Optional[AmalgamElement]:

@@ -61,10 +61,13 @@ Units u are picked by ``fingrp.unit_generators``, at most log2 of them.
              central generator of the       with f(g) = z, f = 1 on the
              other, ord z | ord g           other generators, if it exists
 
-f factors through the member's abelianization, so the last is listed only
-when ord z divides the order of g there (``fingrp.abelianization``; not for
-r in D_n with z of order 4). That is necessary, not sufficient: the check
-still drops the candidates whose f does not exist.
+f factors through the member's abelianization Q, where the images of
+the other generators generate a subgroup P with Q/P cyclic, generated by
+g's image; so f exists iff ord z divides the order of g's image in Q/P,
+and the last is listed only then (``_orders_mod_others``; not for r in
+D_n with z of order 4, nor for a generator of S4 or S5 whose image in Z2
+the others' images already give). The check still runs on every
+candidate.
 """
 
 from __future__ import annotations
@@ -81,6 +84,7 @@ from .fingrp import (
     greedy_generators,
     is_p_power,
     prime_powers,
+    subgroup_generated,
     trusted_group,
     unit_generators,
 )
@@ -166,11 +170,13 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
     if G1 == G2:
         candidates.append(g2 + g1)
     # g -> g z for a generator g of one member, z central in the other;
-    # ord z must divide the order of g in that member's abelianization.
+    # ord z must divide the order of g in that member's abelianization
+    # modulo the images of the member's other generators.
     c1, c2 = _central_generators(G1), _central_generators(G2)
-    (q1, p1), (q2, p2) = abelianization(G1), abelianization(G2)
-    moves = ([(G2, c2, 1, G1.element_orders[a], q1.element_order(p1[a])) for a in a_gens]
-             + [(G1, c1, n2, G2.element_orders[b], q2.element_order(p2[b])) for b in b_gens])
+    moves = ([(G2, c2, 1, G1.element_orders[a], k)
+              for a, k in zip(a_gens, _orders_mod_others(G1, a_gens))]
+             + [(G1, c1, n2, G2.element_orders[b], k)
+                for b, k in zip(b_gens, _orders_mod_others(G2, b_gens))])
     for i, (other, centre, scale, order, ab_order) in enumerate(moves):
         for c in centre:
             oc = other.element_orders[c]
@@ -178,6 +184,21 @@ def direct_product(G1: FiniteGroup, G2: FiniteGroup) -> FiniteGroup:
             if z and ab_order % other.element_orders[z] == 0:
                 candidates.append(gens[:i] + [gens[i] + z * scale] + gens[i + 1:])
     return trusted_group(table, generators=gens, candidates=candidates)
+
+
+def _orders_mod_others(G: FiniteGroup, gens: tuple[int, ...]) -> list[int]:
+    """For each g of ``gens``, the order of its image in G^ab modulo the
+    subgroup that the images of the other generators generate: the
+    quotient is cyclic, generated by g's image, so a homomorphism f from G
+    to an abelian group with f(g) = z and f = 1 on the other generators
+    exists iff ord z divides this order."""
+    q, proj = abelianization(G)
+    images = [proj[g] for g in gens]
+    out = []
+    for i, x in enumerate(images):
+        others = subgroup_generated(q, images[:i] + images[i + 1:]).members
+        out.append(next(k for k in itertools.count(1) if q.power(x, k) in others))
+    return out
 
 
 def _central_generators(G: FiniteGroup) -> list[int]:

@@ -22,7 +22,10 @@ tries) and the least pairs of elements under S acting diagonally
 generators of S alone. S is generated by the inner automorphisms, or the
 power maps of an abelian group, and by the automorphisms a catalog
 construction names (``automorphism_candidates``), each checked on the
-Cayley graph before use (``_symmetries``); the normal-subgroup lattice
+Cayley graph before use (``_symmetries``); for the same scanner, the
+least element of each coset of the centre (``centre_cosets``) and the
+pair leaders cut to one y per such coset for each x
+(``central_pair_leaders``); the normal-subgroup lattice
 (behind ``enumerate_normal_subgroups``), built as joins of the normal
 closures of conjugacy classes; its index-p cover edges, one table
 per prime p (``normal_covers``, for compat's chain families); and the
@@ -327,6 +330,29 @@ class FiniteGroup(Record):
             x, y = divmod(orbit[0], n)
             out.setdefault(x, []).append(y)
         return tuple((x, tuple(ys)) for x, ys in out.items())
+
+    @cached_property
+    def centre_cosets(self) -> tuple[int, ...]:
+        """For each element y, the least element of its coset y Z of the
+        centre Z (the elements that commute with ``generators``)."""
+        tab, gens = self.table, self.generators
+        centre = [z for z in self.elements() if all(tab[z][g] == tab[g][z] for g in gens)]
+        return tuple(min(tab[y][z] for z in centre) for y in self.elements())
+
+    @cached_property
+    def central_pair_leaders(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """``pair_leaders`` with each x's ys cut to the first y of each
+        coset y Z of the centre among them; one y per x on an abelian
+        group. ``freegrp.scan_gen_images`` reads it for a second generator
+        whose exponent sums vanish."""
+        cosets = self.centre_cosets
+        out = []
+        for x, ys in self.pair_leaders:
+            first: dict[int, int] = {}
+            for y in ys:
+                first.setdefault(cosets[y], y)
+            out.append((x, tuple(first.values())))
+        return tuple(out)
 
     @cached_property
     def _normal_lattice(self) -> tuple[Subgroup, ...]:

@@ -8,10 +8,14 @@ through ``scan_gen_images``, which yields only orbit leaders under the
 target's automorphism group S (``FiniteGroup._symmetries``: inner
 automorphisms or power maps, and the checked automorphisms the catalog
 construction names): an ordered subsequence of the full product that
-holds the first assignment of every kernel. It compiles its words once
-into (coordinate, inverted) steps, evaluates them inline on each image
-tuple, and yields the bare tuples; callers wrap in a ``GenImages`` only
-the assignments they keep.
+holds the first assignment of every kernel. When it yields one
+assignment per key, a generator other than the first whose exponent
+sum vanishes in every word it evaluates takes one image per coset of
+the target's centre: a central factor z on that image multiplies each
+word's value by z^0, so nothing it reads changes. It compiles its words
+once into (coordinate, inverted) steps, evaluates them inline on each
+image tuple, and yields the bare tuples; callers wrap in a
+``GenImages`` only the assignments they keep.
 
 A kernel is known by one breadth-first labelling of the image group from
 its marked generators (``_labelled_walk``). ``kernel_key``,
@@ -247,6 +251,18 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
     a key is the first of a kernel, and with ``distinct`` the scan yields
     exactly what the full product would.
 
+    With ``distinct``, a coordinate c whose generator has exponent sum
+    sigma_c(w) = 0 in every word w of ``basis`` and ``chunks`` is also cut
+    to the centre Z of the target: for c = 1, each x keeps the first y of
+    each coset y Z among its pair-leader ys (``central_pair_leaders``;
+    one y on an abelian target), and for c >= 2 the coordinate takes the
+    least element of each coset (``centre_cosets``). Multiplying the image
+    of generator c by a central z multiplies the value of every word w by
+    z^sigma_c(w) = 1, so no value, restricted key or chunk verdict changes,
+    and the cut keeps, for every leader assignment, one that is no later
+    and has its values. The first leader assignment of a key is thus kept,
+    and the scan still yields it and nothing else for that key.
+
     An assignment is skipped when some word of ``chunks`` maps into the
     subgroup generated by the images of ``basis``, and with ``distinct``
     when an earlier assignment was yielded with the same key. Each word is
@@ -261,8 +277,9 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
     table, inverse = target.table, target.inverse
     # Each word as its first step and the rest; the empty word is compiled
     # as x^-1 x, which is its value.
+    words = (*basis, *chunks)
     compiled = []
-    for w in (*basis, *chunks):
+    for w in words:
         steps = [(gen, sign < 0) for gen, sign in w] or [(0, True), (0, False)]
         compiled.append((*steps[0], steps[1:]))
     n_basis = len(basis)
@@ -271,8 +288,17 @@ def scan_gen_images(rank: int, target: FiniteGroup, basis: Sequence[FreeWord] = 
         orders = target.element_orders
         assignments = [(x,) for x in sorted(map(orders.index, set(orders)))]
     else:
-        rest = list(itertools.product(range(target.order), repeat=rank - 2))
-        assignments = ((x, y) + r for x, ys in target.pair_leaders for y in ys for r in rest)
+        # blind(c): generator c has exponent sum 0 in every word, so a
+        # central factor on its image changes no value.
+        def blind(c: int) -> bool:
+            return distinct and all(w.count((c, 1)) == w.count((c, -1)) for w in words)
+
+        n = target.order
+        rest = list(itertools.product(*(
+            [y for y in range(n) if target.centre_cosets[y] == y] if blind(c) else range(n)
+            for c in range(2, rank))))
+        leaders = target.central_pair_leaders if blind(1) else target.pair_leaders
+        assignments = ((x, y) + r for x, ys in leaders for y in ys for r in rest)
     for images in assignments:
         values = []
         for c, inverted, steps in compiled:

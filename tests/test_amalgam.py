@@ -24,6 +24,7 @@ from amalgsep.amalgam import (
     serialize_element,
     syllable_length,
 )
+from amalgsep.engine import power_congruence_description
 from amalgsep.errors import InputError
 from amalgsep.fingrp import subgroup_generated
 from conftest import elements_of_length, elements_up_to_length, spy_calls
@@ -167,6 +168,17 @@ class TestCyclicMember:
         a3 = normalize(g2, [("A", 3)])
         res = cyclic_member(a3, a)
         assert res.is_member and res.exponent == 3
+
+    def test_factor_nonmember_reasons(self, g2):
+        # A generator of syllable length <= 1 lies in one factor, where
+        # <g> is finite for finite factors and infinite for free ones.
+        res = cyclic_member(normalize(g2, [("A", 1)]), normalize(g2, [("A", 2)]))
+        assert res.reason == "not in the finite cyclic subgroup"
+        free = power_congruence_description(2).presentation
+        b, a = normalize(free, [("B", ((0, 1),))]), normalize(free, [("A", ((0, 1),))])
+        res = cyclic_member(b, a)
+        assert not res.is_member
+        assert res.reason == "not in the cyclic subgroup of the free factor"
 
 
 class TestRoots:

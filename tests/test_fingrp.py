@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from amalgsep import catalog as catalog_module
 from amalgsep import fingrp
 from amalgsep.catalog import catalog, targets
 from amalgsep.errors import InputError
@@ -388,6 +389,27 @@ class TestOrbitLeaders:
         assert bad.orbit_leaders == G.orbit_leaders
         assert bad.pair_leaders == G.pair_leaders
 
+    def test_products_list_only_central_moves_that_exist(self, monkeypatch):
+        # A product lists g -> g z only when some f with f(g) = z and f = 1
+        # on the other generators exists. Listing by the order of g's image
+        # in G^ab alone adds moves that the check rejects, and no others.
+        products = [e for e in targets(64) if e.family_rank == 4]
+        built = [e.build() for e in products]
+
+        def ab_orders(G, gens):
+            q, proj = abelianization(G)
+            return [q.element_order(proj[g]) for g in gens]
+
+        monkeypatch.setattr(catalog_module, "_orders_mod_others", ab_orders)
+        rejected = 0
+        for entry, G in zip(products, built):
+            assert all(fingrp._is_automorphism(G, fingrp._extend(G, G.family_generators, c))
+                       for c in G.automorphism_candidates), entry.name
+            loose = entry._builder()
+            assert loose._symmetries() == G._symmetries(), entry.name
+            rejected += len(loose.automorphism_candidates) - len(G.automorphism_candidates)
+        assert rejected > 0
+
 
 class TestDerivedTables:
     """Subgroup and quotient tables of a group skip the associativity
@@ -475,6 +497,7 @@ class TestPChains:
     def test_validate_rejects_under_optimize(self):
         # The same chain in a ``python -O`` process, where asserts are off.
         code = """
+from amalgsep import catalog as catalog_module
 from amalgsep import fingrp
 from amalgsep.catalog import cyclic_group
 G = cyclic_group(4)

@@ -39,7 +39,7 @@ from conftest import (
 )
 
 from amalgsep import catalog as catalog_module
-from amalgsep import amalgam, compat, engine, fingrp
+from amalgsep import amalgam, compat, engine, fingrp, freegrp
 from amalgsep.amalgam import build_amalgam, normalize
 from amalgsep.catalog import catalog, iso_key, member_keys, targets
 from amalgsep.compat import FreeAmalgamDescription, enumerate_free_compatible_classes
@@ -175,6 +175,32 @@ class TestScanGenImages:
             basis = [word() for _ in range(rng.randint(1, 2))]
             chunks = [word() for _ in range(rng.randint(0, 2))]
             _assert_scan_matches_full_product(rank, entry.build(), basis, chunks)
+
+    # Bases in which b has exponent sum 0, so a distinct scan takes one
+    # image of b per centre coset, and at rank 3 one c per coset when c is
+    # absent; the chunks' sums of a, b or c are nonzero. Random words
+    # rarely have a zero sum.
+    @pytest.mark.parametrize("rank,bound,chunk_sets", [
+        (2, 24, [[], ["b"], ["a b^2"]]),
+        (3, 8, [[], ["b"], ["c", "b c^-1"]])])
+    @pytest.mark.parametrize("basis", ["b^-1 a b", "b a b^-1", "b^-1 a^2 b", "a b a^-1 b^-1"])
+    def test_zero_sum_bases_match_the_full_product(self, rank, bound, chunk_sets, basis):
+        names = ["a", "b", "c"][:rank]
+        for entry, chunks in itertools.product(targets(bound), chunk_sets):
+            _assert_scan_matches_full_product(
+                rank, entry.build(), [parse_word(basis, names)],
+                [parse_word(w, names) for w in chunks])
+
+    @pytest.mark.parametrize("name,bound,lookups", [("doubling", 24, 1302), ("rank2", 8, 187)])
+    def test_class_scans_evaluate_one_image_per_centre_coset(self, monkeypatch, name, bound,
+                                                             lookups):
+        # b and d have exponent sum 0 in the doubling bases, and b in
+        # a b a b^-1 (c^2 d^2 has none). Without the centre cut the scans
+        # evaluate 3,696 and 272 assignments, one walk lookup each.
+        desc = _doubling(1, 1) if name == "doubling" else _rank2()
+        reads = spy_calls(monkeypatch, freegrp, "_labelled_walk")
+        enumerate_free_compatible_classes(desc, bound)
+        assert len(reads) == lookups
 
     def test_an_unchecked_non_automorphism_loses_kernels(self, monkeypatch):
         # D6 given the candidate r -> r^2, s -> s (2 is not a unit mod 6).
